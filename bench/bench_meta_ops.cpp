@@ -126,7 +126,7 @@ void HammerCycles(store::Manager& m, const std::vector<store::FileId>& mine,
     const store::FileId id = mine[r % mine.size()];
     auto locs = m.PrepareWriteBatch(clock, id, window);
     NVM_CHECK(locs.ok());
-    m.CompleteWrites(*locs);
+    m.CompleteWrites(clock, *locs);
     ++cycles;
   }
   *cycled = cycles;

@@ -6,10 +6,7 @@
 // chunked read-ahead, beating the kernel's smaller read-ahead window.
 // We model "w/o NVMalloc" as kernel mmap with a 128 KiB read window
 // (scaled: half our chunk) and no asynchronous read-ahead overlap.
-#include <atomic>
-
 #include "bench_util.hpp"
-#include "store/store.hpp"
 #include "workloads/stream.hpp"
 
 using namespace nvm;
@@ -39,83 +36,6 @@ StreamResult RunMode(bool with_nvmalloc) {
   auto r = RunStream(tb, BaseOptions());
   NVM_CHECK(r.verified);
   return r;
-}
-
-// Aggregate read bandwidth vs stripe width, batch_rpc on/off: W clients
-// each batch-read their own 64-chunk file striped over W benefactors,
-// straight through StoreClient::ReadChunks (no fuselite cache in the way).
-// With batch_rpc on, each 32-chunk batch costs one run per benefactor
-// instead of one request per chunk, amortising the per-request SSD
-// latency that bounds the legacy path.
-double AggregateReadMbps(size_t width, bool batch_rpc) {
-  constexpr uint64_t kChunkB = 64_KiB;
-  constexpr uint32_t kChunksPerFile = 64;
-  constexpr uint32_t kBatch = 32;
-
-  net::ClusterConfig cc;
-  cc.num_nodes = 2 * width;  // clients 0..W-1, benefactors W..2W-1
-  net::Cluster cluster(cc);
-  store::AggregateStoreConfig sc;
-  sc.store.chunk_bytes = kChunkB;
-  sc.store.batch_rpc = batch_rpc;
-  for (size_t b = 0; b < width; ++b) {
-    sc.benefactor_nodes.push_back(static_cast<int>(width + b));
-  }
-  sc.contribution_bytes = 64_MiB;
-  sc.manager_node = static_cast<int>(width);
-  store::AggregateStore store(cluster, sc);
-
-  std::vector<store::FileId> ids(width);
-  for (size_t n = 0; n < width; ++n) {
-    sim::VirtualClock setup(0);
-    auto& c = store.ClientForNode(static_cast<int>(n));
-    auto id = c.Create(setup, "/f" + std::to_string(n));
-    NVM_CHECK(id.ok());
-    NVM_CHECK(c.Fallocate(setup, *id, kChunksPerFile * kChunkB).ok());
-    Bitmap all(kChunkB / c.config().page_bytes);
-    all.SetAll();
-    std::vector<uint8_t> img(kChunkB, static_cast<uint8_t>(n + 1));
-    for (uint32_t i = 0; i < kChunksPerFile; ++i) {
-      NVM_CHECK(c.WriteChunkPages(setup, *id, i, all, img).ok());
-    }
-    ids[n] = *id;
-  }
-
-  // Measure in clean timeline territory, past all setup history on the
-  // shared NIC/SSD resources.
-  constexpr int64_t kEpoch = 4'000'000'000'000;
-  std::atomic<int64_t> done{kEpoch};
-  auto placement = cluster.BlockPlacement(1, width);
-  cluster.RunProcesses(placement, [&](net::ProcessEnv& env) {
-    env.clock->AdvanceTo(kEpoch);
-    auto& c = store.ClientForNode(env.node_id);
-    int64_t last = kEpoch;
-    for (uint32_t first = 0; first < kChunksPerFile; first += kBatch) {
-      std::vector<std::vector<uint8_t>> bufs(kBatch,
-                                             std::vector<uint8_t>(kChunkB));
-      std::vector<store::StoreClient::ChunkFetch> fetches(kBatch);
-      for (uint32_t j = 0; j < kBatch; ++j) {
-        fetches[j].index = first + j;
-        fetches[j].out = bufs[j];
-      }
-      NVM_CHECK(c.ReadChunks(*env.clock, ids[static_cast<size_t>(env.rank)],
-                             fetches)
-                    .ok());
-      for (const auto& f : fetches) {
-        NVM_CHECK(f.status.ok());
-        last = std::max(last, f.ready_at);
-      }
-      env.clock->AdvanceTo(last);
-    }
-    int64_t prev = done.load();
-    while (prev < last && !done.compare_exchange_weak(prev, last)) {
-    }
-  });
-
-  const double seconds = static_cast<double>(done.load() - kEpoch) * 1e-9;
-  const double total_bytes =
-      static_cast<double>(width) * kChunksPerFile * kChunkB;
-  return total_bytes / 1e6 / seconds;
 }
 
 }  // namespace
@@ -161,25 +81,6 @@ int main() {
              without.mbps[k]);
   }
   json.Add("triad_advantage", with.mbps[3] / without.mbps[3]);
-
-  // Companion sweep: the benefactor-side run RPC's effect on aggregate
-  // striped read bandwidth.
-  Table sweep({"Stripe width", "batch_rpc=off MB/s", "batch_rpc=on MB/s",
-               "speedup"});
-  bool wide_improved = true;
-  for (size_t w : {1u, 4u, 8u, 16u}) {
-    const double off = AggregateReadMbps(w, false);
-    const double on = AggregateReadMbps(w, true);
-    sweep.AddRow({Fmt("%zu", w), Fmt("%.1f", off), Fmt("%.1f", on),
-                  Fmt("%.2fx", on / off)});
-    json.Add("stripe" + std::to_string(w) + "_batchrpc_off_mbps", off);
-    json.Add("stripe" + std::to_string(w) + "_batchrpc_on_mbps", on);
-    if (w >= 4 && on <= off) wide_improved = false;
-  }
-  sweep.Print();
-  Shape(wide_improved,
-        "one run per benefactor lifts aggregate read bandwidth at stripe "
-        "widths >= 4 (per-request SSD latency amortised)");
 
   json.Print();
   return 0;

@@ -6,9 +6,8 @@
 // 471 MB to FUSE but 19.3 GB to SSD (whole 256 KB chunks shipped per
 // eviction) — a ~38x write-volume reduction, which also saves flash wear.
 //
-// This bench also compares the batched write-back run RPC
-// (batch_write_rpc) against per-chunk write RPCs: identical bytes on the
-// wire and SSD, fewer request headers and SSD queueing slots.
+// The write RPC column counts benefactor write requests: eviction windows
+// flush as one streamed run per benefactor, not one request per chunk.
 #include "bench_util.hpp"
 #include "workloads/randwrite.hpp"
 
@@ -25,10 +24,9 @@ struct ModeStats {
   uint64_t flush_batches = 0;
 };
 
-ModeStats RunMode(bool optimised, bool batch_write_rpc) {
+ModeStats RunMode(bool optimised) {
   TestbedOptions to;
   to.fuse.dirty_page_writeback = optimised;
-  to.store.batch_write_rpc = batch_write_rpc;
   Testbed tb(to);
   RandWriteOptions o;  // 16 MiB region (2 GiB-class), 131072 writes
   ModeStats s;
@@ -54,11 +52,9 @@ int main() {
         "random byte-writes (131072 into a 2 GiB-class region): data "
         "written to FUSE vs SSD, w/ and w/o dirty-page write-back");
 
-  auto with = RunMode(true, true);
-  auto without = RunMode(false, true);
-  auto with_unbatched = RunMode(true, false);
-  NVM_CHECK(with.result.verified && without.result.verified &&
-            with_unbatched.result.verified);
+  auto with = RunMode(true);
+  auto without = RunMode(false);
+  NVM_CHECK(with.result.verified && without.result.verified);
 
   auto mb = [](uint64_t b) {
     return Fmt("%.1f MB", static_cast<double>(b) / 1e6);
@@ -72,9 +68,6 @@ int main() {
             mb(with.result.bytes_to_ssd), count(with.write_requests)});
   t.AddRow({"w/o Optimization", mb(without.result.bytes_to_fuse),
             mb(without.result.bytes_to_ssd), count(without.write_requests)});
-  t.AddRow({"w/ Opt, per-chunk RPC", mb(with_unbatched.result.bytes_to_fuse),
-            mb(with_unbatched.result.bytes_to_ssd),
-            count(with_unbatched.write_requests)});
   t.Print();
 
   const double reduction = static_cast<double>(without.result.bytes_to_ssd) /
@@ -87,10 +80,9 @@ int main() {
        FormatBytes(with.wear_writes).c_str(),
        FormatBytes(without.wear_writes).c_str());
   Note("batched write-back: %llu write requests over %llu multi-chunk "
-       "runs vs %llu per-chunk requests for identical SSD bytes",
+       "flush windows",
        static_cast<unsigned long long>(with.write_requests),
-       static_cast<unsigned long long>(with.flush_batches),
-       static_cast<unsigned long long>(with_unbatched.write_requests));
+       static_cast<unsigned long long>(with.flush_batches));
   Shape(reduction > 4.0,
         "dirty-page write-back cuts SSD write volume by a large factor");
   const double fuse_ratio =
@@ -101,10 +93,6 @@ int main() {
         "MB)");
   Shape(without.wear_writes > 2 * with.wear_writes,
         "the optimisation also reduces flash wear (device write volume)");
-  Shape(with.write_requests <= with_unbatched.write_requests &&
-            with.result.bytes_to_ssd == with_unbatched.result.bytes_to_ssd,
-        "batching write-back runs never increases request count and "
-        "leaves SSD write volume unchanged");
 
   JsonReport j("table7_write_optimization");
   j.Add("fuse_bytes_opt", with.result.bytes_to_fuse);
@@ -115,10 +103,8 @@ int main() {
   j.Add("wear_bytes_opt", with.wear_writes);
   j.Add("wear_bytes_raw", without.wear_writes);
   j.Add("write_rpcs_batched", with.write_requests);
-  j.Add("write_rpcs_unbatched", with_unbatched.write_requests);
   j.Add("flush_batches", with.flush_batches);
   j.Add("seconds_batched", with.result.seconds);
-  j.Add("seconds_unbatched", with_unbatched.result.seconds);
   j.Print();
   return 0;
 }

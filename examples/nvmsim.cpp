@@ -13,8 +13,8 @@
 //   ./nvmsim config=experiment.cfg
 //
 // Common keys: nodes, benefactors, remote, chunk=64K, cache=2M, pool=4M,
-// replication, readahead, readahead_max, cache_shards, batch_fetch,
-// batch_rpc, batch_write_rpc, page_writeback, report (print store status),
+// replication, readahead, readahead_max, cache_shards, page_writeback,
+// report (print store status),
 // maintenance (background failure detection/repair/scrub), plus its knobs
 // heartbeat_period_ms, heartbeat_misses, repair_bw_fraction, scrub_period_ms,
 // and the integrity knobs verify_reads, scrub_verify, scrub_verify_bytes,
@@ -31,8 +31,11 @@
 // (multi-tenant admission scheduling), qos_burst_ms, qos_window_ms and
 // tenant=<id>:<weight>:<share>:<priority>[,...] (per-tenant policy;
 // maintenance is tenant 1 and inherits repair_bw_fraction by default).
+// A key that neither the testbed nor the chosen workload reads is an error
+// (exit 2), so a typo or a retired option never silently runs the default.
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -67,10 +70,6 @@ TestbedOptions BuildTestbed(const Config& cfg) {
       cfg.GetInt("cache_shards", static_cast<int64_t>(to.fuse.cache_shards)));
   to.fuse.readahead_max_chunks = static_cast<uint32_t>(
       cfg.GetInt("readahead_max", to.fuse.readahead_max_chunks));
-  to.fuse.batch_fetch = cfg.GetBool("batch_fetch", to.fuse.batch_fetch);
-  to.store.batch_rpc = cfg.GetBool("batch_rpc", to.store.batch_rpc);
-  to.store.batch_write_rpc =
-      cfg.GetBool("batch_write_rpc", to.store.batch_write_rpc);
   to.store.maintenance = cfg.GetBool("maintenance", to.store.maintenance);
   to.store.heartbeat_period_ms =
       cfg.GetInt("heartbeat_period_ms", to.store.heartbeat_period_ms);
@@ -168,7 +167,11 @@ std::vector<store::MountCacheStats> CollectMountStats(Testbed& tb,
   return mounts;
 }
 
-int RunStreamCmd(const Config& cfg, Testbed& tb) {
+// Each workload command reads its options up front and returns the run, so
+// every key is accounted for before the testbed is built.
+using WorkloadRun = std::function<int(Testbed&)>;
+
+WorkloadRun StreamCmd(const Config& cfg) {
   StreamOptions o;
   o.array_bytes = cfg.GetBytes("array", ScaledBytes(2_GiB));
   o.iterations = static_cast<int>(cfg.GetInt("iterations", 10));
@@ -177,18 +180,20 @@ int RunStreamCmd(const Config& cfg, Testbed& tb) {
   o.a_on_nvm = arrays.find('A') != std::string::npos;
   o.b_on_nvm = arrays.find('B') != std::string::npos;
   o.c_on_nvm = arrays.find('C') != std::string::npos;
-  auto r = RunStream(tb, o);
-  std::printf("STREAM (arrays %s on NVM, %zu threads):\n", arrays.c_str(),
-              o.threads);
-  for (int k = 0; k < 4; ++k) {
-    std::printf("  %-6s %10.1f MB/s  (%s)\n", kStreamKernelNames[k],
-                r.mbps[k], FormatDuration(r.duration_ns[k]).c_str());
-  }
-  std::printf("  verified: %s\n", r.verified ? "yes" : "NO");
-  return r.verified ? 0 : 1;
+  return [o, arrays](Testbed& tb) {
+    auto r = RunStream(tb, o);
+    std::printf("STREAM (arrays %s on NVM, %zu threads):\n", arrays.c_str(),
+                o.threads);
+    for (int k = 0; k < 4; ++k) {
+      std::printf("  %-6s %10.1f MB/s  (%s)\n", kStreamKernelNames[k],
+                  r.mbps[k], FormatDuration(r.duration_ns[k]).c_str());
+    }
+    std::printf("  verified: %s\n", r.verified ? "yes" : "NO");
+    return r.verified ? 0 : 1;
+  };
 }
 
-int RunMmCmd(const Config& cfg, Testbed& tb) {
+WorkloadRun MmCmd(const Config& cfg) {
   MatmulOptions o;
   o.matrix_bytes = cfg.GetBytes("matrix", o.matrix_bytes);
   o.procs_per_node = static_cast<size_t>(cfg.GetInt("x", 8));
@@ -197,25 +202,27 @@ int RunMmCmd(const Config& cfg, Testbed& tb) {
   o.shared_mmap = cfg.GetBool("shared", true);
   o.column_major = cfg.GetBool("column_major", false);
   o.tile = static_cast<size_t>(cfg.GetInt("tile", 64));
-  auto r = RunMatmul(tb, o);
-  if (!r.feasible) {
-    std::printf("MM: infeasible (B replicas exceed the DRAM budget)\n");
-    return 1;
-  }
-  std::printf(
-      "MM %s %s tile=%zu:\n  A %.2fs | inB %.2fs | bcast %.2fs | compute "
-      "%.2fs | C %.2fs | total %.2fs\n  B traffic: app %s, FUSE %s, SSD "
-      "%s\n  verified: %s\n",
-      o.column_major ? "column-major" : "row-major",
-      o.shared_mmap ? "shared" : "individual", o.tile, r.input_split_a_s,
-      r.input_b_s, r.broadcast_b_s, r.compute_s, r.collect_output_c_s,
-      r.total_s, FormatBytes(r.app_b_bytes).c_str(),
-      FormatBytes(r.fuse_b_bytes).c_str(),
-      FormatBytes(r.ssd_b_bytes).c_str(), r.verified ? "yes" : "NO");
-  return r.verified ? 0 : 1;
+  return [o](Testbed& tb) {
+    auto r = RunMatmul(tb, o);
+    if (!r.feasible) {
+      std::printf("MM: infeasible (B replicas exceed the DRAM budget)\n");
+      return 1;
+    }
+    std::printf(
+        "MM %s %s tile=%zu:\n  A %.2fs | inB %.2fs | bcast %.2fs | compute "
+        "%.2fs | C %.2fs | total %.2fs\n  B traffic: app %s, FUSE %s, SSD "
+        "%s\n  verified: %s\n",
+        o.column_major ? "column-major" : "row-major",
+        o.shared_mmap ? "shared" : "individual", o.tile, r.input_split_a_s,
+        r.input_b_s, r.broadcast_b_s, r.compute_s, r.collect_output_c_s,
+        r.total_s, FormatBytes(r.app_b_bytes).c_str(),
+        FormatBytes(r.fuse_b_bytes).c_str(),
+        FormatBytes(r.ssd_b_bytes).c_str(), r.verified ? "yes" : "NO");
+    return r.verified ? 0 : 1;
+  };
 }
 
-int RunSortCmd(const Config& cfg, Testbed& tb) {
+WorkloadRun SortCmd(const Config& cfg) {
   PsortOptions o;
   o.list_bytes = cfg.GetBytes("list", SortScaledBytes(200_GiB));
   o.procs_per_node = static_cast<size_t>(cfg.GetInt("x", 8));
@@ -224,48 +231,54 @@ int RunSortCmd(const Config& cfg, Testbed& tb) {
                ? PsortOptions::Mode::kHybridNvm
                : PsortOptions::Mode::kDramTwoPass;
   o.dram_fraction = cfg.GetDouble("dram_fraction", 0.5);
-  auto r = RunPsort(tb, o);
-  std::printf(
-      "SORT %s: %.2f s, %d pass(es), %llu elements, verified: %s\n",
-      o.mode == PsortOptions::Mode::kHybridNvm ? "hybrid" : "two-pass",
-      r.seconds, r.passes, static_cast<unsigned long long>(r.elements),
-      r.verified ? "yes" : "NO");
-  return r.verified ? 0 : 1;
+  return [o](Testbed& tb) {
+    auto r = RunPsort(tb, o);
+    std::printf(
+        "SORT %s: %.2f s, %d pass(es), %llu elements, verified: %s\n",
+        o.mode == PsortOptions::Mode::kHybridNvm ? "hybrid" : "two-pass",
+        r.seconds, r.passes, static_cast<unsigned long long>(r.elements),
+        r.verified ? "yes" : "NO");
+    return r.verified ? 0 : 1;
+  };
 }
 
-int RunRandWriteCmd(const Config& cfg, Testbed& tb) {
+WorkloadRun RandWriteCmd(const Config& cfg) {
   RandWriteOptions o;
   o.region_bytes = cfg.GetBytes("region", ScaledBytes(2_GiB));
   o.num_writes = static_cast<uint64_t>(cfg.GetInt("writes", 131072));
-  auto r = RunRandWrite(tb, o);
-  std::printf(
-      "RANDWRITE %llu writes into %s: to FUSE %s, to SSD %s, %.3f s, "
-      "verified: %s\n",
-      static_cast<unsigned long long>(o.num_writes),
-      FormatBytes(o.region_bytes).c_str(),
-      FormatBytes(r.bytes_to_fuse).c_str(),
-      FormatBytes(r.bytes_to_ssd).c_str(), r.seconds,
-      r.verified ? "yes" : "NO");
-  return r.verified ? 0 : 1;
+  return [o](Testbed& tb) {
+    auto r = RunRandWrite(tb, o);
+    std::printf(
+        "RANDWRITE %llu writes into %s: to FUSE %s, to SSD %s, %.3f s, "
+        "verified: %s\n",
+        static_cast<unsigned long long>(o.num_writes),
+        FormatBytes(o.region_bytes).c_str(),
+        FormatBytes(r.bytes_to_fuse).c_str(),
+        FormatBytes(r.bytes_to_ssd).c_str(), r.seconds,
+        r.verified ? "yes" : "NO");
+    return r.verified ? 0 : 1;
+  };
 }
 
-int RunCkptCmd(const Config& cfg, Testbed& tb) {
+WorkloadRun CkptCmd(const Config& cfg) {
   CkptOptions o;
   o.dram_bytes = cfg.GetBytes("dram", o.dram_bytes);
   o.nvm_bytes = cfg.GetBytes("nvm", o.nvm_bytes);
   o.dirty_fraction = cfg.GetDouble("dirty", 0.1);
   o.timesteps = static_cast<int>(cfg.GetInt("steps", 3));
   o.link_nvm = cfg.GetBool("link", true);
-  auto r = RunCheckpointStudy(tb, o);
-  std::printf("CHECKPOINT (%s):\n", o.link_nvm ? "linked" : "full-copy");
-  for (size_t s = 0; s < r.steps.size(); ++s) {
-    std::printf("  t%zu: %.3f s, SSD writes %s\n", s, r.steps[s].seconds,
-                FormatBytes(r.steps[s].ssd_bytes_written).c_str());
-  }
-  std::printf("  restart verified: %s; old checkpoint intact: %s\n",
-              r.restart_verified ? "yes" : "NO",
-              r.old_checkpoint_intact ? "yes" : "NO");
-  return (r.restart_verified && r.old_checkpoint_intact) ? 0 : 1;
+  return [o](Testbed& tb) {
+    auto r = RunCheckpointStudy(tb, o);
+    std::printf("CHECKPOINT (%s):\n", o.link_nvm ? "linked" : "full-copy");
+    for (size_t s = 0; s < r.steps.size(); ++s) {
+      std::printf("  t%zu: %.3f s, SSD writes %s\n", s, r.steps[s].seconds,
+                  FormatBytes(r.steps[s].ssd_bytes_written).c_str());
+    }
+    std::printf("  restart verified: %s; old checkpoint intact: %s\n",
+                r.restart_verified ? "yes" : "NO",
+                r.old_checkpoint_intact ? "yes" : "NO");
+    return (r.restart_verified && r.old_checkpoint_intact) ? 0 : 1;
+  };
 }
 
 }  // namespace
@@ -286,7 +299,9 @@ int main(int argc, char** argv) {
     }
     // Command-line keys override file keys.
     Config merged = *from_file;
-    for (const auto& [k, v] : cfg.values()) merged.Set(k, v);
+    for (const auto& [k, v] : cfg.values()) {
+      if (k != "config") merged.Set(k, v);
+    }
     cfg = merged;
   }
 
@@ -295,19 +310,19 @@ int main(int argc, char** argv) {
   if (workload == "mm" && cfg.Has("z") && !cfg.Has("benefactors")) {
     cfg.Set("benefactors", cfg.GetString("z"));
   }
-  Testbed tb(BuildTestbed(cfg));
+  const TestbedOptions options = BuildTestbed(cfg);
 
-  int rc = 2;
+  WorkloadRun run;
   if (workload == "stream") {
-    rc = RunStreamCmd(cfg, tb);
+    run = StreamCmd(cfg);
   } else if (workload == "mm") {
-    rc = RunMmCmd(cfg, tb);
+    run = MmCmd(cfg);
   } else if (workload == "sort") {
-    rc = RunSortCmd(cfg, tb);
+    run = SortCmd(cfg);
   } else if (workload == "randwrite") {
-    rc = RunRandWriteCmd(cfg, tb);
+    run = RandWriteCmd(cfg);
   } else if (workload == "checkpoint") {
-    rc = RunCkptCmd(cfg, tb);
+    run = CkptCmd(cfg);
   } else {
     std::fprintf(stderr,
                  "unknown workload '%s' (stream|mm|sort|randwrite|"
@@ -315,10 +330,21 @@ int main(int argc, char** argv) {
                  workload.c_str());
     return 2;
   }
+  const bool report = cfg.GetBool("report", true);
 
-  if (cfg.GetBool("report", true)) {
-    const auto mounts =
-        CollectMountStats(tb, static_cast<size_t>(cfg.GetInt("nodes", 16)));
+  const std::vector<std::string> unread = cfg.UnreadKeys();
+  if (!unread.empty()) {
+    for (const std::string& key : unread) {
+      std::fprintf(stderr, "unknown key '%s' for workload '%s'\n",
+                   key.c_str(), workload.c_str());
+    }
+    return 2;
+  }
+
+  Testbed tb(options);
+  const int rc = run(tb);
+  if (report) {
+    const auto mounts = CollectMountStats(tb, options.compute_nodes);
     std::printf("\nstore status:\n%s",
                 store::StatusReport(tb.store(), mounts).c_str());
   }

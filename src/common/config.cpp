@@ -51,36 +51,48 @@ StatusOr<Config> Config::FromFile(const std::string& path) {
   return config;
 }
 
+const std::string* Config::Find(const std::string& key) const {
+  auto it = values_.find(key);
+  if (it == values_.end()) return nullptr;
+  read_.insert(key);
+  return &it->second;
+}
+
+std::vector<std::string> Config::UnreadKeys() const {
+  std::vector<std::string> unread;
+  for (const auto& [key, value] : values_) {
+    if (!read_.contains(key)) unread.push_back(key);
+  }
+  return unread;
+}
+
 std::string Config::GetString(const std::string& key,
                               const std::string& fallback) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* v = Find(key);
+  return v == nullptr ? fallback : *v;
 }
 
 int64_t Config::GetInt(const std::string& key, int64_t fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string* v = Find(key);
+  return v == nullptr ? fallback : std::strtoll(v->c_str(), nullptr, 10);
 }
 
 double Config::GetDouble(const std::string& key, double fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  const std::string* v = Find(key);
+  return v == nullptr ? fallback : std::strtod(v->c_str(), nullptr);
 }
 
 bool Config::GetBool(const std::string& key, bool fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  const std::string& v = it->second;
-  return v == "1" || v == "true" || v == "yes" || v == "on";
+  const std::string* v = Find(key);
+  if (v == nullptr) return fallback;
+  return *v == "1" || *v == "true" || *v == "yes" || *v == "on";
 }
 
 uint64_t Config::GetBytes(const std::string& key, uint64_t fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
+  const std::string* v = Find(key);
+  if (v == nullptr) return fallback;
   char* end = nullptr;
-  const double base = std::strtod(it->second.c_str(), &end);
+  const double base = std::strtod(v->c_str(), &end);
   uint64_t mult = 1;
   if (end != nullptr && *end != '\0') {
     switch (std::toupper(static_cast<unsigned char>(*end))) {

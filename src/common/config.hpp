@@ -2,11 +2,15 @@
 //
 // Accepts "key=value" tokens (command-line args or file lines; '#' starts
 // a comment).  Typed getters with defaults; byte sizes accept K/M/G
-// suffixes (binary).
+// suffixes (binary).  The config remembers which keys a getter read, so a
+// tool can reject keys it does not understand (typos, retired options);
+// because getters record that, one Config must not be read from several
+// threads at once.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -39,8 +43,15 @@ class Config {
 
   const std::map<std::string, std::string>& values() const { return values_; }
 
+  // Keys present that no getter has read (Has() does not count), sorted.
+  std::vector<std::string> UnreadKeys() const;
+
  private:
+  // The value of `key` (nullptr when absent); marks the key read.
+  const std::string* Find(const std::string& key) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace nvm

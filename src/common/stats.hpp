@@ -1,58 +1,11 @@
-// Running statistics and log-scale latency histograms for instrumentation.
+// Instrumentation counters.  (Latency histograms live with their one user,
+// store::LatencyHistogram in store/qos.hpp.)
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 namespace nvm {
-
-// Welford running mean/variance plus min/max.  Not thread-safe; guard
-// externally or keep one per thread and Merge().
-class RunningStats {
- public:
-  void Add(double x);
-  void Merge(const RunningStats& other);
-
-  uint64_t count() const { return count_; }
-  double mean() const { return mean_; }
-  double variance() const;
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-  double sum() const { return sum_; }
-
- private:
-  uint64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
-// Lock-free log2-bucketed histogram for latency-like values (ns).  Each
-// bucket b counts values in [2^b, 2^(b+1)).  Percentiles are approximate
-// (bucket midpoint), which is plenty for performance reporting.
-class LatencyHistogram {
- public:
-  static constexpr int kBuckets = 64;
-
-  void Record(uint64_t value_ns);
-  uint64_t count() const;
-  uint64_t total() const { return total_.load(std::memory_order_relaxed); }
-  double mean() const;
-  // Approximate p-th percentile (p in [0,100]).
-  uint64_t Percentile(double p) const;
-  std::string Summary() const;
-  void Reset();
-
- private:
-  std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
-  std::atomic<uint64_t> total_{0};  // sum of recorded values
-};
 
 // A named monotonically increasing counter (bytes moved, ops served...).
 class Counter {

@@ -444,7 +444,7 @@ Status ChunkCache::FetchRun(sim::VirtualClock& clock, store::FileId file,
     ++landed;
   }
   if (landed > 0) {
-    ++traffic_.batch_fetches;
+    ++traffic_.fetch_batches;
     traffic_.batched_chunks += landed;
   }
   return OkStatus();
@@ -545,22 +545,19 @@ Status ChunkCache::Read(sim::VirtualClock& clock, store::FileId file,
         std::min<uint64_t>(chunk_bytes() - within, out.size() - done);
     const SlotKey key{file, index};
 
-    if (config_.batch_fetch) {
-      // A cold read spanning several wholly-absent chunks fetches the
-      // run with one metadata round-trip and overlapped transfers
-      // instead of a lookup per chunk.
-      const uint64_t span_chunks =
-          (pos + (out.size() - done) + chunk_bytes() - 1) / chunk_bytes() -
-          index;
-      if (span_chunks >= 2) {
-        const uint32_t max_run = static_cast<uint32_t>(std::min<uint64_t>(
-            span_chunks,
-            std::min<uint64_t>(capacity_chunks_, kMaxBatchChunks)));
-        const uint32_t run = AbsentRunLength(file, index, max_run);
-        if (run >= 2) {
-          NVM_RETURN_IF_ERROR(
-              FetchRun(clock, file, index, run, /*prefetch=*/false));
-        }
+    // A cold read spanning several wholly-absent chunks fetches the run
+    // with one metadata round-trip and overlapped transfers instead of a
+    // lookup per chunk.
+    const uint64_t span_chunks =
+        (pos + (out.size() - done) + chunk_bytes() - 1) / chunk_bytes() -
+        index;
+    if (span_chunks >= 2) {
+      const uint32_t max_run = static_cast<uint32_t>(std::min<uint64_t>(
+          span_chunks, std::min<uint64_t>(capacity_chunks_, kMaxBatchChunks)));
+      const uint32_t run = AbsentRunLength(file, index, max_run);
+      if (run >= 2) {
+        NVM_RETURN_IF_ERROR(
+            FetchRun(clock, file, index, run, /*prefetch=*/false));
       }
     }
 

@@ -10,7 +10,7 @@
 //  * 4 KB page-granularity dirty tracking inside each chunk,
 //  * eviction flushes only the dirty pages (Table VII's write optimisation),
 //  * contiguous runs of missing chunks are fetched with one batched
-//    manager lookup and parallel per-benefactor transfers (batch_fetch),
+//    manager lookup and one streamed run per benefactor,
 //  * sequential-read detection triggers adaptive read-ahead: the window
 //    ramps 1 -> 2 -> 4 ... up to readahead_max_chunks (deeper for
 //    kWriteOnceReadMany) and each window is issued as one batched fetch
@@ -65,10 +65,6 @@ struct FuseliteConfig {
   // Number of lock shards (rounded up to a power of two; 1 = the old
   // single-mutex cache).  Capacity accounting stays global.
   size_t cache_shards = 16;
-  // Coalesce a contiguous run of missing chunks into one batched manager
-  // lookup + parallel benefactor transfers instead of one round-trip per
-  // chunk.
-  bool batch_fetch = true;
   // Adaptive read-ahead window cap, in chunks (kernel-style ramp
   // 1 -> 2 -> 4 ... up to this; kWriteOnceReadMany files get twice the
   // cap).  The fixed next-chunk prefetch of old is cache_shards=anything,
@@ -89,7 +85,7 @@ struct CacheTraffic {
   std::atomic<uint64_t> flushed_chunks{0};     // chunk flush operations
   std::atomic<uint64_t> evictions{0};
   // Batched-fetch observability: batches issued and chunks they carried.
-  std::atomic<uint64_t> batch_fetches{0};
+  std::atomic<uint64_t> fetch_batches{0};
   std::atomic<uint64_t> batched_chunks{0};
   // Batched write-back observability: flush windows that coalesced ≥2
   // dirty chunks, and the chunks they carried.
@@ -112,7 +108,7 @@ struct CacheTraffic {
       flushed_pages = o.flushed_pages.load();
       flushed_chunks = o.flushed_chunks.load();
       evictions = o.evictions.load();
-      batch_fetches = o.batch_fetches.load();
+      fetch_batches = o.fetch_batches.load();
       batched_chunks = o.batched_chunks.load();
       flush_batches = o.flush_batches.load();
       flush_batched_chunks = o.flush_batched_chunks.load();

@@ -415,6 +415,7 @@ Status Benefactor::WriteChunkRun(sim::VirtualClock& clock,
   write_requests_.Add(1);
   const int64_t t0 = clock.now();
   bool first_data_chunk = true;
+  bool first_payload = true;
   for (const ChunkWriteItem& item : items) {
     // A crash between chunks takes down the rest of the run: the caller
     // sees one UNAVAILABLE for the whole run and must treat every item as
@@ -438,10 +439,16 @@ Status Benefactor::WriteChunkRun(sim::VirtualClock& clock,
     const uint64_t dirty_bytes = item.dirty->PopCount() * config_.page_bytes;
     // Dirty pages stream from the run's start (the client has them all in
     // hand at t0); a post-clone payload can only start once the clone has
-    // been instructed and applied.
-    const int64_t arrive = send(RunMsg::kPayload,
-                                item.needs_clone ? clock.now() : t0,
-                                dirty_bytes);
+    // been instructed and applied.  Each chunk is admitted before its
+    // payload books the wire (AdmitTransfer's contract), so a throttled
+    // writer's run yields the NIC and the device between chunks; the
+    // first payload carries the run header.
+    sim::VirtualClock gate(item.needs_clone ? clock.now() : t0);
+    AdmitTransfer(gate, tenant, dirty_bytes, /*is_write=*/true,
+                  dirty_bytes + (first_payload ? config_.meta_request_bytes
+                                               : 0));
+    first_payload = false;
+    const int64_t arrive = send(RunMsg::kPayload, gate.now(), dirty_bytes);
     clock.AdvanceTo(arrive);
 
     uint64_t offset = 0;
@@ -495,10 +502,7 @@ Status Benefactor::WriteChunkRun(sim::VirtualClock& clock,
       if (charge_crc) clock.Advance(config_.checksum_ns(config_.chunk_bytes));
       // The run occupies one device queueing slot: the first programmed
       // chunk pays the per-request write latency, the rest stream at
-      // bandwidth.  QoS admits chunk-by-chunk so a throttled writer's run
-      // yields the device between chunks.
-      AdmitTransfer(clock, tenant, pages_written * config_.page_bytes,
-                    /*is_write=*/true, /*wire_bytes=*/0);
+      // bandwidth.
       node_.ssd().ChargeRunWrite(clock, offset,
                                  pages_written * config_.page_bytes,
                                  first_data_chunk);

@@ -114,7 +114,8 @@ class Benefactor {
   // as kControl, dirty pages as kPayload; the first payload also carries
   // the run header): the NIC pipelines them in order while the device
   // serialises on `clock`, and only the first programmed chunk pays the
-  // per-request write latency.  If the benefactor dies mid-run the whole
+  // per-request write latency.  Each payload is admitted (AdmitTransfer)
+  // before it is sent.  If the benefactor dies mid-run the whole
   // run fails with UNAVAILABLE and the caller must treat every item as
   // unwritten on this replica.
   Status WriteChunkRun(sim::VirtualClock& clock,
@@ -223,8 +224,10 @@ class Benefactor {
   // booking the wire transfer: admission is the request's entry gate, and
   // bytes sent ahead of it would occupy the NIC in front of tenants the
   // scheduler is protecting.  WritePages/WriteFragment therefore do NOT
-  // re-admit internally; the read RPCs admit themselves (their payload
-  // crosses the wire after the device read, behind the admission point).
+  // re-admit internally; WriteChunkRun admits each payload before asking
+  // the client to send it, and the read RPCs admit themselves (their
+  // payload crosses the wire after the device read, behind the admission
+  // point).
   void AdmitTransfer(sim::VirtualClock& clock, TenantId tenant,
                      uint64_t ssd_bytes, bool is_write, uint64_t wire_bytes);
 

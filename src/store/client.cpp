@@ -363,7 +363,7 @@ Status StoreClient::ReadChunksInner(sim::VirtualClock& clock, FileId id,
   // Erasure stripes scatter a chunk across k+m benefactors, so there is no
   // primary holder to stream a run from: every chunk takes the per-chunk
   // stripe path on its own detached clock.
-  if (!cfg.batch_rpc || cfg.ec()) {
+  if (cfg.ec()) {
     for (ChunkFetch& f : fetches) {
       // Each transfer branches off the post-lookup time: requests to
       // distinct benefactors overlap, and shared NICs/devices serialise
@@ -455,115 +455,9 @@ Status StoreClient::WriteChunkPages(sim::VirtualClock& clock, FileId id,
                                     uint32_t chunk_index,
                                     const Bitmap& dirty_pages,
                                     std::span<const uint8_t> chunk_image) {
-  const int64_t t0 = clock.now();
-  Status s =
-      WriteChunkPagesInner(clock, id, chunk_index, dirty_pages, chunk_image);
-  if (s.ok() && qos_ != nullptr) qos_->RecordWrite(tenant_, clock.now() - t0);
-  return s;
-}
-
-Status StoreClient::WriteChunkPagesInner(sim::VirtualClock& clock, FileId id,
-                                         uint32_t chunk_index,
-                                         const Bitmap& dirty_pages,
-                                         std::span<const uint8_t> chunk_image) {
-  const StoreConfig& cfg = manager_.config();
-  NVM_CHECK(chunk_image.size() == cfg.chunk_bytes);
-  if (dirty_pages.None()) return OkStatus();
-  if (cfg.ec()) {
-    // Every file of an erasure-mode store stripes: writes go full-stripe.
-    return WriteStripe(clock, id, chunk_index, dirty_pages, chunk_image);
-  }
-
-  // Flush-time checksum: computed once over the full image and charged to
-  // the writer before the metadata round-trip (the batched path charges at
-  // the same spot, so a batch of one stays time-identical to this path).
-  uint32_t crc = 0;
-  const bool with_crc = cfg.integrity();
-  if (with_crc) {
-    crc = Crc32c(chunk_image.data(), chunk_image.size());
-    clock.Advance(cfg.checksum_ns(cfg.chunk_bytes));
-  }
-  ChargeMetaRoundTrip(clock);
-  NVM_ASSIGN_OR_RETURN(WriteLocation loc,
-                       manager_.PrepareWrite(clock, id, chunk_index));
-
-  // Each replica is written on its own clock forked at the post-prepare
-  // time: the transfers and device programs overlap, and the caller pays
-  // max(replica times), not their sum.
-  const uint64_t dirty_bytes = dirty_pages.PopCount() * cfg.page_bytes;
-  const int64_t t0 = clock.now();
-  int64_t done = t0;
-  size_t ok_replicas = 0;
-  bool corrupt_replica = false;
-  // On a partial-dirty write the replicas merge the shipped pages over
-  // their stored base, so the stored image — and with it the checksum the
-  // manager may record — can differ from the client's in-memory image
-  // (whose clean pages may never have been faulted in).  The authority is
-  // the CRC the first successful replica actually stored.
-  uint32_t authority = crc;
-  Status last = Unavailable("no replicas");
-  for (int bid : loc.benefactors) {
-    sim::VirtualClock replica_clock(t0);
-    uint32_t replica_stored = crc;
-    Status s = WriteReplica(replica_clock, loc, bid, dirty_pages, chunk_image,
-                            with_crc ? &crc : nullptr,
-                            with_crc ? &replica_stored : nullptr);
-    if (s.ok()) {
-      if (ok_replicas == 0) authority = replica_stored;
-      ++ok_replicas;
-      bytes_flushed_.Add(dirty_bytes);
-      done = std::max(done, replica_clock.now());
-    } else {
-      if (s.code() == ErrorCode::kUnavailable) {
-        manager_.MarkDead(bid);
-        NVM_WLOG("benefactor %d unavailable writing %s; continuing with "
-                 "surviving replicas",
-                 bid, loc.key.ToString().c_str());
-      } else if (s.code() == ErrorCode::kCorrupt) {
-        // The replica's base image failed the pre-merge verification — the
-        // write never landed there.  Quarantine it; repair rebuilds it from
-        // a replica that did take the write.
-        corrupt_replica = true;
-        manager_.ReportCorrupt(replica_clock, loc.key, bid);
-        NVM_WLOG("benefactor %d rejected merge into corrupt %s; replica "
-                 "quarantined",
-                 bid, loc.key.ToString().c_str());
-      }
-      last = s;
-    }
-  }
-  clock.AdvanceTo(done);
-  // Close the prepared write (success or not): lifts the repair fence and
-  // moves the epoch past anything a concurrent repair copied.  The
-  // authoritative checksum is recorded only once a replica holds the data.
-  manager_.CompleteWrite(clock, loc.key,
-                         with_crc && ok_replicas > 0 ? &authority : nullptr);
-
-  if (ok_replicas == 0) {
-    // Nothing holds the (possibly fresh) version: make sure later reads
-    // re-resolve instead of finding a location that has no data.
-    InvalidateLocation(id, chunk_index);
-    return last;
-  }
-  if (ok_replicas < loc.benefactors.size()) {
-    degraded_writes_.Add(1);
-    // Hand the chunk to the background repair queue (no-op when the
-    // maintenance service is off).
-    manager_.ReportDegraded(loc.key, clock.now());
-  }
-  if (corrupt_replica) {
-    // The quarantine stripped (and deleted) a replica this location still
-    // names: force the next read through a fresh manager lookup rather
-    // than let it hit the deleted copy and see sparse zeros.
-    InvalidateLocation(id, chunk_index);
-  } else {
-    // At least one replica holds the data: NOW the read cache may point at
-    // the new chunk version.
-    std::lock_guard<std::mutex> lock(loc_mutex_);
-    loc_cache_[LocKey{id, chunk_index}] =
-        ReadLocation{loc.key, loc.benefactors};
-  }
-  return OkStatus();
+  ChunkWrite w{chunk_index, &dirty_pages, chunk_image};
+  NVM_RETURN_IF_ERROR(WriteChunks(clock, id, {&w, 1}));
+  return w.status;
 }
 
 Status StoreClient::WriteStripe(sim::VirtualClock& clock, FileId id,
@@ -713,9 +607,9 @@ Status StoreClient::WriteRun(sim::VirtualClock& clock,
   }
 
   // The request is one stream: the first payload also carries the run
-  // header (which is what makes a run of one byte-identical to the legacy
-  // single-chunk write message); clone instructions ride as their own
-  // control messages, exactly as in the per-chunk path.
+  // header (which is what makes a run of one byte-identical to the
+  // WriteReplica message); clone instructions ride as their own control
+  // messages, exactly as in WriteReplica.
   net::StreamTransfer stream(cluster_.network(), local_node_, b->node_id());
   bool header_sent = false;
   const ChunkRunSend send = [&](RunMsg kind, int64_t earliest,
@@ -752,7 +646,7 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
   if (writes.empty()) return OkStatus();
   const StoreConfig& cfg = manager_.config();
 
-  // Clean entries are done before they start (mirrors WriteChunkPages).
+  // Clean entries are done before they start.
   std::vector<size_t> active;
   active.reserve(writes.size());
   for (size_t i = 0; i < writes.size(); ++i) {
@@ -766,20 +660,17 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
 
   // Erasure-mode writes are full-stripe fan-outs with no per-benefactor
   // run to stream: each chunk goes through the stripe path serially.
-  if (!cfg.batch_write_rpc || cfg.ec()) {
-    // Per-chunk path: one PrepareWrite round-trip and one write request
-    // per chunk, serialised on the caller's clock.
+  if (cfg.ec()) {
     for (size_t i : active) {
       ChunkWrite& w = writes[i];
-      w.status = WriteChunkPagesInner(clock, id, w.index, *w.dirty, w.image);
+      w.status = WriteStripe(clock, id, w.index, *w.dirty, w.image);
       w.ready_at = clock.now();
     }
     return OkStatus();
   }
 
-  // Flush-time checksums for the whole window, charged before the batched
-  // metadata round-trip (mirrors WriteChunkPages, so a batch of one stays
-  // time-identical to the legacy path).
+  // Flush-time checksums for the whole window, charged to the writer before
+  // the batched metadata round-trip.
   const bool with_crc = cfg.integrity();
   std::vector<uint32_t> crcs(with_crc ? active.size() : 0, 0);
   if (with_crc) {
@@ -824,7 +715,7 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
                         run_stored);
     if (s.ok()) {
       for (size_t j : run.items) {
-        if (ok_replicas[j] == 0) authority[j] = run_stored[j];
+        if (with_crc && ok_replicas[j] == 0) authority[j] = run_stored[j];
         ++ok_replicas[j];
         bytes_flushed_.Add(writes[active[j]].dirty->PopCount() *
                            cfg.page_bytes);
@@ -850,7 +741,7 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
                                w.image, with_crc ? &crcs[j] : nullptr,
                                with_crc ? &replica_stored : nullptr);
       if (rs.ok()) {
-        if (ok_replicas[j] == 0) authority[j] = replica_stored;
+        if (with_crc && ok_replicas[j] == 0) authority[j] = replica_stored;
         ++ok_replicas[j];
         bytes_flushed_.Add(w.dirty->PopCount() * cfg.page_bytes);
         done[j] = std::max(done[j], fallback.now());

@@ -68,21 +68,20 @@ class StoreClient {
 
   // Batched fetch of several chunks of one file.  The locations of the
   // whole index span are resolved with at most one metadata round-trip
-  // (LookupReadMany).  With config().batch_rpc the resolved chunks are
-  // grouped by primary benefactor and each group is fetched with ONE
-  // streamed Benefactor::ReadChunkRun — one request header and one device
-  // queueing slot per benefactor, chunks riding back-to-back on the wire
+  // (LookupReadMany).  The resolved chunks are grouped by primary
+  // benefactor and each group is fetched with ONE streamed
+  // Benefactor::ReadChunkRun — one request header and one device queueing
+  // slot per benefactor, chunks riding back-to-back on the wire
   // (net::StreamTransfer).  Each run uses its own detached clock branched
   // at the post-lookup time, so runs against distinct benefactors overlap.
   // A run that fails (benefactor death mid-stream) is discarded whole and
   // every chunk of it is re-read through the per-chunk replica-failover
-  // path.  With batch_rpc off, every chunk goes through the per-chunk path
-  // on its own detached clock (a run of one is arithmetically identical,
-  // so traffic tables do not depend on the knob).  `clock` itself advances
-  // only past the metadata lookup; callers consume the per-chunk
-  // `ready_at` completion times.  Returns non-OK only if the batched
-  // lookup fails outright; per-chunk failures (EOF, dead replicas) land in
-  // fetches[i].status.
+  // path (ReadChunk's).  A run of one is charged exactly like ReadChunk.
+  // Erasure stripes have no primary holder: each chunk takes the stripe
+  // read on its own detached clock.  `clock` itself advances only past the
+  // metadata lookup; callers consume the per-chunk `ready_at` completion
+  // times.  Returns non-OK only if the batched lookup fails outright;
+  // per-chunk failures (EOF, dead replicas) land in fetches[i].status.
   Status ReadChunks(sim::VirtualClock& clock, FileId id,
                     std::span<ChunkFetch> fetches);
 
@@ -92,14 +91,14 @@ class StoreClient {
   Status LookupReadMany(sim::VirtualClock& clock, FileId id, uint32_t first,
                         uint32_t count);
 
-  // Flush the dirty pages of a cached chunk image back to the store.
-  // Performs the manager's copy-on-write protocol when the chunk is shared
-  // with a checkpoint.  Replicas are written on clocks forked at the
-  // post-prepare time and the caller joins at the max, so a replicated
-  // write costs max(replica times), not their sum.  A write that reached
-  // at least one replica is a (possibly degraded) success; only total
-  // failure returns an error, and the location cache is updated only
-  // after a replica holds the data.
+  // Flush the dirty pages of a cached chunk image back to the store: a
+  // WriteChunks window of one.  Performs the manager's copy-on-write
+  // protocol when the chunk is shared with a checkpoint.  Replicas are
+  // written on clocks forked at the post-prepare time and the caller joins
+  // at the max, so a replicated write costs max(replica times), not their
+  // sum.  A write that reached at least one replica is a (possibly
+  // degraded) success; only total failure returns an error, and the
+  // location cache is updated only after a replica holds the data.
   Status WriteChunkPages(sim::VirtualClock& clock, FileId id,
                          uint32_t chunk_index, const Bitmap& dirty_pages,
                          std::span<const uint8_t> chunk_image);
@@ -114,19 +113,18 @@ class StoreClient {
   };
 
   // Batched write-back of several dirty chunks of one file — the write-side
-  // mirror of ReadChunks.  With config().batch_write_rpc the whole window
-  // is COW-resolved in ONE metadata round-trip (Manager::PrepareWriteBatch),
-  // grouped by benefactor (every replica holder gets the chunk) and flushed
-  // with ONE streamed Benefactor::WriteChunkRun per benefactor — one
-  // request header and one device queueing slot per run, dirty pages riding
-  // back-to-back on the wire.  Runs use clocks forked at the post-prepare
-  // time so runs against distinct benefactors — and replicas of the same
-  // chunk — overlap; the caller joins at the max.  A run that fails
-  // (benefactor death mid-stream) is discarded whole and every item is
-  // retried per chunk against that benefactor; a chunk that reached ≥1
-  // replica is a (degraded) success.  With the knob off every chunk goes
-  // through WriteChunkPages serially (a run of one is arithmetically
-  // identical, so traffic tables do not depend on the knob).  Returns
+  // mirror of ReadChunks.  The whole window is COW-resolved in ONE metadata
+  // round-trip (Manager::PrepareWriteBatch), grouped by benefactor (every
+  // replica holder gets the chunk) and flushed with ONE streamed
+  // Benefactor::WriteChunkRun per benefactor — one request header and one
+  // device queueing slot per run, dirty pages riding back-to-back on the
+  // wire.  Runs use clocks forked at the post-prepare time so runs against
+  // distinct benefactors — and replicas of the same chunk — overlap; the
+  // caller joins at the max.  A run that fails (benefactor death
+  // mid-stream) is discarded whole and every item is retried per chunk
+  // against that benefactor (WriteReplica); a chunk that reached ≥1
+  // replica is a (degraded) success.  In an erasure-mode store every chunk
+  // is a full-stripe write (WriteStripe), serially on `clock`.  Returns
   // non-OK only if the batched prepare fails outright; per-chunk outcomes
   // land in writes[i].status.
   Status WriteChunks(sim::VirtualClock& clock, FileId id,
@@ -139,9 +137,9 @@ class StoreClient {
   // Metadata round-trips this client issued to the manager (control-plane
   // cost; the batched read path exists to keep this flat).
   uint64_t meta_round_trips() const { return meta_rtts_.value(); }
-  // Benefactor read-run RPCs issued (batch_rpc path only).
+  // Benefactor read-run RPCs issued (per-chunk fallbacks not counted).
   uint64_t run_rpcs() const { return run_rpcs_.value(); }
-  // Benefactor write-run RPCs issued (batch_write_rpc path only).
+  // Benefactor write-run RPCs issued (per-chunk fallbacks not counted).
   uint64_t write_run_rpcs() const { return write_run_rpcs_.value(); }
   // Writes that succeeded on ≥1 but not all replicas (failed benefactors
   // were MarkDead'd; re-replication is the manager's repair job).
@@ -170,15 +168,14 @@ class StoreClient {
   void ChargeMetaRoundTrip(sim::VirtualClock& clock);
   // Un-instrumented bodies of the public data-plane calls.  The public
   // wrappers record per-tenant end-to-end latency; internal re-entries
-  // (batch fallbacks, the EC read-modify-write) call these directly so a
-  // single logical operation is recorded exactly once.
+  // (run fallbacks, the EC read-modify-write) call these directly so a
+  // single logical operation is recorded exactly once.  ReadChunkInner is
+  // also the per-chunk read path: single misses, stripes and run-failure
+  // fallbacks.
   Status ReadChunkInner(sim::VirtualClock& clock, FileId id,
                         uint32_t chunk_index, std::span<uint8_t> out);
   Status ReadChunksInner(sim::VirtualClock& clock, FileId id,
                          std::span<ChunkFetch> fetches);
-  Status WriteChunkPagesInner(sim::VirtualClock& clock, FileId id,
-                              uint32_t chunk_index, const Bitmap& dirty_pages,
-                              std::span<const uint8_t> chunk_image);
   Status WriteChunksInner(sim::VirtualClock& clock, FileId id,
                           std::span<ChunkWrite> writes);
   // Chunk locations are immutable until a COW bumps the version, so the
@@ -196,9 +193,10 @@ class StoreClient {
   Status ReadRun(sim::VirtualClock& clock, const BenefactorRun& run,
                  std::span<const ReadLocation> locs,
                  std::span<ChunkFetch> fetches);
-  // The legacy per-replica write wire sequence (clone instruction, dirty
-  // pages + header, device program, response) against one benefactor on
-  // the given clock.  Does not touch counters or the location cache.
+  // The per-replica write wire sequence (clone instruction, dirty pages +
+  // header, device program, response) against one benefactor on the given
+  // clock — the fallback when a write run fails.  Does not touch counters
+  // or the location cache.
   // `crc` is the flush-time CRC32C of the full chunk image (nullptr when
   // integrity is off); `stored_crc` (when non-null) returns the CRC the
   // replica actually stored — the merged-image value on a partial write —

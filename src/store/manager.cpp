@@ -1297,13 +1297,6 @@ void Manager::ReportCorrupt(sim::VirtualClock& clock, const ChunkKey& key,
   if (degraded) ReportDegraded(key, clock.now());
 }
 
-void Manager::ReportCorrupt(const ChunkKey& key, int bid, int64_t now_ns) {
-  // Legacy entry point: same semantics on a throwaway clock pinned at
-  // now_ns (identical when no WAL is attached — nothing charges it).
-  sim::VirtualClock wal_clock(now_ns);
-  ReportCorrupt(wal_clock, key, bid);
-}
-
 bool Manager::LookupChecksum(const ChunkKey& key, uint32_t* crc) const {
   const MetaShard& shard = shards_[shard_of(key)];
   std::lock_guard<std::mutex> lock(shard.mu);

@@ -204,18 +204,11 @@ class Manager {
   // them), reclaim their space, and reserve targets on the least-loaded
   // alive benefactors (capacity-aware placement).  A chunk with no
   // surviving replica is counted in *lost, its list emptied, and no plan
-  // emitted; stale keys (freed or already healthy) are skipped.
-  // The clock-taking overload charges WAL appends (lost / dead-strip
-  // publishes are logged); the clock-less one keeps legacy callers
-  // compiling and is exactly equivalent when no WAL is attached.
+  // emitted; stale keys (freed or already healthy) are skipped.  `clock`
+  // pays the WAL appends (lost / dead-strip publishes are logged).
   std::vector<RepairPlan> PlanRepairs(sim::VirtualClock& clock,
                                       std::span<const ChunkKey> keys,
                                       uint64_t* lost = nullptr);
-  std::vector<RepairPlan> PlanRepairs(std::span<const ChunkKey> keys,
-                                      uint64_t* lost = nullptr) {
-    sim::VirtualClock wal_clock(0);
-    return PlanRepairs(wal_clock, keys, lost);
-  }
   // Copy the chunk from a surviving replica to every planned target,
   // charging `clock`; target copies fork clocks and join at the max.
   // Called WITHOUT any lock — this is the slow part.
@@ -233,11 +226,6 @@ class Manager {
   uint64_t CommitRepair(sim::VirtualClock& clock,
                         const RepairOutcome& outcome,
                         bool* requeue = nullptr);
-  uint64_t CommitRepair(const RepairOutcome& outcome,
-                        bool* requeue = nullptr) {
-    sim::VirtualClock wal_clock(0);
-    return CommitRepair(wal_clock, outcome, requeue);
-  }
 
   // Repair replication after failures: for every chunk that lost replicas
   // to dead benefactors, re-copy the data from a surviving replica onto
@@ -291,9 +279,8 @@ class Manager {
   // A reader saw a checksum mismatch on (key, bid): quarantine that
   // replica (strip it from the list, drop its data and space) and, when a
   // survivor remains, queue a repair.  Never called with a shard mutex
-  // held.  The clock-taking overload charges the quarantine's WAL append.
+  // held.  `clock` pays the quarantine's WAL append.
   void ReportCorrupt(sim::VirtualClock& clock, const ChunkKey& key, int bid);
-  void ReportCorrupt(const ChunkKey& key, int bid, int64_t now_ns);
 
   // Corrupt replicas detected (read path + scrub, cumulative) and corrupt
   // chunks healed back to full replication by the repair engine.
@@ -389,18 +376,13 @@ class Manager {
   // repair copy taken while the write was in flight can never commit.
   // `crc` (when non-null) becomes the chunk's authoritative checksum —
   // callers pass it only when at least one replica holds the data.  The
-  // clock-taking overload logs the checksum transition (set OR erase) to
-  // the WAL before publishing it; the clock-less one keeps legacy callers
-  // compiling and is identical when no WAL is attached.  For an
+  // checksum transition (set OR erase) is logged to the WAL, charged to
+  // `clock`, before it is published.  For an
   // erasure-coded chunk `frag_crcs` (k+m entries, positional) carries the
   // per-fragment checksums that become authoritative alongside `crc`.
   void CompleteWrite(sim::VirtualClock& clock, const ChunkKey& key,
                      const uint32_t* crc = nullptr,
                      std::span<const uint32_t> frag_crcs = {});
-  void CompleteWrite(const ChunkKey& key, const uint32_t* crc = nullptr) {
-    sim::VirtualClock wal_clock(0);
-    CompleteWrite(wal_clock, key, crc);
-  }
   // Batch variant: the involved shard set is locked once, in ascending
   // index order, and the whole prepared window completes in that one lock
   // pass.  `crcs` (parallel to locs; may be empty) carries the flush-time
@@ -411,12 +393,6 @@ class Manager {
                       std::span<const WriteLocation> locs,
                       std::span<const uint32_t> crcs = {},
                       std::span<const char> ok = {});
-  void CompleteWrites(std::span<const WriteLocation> locs,
-                      std::span<const uint32_t> crcs = {},
-                      std::span<const char> ok = {}) {
-    sim::VirtualClock wal_clock(0);
-    CompleteWrites(wal_clock, locs, crcs, ok);
-  }
 
   // --- checkpoint support ---
 

@@ -155,17 +155,6 @@ struct StoreConfig {
   // pre-shard store; raise it (16 is a good production setting) for
   // many-client metadata scaling (bench_meta_ops sweeps 1/4/16).
   size_t meta_shards = 1;
-  // Batched benefactor-side reads: StoreClient::ReadChunks groups a batch
-  // by primary benefactor and issues one streamed ReadChunkRun per group —
-  // one request header and one device queueing slot per run instead of per
-  // chunk.  Off reverts to per-chunk requests.
-  bool batch_rpc = true;
-  // Batched benefactor-side writes: StoreClient::WriteChunks resolves a
-  // whole flush window in one metadata RTT (Manager::PrepareWriteBatch),
-  // groups the prepared chunks by benefactor and streams one WriteChunkRun
-  // per benefactor — one request header and one device queueing slot per
-  // run.  Off reverts to per-chunk WriteChunkPages calls.
-  bool batch_write_rpc = true;
 
   // --- background maintenance service (store/maintenance.hpp) ---
   // Master switch: when on, the AggregateStore runs a manager-side service

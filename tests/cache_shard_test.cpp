@@ -103,7 +103,7 @@ TEST_F(CacheShardTest, ColdSequentialScanCoalescesMetadataLookups) {
   EXPECT_LE(rtts * 4, kChunks);
 
   const auto& t = other.cache().traffic();
-  EXPECT_GT(t.batch_fetches.load(), 0u);
+  EXPECT_GT(t.fetch_batches.load(), 0u);
   EXPECT_GE(t.batched_chunks.load(), kChunks / 2);
   EXPECT_EQ(t.fetched_chunks.load() + t.prefetched_chunks.load(), kChunks);
 }

@@ -1,10 +1,9 @@
 // Unit tests for the common utility layer: status propagation, byte/time
-// formatting, RNG determinism, statistics, bitmaps, and the thread pool.
+// formatting, RNG determinism, counters, bitmaps, and checksums.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "common/bitmap.hpp"
@@ -12,7 +11,6 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/status.hpp"
-#include "common/thread_pool.hpp"
 #include "common/units.hpp"
 
 namespace nvm {
@@ -146,46 +144,6 @@ TEST(RngTest, BoundedCoversRange) {
   EXPECT_EQ(seen.size(), 8u);
 }
 
-TEST(RunningStatsTest, MeanAndVariance) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);  // sample stddev
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-  EXPECT_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStatsTest, MergeMatchesCombined) {
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  Xoshiro256 rng(3);
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.NextDouble() * 100;
-    (i % 2 == 0 ? a : b).Add(x);
-    all.Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(LatencyHistogramTest, CountsAndPercentiles) {
-  LatencyHistogram h;
-  for (uint64_t i = 1; i <= 1000; ++i) h.Record(i);
-  EXPECT_EQ(h.count(), 1000u);
-  EXPECT_NEAR(h.mean(), 500.5, 1.0);
-  // p50 of values 1..1000 lands in the [512,1024) bucket's midpoint zone.
-  EXPECT_GT(h.Percentile(99), h.Percentile(10));
-  h.Reset();
-  EXPECT_EQ(h.count(), 0u);
-}
-
 TEST(BitmapTest, SetClearTest) {
   Bitmap bm(130);
   EXPECT_EQ(bm.size(), 130u);
@@ -229,23 +187,6 @@ TEST(BitmapTest, ForEachSetAscending) {
   std::vector<size_t> got;
   bm.ForEachSet([&](size_t i) { got.push_back(i); });
   EXPECT_EQ(got, want);
-}
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&] { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversRange) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(1000, [&](size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(CounterTest, AddAndReset) {

@@ -57,6 +57,16 @@ TEST(ConfigTest, RejectsMalformedTokens) {
   EXPECT_FALSE(Config::FromArgs({"=value"}).ok());
 }
 
+TEST(ConfigTest, UnreadKeysNamesWhatNoGetterRead) {
+  auto c = Config::FromArgs({"nodes=4", "cache=2M", "retired=0", "typo=1"});
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(c->GetInt("nodes"), 4);
+  EXPECT_EQ(c->GetBytes("cache"), 2_MiB);
+  EXPECT_TRUE(c->Has("typo"));  // presence checks do not count as reads
+  EXPECT_EQ(c->GetInt("missing", 3), 3);
+  EXPECT_EQ(c->UnreadKeys(), (std::vector<std::string>{"retired", "typo"}));
+}
+
 TEST(ConfigTest, ParsesFileWithCommentsAndBlanks) {
   const std::string path = "/tmp/nvm_config_test.cfg";
   {

@@ -426,7 +426,7 @@ TEST(MaintenanceTest, WriteLandingDuringRepairCopyCannotCommitStaleBytes) {
   ASSERT_TRUE(wloc.ok());
 
   // Plan + copy: the copy reads the PRE-write bytes off the survivor.
-  auto plans = m.PlanRepairs(std::vector<store::ChunkKey>{key});
+  auto plans = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
   ASSERT_EQ(plans.size(), 1u);
   ASSERT_EQ(plans[0].targets.size(), 1u);
   const int target = plans[0].targets[0];
@@ -441,12 +441,12 @@ TEST(MaintenanceTest, WriteLandingDuringRepairCopyCannotCommitStaleBytes) {
   ASSERT_TRUE(rig.store->benefactor(static_cast<size_t>(survivor))
                   .WritePages(wc, key, all, v2)
                   .ok());
-  m.CompleteWrite(wloc->key);
+  m.CompleteWrite(clock, wloc->key);
 
   // The commit must refuse: its copy predates the landed write.  The
   // stale target is undone and the chunk handed back for retry.
   bool requeue = false;
-  EXPECT_EQ(m.CommitRepair(out, &requeue), 0u);
+  EXPECT_EQ(m.CommitRepair(clock, out, &requeue), 0u);
   EXPECT_TRUE(requeue);
   EXPECT_FALSE(
       rig.store->benefactor(static_cast<size_t>(target)).HasChunk(key));
@@ -480,7 +480,7 @@ TEST(MaintenanceTest, OpenWriteFencesRepairCommit) {
 
   auto wloc = m.PrepareWrite(clock, id, 0);
   ASSERT_TRUE(wloc.ok());
-  auto plans = m.PlanRepairs(std::vector<store::ChunkKey>{key});
+  auto plans = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
   ASSERT_EQ(plans.size(), 1u);
   auto out = m.ExecuteRepairPlan(clock, plans[0]);
 
@@ -488,11 +488,11 @@ TEST(MaintenanceTest, OpenWriteFencesRepairCommit) {
   // epoch yet, the commit must refuse — the writer could still land
   // bytes on a survivor that the copied target would miss.
   bool requeue = false;
-  EXPECT_EQ(m.CommitRepair(out, &requeue), 0u);
+  EXPECT_EQ(m.CommitRepair(clock, out, &requeue), 0u);
   EXPECT_TRUE(requeue);
 
   // Once the write closes, the next cycle publishes normally.
-  m.CompleteWrite(wloc->key);
+  m.CompleteWrite(clock, wloc->key);
   auto recreated = m.RepairReplication(clock);
   ASSERT_TRUE(recreated.ok());
   EXPECT_EQ(*recreated, 1u);
@@ -511,7 +511,7 @@ TEST(MaintenanceTest, ScrubSparesInFlightRepairTargets) {
   const store::ChunkKey key = loc0->key;
   rig.store->benefactor(static_cast<size_t>(loc0->benefactors[1])).Kill();
 
-  auto plans = m.PlanRepairs(std::vector<store::ChunkKey>{key});
+  auto plans = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
   ASSERT_EQ(plans.size(), 1u);
   ASSERT_EQ(plans[0].targets.size(), 1u);
   const auto target = static_cast<size_t>(plans[0].targets[0]);
@@ -527,7 +527,7 @@ TEST(MaintenanceTest, ScrubSparesInFlightRepairTargets) {
   EXPECT_TRUE(rig.store->benefactor(target).HasChunk(key));
 
   bool requeue = false;
-  EXPECT_EQ(m.CommitRepair(out, &requeue), 1u);
+  EXPECT_EQ(m.CommitRepair(clock, out, &requeue), 1u);
   EXPECT_FALSE(requeue);
   ExpectFullyReplicated(rig, id, 1, 2);
   // Post-commit the target is a named replica — still nothing to reap,
@@ -563,8 +563,8 @@ TEST(MaintenanceTest, RacingRepairsSameTargetKeepThePublishedReplica) {
       rig.store->benefactor(static_cast<size_t>(spare)).ReserveChunks(16).ok());
 
   // Two drivers (maintenance worker + manual repair) plan the same key.
-  auto plansA = m.PlanRepairs(std::vector<store::ChunkKey>{key});
-  auto plansB = m.PlanRepairs(std::vector<store::ChunkKey>{key});
+  auto plansA = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
+  auto plansB = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
   ASSERT_EQ(plansA.size(), 1u);
   ASSERT_EQ(plansB.size(), 1u);
   ASSERT_EQ(plansA[0].targets, plansB[0].targets);
@@ -572,7 +572,7 @@ TEST(MaintenanceTest, RacingRepairsSameTargetKeepThePublishedReplica) {
   ASSERT_EQ(target, forced);
 
   auto outA = m.ExecuteRepairPlan(clock, plansA[0]);
-  EXPECT_EQ(m.CommitRepair(outA), 1u);  // A publishes {survivor, target}
+  EXPECT_EQ(m.CommitRepair(clock, outA), 1u);  // A publishes {survivor, target}
 
   // B copied onto the same target; its commit loses the race (the list
   // changed under it) but must NOT tear down the replica A published —
@@ -581,7 +581,7 @@ TEST(MaintenanceTest, RacingRepairsSameTargetKeepThePublishedReplica) {
       rig.store->benefactor(static_cast<size_t>(target)).bytes_used();
   auto outB = m.ExecuteRepairPlan(clock, plansB[0]);
   bool requeue = false;
-  EXPECT_EQ(m.CommitRepair(outB, &requeue), 0u);
+  EXPECT_EQ(m.CommitRepair(clock, outB, &requeue), 0u);
   EXPECT_TRUE(requeue);
   EXPECT_TRUE(
       rig.store->benefactor(static_cast<size_t>(target)).HasChunk(key));
@@ -618,7 +618,7 @@ TEST(MaintenanceTest, LastSurvivorDeathBetweenPlanAndCopyRequeues) {
   const store::ChunkKey key = loc0->key;
   rig.store->benefactor(static_cast<size_t>(loc0->benefactors[1])).Kill();
 
-  auto plans = m.PlanRepairs(std::vector<store::ChunkKey>{key});
+  auto plans = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
   ASSERT_EQ(plans.size(), 1u);
   ASSERT_EQ(plans[0].targets.size(), 1u);
   const auto target = static_cast<size_t>(plans[0].targets[0]);
@@ -631,14 +631,15 @@ TEST(MaintenanceTest, LastSurvivorDeathBetweenPlanAndCopyRequeues) {
   // Nothing was copied, but the chunk must not silently leave the repair
   // queue: the commit undoes the target AND asks for a prompt retry.
   bool requeue = false;
-  EXPECT_EQ(m.CommitRepair(out, &requeue), 0u);
+  EXPECT_EQ(m.CommitRepair(clock, out, &requeue), 0u);
   EXPECT_TRUE(requeue);
   EXPECT_FALSE(rig.store->benefactor(target).HasChunk(key));
 
   // The retry discovers the truth — every replica is gone (lost chunk) —
   // so the requeue loop terminates rather than spinning.
   uint64_t lost = 0;
-  EXPECT_TRUE(m.PlanRepairs(std::vector<store::ChunkKey>{key}, &lost).empty());
+  EXPECT_TRUE(
+      m.PlanRepairs(clock, std::vector<store::ChunkKey>{key}, &lost).empty());
   EXPECT_EQ(lost, 1u);
 }
 

@@ -147,7 +147,7 @@ TEST(MetaShardTest, ShardCountInvisibleToMetadataResults) {
     const std::vector<uint32_t> window = {0, 2, 3, 5};
     auto wl = m.PrepareWriteBatch(clock, a, window);
     ASSERT_TRUE(wl.ok());
-    m.CompleteWrites(*wl);
+    m.CompleteWrites(clock, *wl);
     // Unlink /b and recreate a smaller file in its place.
     ASSERT_TRUE(m.Unlink(clock, b).ok());
     const store::FileId b2 =
@@ -229,7 +229,7 @@ TEST(MetaShardTest, WriteLandingDuringRepairCopyCannotCommitStaleBytes) {
   auto wloc = m.PrepareWrite(clock, id, 0);
   ASSERT_TRUE(wloc.ok());
 
-  auto plans = m.PlanRepairs(std::vector<store::ChunkKey>{key});
+  auto plans = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
   ASSERT_EQ(plans.size(), 1u);
   ASSERT_EQ(plans[0].targets.size(), 1u);
   const int target = plans[0].targets[0];
@@ -243,10 +243,10 @@ TEST(MetaShardTest, WriteLandingDuringRepairCopyCannotCommitStaleBytes) {
   ASSERT_TRUE(rig.store->benefactor(static_cast<size_t>(survivor))
                   .WritePages(wc, key, all, v2)
                   .ok());
-  m.CompleteWrite(wloc->key);
+  m.CompleteWrite(clock, wloc->key);
 
   bool requeue = false;
-  EXPECT_EQ(m.CommitRepair(out, &requeue), 0u);
+  EXPECT_EQ(m.CommitRepair(clock, out, &requeue), 0u);
   EXPECT_TRUE(requeue);
   EXPECT_FALSE(
       rig.store->benefactor(static_cast<size_t>(target)).HasChunk(key));
@@ -279,15 +279,15 @@ TEST(MetaShardTest, OpenWriteFencesRepairCommit) {
 
   auto wloc = m.PrepareWrite(clock, id, 0);
   ASSERT_TRUE(wloc.ok());
-  auto plans = m.PlanRepairs(std::vector<store::ChunkKey>{key});
+  auto plans = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
   ASSERT_EQ(plans.size(), 1u);
   auto out = m.ExecuteRepairPlan(clock, plans[0]);
 
   bool requeue = false;
-  EXPECT_EQ(m.CommitRepair(out, &requeue), 0u);
+  EXPECT_EQ(m.CommitRepair(clock, out, &requeue), 0u);
   EXPECT_TRUE(requeue);
 
-  m.CompleteWrite(wloc->key);
+  m.CompleteWrite(clock, wloc->key);
   auto recreated = m.RepairReplication(clock);
   ASSERT_TRUE(recreated.ok());
   EXPECT_EQ(*recreated, 1u);
@@ -306,7 +306,7 @@ TEST(MetaShardTest, ScrubSparesInFlightRepairTargets) {
   const store::ChunkKey key = loc0->key;
   rig.store->benefactor(static_cast<size_t>(loc0->benefactors[1])).Kill();
 
-  auto plans = m.PlanRepairs(std::vector<store::ChunkKey>{key});
+  auto plans = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
   ASSERT_EQ(plans.size(), 1u);
   ASSERT_EQ(plans[0].targets.size(), 1u);
   const auto target = static_cast<size_t>(plans[0].targets[0]);
@@ -321,7 +321,7 @@ TEST(MetaShardTest, ScrubSparesInFlightRepairTargets) {
   EXPECT_TRUE(rig.store->benefactor(target).HasChunk(key));
 
   bool requeue = false;
-  EXPECT_EQ(m.CommitRepair(out, &requeue), 1u);
+  EXPECT_EQ(m.CommitRepair(clock, out, &requeue), 1u);
   EXPECT_FALSE(requeue);
   ExpectFullyReplicated(rig, id, 1, 2);
   scrub = m.ScrubOnce(clock);
@@ -352,8 +352,8 @@ TEST(MetaShardTest, RacingRepairsSameTargetKeepThePublishedReplica) {
   ASSERT_TRUE(
       rig.store->benefactor(static_cast<size_t>(spare)).ReserveChunks(16).ok());
 
-  auto plansA = m.PlanRepairs(std::vector<store::ChunkKey>{key});
-  auto plansB = m.PlanRepairs(std::vector<store::ChunkKey>{key});
+  auto plansA = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
+  auto plansB = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
   ASSERT_EQ(plansA.size(), 1u);
   ASSERT_EQ(plansB.size(), 1u);
   ASSERT_EQ(plansA[0].targets, plansB[0].targets);
@@ -361,13 +361,13 @@ TEST(MetaShardTest, RacingRepairsSameTargetKeepThePublishedReplica) {
   ASSERT_EQ(target, forced);
 
   auto outA = m.ExecuteRepairPlan(clock, plansA[0]);
-  EXPECT_EQ(m.CommitRepair(outA), 1u);
+  EXPECT_EQ(m.CommitRepair(clock, outA), 1u);
 
   const uint64_t used_mid =
       rig.store->benefactor(static_cast<size_t>(target)).bytes_used();
   auto outB = m.ExecuteRepairPlan(clock, plansB[0]);
   bool requeue = false;
-  EXPECT_EQ(m.CommitRepair(outB, &requeue), 0u);
+  EXPECT_EQ(m.CommitRepair(clock, outB, &requeue), 0u);
   EXPECT_TRUE(requeue);
   EXPECT_TRUE(
       rig.store->benefactor(static_cast<size_t>(target)).HasChunk(key));
@@ -402,7 +402,7 @@ TEST(MetaShardTest, LastSurvivorDeathBetweenPlanAndCopyRequeues) {
   const store::ChunkKey key = loc0->key;
   rig.store->benefactor(static_cast<size_t>(loc0->benefactors[1])).Kill();
 
-  auto plans = m.PlanRepairs(std::vector<store::ChunkKey>{key});
+  auto plans = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
   ASSERT_EQ(plans.size(), 1u);
   ASSERT_EQ(plans[0].targets.size(), 1u);
   const auto target = static_cast<size_t>(plans[0].targets[0]);
@@ -412,12 +412,13 @@ TEST(MetaShardTest, LastSurvivorDeathBetweenPlanAndCopyRequeues) {
   EXPECT_EQ(out.failed.size(), 1u);
 
   bool requeue = false;
-  EXPECT_EQ(m.CommitRepair(out, &requeue), 0u);
+  EXPECT_EQ(m.CommitRepair(clock, out, &requeue), 0u);
   EXPECT_TRUE(requeue);
   EXPECT_FALSE(rig.store->benefactor(target).HasChunk(key));
 
   uint64_t lost = 0;
-  EXPECT_TRUE(m.PlanRepairs(std::vector<store::ChunkKey>{key}, &lost).empty());
+  EXPECT_TRUE(
+      m.PlanRepairs(clock, std::vector<store::ChunkKey>{key}, &lost).empty());
   EXPECT_EQ(lost, 1u);
 }
 
@@ -477,7 +478,7 @@ TEST(MetaShardConcurrencyTest, ParallelResolversAndWritersStayCoherent) {
         if (rng.NextBelow(3) == 0) {
           auto wl = m.PrepareWriteBatch(clock, files[t], window);
           ASSERT_TRUE(wl.ok());
-          m.CompleteWrites(*wl);
+          m.CompleteWrites(clock, *wl);
         } else {
           // Resolve a random peer's file: readers cross writer shards.
           const store::FileId id = files[rng.NextBelow(kThreads)];

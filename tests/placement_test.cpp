@@ -446,7 +446,7 @@ TEST(PlacementRepairTest, RepairNeverTargetsSuspectedBenefactor) {
   uint64_t lost = 0;
   auto keys = m.CollectUnderReplicated();
   ASSERT_FALSE(keys.empty());
-  auto plans = m.PlanRepairs(keys, &lost);
+  auto plans = m.PlanRepairs(clock, keys, &lost);
   ASSERT_EQ(lost, 0u);
   ASSERT_FALSE(plans.empty());
   for (const auto& plan : plans) {
@@ -459,7 +459,7 @@ TEST(PlacementRepairTest, RepairNeverTargetsSuspectedBenefactor) {
     for (int s : plan.survivors) EXPECT_NE(plan.targets[0], s);
     bool requeue = false;
     auto outcome = m.ExecuteRepairPlan(clock, plan);
-    EXPECT_EQ(m.CommitRepair(outcome, &requeue), 1u);
+    EXPECT_EQ(m.CommitRepair(clock, outcome, &requeue), 1u);
     EXPECT_FALSE(requeue);
   }
   for (uint32_t i = 0; i < kChunks; ++i) {
@@ -513,7 +513,7 @@ TEST(PlacementRepairTest, RepairNeverTargetsCorruptSourceBenefactor) {
   }
   auto keys = m.CollectUnderReplicated();
   ASSERT_EQ(keys.size(), 1u);
-  auto plans = m.PlanRepairs(keys);
+  auto plans = m.PlanRepairs(clock, keys);
   ASSERT_EQ(plans.size(), 1u);
   EXPECT_TRUE(plans[0].incomplete);
   EXPECT_TRUE(plans[0].targets.empty());
@@ -532,14 +532,14 @@ TEST(PlacementRepairTest, RepairNeverTargetsCorruptSourceBenefactor) {
       c.WriteChunkPages(clock, id, 0, all, {fresh.data(), kChunk}).ok());
   keys = m.CollectUnderReplicated();
   ASSERT_EQ(keys.size(), 1u);
-  plans = m.PlanRepairs(keys);
+  plans = m.PlanRepairs(clock, keys);
   ASSERT_EQ(plans.size(), 1u);
   EXPECT_FALSE(plans[0].incomplete);
   ASSERT_EQ(plans[0].targets.size(), 1u);
   EXPECT_EQ(plans[0].targets[0], rotten);
   bool requeue = false;
   auto outcome = m.ExecuteRepairPlan(clock, plans[0]);
-  EXPECT_EQ(m.CommitRepair(outcome, &requeue), 1u);
+  EXPECT_EQ(m.CommitRepair(clock, outcome, &requeue), 1u);
   EXPECT_FALSE(requeue);
   auto healed = m.GetReadLocation(clock, id, 0);
   ASSERT_TRUE(healed.ok());
@@ -573,7 +573,7 @@ TEST(PlacementRepairTest, KnobOffRepairMayTargetCorruptSource) {
   for (int b = 0; b < kBenefactors; ++b) {
     if (b != rotten && b != survivor) rig.store->benefactor(b).Kill();
   }
-  auto plans = m.PlanRepairs(m.CollectUnderReplicated());
+  auto plans = m.PlanRepairs(clock, m.CollectUnderReplicated());
   ASSERT_EQ(plans.size(), 1u);
   EXPECT_FALSE(plans[0].incomplete);
   ASSERT_EQ(plans[0].targets.size(), 1u);
@@ -687,7 +687,7 @@ TEST(PlacementRepairTest, PartialPlanReservationsAreExactAfterCommit) {
   rig.store->benefactor(1).Kill();
   m.MarkDead(1);
   uint64_t lost = 0;
-  auto plans = m.PlanRepairs(m.CollectUnderReplicated(), &lost);
+  auto plans = m.PlanRepairs(clock, m.CollectUnderReplicated(), &lost);
   ASSERT_EQ(lost, 0u);
   ASSERT_FALSE(plans.empty());
   uint64_t recreated = 0;
@@ -699,7 +699,7 @@ TEST(PlacementRepairTest, PartialPlanReservationsAreExactAfterCommit) {
     EXPECT_TRUE(plan.incomplete);
     bool requeue = false;
     auto outcome = m.ExecuteRepairPlan(clock, plan);
-    recreated += m.CommitRepair(outcome, &requeue);
+    recreated += m.CommitRepair(clock, outcome, &requeue);
     // Every planned target published: the commit itself does not requeue
     // — a capacity shortfall is not retryable until capacity returns, so
     // the scrub's under-replication sweep re-queues it later instead

@@ -50,8 +50,7 @@ struct Harness {
   // RS(4,2) stripe has six distinct failure domains plus repair spares.
   int nbens = kBenefactors;
 
-  explicit Harness(int replication, bool batch_write_rpc = true,
-                   bool maintenance = false,
+  explicit Harness(int replication, bool maintenance = false,
                    std::function<void(store::StoreConfig&)> tweak = {},
                    int benefactors = kBenefactors) {
     nbens = benefactors;
@@ -61,7 +60,6 @@ struct Harness {
     store::AggregateStoreConfig sc;
     sc.store.chunk_bytes = kChunk;
     sc.store.replication = replication;
-    sc.store.batch_write_rpc = batch_write_rpc;
     if (maintenance) {
       sc.store.maintenance = true;
       sc.store.heartbeat_period_ms = 1;
@@ -214,13 +212,11 @@ struct Harness {
   std::string NameFor(uint64_t i) { return "/f" + std::to_string(i % 100); }
 };
 
-// Options beyond the op dice: flip the batched write-back knob off (the
-// per-chunk legacy path must uphold the same invariants) or inject a
-// benefactor death partway through the sequence (kill_after_writes > 0:
-// one benefactor dies after that many more chunk writes, so the sequence
-// continues across degraded write-backs and replica failover).
+// Options beyond the op dice: inject a benefactor death partway through
+// the sequence (kill_after_writes > 0: one benefactor dies after that many
+// more chunk writes, so the sequence continues across degraded write-backs
+// and replica failover).
 struct SequenceOptions {
-  bool batch_write_rpc = true;
   uint64_t kill_after_writes = 0;
   // Run the background maintenance service: after every op the harness
   // quiesces it, so the invariants assert that background repair lands the
@@ -251,8 +247,7 @@ struct SequenceOptions {
 void RunSequence(uint64_t seed, int replication, int ops,
                  const SequenceOptions& so = {}) {
   ops = StressIters(ops);  // nightly tier runs the same seeds 10x deeper
-  Harness h(replication, so.batch_write_rpc, so.maintenance, so.tweak,
-            so.benefactors);
+  Harness h(replication, so.maintenance, so.tweak, so.benefactors);
   if (so.kill_after_writes > 0) {
     h.store->benefactor(2).KillAfterWrites(so.kill_after_writes);
   }
@@ -408,12 +403,6 @@ TEST(StoreInvariantTest, RandomOpsKeepLayersConsistentWithReplication) {
   RunSequence(/*seed=*/7, /*replication=*/2, /*ops=*/120);
 }
 
-TEST(StoreInvariantTest, RandomOpsKeepLayersConsistentUnbatchedWriteback) {
-  SequenceOptions so;
-  so.batch_write_rpc = false;
-  RunSequence(/*seed=*/3, /*replication=*/1, /*ops=*/120, so);
-}
-
 TEST(StoreInvariantTest, ReplicatedSequenceSurvivesMidRunBenefactorDeath) {
   // A benefactor dies partway through the sequence, mid write-back run.
   // With replication 2 every later flush is a degraded success, reads fail
@@ -523,7 +512,7 @@ TEST(StoreInvariantTest, ManagerRestartMidRepairStormConverges) {
   // service must converge to a fully replicated, drift-free store: no
   // chunk double-repaired (exact replica sets), no reservation leaked or
   // double-counted (exact space accounting), no byte lost.
-  Harness h(/*replication=*/2, /*batch_write_rpc=*/true, /*maintenance=*/true,
+  Harness h(/*replication=*/2, /*maintenance=*/true,
             [](store::StoreConfig& s) {
               s.wal = true;
               s.meta_shards = 4;

@@ -256,7 +256,8 @@ TEST_F(StoreTest, CowOnlyOnSharedChunks) {
   ASSERT_TRUE(loc.ok());
   EXPECT_FALSE(loc->needs_clone);
   EXPECT_EQ(loc->key.version, 0u);
-  manager().CompleteWrite(loc->key);  // every prepare pairs with a complete
+  // Every prepare pairs with a complete.
+  manager().CompleteWrite(clock(), loc->key);
 }
 
 TEST_F(StoreTest, RepeatedCheckpointsShareUntouchedChunks) {
