@@ -52,14 +52,6 @@ void Benefactor::AdmitTransfer(sim::VirtualClock& clock, TenantId tenant,
   if (start > clock.now()) clock.AdvanceTo(start);
 }
 
-Status Benefactor::ReserveChunks(uint64_t count) {
-  return ReserveBytes(count * config_.chunk_bytes);
-}
-
-void Benefactor::ReleaseChunkReservation(uint64_t count) {
-  ReleaseBytes(count * config_.chunk_bytes);
-}
-
 Status Benefactor::ReserveBytes(uint64_t bytes) {
   NVM_RETURN_IF_ERROR(EnsureAlive());
   // CAS loop bounded by the contribution: concurrent reservers (write
@@ -167,64 +159,59 @@ Status Benefactor::CorruptChunk(const ChunkKey& key, uint64_t byte_offset,
 Status Benefactor::ReadChunk(sim::VirtualClock& clock, const ChunkKey& key,
                              std::span<uint8_t> out, bool* sparse,
                              TenantId tenant) {
-  NVM_RETURN_IF_ERROR(EnsureAlive());
-  read_requests_.Add(1);
   NVM_CHECK(out.size() == config_.chunk_bytes);
-  if (sparse != nullptr) *sparse = false;
-  uint64_t offset = 0;
-  bool has_crc = false;
-  uint32_t crc = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = chunks_.find(key);
-    if (it == chunks_.end()) {
-      // Reserved-but-never-written chunk: sparse read, all zeros, no
-      // device access.
-      std::memset(out.data(), 0, out.size());
-      if (sparse != nullptr) *sparse = true;
-      return OkStatus();
-    }
-    std::memcpy(out.data(), it->second.data.data(), config_.chunk_bytes);
-    offset = it->second.ssd_offset;
-    has_crc = it->second.has_crc;
-    crc = it->second.crc;
-  }
-  AdmitTransfer(clock, tenant, config_.chunk_bytes, /*is_write=*/false,
-                config_.chunk_bytes);
-  node_.ssd().ChargeRead(clock, offset, config_.chunk_bytes);
-  data_bytes_out_.Add(config_.chunk_bytes);
-  // Verify before serving: bit rot must never reach a reader.
-  if (config_.verify_reads && has_crc) {
-    clock.Advance(config_.checksum_ns(config_.chunk_bytes));
-    if (Crc32c(out.data(), config_.chunk_bytes) != crc) {
-      return Corrupt("benefactor " + std::to_string(id_) +
-                     ": checksum mismatch on " + key.ToString());
-    }
-  }
-  MaybeKillAfterRead();
-  return OkStatus();
+  return ReadOne(clock, key, out, sparse, tenant);
+}
+
+Status Benefactor::ReadFragment(sim::VirtualClock& clock, const ChunkKey& key,
+                                std::span<uint8_t> out, bool* sparse,
+                                TenantId tenant) {
+  return ReadOne(clock, key, out, sparse, tenant);
 }
 
 Status Benefactor::ReadChunkRun(sim::VirtualClock& clock,
                                 std::span<const ChunkKey> keys,
                                 const ChunkRunSink& sink, TenantId tenant) {
+  return ReadRun(clock, keys, sink, tenant, /*into=*/{});
+}
+
+Status Benefactor::ReadOne(sim::VirtualClock& clock, const ChunkKey& key,
+                           std::span<uint8_t> out, bool* sparse,
+                           TenantId tenant) {
+  if (sparse != nullptr) *sparse = false;
+  return ReadRun(
+      clock, {&key, 1},
+      [&](const ChunkRunItem& item, std::span<const uint8_t>) -> Status {
+        if (item.sparse) {
+          std::memset(out.data(), 0, out.size());
+          if (sparse != nullptr) *sparse = true;
+        }
+        return OkStatus();
+      },
+      tenant, out);
+}
+
+Status Benefactor::ReadRun(sim::VirtualClock& clock,
+                           std::span<const ChunkKey> keys,
+                           const ChunkRunSink& sink, TenantId tenant,
+                           std::span<uint8_t> into) {
   NVM_RETURN_IF_ERROR(EnsureAlive());
   read_requests_.Add(1);
-  std::vector<uint8_t> buf;
-  bool first_data_chunk = true;
-  // The checksum engine pipelines with the device stream: chunk i is
-  // verified while chunk i+1 streams off the device, so only the tail
+  std::vector<uint8_t> scratch;
+  bool first_in_run = true;
+  // The checksum engine pipelines with the device stream: blob i is
+  // verified while blob i+1 streams off the device, so only the tail
   // verification extends the run (`clock` tracks the device timeline,
   // `verify_done_ns` the engine).
   int64_t verify_done_ns = clock.now();
-  bool verified_any = false;
   for (const ChunkKey& key : keys) {
-    // A crash between chunks takes down the rest of the run: the caller
+    // A crash between blobs takes down the rest of the run: the caller
     // sees one UNAVAILABLE for the whole run and must discard whatever it
     // already received.
     NVM_RETURN_IF_ERROR(EnsureAlive());
     ChunkRunItem item;
     item.key = key;
+    std::span<uint8_t> blob;
     uint64_t offset = 0;
     bool stored = false;
     bool has_crc = false;
@@ -233,74 +220,62 @@ Status Benefactor::ReadChunkRun(sim::VirtualClock& clock,
       std::lock_guard<std::mutex> lock(mutex_);
       auto it = chunks_.find(key);
       if (it != chunks_.end()) {
+        const std::vector<uint8_t>& data = it->second.data;
+        if (into.empty()) {
+          scratch.resize(data.size());
+          blob = scratch;
+        } else {
+          NVM_CHECK(into.size() == data.size(), "blob size mismatch on %s",
+                    key.ToString().c_str());
+          blob = into;
+        }
+        std::memcpy(blob.data(), data.data(), data.size());
         stored = true;
-        buf.resize(config_.chunk_bytes);
-        std::memcpy(buf.data(), it->second.data.data(), config_.chunk_bytes);
         offset = it->second.ssd_offset;
         has_crc = it->second.has_crc;
         crc = it->second.crc;
       }
     }
     if (!stored) {
-      // Sparse chunk: the stream carries only the "no such chunk" marker,
-      // no device access (the backing file has a hole here).
+      // Reserved-but-never-written: the stream carries only the "no such
+      // chunk" marker, no device access (the backing file has a hole).
       item.sparse = true;
       item.ready_at = clock.now();
       NVM_RETURN_IF_ERROR(sink(item, {}));
       continue;
     }
-    // The run occupies one device queueing slot: the first stored chunk
+    // The run occupies one device queueing slot: the first stored blob
     // pays the per-request read latency, the rest stream at bandwidth.
-    // QoS admits chunk-by-chunk, so a throttled tenant's long run leaves
+    // QoS admits blob by blob, so a throttled tenant's long run leaves
     // gaps other tenants backfill instead of one multi-millisecond hog.
-    AdmitTransfer(clock, tenant, config_.chunk_bytes, /*is_write=*/false,
-                  config_.chunk_bytes);
-    node_.ssd().ChargeRunRead(clock, offset, config_.chunk_bytes,
-                              first_data_chunk);
-    first_data_chunk = false;
-    data_bytes_out_.Add(config_.chunk_bytes);
-    // Verify before the chunk enters the reply stream; a mismatch aborts
-    // the whole run (like a mid-run death, but with CORRUPT) and the
-    // caller falls back to per-chunk reads with replica failover.
+    const uint64_t bytes = blob.size();
+    AdmitTransfer(clock, tenant, bytes, /*is_write=*/false, bytes);
+    node_.ssd().ChargeRunRead(clock, offset, bytes, first_in_run);
+    first_in_run = false;
+    data_bytes_out_.Add(bytes);
+    // Verify before the blob enters the reply stream: bit rot must never
+    // reach a reader nor poison a reconstruction.  A mismatch aborts the
+    // whole run (like a mid-run death, but with CORRUPT) once the
+    // verification that caught it is paid for: the caller fails over to
+    // another replica or to parity on that clock.
     if (config_.verify_reads && has_crc) {
       verify_done_ns = std::max(verify_done_ns, clock.now()) +
-                       config_.checksum_ns(config_.chunk_bytes);
-      verified_any = true;
-      if (Crc32c(buf.data(), buf.size()) != crc) {
+                       config_.checksum_ns(bytes);
+      if (Crc32c(blob.data(), bytes) != crc) {
+        clock.AdvanceTo(verify_done_ns);
         return Corrupt("benefactor " + std::to_string(id_) +
-                       ": checksum mismatch on " + key.ToString() +
-                       " mid-run");
+                       ": checksum mismatch on " + key.ToString());
       }
       item.ready_at = verify_done_ns;
     } else {
       item.ready_at = clock.now();
     }
-    NVM_RETURN_IF_ERROR(sink(item, buf));
+    NVM_RETURN_IF_ERROR(sink(item, blob));
     MaybeKillAfterRead();
   }
-  // The run itself is not complete until the last chunk clears the engine.
-  if (verified_any && verify_done_ns > clock.now()) {
-    clock.Advance(verify_done_ns - clock.now());
-  }
+  // The run itself is not complete until the last blob clears the engine.
+  clock.AdvanceTo(verify_done_ns);
   return OkStatus();
-}
-
-bool Benefactor::StoreCrcLocked(StoredChunk& chunk, size_t pages_written,
-                                const uint32_t* crc) {
-  if (!config_.integrity() || pages_written == 0) return false;
-  if (crc != nullptr && pages_written == config_.pages_per_chunk()) {
-    // Full-image write: the client already computed (and paid for) the
-    // checksum of exactly these bytes — store it verbatim.
-    chunk.crc = *crc;
-    chunk.has_crc = true;
-    return false;
-  }
-  // Partial-dirty write (or no client crc): the stored image is a merge of
-  // old and new pages, so the checksum must cover the merged result.  The
-  // caller charges the checksum CPU cost.
-  chunk.crc = Crc32c(chunk.data.data(), chunk.data.size());
-  chunk.has_crc = true;
-  return true;
 }
 
 Status Benefactor::VerifyChunk(sim::VirtualClock& clock, const ChunkKey& key,
@@ -337,75 +312,33 @@ Status Benefactor::VerifyChunk(sim::VirtualClock& clock, const ChunkKey& key,
   return OkStatus();
 }
 
+// No admission in WritePages/WriteFragment: the caller admitted BEFORE
+// shipping the bytes over the wire (see AdmitTransfer's contract).
 Status Benefactor::WritePages(sim::VirtualClock& clock, const ChunkKey& key,
                               const Bitmap& dirty_pages,
                               std::span<const uint8_t> data,
                               const uint32_t* crc, uint32_t* stored_crc,
                               TenantId /*tenant*/) {
-  NVM_RETURN_IF_ERROR(EnsureAlive());
-  write_requests_.Add(1);
   NVM_CHECK(data.size() == config_.chunk_bytes);
   NVM_CHECK(dirty_pages.size() == config_.pages_per_chunk());
+  return WriteOne(clock, key, &dirty_pages, data, crc, stored_crc);
+}
 
-  uint64_t offset = 0;
-  size_t pages_written = 0;
-  bool charge_crc = false;
-  bool pre_verified = false;
-  bool pre_corrupt = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = chunks_.find(key);
-    if (it == chunks_.end()) {
-      StoredChunk chunk;
-      chunk.data.assign(config_.chunk_bytes, 0);
-      chunk.ssd_offset = AllocateOffset();
-      it = chunks_.emplace(key, std::move(chunk)).first;
-    } else if (config_.integrity() && it->second.has_crc &&
-               dirty_pages.PopCount() > 0 &&
-               dirty_pages.PopCount() < config_.pages_per_chunk()) {
-      // Partial-dirty merge onto an existing image: verify the base first.
-      // Recomputing the merged checksum over unverified clean pages would
-      // launder bit rot into a fresh, matching checksum — the one state no
-      // scrub could ever catch.
-      pre_verified = true;
-      pre_corrupt = Crc32c(it->second.data.data(), it->second.data.size()) !=
-                    it->second.crc;
-    }
-    if (!pre_corrupt) {
-      offset = it->second.ssd_offset;
-      dirty_pages.ForEachSet([&](size_t page) {
-        const uint64_t off = page * config_.page_bytes;
-        std::memcpy(it->second.data.data() + off, data.data() + off,
-                    config_.page_bytes);
-        ++pages_written;
-      });
-      charge_crc = StoreCrcLocked(it->second, pages_written, crc);
-      if (stored_crc != nullptr && it->second.has_crc) {
-        *stored_crc = it->second.crc;
-      }
-    }
-  }
-  if (pre_verified) clock.Advance(config_.checksum_ns(config_.chunk_bytes));
-  if (pre_corrupt) {
-    return Corrupt("benefactor " + std::to_string(id_) +
-                   ": pre-image checksum mismatch merging into " +
-                   key.ToString());
-  }
-  // Charge the device only for the dirty pages.  Pages within one chunk are
-  // contiguous enough that we charge them as one request per dirty run; a
-  // single combined request keeps the model simple and matches the paper's
-  // "send only the dirty pages" accounting.
-  if (pages_written > 0) {
-    if (charge_crc) clock.Advance(config_.checksum_ns(config_.chunk_bytes));
-    const uint64_t bytes = pages_written * config_.page_bytes;
-    // No admission here: the caller admitted BEFORE shipping the dirty
-    // pages over the wire (see AdmitTransfer's contract in the header).
-    node_.ssd().ChargeWrite(clock, offset, bytes);
-    data_bytes_in_.Add(bytes);
-    MaybeKillAfterWrite();
-    MaybeCorruptAfterWrite();
-  }
-  return OkStatus();
+Status Benefactor::WriteFragment(sim::VirtualClock& clock, const ChunkKey& key,
+                                 std::span<const uint8_t> data,
+                                 const uint32_t* crc, TenantId /*tenant*/) {
+  NVM_CHECK(data.size() > 0 && data.size() <= config_.chunk_bytes);
+  return WriteOne(clock, key, /*dirty=*/nullptr, data, crc,
+                  /*stored_crc=*/nullptr);
+}
+
+Status Benefactor::WriteOne(sim::VirtualClock& clock, const ChunkKey& key,
+                            const Bitmap* dirty, std::span<const uint8_t> data,
+                            const uint32_t* crc, uint32_t* stored_crc) {
+  NVM_RETURN_IF_ERROR(EnsureAlive());
+  write_requests_.Add(1);
+  bool first_in_run = true;
+  return Program(clock, key, dirty, data, crc, stored_crc, first_in_run);
 }
 
 Status Benefactor::WriteChunkRun(sim::VirtualClock& clock,
@@ -414,7 +347,7 @@ Status Benefactor::WriteChunkRun(sim::VirtualClock& clock,
   NVM_RETURN_IF_ERROR(EnsureAlive());
   write_requests_.Add(1);
   const int64_t t0 = clock.now();
-  bool first_data_chunk = true;
+  bool first_in_run = true;
   bool first_payload = true;
   for (const ChunkWriteItem& item : items) {
     // A crash between chunks takes down the rest of the run: the caller
@@ -451,142 +384,97 @@ Status Benefactor::WriteChunkRun(sim::VirtualClock& clock,
     const int64_t arrive = send(RunMsg::kPayload, gate.now(), dirty_bytes);
     clock.AdvanceTo(arrive);
 
-    uint64_t offset = 0;
-    size_t pages_written = 0;
-    bool charge_crc = false;
-    bool pre_verified = false;
-    bool pre_corrupt = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = chunks_.find(item.key);
-      if (it == chunks_.end()) {
-        StoredChunk chunk;
-        chunk.data.assign(config_.chunk_bytes, 0);
-        chunk.ssd_offset = AllocateOffset();
-        it = chunks_.emplace(item.key, std::move(chunk)).first;
-      } else if (config_.integrity() && it->second.has_crc &&
-                 item.dirty->PopCount() > 0 &&
-                 item.dirty->PopCount() < config_.pages_per_chunk()) {
-        // Same base-image verification as the per-chunk path: a merge must
-        // never launder rotted clean pages into a fresh checksum.
-        pre_verified = true;
-        pre_corrupt =
-            Crc32c(it->second.data.data(), it->second.data.size()) !=
-            it->second.crc;
-      }
-      if (!pre_corrupt) {
-        offset = it->second.ssd_offset;
-        item.dirty->ForEachSet([&](size_t page) {
+    // A pre-image mismatch aborts the whole run (the stream protocol has
+    // no per-item status); the caller falls back to per-chunk writes,
+    // where the corrupt replica is reported and the healthy ones land.
+    NVM_RETURN_IF_ERROR(Program(clock, item.key, item.dirty, item.data,
+                                item.has_crc ? &item.crc : nullptr,
+                                item.stored_crc, first_in_run));
+  }
+  return OkStatus();
+}
+
+Status Benefactor::Program(sim::VirtualClock& clock, const ChunkKey& key,
+                           const Bitmap* dirty, std::span<const uint8_t> data,
+                           const uint32_t* crc, uint32_t* stored_crc,
+                           bool& first_in_run) {
+  const uint64_t blob_bytes = data.size();
+  const uint64_t bytes =
+      dirty == nullptr ? blob_bytes : dirty->PopCount() * config_.page_bytes;
+  const bool whole = bytes == blob_bytes;
+  uint64_t offset = 0;
+  bool charge_crc = false;
+  bool pre_verified = false;
+  bool pre_corrupt = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = chunks_.find(key);
+    if (it == chunks_.end()) {
+      StoredChunk fresh;
+      fresh.data.assign(blob_bytes, 0);
+      fresh.ssd_offset = AllocateOffset();
+      it = chunks_.emplace(key, std::move(fresh)).first;
+    } else if (config_.integrity() && it->second.has_crc && bytes > 0 &&
+               !whole) {
+      // Partial merge onto an existing image: verify the base first.
+      // Recomputing the merged checksum over unverified clean pages would
+      // launder bit rot into a fresh, matching checksum — the one state no
+      // scrub could ever catch.
+      pre_verified = true;
+      pre_corrupt = Crc32c(it->second.data.data(), it->second.data.size()) !=
+                    it->second.crc;
+    }
+    StoredChunk& blob = it->second;
+    NVM_CHECK(blob.data.size() == blob_bytes, "blob size changed under %s",
+              key.ToString().c_str());
+    if (!pre_corrupt) {
+      offset = blob.ssd_offset;
+      if (dirty == nullptr) {
+        std::memcpy(blob.data.data(), data.data(), blob_bytes);
+      } else {
+        dirty->ForEachSet([&](size_t page) {
           const uint64_t off = page * config_.page_bytes;
-          std::memcpy(it->second.data.data() + off, item.data.data() + off,
+          std::memcpy(blob.data.data() + off, data.data() + off,
                       config_.page_bytes);
-          ++pages_written;
         });
-        charge_crc = StoreCrcLocked(it->second, pages_written,
-                                    item.has_crc ? &item.crc : nullptr);
-        if (item.stored_crc != nullptr && it->second.has_crc) {
-          *item.stored_crc = it->second.crc;
+      }
+      if (config_.integrity() && bytes > 0) {
+        if (whole && crc != nullptr) {
+          // Full-image write: the caller already computed (and paid for)
+          // the checksum of exactly these bytes — store it verbatim.
+          blob.crc = *crc;
+          blob.has_crc = true;
+        } else if (dirty == nullptr) {
+          // A fragment is checksummed by its writer only; without one the
+          // old checksum no longer describes the bytes.
+          blob.has_crc = false;
+        } else {
+          // Partial-dirty merge (or no caller crc): the checksum must
+          // cover the merged image, at the benefactor's CPU cost.
+          blob.crc = Crc32c(blob.data.data(), blob.data.size());
+          blob.has_crc = true;
+          charge_crc = true;
         }
       }
-    }
-    if (pre_verified) clock.Advance(config_.checksum_ns(config_.chunk_bytes));
-    if (pre_corrupt) {
-      // The whole run aborts (the stream protocol has no per-item status);
-      // the caller falls back to per-chunk writes, where the corrupt
-      // replica is reported and the healthy ones still land.
-      return Corrupt("benefactor " + std::to_string(id_) +
-                     ": pre-image checksum mismatch merging into " +
-                     item.key.ToString() + " mid-run");
-    }
-    if (pages_written > 0) {
-      if (charge_crc) clock.Advance(config_.checksum_ns(config_.chunk_bytes));
-      // The run occupies one device queueing slot: the first programmed
-      // chunk pays the per-request write latency, the rest stream at
-      // bandwidth.
-      node_.ssd().ChargeRunWrite(clock, offset,
-                                 pages_written * config_.page_bytes,
-                                 first_data_chunk);
-      first_data_chunk = false;
-      data_bytes_in_.Add(pages_written * config_.page_bytes);
-      MaybeKillAfterWrite();
-      MaybeCorruptAfterWrite();
+      if (stored_crc != nullptr && blob.has_crc) *stored_crc = blob.crc;
     }
   }
-  return OkStatus();
-}
-
-Status Benefactor::WriteFragment(sim::VirtualClock& clock, const ChunkKey& key,
-                                 std::span<const uint8_t> data,
-                                 const uint32_t* crc, TenantId /*tenant*/) {
-  NVM_RETURN_IF_ERROR(EnsureAlive());
-  write_requests_.Add(1);
-  NVM_CHECK(data.size() > 0 && data.size() <= config_.chunk_bytes);
-  uint64_t offset = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = chunks_.find(key);
-    if (it == chunks_.end()) {
-      StoredChunk chunk;
-      chunk.ssd_offset = AllocateOffset();
-      it = chunks_.emplace(key, std::move(chunk)).first;
-    } else {
-      NVM_CHECK(it->second.data.size() == data.size(),
-                "fragment size changed under %s", key.ToString().c_str());
-    }
-    it->second.data.assign(data.begin(), data.end());
-    offset = it->second.ssd_offset;
-    if (config_.integrity() && crc != nullptr) {
-      it->second.crc = *crc;
-      it->second.has_crc = true;
-    }
+  if (pre_verified) clock.Advance(config_.checksum_ns(blob_bytes));
+  if (pre_corrupt) {
+    return Corrupt("benefactor " + std::to_string(id_) +
+                   ": pre-image checksum mismatch merging into " +
+                   key.ToString());
   }
-  // No admission here: the caller admitted before shipping the fragment.
-  node_.ssd().ChargeWrite(clock, offset, data.size());
-  data_bytes_in_.Add(data.size());
+  if (bytes == 0) return OkStatus();
+  if (charge_crc) clock.Advance(config_.checksum_ns(blob_bytes));
+  // Only the programmed bytes reach the device (the write optimisation of
+  // Table VII), as one request per item; within a run only the first
+  // programmed item pays the per-request write latency.
+  node_.ssd().ChargeRunWrite(clock, offset, bytes, first_in_run);
+  first_in_run = false;
+  data_bytes_in_.Add(bytes);
   MaybeKillAfterWrite();
   MaybeCorruptAfterWrite();
-  return OkStatus();
-}
-
-Status Benefactor::ReadFragment(sim::VirtualClock& clock, const ChunkKey& key,
-                                std::span<uint8_t> out, bool* sparse,
-                                TenantId tenant) {
-  NVM_RETURN_IF_ERROR(EnsureAlive());
-  read_requests_.Add(1);
-  if (sparse != nullptr) *sparse = false;
-  uint64_t offset = 0;
-  bool has_crc = false;
-  uint32_t crc = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = chunks_.find(key);
-    if (it == chunks_.end()) {
-      // Reserved-but-never-written fragment: sparse read, all zeros, no
-      // device access.
-      std::memset(out.data(), 0, out.size());
-      if (sparse != nullptr) *sparse = true;
-      return OkStatus();
-    }
-    NVM_CHECK(it->second.data.size() == out.size(),
-              "fragment size mismatch on %s", key.ToString().c_str());
-    std::memcpy(out.data(), it->second.data.data(), out.size());
-    offset = it->second.ssd_offset;
-    has_crc = it->second.has_crc;
-    crc = it->second.crc;
-  }
-  AdmitTransfer(clock, tenant, out.size(), /*is_write=*/false, out.size());
-  node_.ssd().ChargeRead(clock, offset, out.size());
-  data_bytes_out_.Add(out.size());
-  // Verify before serving: a rotted fragment must surface as CORRUPT, not
-  // poison a reconstruction with wrong bytes.
-  if (config_.verify_reads && has_crc) {
-    clock.Advance(config_.checksum_ns(out.size()));
-    if (Crc32c(out.data(), out.size()) != crc) {
-      return Corrupt("benefactor " + std::to_string(id_) +
-                     ": fragment checksum mismatch on " + key.ToString());
-    }
-  }
-  MaybeKillAfterRead();
   return OkStatus();
 }
 

@@ -37,14 +37,9 @@ class Benefactor {
 
   // --- control plane (invoked via the manager) ---
 
-  // Reserve space for `count` chunks (posix_fallocate path).  No device
-  // traffic: reservation only.
-  Status ReserveChunks(uint64_t count);
-  void ReleaseChunkReservation(uint64_t count);
-  // Byte-granular reservation twin — erasure-coded fragments reserve
-  // chunk_bytes/ec_k per stripe member, so the accounting unit is bytes.
-  // ReserveChunks(n) is exactly ReserveBytes(n * chunk_bytes); replicated
-  // arithmetic is unchanged.
+  // Reserve space for one location-list member (posix_fallocate path): a
+  // replica reserves chunk_bytes, an erasure fragment chunk_bytes/ec_k
+  // (Manager::ChunkResBytes).  No device traffic: reservation only.
   Status ReserveBytes(uint64_t bytes);
   void ReleaseBytes(uint64_t bytes);
 
@@ -56,47 +51,94 @@ class Benefactor {
   void AttachQos(QosScheduler* qos) { qos_ = qos; }
 
   // --- data plane (invoked by StoreClient after a location lookup) ---
+  //
+  // A stored blob is a replicated chunk (chunk_bytes) or one erasure
+  // fragment (ec_frag_bytes).  Two bodies serve every data request, both
+  // generic over the blob's size: ReadChunkRun reads, and WriteChunkRun's
+  // per-item program step writes.  ReadChunk, ReadFragment, WritePages and
+  // WriteFragment are requests of one blob over those bodies, charged
+  // exactly like a lone request because SsdDevice::ChargeRun*(first_in_run
+  // = true) is Charge*.  The four names survive only because the
+  // repository benchmark's traced build wraps them; fold them into the run
+  // calls when the benchmark next changes.
+
+  // Multi-chunk streamed read — the run RPC.  One call is ONE request at
+  // this benefactor (one header, one device queueing slot): each stored
+  // blob is charged to the device on `clock` (reads of a run serialise on
+  // the SSD channel), but only the first pays the per-request read
+  // latency.  Blobs are handed to `sink` in request order, stamped with
+  // their device completion time; sparse (reserved-but-never-written)
+  // blobs skip the device and carry no data.  With config.verify_reads
+  // the stored bytes are re-checksummed before they are handed over (CPU
+  // charged at checksum_bw_gbps, pipelined with the device stream); a
+  // mismatch fails the run with CORRUPT once that verification is charged.
+  // If the benefactor dies mid-run the whole run fails with UNAVAILABLE —
+  // the caller must discard any blobs already streamed (no partial runs
+  // are surfaced).
+  Status ReadChunkRun(sim::VirtualClock& clock, std::span<const ChunkKey> keys,
+                      const ChunkRunSink& sink,
+                      TenantId tenant = kTenantForeground);
 
   // Read the full chunk into `out` (out.size() == chunk_bytes).  A chunk
   // that was reserved but never written reads as zeros without touching
   // the device (the backing file is sparse); `*sparse` reports this so the
   // client can skip the wire transfer (an ENOENT-for-the-chunk-file, as in
-  // the paper's store).  With config.verify_reads the stored bytes are
-  // re-checksummed before serving (CPU charged at checksum_bw_gbps); a
-  // mismatch fails the read with CORRUPT and serves nothing.
+  // the paper's store).  A checksum mismatch fails with CORRUPT and the
+  // bytes in `out` must not be used.
   Status ReadChunk(sim::VirtualClock& clock, const ChunkKey& key,
                    std::span<uint8_t> out, bool* sparse = nullptr,
                    TenantId tenant = kTenantForeground);
 
-  // Multi-chunk streamed read — the run RPC.  One call is ONE request at
-  // this benefactor (one header, one device queueing slot): each stored
-  // chunk is charged to the device on `clock` (reads of a run serialise on
-  // the SSD channel), but only the first pays the per-request read
-  // latency.  Chunks are handed to `sink` in request order, stamped with
-  // their device completion time; sparse chunks skip the device and carry
-  // no data.  If the benefactor dies mid-run the whole run fails with
-  // UNAVAILABLE — the caller must discard any chunks already streamed (no
-  // partial runs are surfaced).
-  Status ReadChunkRun(sim::VirtualClock& clock, std::span<const ChunkKey> keys,
-                      const ChunkRunSink& sink,
+  // Read the full fragment into `out` (out.size() == ec_frag_bytes), like
+  // ReadChunk: rot surfaces as CORRUPT, never as wrong bytes in a
+  // reconstruction.
+  Status ReadFragment(sim::VirtualClock& clock, const ChunkKey& key,
+                      std::span<uint8_t> out, bool* sparse = nullptr,
                       TenantId tenant = kTenantForeground);
 
+  // Multi-chunk streamed write — the write-side run RPC.  One call is ONE
+  // request at this benefactor (one header, one device queueing slot).
+  // The client streams each item's messages via `send` (clone instructions
+  // as kControl, dirty pages as kPayload; the first payload also carries
+  // the run header): the NIC pipelines them in order while the device
+  // serialises on `clock`, and only the first programmed chunk pays the
+  // per-request write latency.  Each payload is admitted (AdmitTransfer)
+  // before it is sent.  Each item writes the pages marked dirty into the
+  // stored chunk, materialising it if absent; only dirty pages are charged
+  // to the device — the write-optimisation path of Table VII.  If the
+  // benefactor dies mid-run the whole run fails with UNAVAILABLE and the
+  // caller must treat every item as unwritten on this replica.
+  //
+  // Checksums (ignored when both integrity knobs are off): an item's
+  // caller-computed CRC32C of the full image is stored verbatim when the
+  // dirty set covers the whole chunk; a partial write first verifies the
+  // stored base image (a mismatch fails the run with CORRUPT) and then
+  // recomputes the CRC over the merged image, charging the checksum CPU
+  // cost.  `stored_crc` returns the CRC actually stored — the merged-image
+  // value on a partial write — which is what the caller must hand the
+  // manager as the authoritative checksum.
+  Status WriteChunkRun(sim::VirtualClock& clock,
+                       std::span<const ChunkWriteItem> items,
+                       const ChunkRunSend& send,
+                       TenantId tenant = kTenantForeground);
+
   // Write the pages marked in `dirty_pages` from the chunk image `data`
-  // into the stored chunk, materialising it if absent.  Only dirty pages
-  // are charged to the device — this is the write-optimisation path of
-  // Table VII.  `crc` is the caller-computed CRC32C of the full image:
-  // stored verbatim when the dirty set covers the whole chunk, otherwise
-  // (partial write, or no crc supplied) the benefactor recomputes over the
-  // merged image, charging the checksum CPU cost.  Ignored when both
-  // integrity knobs are off.  `stored_crc` (when non-null) returns the CRC
-  // actually stored with the chunk — the merged-image value on a partial
-  // write — which is what the caller must hand the manager as the
-  // authoritative checksum.
+  // (data.size() == chunk_bytes): one WriteChunkRun item as its own
+  // request, after the caller admitted and shipped the dirty pages.
   Status WritePages(sim::VirtualClock& clock, const ChunkKey& key,
                     const Bitmap& dirty_pages, std::span<const uint8_t> data,
                     const uint32_t* crc = nullptr,
                     uint32_t* stored_crc = nullptr,
                     TenantId tenant = kTenantForeground);
+
+  // Store the full fragment image — a blob of ec_frag_bytes with every
+  // byte dirty (the client's EC write path is full-stripe, so there is no
+  // merge).  `crc` is the caller-computed CRC32C of the fragment, stored
+  // verbatim; without one no checksum is recorded (none is computed here).
+  Status WriteFragment(sim::VirtualClock& clock, const ChunkKey& key,
+                       std::span<const uint8_t> data,
+                       const uint32_t* crc = nullptr,
+                       TenantId tenant = kTenantForeground);
 
   // Scrub support: re-read the stored chunk off the device, recompute its
   // CRC32C (both charged to `clock`) and compare against the manager's
@@ -107,44 +149,6 @@ class Benefactor {
   Status VerifyChunk(sim::VirtualClock& clock, const ChunkKey& key,
                      uint32_t expected_crc, bool* sparse = nullptr,
                      TenantId tenant = kTenantMaintenance);
-
-  // Multi-chunk streamed write — the write-side run RPC.  One call is ONE
-  // request at this benefactor (one header, one device queueing slot).
-  // The client streams each item's messages via `send` (clone instructions
-  // as kControl, dirty pages as kPayload; the first payload also carries
-  // the run header): the NIC pipelines them in order while the device
-  // serialises on `clock`, and only the first programmed chunk pays the
-  // per-request write latency.  Each payload is admitted (AdmitTransfer)
-  // before it is sent.  If the benefactor dies mid-run the whole
-  // run fails with UNAVAILABLE and the caller must treat every item as
-  // unwritten on this replica.
-  Status WriteChunkRun(sim::VirtualClock& clock,
-                       std::span<const ChunkWriteItem> items,
-                       const ChunkRunSend& send,
-                       TenantId tenant = kTenantForeground);
-
-  // --- erasure-coded fragment plane ---
-  // A fragment is stored under the chunk's plain ChunkKey (failure-domain
-  // spreading guarantees at most one fragment of a stripe per benefactor)
-  // as a blob of chunk_bytes/ec_k bytes.  Fragments are always written
-  // whole (the client's EC write path is full-stripe), so there is no
-  // dirty-page or merge machinery here.
-
-  // Store the full fragment image.  `crc` is the caller-computed CRC32C
-  // of the fragment (stored verbatim; ignored when integrity is off).
-  Status WriteFragment(sim::VirtualClock& clock, const ChunkKey& key,
-                       std::span<const uint8_t> data,
-                       const uint32_t* crc = nullptr,
-                       TenantId tenant = kTenantForeground);
-
-  // Read the full fragment into `out` (out.size() == ec_frag_bytes).  A
-  // reserved-but-never-written fragment reads as zeros without touching
-  // the device; with config.verify_reads the stored bytes are
-  // re-checksummed before serving and a mismatch fails with CORRUPT —
-  // rot surfaces as an error, never as wrong bytes in a reconstruction.
-  Status ReadFragment(sim::VirtualClock& clock, const ChunkKey& key,
-                      std::span<uint8_t> out, bool* sparse = nullptr,
-                      TenantId tenant = kTenantForeground);
 
   // Copy-on-write support: duplicate `from` under key `to` locally
   // (device read + write of one chunk, no network).
@@ -190,12 +194,13 @@ class Benefactor {
   // store traffic (excludes unrelated users of the same SSD).
   uint64_t data_bytes_in() const { return data_bytes_in_.value(); }
   uint64_t data_bytes_out() const { return data_bytes_out_.value(); }
-  // Read-plane requests served: every ReadChunk and every ReadChunkRun
-  // counts once — the "request header + queueing slot" unit the run RPC
-  // amortises across a batch.
+  // Read-plane requests served: every ReadChunk/ReadFragment and every
+  // ReadChunkRun counts once — the "request header + queueing slot" unit
+  // the run RPC amortises across a batch.
   uint64_t read_requests() const { return read_requests_.value(); }
-  // Write-plane requests served: every WritePages and every WriteChunkRun
-  // counts once — the unit the write run RPC amortises across a window.
+  // Write-plane requests served: every WritePages/WriteFragment and every
+  // WriteChunkRun counts once — the unit the write run RPC amortises
+  // across a window.
   uint64_t write_requests() const { return write_requests_.value(); }
   // Scrub verification requests served (kept out of read_requests so the
   // request-amortisation accounting of the run RPCs stays undisturbed).
@@ -241,6 +246,31 @@ class Benefactor {
     uint32_t crc = 0;
   };
 
+  // The one data read body: one request over `keys`, each stored blob
+  // admitted, charged at its own size, verified and handed to `sink`.
+  // With `into` non-empty (a single key) the blob is copied straight into
+  // it instead of a scratch buffer.
+  Status ReadRun(sim::VirtualClock& clock, std::span<const ChunkKey> keys,
+                 const ChunkRunSink& sink, TenantId tenant,
+                 std::span<uint8_t> into);
+  // ReadChunk/ReadFragment: a read run of `key` alone into `out`.
+  Status ReadOne(sim::VirtualClock& clock, const ChunkKey& key,
+                 std::span<uint8_t> out, bool* sparse, TenantId tenant);
+  // The one data program body: materialise `key` as a blob of data.size()
+  // bytes, merge the `dirty` pages of `data` into it (nullptr: the whole
+  // blob, as for a fragment) after verifying a partial merge's base
+  // image, record the checksum, and charge the checksum CPU and the device
+  // program.  Only the first program with `first_in_run` set pays the
+  // device's request latency; the flag is cleared once one is charged.
+  Status Program(sim::VirtualClock& clock, const ChunkKey& key,
+                 const Bitmap* dirty, std::span<const uint8_t> data,
+                 const uint32_t* crc, uint32_t* stored_crc,
+                 bool& first_in_run);
+  // WritePages/WriteFragment: one request programming one blob.
+  Status WriteOne(sim::VirtualClock& clock, const ChunkKey& key,
+                  const Bitmap* dirty, std::span<const uint8_t> data,
+                  const uint32_t* crc, uint32_t* stored_crc);
+
   // Assign a device offset for a newly materialised chunk.
   uint64_t AllocateOffset();
   Status EnsureAlive() const;
@@ -252,12 +282,6 @@ class Benefactor {
   // Tick the bit-rot countdown after a chunk's pages were programmed,
   // flipping a random stored bit when it fires.
   void MaybeCorruptAfterWrite();
-  // Record the chunk's checksum after `pages_written` pages were merged
-  // into it (mutex held).  Returns true when the caller must charge the
-  // checksum CPU cost (the merged image was recomputed here rather than
-  // taking the client-supplied full-image crc).
-  bool StoreCrcLocked(StoredChunk& chunk, size_t pages_written,
-                      const uint32_t* crc);
   const int id_;
   net::Node& node_;
   const uint64_t contributed_bytes_;
@@ -271,8 +295,7 @@ class Benefactor {
   // prepare COW, repair planning, fallocate) and read by every capacity-
   // aware placement decision and status report — none of which should
   // contend with the data-plane mutex_ below.  Byte-granular because
-  // erasure fragments reserve chunk_bytes/ec_k each; replicated chunks
-  // reserve whole chunk_bytes multiples exactly as before.
+  // erasure fragments reserve chunk_bytes/ec_k each.
   std::atomic<uint64_t> reserved_bytes_{0};
   uint64_t next_offset_ = 0;
   std::vector<uint64_t> free_offsets_;

@@ -248,7 +248,8 @@ void MaintenanceService::RepairBatch(sim::VirtualClock& clock) {
   // idles busy*(1-f)/f ns.  The idle shows up as gaps in the device and
   // NIC timelines, which foreground requests backfill — so at f=0.1,
   // repair consumes at most ~10% of any resource over time.  With QoS on
-  // the scheduler already paces maintenance per lane, so skip the idle.
+  // the idle is skipped and only tenant admission paces repair — which
+  // lets a burst booked before any foreground traffic through (qos_on_).
   if (bw_fraction_ < 1.0 && busy > 0 && !qos_on_) {
     const auto idle = static_cast<int64_t>(
         static_cast<double>(busy) * (1.0 - bw_fraction_) / bw_fraction_);

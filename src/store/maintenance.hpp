@@ -165,8 +165,11 @@ class MaintenanceService {
   const int64_t heartbeat_period_ns_;
   const int heartbeat_misses_;
   const double bw_fraction_;
-  // When the QoS scheduler arbitrates maintenance as a tenant, the local
-  // duty-cycle throttle is redundant (and would double-penalise repair).
+  // With qos on, the duty-cycle idle is skipped and maintenance is paced
+  // only as a QoS tenant.  The tenant is not an equivalent throttle: a
+  // lone maintenance tenant booked before the foreground arrives is
+  // admitted free (bench_repair_mttr --quick at f=0.1: MTTR 38.98 ms and
+  // foreground at 54.9% of baseline, against 375.64 ms and 92.4%).
   const bool qos_on_;
   const int64_t scrub_period_ns_;
   // 0 when disabled (no WAL attached, or checkpoint_period_ms == 0).

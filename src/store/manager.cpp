@@ -572,7 +572,7 @@ std::vector<Manager::RepairPlan> Manager::PlanRepairs(
     // with the device.
     for (int bid : dead) {
       Benefactor* b = bens[static_cast<size_t>(bid)];
-      b->ReleaseChunkReservation(1);
+      b->ReleaseBytes(ChunkResBytes(h.ec));
       (void)b->DeleteChunk(key);
     }
     if (survivors.empty()) {
@@ -625,7 +625,8 @@ std::vector<Manager::RepairPlan> Manager::PlanRepairs(
         static_cast<size_t>(config_.replication) - survivors.size();
     for (int bid : RankPlacement(cands, req)) {
       if (plan.targets.size() == need) break;
-      if (bens[static_cast<size_t>(bid)]->ReserveChunks(1).ok()) {
+      if (bens[static_cast<size_t>(bid)]->ReserveBytes(ChunkResBytes(h.ec))
+              .ok()) {
         plan.targets.push_back(bid);
       }
     }
@@ -1321,6 +1322,11 @@ StatusOr<uint64_t> Manager::Decommission(sim::VirtualClock& clock, int id) {
     return FailedPrecondition("cannot drain a dead benefactor");
   }
 
+  // Reliability signal for the placement engine, snapshotted before the
+  // shard locks (hook_mu_ is never taken under a shard mutex).
+  std::vector<char> suspected;
+  if (config_.placement_avoid_suspected) suspected = SuspectedBenefactors();
+
   // Rare, operator-driven: hold every shard mutex for the duration so the
   // placement rewrite is atomic against the whole metadata plane.
   std::vector<std::unique_lock<std::mutex>> held;
@@ -1339,7 +1345,7 @@ StatusOr<uint64_t> Manager::Decommission(sim::VirtualClock& clock, int id) {
             });
 
   uint64_t migrated = 0;
-  std::vector<uint8_t> buf(config_.chunk_bytes);
+  std::vector<uint8_t> blob;
   Bitmap all_pages(config_.pages_per_chunk());
   all_pages.SetAll();
 
@@ -1348,81 +1354,69 @@ StatusOr<uint64_t> Manager::Decommission(sim::VirtualClock& clock, int id) {
         *h->replicas.load(std::memory_order_acquire);
     auto pos = std::find(current.begin(), current.end(), id);
     if (pos == current.end()) continue;
+    const size_t member = static_cast<size_t>(pos - current.begin());
     const bool ec = h->ec;
     const uint64_t move_bytes = ChunkResBytes(ec);
-    // Pick a destination: the next alive benefactor with space that does
-    // not already hold a replica of this chunk — and, for an EC fragment,
-    // whose node hosts no OTHER fragment of the stripe (the failure-domain
-    // spread survives the migration).
+    // Destination through the shared placement engine: rotation order
+    // from the benefactor after the leaving one, every holder excluded,
+    // and for an EC fragment no node hosting another fragment of the
+    // stripe (the failure-domain spread survives the migration).  The
+    // first ranked benefactor that can reserve the member wins.
+    std::vector<PlacementCandidate> cands = BuildPlacementCandidates(
+        bens, suspected.empty() ? nullptr : &suspected);
+    std::vector<int> exclude_nodes;
+    for (int bid : current) {
+      if (bid < 0) continue;
+      cands[static_cast<size_t>(bid)].excluded = true;
+      if (ec && bid != id) {
+        exclude_nodes.push_back(cands[static_cast<size_t>(bid)].node);
+      }
+    }
+    PlacementRequest req;
+    req.order = PlacementRequest::Order::kRotation;
+    req.start = (static_cast<size_t>(id) + 1) % bens.size();
+    req.avoid_suspected = config_.placement_avoid_suspected;
+    req.wear_weight = config_.placement_wear_weight;
+    req.exclude_nodes = &exclude_nodes;
     int dst = -1;
-    for (size_t scan = 1; scan < bens.size(); ++scan) {
-      const size_t cand = (static_cast<size_t>(id) + scan) % bens.size();
-      Benefactor* b = bens[cand];
-      if (!b->alive() || static_cast<int>(cand) == id) continue;
-      if (std::find(current.begin(), current.end(),
-                    static_cast<int>(cand)) != current.end()) {
-        continue;
-      }
-      if (ec && b->node_id() >= 0) {
-        bool colocated = false;
-        for (int other : current) {
-          if (other < 0 || other == id) continue;
-          if (bens[static_cast<size_t>(other)]->node_id() == b->node_id()) {
-            colocated = true;
-            break;
-          }
-        }
-        if (colocated) continue;
-      }
-      if (b->ReserveBytes(move_bytes).ok()) {
-        dst = static_cast<int>(cand);
+    for (int bid : RankPlacement(cands, req)) {
+      if (bens[static_cast<size_t>(bid)]->ReserveBytes(move_bytes).ok()) {
+        dst = bid;
         break;
       }
     }
     if (dst < 0) {
       return OutOfSpace("no destination for chunk " + h->key.ToString());
     }
-    // Move the data benefactor-to-benefactor (read + network hop + write),
-    // like the paper's re-configuration path would.
+    // Move the member benefactor-to-benefactor (read + network hop +
+    // write), like the paper's re-configuration path would; a replica and
+    // a fragment differ only in the blob's size and checksum.
+    Benefactor* to = bens[static_cast<size_t>(dst)];
     bool sparse = false;
-    if (ec) {
-      const size_t frag_pos = static_cast<size_t>(pos - current.begin());
-      std::vector<uint8_t> frag(move_bytes);
-      NVM_RETURN_IF_ERROR(leaving->ReadFragment(clock, h->key, frag,
-                                                &sparse, kTenantMaintenance));
-      if (!sparse) {
-        bens[static_cast<size_t>(dst)]->AdmitTransfer(
-            clock, kTenantMaintenance, move_bytes, /*is_write=*/true,
-            move_bytes);
-        cluster_.network().Transfer(clock, leaving->node_id(),
-                                    bens[static_cast<size_t>(dst)]->node_id(),
-                                    move_bytes);
-        // The migrated fragment keeps its authoritative checksum.
-        const uint32_t* crc =
-            h->has_crc && h->frag_crcs.size() == current.size()
-                ? &h->frag_crcs[frag_pos]
-                : nullptr;
-        NVM_RETURN_IF_ERROR(bens[static_cast<size_t>(dst)]->WriteFragment(
-            clock, h->key, frag, crc, kTenantMaintenance));
+    blob.resize(move_bytes);
+    NVM_RETURN_IF_ERROR(
+        ec ? leaving->ReadFragment(clock, h->key, blob, &sparse,
+                                   kTenantMaintenance)
+           : leaving->ReadChunk(clock, h->key, blob, &sparse,
+                                kTenantMaintenance));
+    if (!sparse) {
+      to->AdmitTransfer(clock, kTenantMaintenance, move_bytes,
+                        /*is_write=*/true, move_bytes);
+      cluster_.network().Transfer(clock, leaving->node_id(), to->node_id(),
+                                  move_bytes);
+      // The migrated bytes keep their authoritative checksum.
+      const uint32_t* crc = nullptr;
+      if (h->has_crc && !ec) crc = &h->crc;
+      if (h->has_crc && ec && h->frag_crcs.size() == current.size()) {
+        crc = &h->frag_crcs[member];
       }
-    } else {
-      NVM_RETURN_IF_ERROR(leaving->ReadChunk(clock, h->key, buf, &sparse,
-                                             kTenantMaintenance));
-      if (!sparse) {
-        bens[static_cast<size_t>(dst)]->AdmitTransfer(
-            clock, kTenantMaintenance, config_.chunk_bytes,
-            /*is_write=*/true, config_.chunk_bytes);
-        cluster_.network().Transfer(clock, leaving->node_id(),
-                                    bens[static_cast<size_t>(dst)]->node_id(),
-                                    config_.chunk_bytes);
-        // The migrated bytes keep their authoritative checksum.
-        NVM_RETURN_IF_ERROR(bens[static_cast<size_t>(dst)]->WritePages(
-            clock, h->key, all_pages, buf, h->has_crc ? &h->crc : nullptr,
-            /*stored_crc=*/nullptr, kTenantMaintenance));
-      }
+      NVM_RETURN_IF_ERROR(
+          ec ? to->WriteFragment(clock, h->key, blob, crc, kTenantMaintenance)
+             : to->WritePages(clock, h->key, all_pages, blob, crc,
+                              /*stored_crc=*/nullptr, kTenantMaintenance));
     }
     std::vector<int> rewritten = current;
-    rewritten[static_cast<size_t>(pos - current.begin())] = dst;
+    rewritten[member] = dst;
     // Log the rewritten placement BEFORE dropping the leaving replica's
     // copy: a crash in between then recovers to the new list (the copy on
     // dst is already in place), never to a list naming deleted data.
@@ -1644,22 +1638,17 @@ Status Manager::Fallocate(sim::VirtualClock& clock, FileId id,
     std::vector<int> used_nodes;
     for (int bid : RankPlacement(cands, req)) {
       if (replicas.size() == want_members) break;
-      if (meta.ec) {
-        const int node = bens[static_cast<size_t>(bid)]->node_id();
-        if (node >= 0 && std::find(used_nodes.begin(), used_nodes.end(),
-                                   node) != used_nodes.end()) {
-          continue;
-        }
-        if (!bens[static_cast<size_t>(bid)]->ReserveBytes(member_bytes)
-                 .ok()) {
-          continue;
-        }
-        replicas.push_back(bid);
-        if (node >= 0) used_nodes.push_back(node);
-      } else {
-        if (!bens[static_cast<size_t>(bid)]->ReserveChunks(1).ok()) continue;
-        replicas.push_back(bid);
+      const int node = bens[static_cast<size_t>(bid)]->node_id();
+      if (meta.ec && node >= 0 &&
+          std::find(used_nodes.begin(), used_nodes.end(), node) !=
+              used_nodes.end()) {
+        continue;
       }
+      if (!bens[static_cast<size_t>(bid)]->ReserveBytes(member_bytes).ok()) {
+        continue;
+      }
+      replicas.push_back(bid);
+      if (meta.ec && node >= 0) used_nodes.push_back(node);
     }
     if (replicas.size() < want_members) {
       // Roll back partial placement.

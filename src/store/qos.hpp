@@ -1,12 +1,14 @@
 // Multi-tenant QoS: per-resource admission scheduling in virtual time.
 //
-// The store's only admission discipline used to be the single-purpose
-// `repair_bw_fraction` duty cycle — maintenance idled between batches,
-// leaving device-timeline gaps foreground traffic backfilled.  The
-// QosScheduler generalises that mechanism to N tenants and every timed
-// resource: each benefactor SSD and each node NIC is a *lane*, and every
-// chunk-sized charge asks the scheduler for an admission time before it
-// may book device time.
+// The store's first admission discipline was the single-purpose
+// `repair_bw_fraction` duty cycle — maintenance idles between batches,
+// leaving device-timeline gaps foreground traffic backfills.  The
+// QosScheduler arbitrates N tenants on every timed resource: each
+// benefactor SSD and each node NIC is a *lane*, and every chunk-sized
+// charge asks the scheduler for an admission time before it may book
+// device time.  It does not subsume the duty cycle: a lone tenant is
+// admitted free (below), so repair booked before the foreground arrives
+// is never paced (bench_repair_mttr; DESIGN.md §4g has the numbers).
 //
 // Per lane and tenant the scheduler keeps a token bucket refilled at the
 // tenant's guaranteed `bw_share` of the lane (tokens are nanoseconds of
@@ -21,7 +23,7 @@
 //     weight-proportional cut of the lane's unguaranteed bandwidth.
 // Delayed admission only sets a start floor; the underlying sim::Resource
 // still gap-backfills, so bandwidth a delayed tenant leaves idle is
-// consumed by whoever is waiting (exactly like the old repair throttle).
+// consumed by whoever is waiting (like the duty cycle's idle gaps).
 //
 // With `qos = false` Admit() returns `now` unconditionally and takes no
 // lock — byte- and virtual-time-identical to the QoS-less store.  The

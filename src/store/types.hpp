@@ -277,8 +277,10 @@ struct StoreConfig {
   bool qos = false;
   // Per-tenant {weight, bw_share, priority}; unlisted tenants default to
   // {1.0, 0.0, 1}.  When no entry names kTenantMaintenance, maintenance
-  // traffic inherits repair_bw_fraction as its bw_share at priority 0 —
-  // the old duty-cycle throttle expressed as a tenant.
+  // traffic inherits repair_bw_fraction as its bw_share at priority 0.
+  // That is not the duty cycle (which qos=on skips): a lone maintenance
+  // tenant is admitted free, so repair booked before the foreground
+  // arrives runs unpaced.
   std::vector<QosTenant> qos_tenants;
   // Token-bucket burst ceiling: a tenant may accumulate at most this many
   // milliseconds of unused device time before further refill is capped.

@@ -2,9 +2,10 @@
 // encode -> drop-any-m -> reconstruct byte-exactness guarantee, the
 // client degraded-read failover, background fragment repair from verified
 // survivors, corrupt-fragment quarantine (rot surfaces as a repair, never
-// as wrong bytes), and the knob-off pin: a store with the erasure knobs
-// present but the mode off stays byte- and virtual-time-identical to the
-// replicated default.
+// as wrong bytes), a stripe write and read pinned to the same sequences
+// spelled out from component calls, and the knob-off pin: a store with the
+// erasure knobs present but the mode off stays byte- and
+// virtual-time-identical to the replicated default.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -381,6 +382,132 @@ TEST(ErasureStoreTest, CorruptFragmentQuarantinedNeverWrongBytes) {
   EXPECT_GT(rig.store->manager().ec_fragments_repaired(), 0u);
   ExpectFullStripes(rig, id, 1);
   ExpectBytes(c, clock, id, 1, data);
+}
+
+// ---- virtual-time pin against component calls ----
+
+// A full-stripe write spelled out with the store's public component
+// calls, independent of the benefactor's program body: encode and
+// checksums, a metadata round-trip and PrepareWrite, then per fragment on
+// a clock forked after the prepare — admission, payload + header, the
+// device program, the ack — joined at the max and committed.  Returns the
+// fragment holders in position order.
+std::vector<int> ReferenceStripeWrite(Rig& rig, sim::VirtualClock& clock,
+                                      store::FileId id,
+                                      std::span<const uint8_t> image) {
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  const store::StoreConfig& cfg = c.config();
+  net::Network& net = rig.cluster->network();
+  store::Manager& m = rig.store->manager();
+  const int node = c.local_node();
+  const uint64_t fb = cfg.ec_frag_bytes();
+  ErasureCodec codec(cfg.ec_k, cfg.ec_m);
+  const std::vector<std::vector<uint8_t>> frags = codec.Encode(image);
+  clock.Advance(cfg.ec_encode_ns(cfg.chunk_bytes));
+  const uint32_t crc = Crc32c(image.data(), image.size());
+  std::vector<uint32_t> frag_crcs;
+  for (const auto& f : frags) frag_crcs.push_back(Crc32c(f.data(), f.size()));
+  clock.Advance(cfg.checksum_ns(cfg.chunk_bytes) +
+                cfg.checksum_ns(frags.size() * fb));
+  net.Transfer(clock, node, m.node_id(), cfg.meta_request_bytes);
+  net.Transfer(clock, m.node_id(), node, cfg.meta_response_bytes);
+  auto loc = m.PrepareWrite(clock, id, 0);
+  if (!loc.ok()) {
+    ADD_FAILURE() << loc.status().ToString();
+    return {};
+  }
+  const int64_t t0 = clock.now();
+  int64_t done = t0;
+  for (int bid : loc->benefactors) {
+    store::Benefactor& b = rig.store->benefactor(static_cast<size_t>(bid));
+    sim::VirtualClock frag(t0);
+    b.AdmitTransfer(frag, store::kTenantForeground, fb, /*is_write=*/true,
+                    fb + cfg.meta_request_bytes);
+    net.Transfer(frag, node, b.node_id(), fb + cfg.meta_request_bytes);
+    b.ssd().ChargeWrite(frag, /*offset=*/0, fb);
+    net.Transfer(frag, b.node_id(), node, cfg.meta_response_bytes);
+    done = std::max(done, frag.now());
+  }
+  clock.AdvanceTo(done);
+  m.CompleteWrite(clock, loc->key, &crc, frag_crcs);
+  return loc->benefactors;
+}
+
+// The intact read of the same stripe from a warm location cache: per data
+// fragment on a clock forked at the start — the request, admission, the
+// device read and its checksum, the fragment itself — joined at the max.
+void ReferenceStripeRead(Rig& rig, sim::VirtualClock& clock,
+                         const std::vector<int>& holders) {
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  const store::StoreConfig& cfg = c.config();
+  net::Network& net = rig.cluster->network();
+  const int node = c.local_node();
+  const uint64_t fb = cfg.ec_frag_bytes();
+  const int64_t t0 = clock.now();
+  int64_t done = t0;
+  for (uint32_t pos = 0; pos < cfg.ec_k; ++pos) {
+    store::Benefactor& b =
+        rig.store->benefactor(static_cast<size_t>(holders[pos]));
+    sim::VirtualClock frag(t0);
+    net.Transfer(frag, node, b.node_id(), cfg.meta_request_bytes);
+    b.AdmitTransfer(frag, store::kTenantForeground, fb, /*is_write=*/false,
+                    fb);
+    b.ssd().ChargeRead(frag, /*offset=*/0, fb);
+    frag.Advance(cfg.checksum_ns(fb));
+    net.Transfer(frag, b.node_id(), node, fb);
+    done = std::max(done, frag.now());
+  }
+  clock.AdvanceTo(done);
+}
+
+TEST(ErasureStoreTest, StripeWriteAndReadMatchComponentReference) {
+  // One full-stripe write and one intact k-fragment read charge exactly
+  // the sequences above: same completion times, wire bytes and device
+  // busy time per benefactor.  Maintenance is off so no heartbeat traffic
+  // rides along on either rig.
+  auto quiet = [](store::StoreConfig& cfg) { cfg.maintenance = false; };
+  Rig real(6, quiet);
+  Rig ref(6, quiet);
+  auto create = [](Rig& rig) {
+    sim::VirtualClock setup(0);
+    store::StoreClient& c = rig.store->ClientForNode(0);
+    auto id = c.Create(setup, "/pin");
+    EXPECT_TRUE(id.ok());
+    EXPECT_TRUE(c.Fallocate(setup, *id, kChunk).ok());
+    return *id;
+  };
+  const store::FileId id_real = create(real);
+  const store::FileId id_ref = create(ref);
+  const auto data = Pattern(kChunk, 27);
+  store::StoreClient& c = real.store->ClientForNode(0);
+  Bitmap all(kChunk / c.config().page_bytes);
+  all.SetAll();
+
+  constexpr int64_t kStart = 1'000'000;
+  sim::VirtualClock write_real(kStart);
+  sim::VirtualClock write_ref(kStart);
+  ASSERT_TRUE(c.WriteChunkPages(write_real, id_real, 0, all, data).ok());
+  const std::vector<int> holders =
+      ReferenceStripeWrite(ref, write_ref, id_ref, data);
+  ASSERT_EQ(holders.size(), c.config().ec_fragments());
+  EXPECT_EQ(write_real.now(), write_ref.now());
+
+  std::vector<uint8_t> buf(kChunk);
+  sim::VirtualClock read_real(write_real.now());
+  sim::VirtualClock read_ref(write_ref.now());
+  ASSERT_TRUE(c.ReadChunk(read_real, id_real, 0, buf).ok());
+  ReferenceStripeRead(ref, read_ref, holders);
+  EXPECT_EQ(read_real.now(), read_ref.now());
+  EXPECT_EQ(0, std::memcmp(buf.data(), data.data(), kChunk));
+  EXPECT_EQ(c.ec_degraded_reads(), 0u);
+
+  EXPECT_EQ(real.cluster->network().bytes_transferred(),
+            ref.cluster->network().bytes_transferred());
+  for (size_t b = 0; b < holders.size(); ++b) {
+    EXPECT_EQ(real.store->benefactor(b).ssd().channel().busy_ns(),
+              ref.store->benefactor(b).ssd().channel().busy_ns())
+        << "benefactor " << b;
+  }
 }
 
 // ---- knob-off identity pin ----

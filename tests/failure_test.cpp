@@ -498,6 +498,48 @@ TEST(DecommissionTest, ChargesDataMovementTime) {
   EXPECT_GT(clock.now() - before, 4 * 500'000);
 }
 
+TEST(DecommissionTest, WearWeightDrainsOntoFresherBenefactor) {
+  // Drain destinations come from the placement engine: with the wear knob
+  // on, a worn benefactor first in rotation order after the drained one
+  // loses the migrated chunks to a fresher one; knob-off keeps rotation.
+  for (const bool aware : {false, true}) {
+    Rig rig(/*replication=*/1, /*benefactors=*/4, /*maintenance=*/false,
+            [&](store::StoreConfig& s) {
+              s.placement_wear_weight = aware ? 8.0 : 0.0;
+            });
+    NvmallocRuntime runtime(*rig.store, 0);
+    auto r = runtime.SsdMalloc(16 * kChunk);
+    ASSERT_TRUE(r.ok());
+    const auto data = Pattern(16 * kChunk, 9);
+    ASSERT_TRUE((*r)->Write(0, data).ok());
+    ASSERT_TRUE((*r)->Sync().ok());
+
+    // Age benefactor 2, the first candidate in rotation after benefactor 1.
+    sim::SsdDevice& worn = rig.store->benefactor(2).ssd();
+    sim::VirtualClock aging(0);
+    while (worn.wear_fraction() < 0.5) {
+      worn.ChargeWrite(aging, 0, sim::SsdDevice::kEraseBlockBytes);
+    }
+    const size_t held = rig.store->benefactor(2).num_chunks();
+    const size_t moved = rig.store->benefactor(1).num_chunks();
+    ASSERT_GT(moved, 0u);
+    ASSERT_TRUE(
+        rig.store->manager().Decommission(sim::CurrentClock(), 1).ok());
+    EXPECT_EQ(rig.store->benefactor(2).num_chunks(),
+              aware ? held : held + moved)
+        << "aware=" << aware;
+
+    (*r)->Invalidate();
+    ASSERT_TRUE(runtime.mount()
+                    .cache()
+                    .Drop(sim::CurrentClock(), (*r)->file_id())
+                    .ok());
+    std::vector<uint8_t> got(16 * kChunk);
+    ASSERT_TRUE((*r)->Read(0, got).ok());
+    EXPECT_EQ(got, data);
+  }
+}
+
 // ---- replication repair ----
 
 TEST(RepairTest, RestoresReplicationAfterLoss) {

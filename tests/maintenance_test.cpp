@@ -234,7 +234,7 @@ TEST(MaintenanceTest, RepairPlacementPrefersLeastLoadedBenefactor) {
 
   // Load benefactor 3 with extra reservations so it is clearly the
   // fullest; benefactors 1 and 2 stay lighter.
-  ASSERT_TRUE(rig.store->benefactor(3).ReserveChunks(200).ok());
+  ASSERT_TRUE(rig.store->benefactor(3).ReserveBytes(200 * kChunk).ok());
   const uint64_t free3 = rig.store->benefactor(3).bytes_free();
 
   rig.store->benefactor(0).Kill();
@@ -243,7 +243,7 @@ TEST(MaintenanceTest, RepairPlacementPrefersLeastLoadedBenefactor) {
   ExpectFullyReplicated(rig, id, 8, 2);
   // The fullest benefactor gained nothing beyond what it already held.
   EXPECT_EQ(rig.store->benefactor(3).bytes_free(), free3);
-  rig.store->benefactor(3).ReleaseChunkReservation(200);
+  rig.store->benefactor(3).ReleaseBytes(200 * kChunk);
 }
 
 TEST(MaintenanceTest, ThrottleDutyCycleBoundsRepairTime) {
@@ -297,7 +297,7 @@ TEST(MaintenanceTest, ScrubReclaimsOrphansAndFixesReservationDrift) {
   std::vector<uint8_t> junk(kChunk, 0xab);
   sim::VirtualClock dc(0);
   ASSERT_TRUE(b.WritePages(dc, bogus, all, junk).ok());
-  ASSERT_TRUE(b.ReserveChunks(3).ok());
+  ASSERT_TRUE(b.ReserveBytes(3 * kChunk).ok());
   ASSERT_TRUE(b.HasChunk(bogus));
 
   // One scrub period later both are reconciled.
@@ -559,8 +559,9 @@ TEST(MaintenanceTest, RacingRepairsSameTargetKeepThePublishedReplica) {
     if (b == loc0->benefactors[0] || b == loc0->benefactors[1]) continue;
     (forced < 0 ? forced : spare) = b;
   }
-  ASSERT_TRUE(
-      rig.store->benefactor(static_cast<size_t>(spare)).ReserveChunks(16).ok());
+  ASSERT_TRUE(rig.store->benefactor(static_cast<size_t>(spare))
+                  .ReserveBytes(16 * kChunk)
+                  .ok());
 
   // Two drivers (maintenance worker + manual repair) plan the same key.
   auto plansA = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
@@ -600,7 +601,7 @@ TEST(MaintenanceTest, RacingRepairsSameTargetKeepThePublishedReplica) {
                   .ReadChunk(rc, key, got)
                   .ok());
   EXPECT_EQ(got, v1);
-  rig.store->benefactor(static_cast<size_t>(spare)).ReleaseChunkReservation(16);
+  rig.store->benefactor(static_cast<size_t>(spare)).ReleaseBytes(16 * kChunk);
   auto scrub = m.ScrubOnce(clock);
   EXPECT_EQ(scrub.orphans_deleted, 0u);
   EXPECT_EQ(scrub.reservation_fixes, 0u);

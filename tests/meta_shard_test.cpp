@@ -349,8 +349,9 @@ TEST(MetaShardTest, RacingRepairsSameTargetKeepThePublishedReplica) {
     if (b == loc0->benefactors[0] || b == loc0->benefactors[1]) continue;
     (forced < 0 ? forced : spare) = b;
   }
-  ASSERT_TRUE(
-      rig.store->benefactor(static_cast<size_t>(spare)).ReserveChunks(16).ok());
+  ASSERT_TRUE(rig.store->benefactor(static_cast<size_t>(spare))
+                  .ReserveBytes(16 * kChunk)
+                  .ok());
 
   auto plansA = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
   auto plansB = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
@@ -384,7 +385,7 @@ TEST(MetaShardTest, RacingRepairsSameTargetKeepThePublishedReplica) {
                   .ReadChunk(rc, key, got)
                   .ok());
   EXPECT_EQ(got, v1);
-  rig.store->benefactor(static_cast<size_t>(spare)).ReleaseChunkReservation(16);
+  rig.store->benefactor(static_cast<size_t>(spare)).ReleaseBytes(16 * kChunk);
   auto scrub = m.ScrubOnce(clock);
   EXPECT_EQ(scrub.orphans_deleted, 0u);
   EXPECT_EQ(scrub.reservation_fixes, 0u);
@@ -561,7 +562,7 @@ TEST(MetaShardConcurrencyTest, FallocateRacingScrubKeepsReservationsExact) {
   EXPECT_EQ(racing_fixes.load(), 0u);
 
   // Unlink everything: each release must be backed by a still-standing
-  // reservation (an underflow trips NVM_CHECK inside ReleaseChunkReservation)
+  // reservation (an underflow trips NVM_CHECK inside ReleaseBytes)
   // and the store must come back empty.
   sim::VirtualClock clock(0);
   for (int t = 0; t < kThreads; ++t) {

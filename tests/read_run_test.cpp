@@ -2,9 +2,10 @@
 // (Benefactor::ReadChunkRun + the batched StoreClient::ReadChunks path):
 // request-count amortisation (a K-chunk run on one benefactor is exactly
 // ONE request), byte-for-byte equality of batched reads with per-chunk
-// ReadChunk calls, virtual-time identity of a batch of one with ReadChunk,
-// device-latency amortisation, and a multi-process read storm over the
-// streamed path.
+// ReadChunk calls, virtual-time identity of a batch of one with ReadChunk
+// and with the same read spelled out from component calls, the charge of a
+// corrupt read, device-latency amortisation, and a multi-process read
+// storm over the streamed path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -100,6 +101,52 @@ std::vector<int64_t> ChunkAtATimeRead(StoreClient& c, int64_t start, FileId id,
   return done;
 }
 
+// The single-chunk read wire sequence spelled out with the store's public
+// component calls, independent of the benefactor's read body: unless the
+// client already holds the location (`cached`: it wrote the chunk), a
+// metadata round-trip and GetReadLocation; then the request message and
+// at the primary either the "no such chunk" marker (a hole) or admission,
+// the device read, the read-time checksum and the chunk itself.  Returns
+// the completion time of a read issued at `start`.
+int64_t ReferenceRead(Rig& rig, int64_t start, FileId id, uint32_t index,
+                      bool cached) {
+  const StoreConfig& cfg = rig.client().config();
+  net::Network& net = rig.cluster->network();
+  Manager& m = rig.store->manager();
+  const int node = rig.client().local_node();
+  // A cached location is resolved here far past the measured window, so
+  // the lookup books nothing the read could queue behind.
+  constexpr int64_t kOffWindowNs = 1'000'000'000'000;
+  sim::VirtualClock lookup(cached ? kOffWindowNs : start);
+  if (!cached) {
+    net.Transfer(lookup, node, m.node_id(), cfg.meta_request_bytes);
+    net.Transfer(lookup, m.node_id(), node, cfg.meta_response_bytes);
+  }
+  auto loc = m.GetReadLocation(lookup, id, index);
+  if (!loc.ok()) {
+    ADD_FAILURE() << loc.status().ToString();
+    return -1;
+  }
+  sim::VirtualClock clock(cached ? start : lookup.now());
+  Benefactor& b =
+      rig.store->benefactor(static_cast<size_t>(loc->benefactors.front()));
+  net.Transfer(clock, node, b.node_id(), cfg.meta_request_bytes);
+  bool has_crc = false;
+  uint32_t crc = 0;
+  if (!b.StoredChunkCrc(loc->key, &has_crc, &crc)) {
+    net.Transfer(clock, b.node_id(), node, cfg.meta_response_bytes);
+    return clock.now();
+  }
+  b.AdmitTransfer(clock, kTenantForeground, cfg.chunk_bytes,
+                  /*is_write=*/false, cfg.chunk_bytes);
+  b.ssd().ChargeRead(clock, /*offset=*/0, cfg.chunk_bytes);
+  if (cfg.verify_reads && has_crc) {
+    clock.Advance(cfg.checksum_ns(cfg.chunk_bytes));
+  }
+  net.Transfer(clock, b.node_id(), node, cfg.chunk_bytes);
+  return clock.now();
+}
+
 TEST(BatchRpcTest, KChunkRunIsOneBenefactorRequest) {
   constexpr uint32_t kChunks = 8;
   Rig rig(/*benefactors=*/1);
@@ -187,25 +234,32 @@ TEST(BatchRpcTest, BatchOfOneMatchesLegacyVirtualTime) {
   for (const bool sparse : {false, true}) {
     Rig batched(/*benefactors=*/2);
     Rig single(/*benefactors=*/2);
+    Rig reference(/*benefactors=*/2);
     const auto data = Pattern(kChunk, 31);
     FileId idb;
     FileId ids;
+    FileId idr;
     if (sparse) {
       // Fallocate but never write: the chunk is a hole on the benefactor.
       // Each rig gets its own setup clock so their resource timelines are
       // identical before the measured read.
       sim::VirtualClock sb(0);
       sim::VirtualClock ss(0);
+      sim::VirtualClock sr(0);
       auto cb = batched.client().Create(sb, "/one");
       auto cs = single.client().Create(ss, "/one");
-      ASSERT_TRUE(cb.ok() && cs.ok());
+      auto cr = reference.client().Create(sr, "/one");
+      ASSERT_TRUE(cb.ok() && cs.ok() && cr.ok());
       ASSERT_TRUE(batched.client().Fallocate(sb, *cb, kChunk).ok());
       ASSERT_TRUE(single.client().Fallocate(ss, *cs, kChunk).ok());
+      ASSERT_TRUE(reference.client().Fallocate(sr, *cr, kChunk).ok());
       idb = *cb;
       ids = *cs;
+      idr = *cr;
     } else {
       idb = batched.WriteFile("/one", 1, data);
       ids = single.WriteFile("/one", 1, data);
+      idr = reference.WriteFile("/one", 1, data);
     }
 
     sim::VirtualClock tb(0);
@@ -225,7 +279,51 @@ TEST(BatchRpcTest, BatchOfOneMatchesLegacyVirtualTime) {
               single.store->benefactor(0).ssd().channel().busy_ns());
     EXPECT_EQ(batched.store->benefactor(0).read_requests(),
               single.store->benefactor(0).read_requests());
+
+    // Both share the benefactor's read body, so the pin also holds them to
+    // the sequence spelled out from component calls.
+    EXPECT_EQ(done[0], ReferenceRead(reference, 0, idr, 0, !sparse))
+        << "sparse=" << sparse;
+    EXPECT_EQ(reference.cluster->network().bytes_transferred(),
+              single.cluster->network().bytes_transferred());
+    for (size_t b = 0; b < 2; ++b) {
+      EXPECT_EQ(reference.store->benefactor(b).ssd().channel().busy_ns(),
+                single.store->benefactor(b).ssd().channel().busy_ns())
+          << "sparse=" << sparse << " benefactor " << b;
+    }
   }
+}
+
+TEST(BatchRpcTest, CorruptReplicaChargesReadAndChecksumBeforeCorrupt) {
+  // Rot is reported only once it is paid for: a verifying read that fails
+  // its checksum has read the chunk off the device and run the checksum,
+  // and the client's failover to the next replica continues on that
+  // clock.  A run of one reports CORRUPT at the same instant.
+  Rig rig(/*benefactors=*/1);
+  const FileId id = rig.WriteFile("/rot", 1, Pattern(kChunk, 53));
+  sim::VirtualClock lookup(0);
+  auto loc = rig.store->manager().GetReadLocation(lookup, id, 0);
+  ASSERT_TRUE(loc.ok());
+  Benefactor& b = rig.store->benefactor(0);
+  ASSERT_TRUE(b.CorruptChunk(loc->key, 5, 0x01).ok());
+  const sim::DeviceProfile& p = b.ssd().profile();
+  const int64_t expected =
+      sim::TransferNs(kChunk, p.read_bw_mbps, p.read_latency_ns) +
+      rig.client().config().checksum_ns(kChunk);
+
+  // Both reads start long after the device went idle.
+  constexpr int64_t kStart = 1'000'000'000;
+  std::vector<uint8_t> out(kChunk);
+  sim::VirtualClock single(kStart);
+  EXPECT_EQ(b.ReadChunk(single, loc->key, out).code(), ErrorCode::kCorrupt);
+  EXPECT_EQ(single.now() - kStart, expected);
+
+  sim::VirtualClock run(2 * kStart);
+  const Status s = b.ReadChunkRun(
+      run, {&loc->key, 1},
+      [](const ChunkRunItem&, std::span<const uint8_t>) { return OkStatus(); });
+  EXPECT_EQ(s.code(), ErrorCode::kCorrupt);
+  EXPECT_EQ(run.now() - 2 * kStart, expected);
 }
 
 TEST(BatchRpcTest, RunAmortisesDeviceRequestLatency) {
