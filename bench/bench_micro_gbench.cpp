@@ -4,10 +4,12 @@
 #include <benchmark/benchmark.h>
 
 #include "common/bitmap.hpp"
+#include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "fuselite/mount.hpp"
 #include "nvmalloc/runtime.hpp"
 #include "sim/resource.hpp"
+#include "store/erasure.hpp"
 
 namespace {
 
@@ -41,6 +43,67 @@ void BM_BitmapForEachSet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BitmapForEachSet);
+
+std::vector<uint8_t> RandomBytes(size_t n) {
+  Xoshiro256 rng(n);
+  std::vector<uint8_t> v(n);
+  for (auto& b : v) b = static_cast<uint8_t>(rng.Next());
+  return v;
+}
+
+// CRC32C over one buffer of range(0) bytes: the kernel Crc32c chose from
+// the CPU, and the portable slice-by-8 fallback.
+void BM_Crc32c(benchmark::State& state,
+               uint32_t (*crc32c)(const void*, size_t, uint32_t)) {
+  const auto buf = RandomBytes(static_cast<size_t>(state.range(0)));
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = crc32c(buf.data(), buf.size(), crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK_CAPTURE(BM_Crc32c, dispatched, &Crc32c)->Arg(64 << 10);
+BENCHMARK_CAPTURE(BM_Crc32c, portable, &detail::Crc32cPortable)->Arg(64 << 10);
+
+// One combine across range(0) bytes: a fragment CRC folded into an image.
+void BM_Crc32cCombine(benchmark::State& state) {
+  const auto len = static_cast<uint64_t>(state.range(0));
+  uint32_t crc = 0x12345678u;
+  uint32_t part = 1;
+  for (auto _ : state) {
+    crc = Crc32cCombine(crc, part++, len);
+    benchmark::DoNotOptimize(crc);
+  }
+}
+BENCHMARK(BM_Crc32cCombine)->Arg(16 << 10);
+
+// RS(4,2) encode of one range(0)-byte chunk into six fragments.
+void BM_RsEncode(benchmark::State& state) {
+  const store::ErasureCodec codec(4, 2);
+  const auto chunk = RandomBytes(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    auto frags = codec.Encode(chunk);
+    benchmark::DoNotOptimize(frags.data());
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RsEncode)->Arg(64 << 10);
+
+// RS(4,2) any-k decode with two data fragments lost: the matrix inverse
+// and the rebuild of the two lost fragments from the four survivors.
+void BM_RsReconstruct(benchmark::State& state) {
+  const store::ErasureCodec codec(4, 2);
+  auto frags = codec.Encode(RandomBytes(static_cast<size_t>(state.range(0))));
+  for (auto _ : state) {
+    frags[0].clear();
+    frags[1].clear();
+    benchmark::DoNotOptimize(codec.Reconstruct(frags));
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RsReconstruct)->Arg(64 << 10);
 
 struct CacheFixtureState {
   std::unique_ptr<net::Cluster> cluster;

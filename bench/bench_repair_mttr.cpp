@@ -74,6 +74,12 @@ struct Rig {
                     .ok());
     }
     populate_end_ns = clock.now();
+    // The service replays the populate phase's heartbeats on its own
+    // thread.  Wait for that replay to finish, so that each experiment
+    // reads its virtual t0 and kills its benefactor after it, not during
+    // it.  A deadline of 0 never moves the schedule (RunUntil only raises
+    // its target), so this only waits.
+    store.maintenance()->RunUntil(0);
   }
 
   int64_t populate_end_ns = 0;

@@ -1,11 +1,15 @@
 // CRC32C (Castagnoli) — the per-chunk integrity checksum of the store.
 //
-// Software slice-by-8: eight compile-time tables let the hot loop fold one
-// 64-bit word per iteration instead of one byte, with no dependence on
-// SSE4.2/ARMv8 CRC instructions (the store must verify chunks on any
-// benefactor node).  The polynomial is the Castagnoli one (0x11EDC6F41,
-// reflected 0x82f63b78) — better error-detection properties for storage
-// payloads than CRC32/zlib and the same check values as iSCSI/ext4.
+// The polynomial is the Castagnoli one (0x11EDC6F41, reflected
+// 0x82f63b78) — better error-detection properties for storage payloads
+// than CRC32/zlib and the same check values as iSCSI/ext4.  Crc32c runs
+// the fastest kernel this CPU has, chosen once at first use: on x86-64
+// with SSE4.2 and PCLMULQDQ, three interleaved streams of the `crc32`
+// instruction merged with carry-less multiplies (checksum.cpp); everywhere
+// else, portable slice-by-8 tables.  Both compute the same function, so a
+// stored CRC never depends on the node that computed it.  This is host
+// cost only: the store's modelled hashing time is
+// StoreConfig::checksum_bw_gbps, which no kernel choice changes.
 //
 // Convention: Crc32c(data, n) with no seed checksums one whole buffer;
 // passing a previous result as `seed` continues it, so
@@ -14,125 +18,72 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 namespace nvm {
 
+// CRC32C of [data, data + n).  Chain partial buffers via `seed` (see above).
+uint32_t Crc32c(const void* data, size_t n, uint32_t seed = 0);
+
 namespace detail {
+
+// The slice-by-8 kernel Crc32c falls back to; exposed so the tests can pin
+// the dispatched kernel against it.
+uint32_t Crc32cPortable(const void* data, size_t n, uint32_t seed = 0);
 
 inline constexpr uint32_t kCrc32cPoly = 0x82f63b78u;  // reflected Castagnoli
 
-constexpr std::array<std::array<uint32_t, 256>, 8> BuildCrc32cTables() {
-  std::array<std::array<uint32_t, 256>, 8> t{};
-  // t[0]: the classic byte-at-a-time table.
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? kCrc32cPoly : 0u);
-    }
-    t[0][i] = crc;
+// Polynomials modulo P in the reflected representation: bit 31 is x^0 and
+// bit 0 is x^31.  a(x) * b(x) mod P, one bit of `a` per step while b
+// advances by x (zlib 1.2.12's multmodp with the Castagnoli polynomial,
+// written with masks instead of branches on the data).
+constexpr uint32_t MultModP(uint32_t a, uint32_t b) {
+  uint32_t p = 0;
+  for (int bit = 31; bit >= 0; --bit) {
+    p ^= b & (0u - ((a >> bit) & 1u));
+    b = (b >> 1) ^ (kCrc32cPoly & (0u - (b & 1u)));
   }
-  // t[k]: byte i advanced through k additional zero bytes — what lets the
-  // slice-by-8 loop fold eight input bytes with eight independent lookups.
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t crc = t[0][i];
-    for (size_t k = 1; k < 8; ++k) {
-      crc = t[0][crc & 0xffu] ^ (crc >> 8);
-      t[k][i] = crc;
-    }
+  return p;
+}
+
+// x^(2^k) mod P for k < 31.  x^(2^31) = x mod P (the order of x divides
+// 2^31 - 1), so the powers repeat with period 31 and the table serves
+// every k as k mod 31.
+constexpr std::array<uint32_t, 31> BuildCrc32cX2nTable() {
+  std::array<uint32_t, 31> t{};
+  uint32_t p = 1u << 30;  // x^1
+  for (uint32_t& e : t) {
+    e = p;
+    p = MultModP(p, p);
   }
   return t;
 }
 
-inline constexpr auto kCrc32cTables = BuildCrc32cTables();
+inline constexpr auto kCrc32cX2n = BuildCrc32cX2nTable();
+static_assert(MultModP(kCrc32cX2n[30], kCrc32cX2n[30]) == kCrc32cX2n[0],
+              "x^(2^31) must equal x mod P");
 
-}  // namespace detail
-
-// CRC32C of [data, data + n).  Chain partial buffers via `seed` (see above).
-inline uint32_t Crc32c(const void* data, size_t n, uint32_t seed = 0) {
-  const auto& t = detail::kCrc32cTables;
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint32_t crc = ~seed;
-  if constexpr (std::endian::native == std::endian::little) {
-    // Head: reach 8-byte alignment so the word loads below are aligned.
-    while (n > 0 && (reinterpret_cast<uintptr_t>(p) & 7u) != 0) {
-      crc = t[0][(crc ^ *p++) & 0xffu] ^ (crc >> 8);
-      --n;
-    }
-    // Body: one 64-bit word per iteration, eight table lookups.
-    while (n >= 8) {
-      uint64_t word;
-      std::memcpy(&word, p, sizeof(word));
-      word ^= crc;
-      crc = t[7][word & 0xffu] ^ t[6][(word >> 8) & 0xffu] ^
-            t[5][(word >> 16) & 0xffu] ^ t[4][(word >> 24) & 0xffu] ^
-            t[3][(word >> 32) & 0xffu] ^ t[2][(word >> 40) & 0xffu] ^
-            t[1][(word >> 48) & 0xffu] ^ t[0][(word >> 56) & 0xffu];
-      p += 8;
-      n -= 8;
-    }
+// x^(n * 2^k) mod P: one table multiply per set bit of n.
+constexpr uint32_t XPowModP(uint64_t n, unsigned k = 0) {
+  uint32_t p = 1u << 31;  // x^0
+  for (; n != 0; n >>= 1, ++k) {
+    if ((n & 1u) != 0) p = MultModP(kCrc32cX2n[k % 31], p);
   }
-  // Tail (and the whole buffer on big-endian hosts): byte at a time.
-  while (n > 0) {
-    crc = t[0][(crc ^ *p++) & 0xffu] ^ (crc >> 8);
-    --n;
-  }
-  return ~crc;
-}
-
-namespace detail {
-
-// One step of GF(2) linear algebra over the reflected-CRC state space:
-// mat is a 32x32 bit-matrix (column per input bit), vec a CRC register.
-inline uint32_t Gf2MatrixTimes(const uint32_t* mat, uint32_t vec) {
-  uint32_t sum = 0;
-  while (vec != 0) {
-    if ((vec & 1u) != 0) sum ^= *mat;
-    vec >>= 1;
-    ++mat;
-  }
-  return sum;
-}
-
-inline void Gf2MatrixSquare(uint32_t* square, const uint32_t* mat) {
-  for (int n = 0; n < 32; ++n) square[n] = Gf2MatrixTimes(mat, mat[n]);
+  return p;
 }
 
 }  // namespace detail
 
 // CRC32C of a concatenation from the parts' checksums alone:
 //   Crc32cCombine(Crc32c(a, na), Crc32c(b, nb), nb) == Crc32c(ab, na + nb)
-// Advancing crc_a through len_b zero bytes is multiplication by the
-// shift-matrix raised to the 8*len_b power, built here by repeated
-// squaring (the zlib crc32_combine construction, with the Castagnoli
-// polynomial).  O(log len_b), no access to the underlying bytes — what
-// lets a full-image checksum be derived from per-fragment ones.
+// Advancing crc_a through len_b zero bytes is multiplication by
+// x^(8 * len_b) mod P (the zlib 1.2.12 crc32_combine construction).
+// O(log len_b), no access to the underlying bytes — what lets a
+// full-image checksum be derived from per-fragment ones.
 inline uint32_t Crc32cCombine(uint32_t crc_a, uint32_t crc_b,
                               uint64_t len_b) {
-  if (len_b == 0) return crc_a;
-  uint32_t even[32];  // shift-matrix ^ (2n)
-  uint32_t odd[32];   // shift-matrix ^ (2n+1)
-  // odd := the one-bit shift operator for the reflected polynomial.
-  odd[0] = detail::kCrc32cPoly;
-  for (int n = 1; n < 32; ++n) odd[n] = 1u << (n - 1);
-  // Square twice: one zero BYTE per application of `odd`.
-  detail::Gf2MatrixSquare(even, odd);
-  detail::Gf2MatrixSquare(odd, even);
-  uint32_t crc = crc_a;
-  uint64_t len = len_b;
-  do {
-    detail::Gf2MatrixSquare(even, odd);
-    if ((len & 1u) != 0) crc = detail::Gf2MatrixTimes(even, crc);
-    len >>= 1;
-    if (len == 0) break;
-    detail::Gf2MatrixSquare(odd, even);
-    if ((len & 1u) != 0) crc = detail::Gf2MatrixTimes(odd, crc);
-    len >>= 1;
-  } while (len != 0);
-  return crc ^ crc_b;
+  return detail::MultModP(detail::XPowModP(len_b, 3), crc_a) ^ crc_b;
 }
 
 }  // namespace nvm

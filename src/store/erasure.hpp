@@ -3,11 +3,16 @@
 // A chunk is split into k data fragments of chunk_bytes/k bytes each and
 // extended with m parity fragments computed over GF(2^8); ANY k of the
 // k+m fragments reconstruct the chunk byte-exactly.  The matrix
-// arithmetic is real (XOR-based RS: addition is XOR, multiplication runs
-// through log/exp tables of the field), so degraded reads and fragment
-// repair are testable against known-answer vectors — only the CPU cost
-// is modelled, charged as bytes / ec_encode_bw_gbps on the computing
-// side's virtual clock by the caller (StoreConfig::ec_encode_ns).
+// arithmetic is real (XOR-based RS: addition is XOR), so degraded reads
+// and fragment repair are testable against known-answer vectors.  Scalar
+// field products (matrix setup and inversion) run through log/exp tables;
+// the bulk multiply-accumulate over fragment bytes runs the fastest kernel
+// this CPU has, chosen once at first use: on x86-64 with AVX2, `vpshufb`
+// over two 16-entry nibble tables per coefficient; else a portable
+// 256-entry row table.  Both produce the same bytes.  Only the CPU cost is modelled,
+// charged as bytes / ec_encode_bw_gbps on the computing side's virtual
+// clock by the caller (StoreConfig::ec_encode_ns); no kernel choice moves
+// it.
 //
 // The generator matrix is the systematic [I_k ; C] form with C an m×k
 // Cauchy matrix over GF(2^8) (C[r][c] = 1 / (x_r ^ y_c) with
@@ -32,6 +37,14 @@ uint8_t Div(uint8_t a, uint8_t b);  // b != 0
 uint8_t Inv(uint8_t a);             // a != 0
 uint8_t Exp(unsigned i);            // alpha^i (i reduced mod 255)
 uint8_t Log(uint8_t a);             // discrete log base alpha; a != 0
+
+// out[i] ^= coeff * src[i] for every i < src.size(); out is at least as
+// long as src.  MulAcc runs the kernel chosen from the CPU; MulAccPortable
+// is the scalar row-table loop it must equal, exposed for the tests.
+void MulAcc(uint8_t coeff, std::span<const uint8_t> src,
+            std::span<uint8_t> out);
+void MulAccPortable(uint8_t coeff, std::span<const uint8_t> src,
+                    std::span<uint8_t> out);
 }  // namespace gf256
 
 // Encode/decode engine for one RS(k, m) geometry.  Stateless beyond the

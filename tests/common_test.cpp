@@ -2,6 +2,7 @@
 // formatting, RNG determinism, counters, bitmaps, and checksums.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -252,6 +253,50 @@ TEST(Crc32cTest, MatchesBitwiseReferenceOnRandomBuffers) {
   }
 }
 
+TEST(Crc32cTest, DispatchedKernelMatchesPortableAtEveryLengthClass) {
+  // The hardware kernel runs three streams in strides of 3 x 4 KiB, then
+  // 3 x 256 B, then one stream of 8-byte words and single bytes.  The
+  // lengths take 0-2 long strides, 0, 1, 2 or 15 short ones, and a tail of
+  // 0-15 or 760-767 bytes (0, 1 or 95 words, every byte count); start
+  // offsets 0-7 move the words across alignments, and a non-zero seed is a
+  // chained call.
+  constexpr size_t kLong = 3 * 4096;
+  constexpr size_t kShort = 3 * 256;
+  constexpr size_t kMax = 2 * kLong + kShort + 15;
+  std::vector<size_t> tails;
+  for (size_t t = 0; t < 16; ++t) tails.push_back(t);
+  for (size_t t = kShort - 8; t < kShort; ++t) tails.push_back(t);
+  std::vector<size_t> lengths;
+  for (size_t longs = 0; longs <= 2; ++longs) {
+    for (size_t shorts : {0u, 1u, 2u, 15u}) {
+      for (size_t tail : tails) {
+        const size_t len = longs * kLong + shorts * kShort + tail;
+        if (len <= kMax) lengths.push_back(len);
+      }
+    }
+  }
+  // Ascending, because the reference below extends one running prefix.
+  std::sort(lengths.begin(), lengths.end());
+  Xoshiro256 rng(1234);
+  std::vector<uint8_t> buf(kMax + 8);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (size_t off = 0; off < 8; ++off) {
+    const uint8_t* p = buf.data() + off;
+    const uint32_t seed = off == 0 ? 0 : static_cast<uint32_t>(rng.Next());
+    // Reference CRC of p[0, done), extended to each length in turn.
+    uint32_t want = seed;
+    size_t done = 0;
+    for (size_t len : lengths) {
+      want = Crc32cReference(p + done, len - done, want);
+      done = len;
+      ASSERT_EQ(Crc32c(p, len, seed), want)
+          << "len " << len << " offset " << off;
+      ASSERT_EQ(detail::Crc32cPortable(p, len, seed), want)
+          << "len " << len << " offset " << off;
+    }
+  }
+}
+
 TEST(Crc32cTest, CombineMatchesWholeBufferAtEverySplit) {
   // Crc32cCombine(crc(a), crc(b), |b|) == crc(ab) with no access to the
   // bytes — the identity that lets a full-image checksum be derived from
@@ -277,6 +322,47 @@ TEST(Crc32cTest, CombineMatchesWholeBufferAtEverySplit) {
     image = Crc32cCombine(image, Crc32c(chunk.data() + f * frag, frag), frag);
   }
   EXPECT_EQ(image, Crc32c(chunk.data(), chunk.size()));
+}
+
+TEST(Crc32cTest, CombineMatchesRealBuffersAtChunkLengths) {
+  Xoshiro256 rng(5);
+  std::vector<uint8_t> a(100);
+  for (auto& b : a) b = static_cast<uint8_t>(rng.Next());
+  const uint32_t crc_a = Crc32c(a.data(), a.size());
+  for (size_t len : {0u, 1u, 16u * 1024, 64u * 1024}) {
+    std::vector<uint8_t> ab(a);
+    ab.resize(a.size() + len);
+    for (size_t i = a.size(); i < ab.size(); ++i) {
+      ab[i] = static_cast<uint8_t>(rng.Next());
+    }
+    const uint32_t crc_b = Crc32c(ab.data() + a.size(), len);
+    EXPECT_EQ(Crc32cCombine(crc_a, crc_b, len), Crc32c(ab.data(), ab.size()))
+        << "len " << len;
+  }
+}
+
+TEST(Crc32cTest, ShiftPowersComposePastFourGiB) {
+  // No buffer that long fits in a test: check the algebra instead.  The
+  // powers x^(2^k) repeat with period 31, so lengths of 2^32 bytes and
+  // beyond index the table past its end; x^a * x^b must still be x^(a+b).
+  using detail::MultModP;
+  using detail::XPowModP;
+  EXPECT_EQ(XPowModP(0), 1u << 31);  // x^0
+  EXPECT_EQ(XPowModP(1), 1u << 30);  // x^1
+  EXPECT_EQ(XPowModP(32), detail::kCrc32cPoly);  // x^32 = P - x^32
+  const uint64_t a = (uint64_t{1} << 35) + 12345;  // 4 GiB + in bits
+  const uint64_t b = (uint64_t{3} << 40) + 777;
+  EXPECT_EQ(MultModP(XPowModP(a), XPowModP(b)), XPowModP(a + b));
+  EXPECT_EQ(XPowModP(a, 3), XPowModP(8 * a));
+  const uint64_t huge = ~uint64_t{0} >> 4;
+  EXPECT_EQ(MultModP(XPowModP(huge), XPowModP(huge)), XPowModP(huge, 1));
+  // The same through the public call: shifting over 4 GiB and then over
+  // 2 GiB + 3 bytes is one shift over the sum.
+  const uint32_t crc = 0xDEADBEEFu;
+  const uint64_t four_gib = uint64_t{1} << 32;
+  const uint64_t more = (uint64_t{1} << 31) + 3;
+  EXPECT_EQ(Crc32cCombine(Crc32cCombine(crc, 0, four_gib), 0, more),
+            Crc32cCombine(crc, 0, four_gib + more));
 }
 
 TEST(Crc32cTest, SingleBitFlipChangesChecksum) {
