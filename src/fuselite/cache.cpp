@@ -83,14 +83,12 @@ void ChunkCache::TouchLocked(Shard& sh, const SlotKey& key, Slot& slot) {
 
 int64_t ChunkCache::ScheduleOnDaemon(int64_t t0, int64_t duration_ns) {
   if (duration_ns <= 0) return t0;
-  if (!config_.serialize_daemon) return t0 + duration_ns;
   auto& lane = *daemons_[daemon_rr_.fetch_add(1, std::memory_order_relaxed) %
                          daemons_.size()];
   return lane.Schedule(t0, duration_ns) + duration_ns;
 }
 
 void ChunkCache::SerializeOnDaemon(sim::VirtualClock& clock, int64_t t0) {
-  if (!config_.serialize_daemon) return;
   // The operation's device/network reservations stay where they were made;
   // the *caller* additionally queues on one of the daemon's worker lanes
   // for the operation's duration, which is what throttles concurrent

@@ -52,10 +52,8 @@ struct FuseliteConfig {
   int64_t per_op_software_ns = 2'000;  // request handling cost per cache op
   // The FUSE daemon is a per-node user-space service with a small worker
   // pool: chunk fetches issued by the node's processes serialise through
-  // its lanes (the paper's numbers clearly show this bottleneck).  Set
-  // serialize_daemon=false for an idealised fully-parallel client
-  // (ablation); daemon_threads matches FUSE's default multithreading.
-  bool serialize_daemon = true;
+  // its lanes (the paper's numbers clearly show this bottleneck);
+  // daemon_threads matches FUSE's default multithreading.
   int daemon_threads = 8;  // one per core, as FUSE spawns them
   // Dirty chunks evicted under pressure are written back on a background
   // (detached) clock, like the kernel's writeback threads: the evicting

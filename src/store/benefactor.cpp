@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <tuple>
 
 #include "common/checksum.hpp"
 #include "store/qos.hpp"
@@ -124,10 +123,7 @@ void Benefactor::MaybeCorruptAfterWrite() {
   std::vector<ChunkKey> keys;
   keys.reserve(chunks_.size());
   for (const auto& [key, chunk] : chunks_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end(), [](const ChunkKey& a, const ChunkKey& b) {
-    return std::tie(a.origin_file, a.index, a.version) <
-           std::tie(b.origin_file, b.index, b.version);
-  });
+  std::sort(keys.begin(), keys.end());
   auto next = [this] {
     corrupt_rng_ = Mix64(corrupt_rng_ + 0x9e3779b97f4a7c15ULL);
     return corrupt_rng_;

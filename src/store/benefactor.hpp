@@ -39,7 +39,8 @@ class Benefactor {
 
   // Reserve space for one location-list member (posix_fallocate path): a
   // replica reserves chunk_bytes, an erasure fragment chunk_bytes/ec_k
-  // (Manager::ChunkResBytes).  No device traffic: reservation only.
+  // (the member bytes of the manager's redundancy code).  No device
+  // traffic: reservation only.
   Status ReserveBytes(uint64_t bytes);
   void ReleaseBytes(uint64_t bytes);
 

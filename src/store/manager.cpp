@@ -1,7 +1,6 @@
 #include "store/manager.hpp"
 
 #include <algorithm>
-#include <tuple>
 
 #include "common/checksum.hpp"
 #include "common/log.hpp"
@@ -9,18 +8,6 @@
 #include "store/maintenance.hpp"
 
 namespace nvm::store {
-
-namespace {
-
-// Total order on chunk keys, used wherever results are accumulated across
-// shards: sorting by key makes the output independent of the shard count
-// and of hash-map iteration order.
-bool KeyLess(const ChunkKey& a, const ChunkKey& b) {
-  return std::tie(a.origin_file, a.index, a.version) <
-         std::tie(b.origin_file, b.index, b.version);
-}
-
-}  // namespace
 
 std::vector<BenefactorRun> Manager::GroupByPrimaryBenefactor(
     std::span<const ReadLocation> locs) {
@@ -59,23 +46,14 @@ Manager::Manager(net::Cluster& cluster, int manager_node, StoreConfig config,
     : cluster_(cluster),
       manager_node_(manager_node),
       config_(config),
+      replicated_(MakeCode(config, false)),
+      erasure_(config.ec() ? MakeCode(config, true) : Redundancy{}),
       meta_shards_(config.meta_shards),
       wal_(wal),
       shards_(meta_shards_) {
   NVM_CHECK(config_.chunk_bytes % config_.page_bytes == 0);
   NVM_CHECK(config_.replication >= 1);
   NVM_CHECK(config_.meta_shards >= 1, "meta_shards must be at least 1");
-  if (config_.ec()) {
-    // Fragments must be page-aligned slices: chunk_bytes = k * frag_bytes
-    // with frag_bytes a whole number of pages.
-    NVM_CHECK(config_.ec_k >= 1 && config_.ec_k + config_.ec_m <= 256,
-              "erasure geometry must satisfy 1 <= k and k+m <= 256");
-    NVM_CHECK(
-        config_.chunk_bytes % (config_.ec_k * config_.page_bytes) == 0,
-        "chunk_bytes must divide into ec_k page-aligned fragments");
-    NVM_CHECK(config_.ec_encode_bw_gbps > 0.0,
-              "ec_encode_bw_gbps must be positive");
-  }
   services_.reserve(meta_shards_);
   for (size_t i = 0; i < meta_shards_; ++i) {
     // Keep the historic resource name when unsharded so single-shard
@@ -84,6 +62,73 @@ Manager::Manager(net::Cluster& cluster, int manager_node, StoreConfig config,
         meta_shards_ == 1 ? std::string("manager")
                           : "manager[" + std::to_string(i) + "]"));
   }
+}
+
+Manager::Redundancy Manager::MakeCode(const StoreConfig& config, bool ec) {
+  Redundancy code;
+  if (ec) {
+    // Fragments must be page-aligned slices: chunk_bytes = k * frag_bytes
+    // with frag_bytes a whole number of pages.
+    NVM_CHECK(config.ec_k >= 1 && config.ec_k + config.ec_m <= 256,
+              "erasure geometry must satisfy 1 <= k and k+m <= 256");
+    NVM_CHECK(config.chunk_bytes % (config.ec_k * config.page_bytes) == 0,
+              "chunk_bytes must divide into ec_k page-aligned fragments");
+    NVM_CHECK(config.ec_encode_bw_gbps > 0.0,
+              "ec_encode_bw_gbps must be positive");
+    code.width = config.ec_fragments();
+    code.need = config.ec_k;
+    code.member_bytes = config.ec_frag_bytes();
+    code.positional = true;
+    code.spread = true;
+  } else {
+    code.width = static_cast<size_t>(config.replication);
+    code.need = 1;
+    code.member_bytes = config.chunk_bytes;
+  }
+  // The zero image's checksum, chained over one zero page.  A member-sized
+  // temporary here can grow peak RSS: freeing it raises glibc's dynamic
+  // mmap threshold for the rest of the run.
+  static constexpr uint8_t kZeros[4096] = {};
+  for (uint64_t at = 0; at < code.member_bytes; at += sizeof(kZeros)) {
+    const uint64_t n =
+        std::min<uint64_t>(sizeof(kZeros), code.member_bytes - at);
+    code.zero_crc = Crc32c(kZeros, n, code.zero_crc);
+  }
+  return code;
+}
+
+std::vector<int> Manager::Redundancy::Reserve(
+    const std::vector<Benefactor*>& bens, const std::vector<int>& ranked,
+    size_t n, std::vector<int>& used_nodes) const {
+  std::vector<int> picked;
+  for (int bid : ranked) {
+    if (picked.size() == n) break;
+    const int node = bens[static_cast<size_t>(bid)]->node_id();
+    const bool spread_node = spread && node >= 0;
+    if (spread_node && std::find(used_nodes.begin(), used_nodes.end(),
+                                 node) != used_nodes.end()) {
+      continue;
+    }
+    if (!bens[static_cast<size_t>(bid)]->ReserveBytes(member_bytes).ok()) {
+      continue;
+    }
+    picked.push_back(bid);
+    if (spread_node) used_nodes.push_back(node);
+  }
+  return picked;
+}
+
+std::vector<int> Manager::ExcludeMembers(
+    const Redundancy& code, std::span<const int> list,
+    std::vector<PlacementCandidate>& cands, int leaving) const {
+  std::vector<int> nodes;
+  for (int bid : list) {
+    if (bid < 0) continue;
+    PlacementCandidate& c = cands[static_cast<size_t>(bid)];
+    c.excluded = true;
+    if (code.spread && bid != leaving) nodes.push_back(c.node);
+  }
+  return nodes;
 }
 
 int Manager::RegisterBenefactor(Benefactor* benefactor) {
@@ -205,20 +250,11 @@ bool Manager::QuarantineReplicaLocked(sim::VirtualClock& clock,
       h.tainted.end()) {
     h.tainted.push_back(bid);
   }
-  std::vector<int> rest;
-  if (h.ec) {
-    // Positional fragment map: the quarantined fragment's slot goes to -1
-    // (positions are stable — a repair re-fills the hole in place).
-    rest = *current;
-    for (int& id : rest) {
-      if (id == bid) id = -1;
-    }
-  } else {
-    rest.reserve(current->size() - 1);
-    for (int id : *current) {
-      if (id != bid) rest.push_back(id);
-    }
-  }
+  // A stripe's slot goes to -1 (positions are stable — a repair re-fills
+  // the hole in place); a replica list closes up.
+  const Redundancy& code = CodeOf(h.ec);
+  std::vector<int> rest = *current;
+  code.Drop(rest, [bid](int id, size_t) { return id == bid; });
   // Log the shortened list BEFORE destroying the quarantined replica's
   // data.  The reverse order is unrecoverable: a crash in between would
   // leave a durable list still naming bid, and recovery — finding no data
@@ -234,20 +270,11 @@ bool Manager::QuarantineReplicaLocked(sim::VirtualClock& clock,
   // reader or repair ever consults it again.
   Benefactor* b = BenefactorAt(bid);
   (void)b->DeleteChunk(key);
-  b->ReleaseBytes(ChunkResBytes(h.ec));
-  if (h.ec) {
-    const auto live = static_cast<size_t>(
-        std::count_if(rest.begin(), rest.end(), [](int id) { return id >= 0; }));
-    if (live + 1 == config_.ec_k) {
-      // This quarantine dropped the stripe below k surviving fragments: no
-      // reconstruction exists any more — the chunk is lost, not degraded.
-      // Counted exactly once: repairs never run below k, so the live count
-      // crosses k-1 at most once.
-      lost_chunks_.Add(1);
-    }
-  } else if (rest.empty()) {
-    // Every replica has now failed verification: the chunk is lost, not
-    // degraded (there is no verified source to repair from).
+  b->ReleaseBytes(code.member_bytes);
+  if (code.Lost(rest) && !code.Lost(*current)) {
+    // This quarantine dropped the chunk below `need`: no verified source
+    // or reconstruction exists any more — it is lost, not degraded.
+    // Counted once, on the crossing: repairs never run below `need`.
     lost_chunks_.Add(1);
   }
   PublishReplicasLocked(h, std::move(rest));
@@ -377,32 +404,13 @@ std::vector<ChunkKey> Manager::CollectUnderReplicated() const {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (const auto& [key, h] : shard.chunks) {
       auto list = h->replicas.load(std::memory_order_acquire);
-      if (list->empty()) continue;  // lost: nothing to repair
-      bool degraded = false;
-      if (h->ec) {
-        // Positional fragment map: a hole (-1) or a dead holder degrades
-        // the stripe; below k live fragments it is lost, not repairable.
-        size_t live = 0;
-        for (int bid : *list) {
-          if (bid < 0) {
-            degraded = true;
-          } else if (bens[static_cast<size_t>(bid)]->alive()) {
-            ++live;
-          } else {
-            degraded = true;
-          }
-        }
-        if (live < config_.ec_k) continue;  // lost: nothing to repair
-      } else {
-        degraded = list->size() < static_cast<size_t>(config_.replication);
-        for (int bid : *list) {
-          if (!bens[static_cast<size_t>(bid)]->alive()) degraded = true;
-        }
+      const Redundancy& code = CodeOf(h->ec);
+      if (!code.Lost(*list) && code.Degraded(*list, bens)) {
+        keys.push_back(key);
       }
-      if (degraded) keys.push_back(key);
     }
   }
-  std::sort(keys.begin(), keys.end(), KeyLess);
+  std::sort(keys.begin(), keys.end());
   return keys;
 }
 
@@ -417,7 +425,7 @@ std::vector<ChunkKey> Manager::ChunksWithReplicasOn(int id) const {
       }
     }
   }
-  std::sort(keys.begin(), keys.end(), KeyLess);
+  std::sort(keys.begin(), keys.end());
   return keys;
 }
 
@@ -438,177 +446,59 @@ std::vector<Manager::RepairPlan> Manager::PlanRepairs(
     auto hit = shard.chunks.find(key);
     if (hit == shard.chunks.end()) continue;  // freed since reported
     ChunkHandle& h = *hit->second;
+    const Redundancy& code = CodeOf(h.ec);
     const std::vector<int> recorded =
         *h.replicas.load(std::memory_order_acquire);
-
-    if (h.ec) {
-      // Erasure-coded stripe: positions are stable.  Dead holders become
-      // holes (-1) in place — their fragment died with the device — and
-      // the plan reserves one target per hole, spread over failure
-      // domains distinct from every surviving fragment's node.
-      const uint64_t fb = config_.ec_frag_bytes();
-      std::vector<int> positions = recorded;
-      std::vector<int> dead;
-      size_t live = 0;
-      for (int& bid : positions) {
-        if (bid < 0) continue;
-        if (bens[static_cast<size_t>(bid)]->alive()) {
-          ++live;
-          continue;
-        }
-        dead.push_back(bid);
-        bid = -1;
-      }
-      if (!dead.empty()) {
-        // Log the holed map (log-before-publish), then reclaim the dead
-        // fragments' space bookkeeping.
-        WalRecord rec;
-        rec.type = WalRecordType::kReplicas;
-        rec.key = key;
-        rec.replicas = positions;
-        LogAppend(clock, std::move(rec));
-        for (int bid : dead) {
-          Benefactor* b = bens[static_cast<size_t>(bid)];
-          b->ReleaseBytes(fb);
-          (void)b->DeleteChunk(key);
-        }
-        PublishReplicasLocked(h, positions);
-      }
-      if (live < config_.ec_k) {
-        // Below k surviving fragments no reconstruction exists.  Count the
-        // loss only when THIS strip crossed the threshold (repairs never
-        // run below k, so the crossing happens at most once).
-        if (live + dead.size() >= config_.ec_k) {
-          lost_chunks_.Add(1);
-          if (lost != nullptr) ++*lost;
-        }
-        continue;
-      }
-      std::vector<uint32_t> holes;
-      for (size_t pos = 0; pos < positions.size(); ++pos) {
-        if (positions[pos] < 0) holes.push_back(static_cast<uint32_t>(pos));
-      }
-      if (holes.empty()) continue;  // healthy after stripping (stale report)
-
-      std::vector<PlacementCandidate> cands = BuildPlacementCandidates(
-          bens, suspected.empty() ? nullptr : &suspected);
-      // Hard failure-domain spreading: no target may share a node with a
-      // surviving fragment (or another target) — a single node failure
-      // must never take out two fragments of one stripe.
-      std::vector<int> exclude_nodes;
-      for (int bid : positions) {
-        if (bid < 0) continue;
-        cands[static_cast<size_t>(bid)].excluded = true;
-        const int node = bens[static_cast<size_t>(bid)]->node_id();
-        if (node >= 0 && std::find(exclude_nodes.begin(), exclude_nodes.end(),
-                                   node) == exclude_nodes.end()) {
-          exclude_nodes.push_back(node);
-        }
-      }
-      if (config_.placement_avoid_suspected) {
-        for (int bid : h.tainted) {
-          if (static_cast<size_t>(bid) < cands.size()) {
-            cands[static_cast<size_t>(bid)].excluded = true;
-          }
-        }
-      }
-      PlacementRequest req;
-      req.order = PlacementRequest::Order::kLeastLoaded;
-      req.avoid_suspected = config_.placement_avoid_suspected;
-      req.exclude_suspected = config_.placement_avoid_suspected;
-      req.wear_weight = config_.placement_wear_weight;
-      req.exclude_nodes = &exclude_nodes;
-
-      RepairPlan plan;
-      plan.key = key;
-      plan.ec = true;
-      plan.survivors = positions;
-      plan.epoch = h.repair_epoch;
-      plan.has_crc = h.has_crc;
-      plan.crc = h.crc;
-      plan.frag_crcs = h.frag_crcs;
-      size_t hole_i = 0;
-      for (int bid : RankPlacement(cands, req)) {
-        if (hole_i == holes.size()) break;
-        // Targets picked earlier in this walk extend the exclusion set;
-        // re-check here (RankPlacement saw only the survivors' nodes).
-        const int node = bens[static_cast<size_t>(bid)]->node_id();
-        if (node >= 0 && std::find(exclude_nodes.begin(), exclude_nodes.end(),
-                                   node) != exclude_nodes.end()) {
-          continue;
-        }
-        if (!bens[static_cast<size_t>(bid)]->ReserveBytes(fb).ok()) continue;
-        plan.targets.push_back(bid);
-        plan.target_positions.push_back(holes[hole_i++]);
-        if (node >= 0) exclude_nodes.push_back(node);
-      }
-      if (!plan.targets.empty()) {
-        std::vector<MetaShard::RepairTarget>& open =
-            shard.repair_targets[key];
-        for (int bid : plan.targets) open.push_back({bid, fb});
-      }
-      plan.incomplete = plan.targets.size() < holes.size();
-      plans.push_back(std::move(plan));
-      continue;
-    }
-
-    std::vector<int> survivors;
-    std::vector<int> dead;
-    for (int bid : recorded) {
-      (bens[static_cast<size_t>(bid)]->alive() ? survivors : dead)
-          .push_back(bid);
-    }
+    // Strip the dead members: in a stripe they become holes in place
+    // (their fragment died with the device), a replica list closes up.
+    std::vector<int> members = recorded;
+    const std::vector<int> dead = code.Drop(members, [&](int bid, size_t) {
+      return !bens[static_cast<size_t>(bid)]->alive();
+    });
     if (!dead.empty()) {
-      // Log the stripped list (empty = lost) before touching any
-      // benefactor state, so a crash mid-strip recovers to the truth
-      // rather than a list still naming reclaimed replicas.
+      // Log the stripped list before touching any benefactor state, so a
+      // crash mid-strip recovers to the truth rather than a list still
+      // naming reclaimed members; then reclaim the dead members' space
+      // bookkeeping and publish — readers stop trying dead ids while the
+      // copy runs.
       WalRecord rec;
       rec.type = WalRecordType::kReplicas;
       rec.key = key;
-      rec.replicas = survivors;
+      rec.replicas = members;
       LogAppend(clock, std::move(rec));
+      for (int bid : dead) {
+        Benefactor* b = bens[static_cast<size_t>(bid)];
+        b->ReleaseBytes(code.member_bytes);
+        (void)b->DeleteChunk(key);
+      }
+      PublishReplicasLocked(h, members);
     }
-    // The dead replicas' space bookkeeping is reclaimed; their data died
-    // with the device.
-    for (int bid : dead) {
-      Benefactor* b = bens[static_cast<size_t>(bid)];
-      b->ReleaseBytes(ChunkResBytes(h.ec));
-      (void)b->DeleteChunk(key);
-    }
-    if (survivors.empty()) {
-      if (!recorded.empty()) {
-        // Every replica is gone: record only the truth (no survivors) so
-        // readers fail fast instead of retrying dead benefactors.
+    if (code.Lost(members)) {
+      // Below `need` no verified source or reconstruction exists.  Count
+      // the loss only when THIS strip crossed the threshold (repairs never
+      // run below `need`, so the crossing happens at most once).
+      if (!code.Lost(recorded)) {
         lost_chunks_.Add(1);
         if (lost != nullptr) ++*lost;
-        PublishReplicasLocked(h, {});
       }
       continue;
     }
-    // Publish the stripped list immediately — readers stop trying dead
-    // ids while the copy runs.
-    if (!dead.empty()) PublishReplicasLocked(h, survivors);
-    if (survivors.size() >= static_cast<size_t>(config_.replication)) {
-      continue;  // healthy after stripping (stale report)
-    }
+    const size_t live = Redundancy::Listed(members);
+    if (live >= code.width) continue;  // healthy after stripping (stale)
 
-    RepairPlan plan;
-    plan.key = key;
-    plan.survivors = survivors;
     // Target placement through the shared engine: least-loaded alive
-    // benefactors that do not already hold a replica (ties broken by id
-    // for determinism).  With placement_avoid_suspected on, benefactors
-    // missing heartbeats are HARD-excluded (re-protection must not bet on
-    // a flapping node) and so are the chunk's correlated-loss sources
-    // (h.tainted — the devices that corrupted or diverged on these very
-    // bytes).  The reservations race planners on other shards only
-    // through the benefactors' CAS-bounded counters — a loser simply
-    // plans incomplete and requeues.
+    // benefactors that hold no member (ties broken by id for determinism),
+    // off every survivor's node when the code spreads — a single node
+    // failure must never take out two fragments of one stripe.  With
+    // placement_avoid_suspected on, benefactors missing heartbeats are
+    // HARD-excluded (re-protection must not bet on a flapping node) and so
+    // are the chunk's correlated-loss sources (h.tainted — the devices
+    // that corrupted or diverged on these very bytes).  The reservations
+    // race planners on other shards only through the benefactors'
+    // CAS-bounded counters — a loser simply plans incomplete and requeues.
     std::vector<PlacementCandidate> cands = BuildPlacementCandidates(
         bens, suspected.empty() ? nullptr : &suspected);
-    for (int bid : survivors) {
-      cands[static_cast<size_t>(bid)].excluded = true;
-    }
+    std::vector<int> used_nodes = ExcludeMembers(code, members, cands);
     if (config_.placement_avoid_suspected) {
       for (int bid : h.tainted) {
         if (static_cast<size_t>(bid) < cands.size()) {
@@ -621,27 +511,35 @@ std::vector<Manager::RepairPlan> Manager::PlanRepairs(
     req.avoid_suspected = config_.placement_avoid_suspected;
     req.exclude_suspected = config_.placement_avoid_suspected;
     req.wear_weight = config_.placement_wear_weight;
-    const size_t need =
-        static_cast<size_t>(config_.replication) - survivors.size();
-    for (int bid : RankPlacement(cands, req)) {
-      if (plan.targets.size() == need) break;
-      if (bens[static_cast<size_t>(bid)]->ReserveBytes(ChunkResBytes(h.ec))
-              .ok()) {
-        plan.targets.push_back(bid);
+    req.exclude_nodes = &used_nodes;
+
+    RepairPlan plan;
+    plan.key = key;
+    plan.ec = h.ec;
+    plan.survivors = members;
+    plan.epoch = h.repair_epoch;
+    // Snapshot the authoritative checksums: the copy must be verified
+    // against them before any target receives the bytes.
+    plan.has_crc = h.has_crc;
+    plan.crc = h.crc;
+    plan.frag_crcs = h.frag_crcs;
+    const size_t want = code.width - live;
+    plan.targets =
+        code.Reserve(bens, RankPlacement(cands, req), want, used_nodes);
+    if (code.positional) {
+      // Each target re-fills the next hole, in position order.
+      for (uint32_t pos = 0; pos < members.size(); ++pos) {
+        if (plan.target_positions.size() == plan.targets.size()) break;
+        if (members[pos] < 0) plan.target_positions.push_back(pos);
       }
     }
     // Register the targets so the scrubber leaves the in-flight copies
     // alone; CommitRepair deregisters them.
     if (!plan.targets.empty()) {
       std::vector<MetaShard::RepairTarget>& open = shard.repair_targets[key];
-      for (int bid : plan.targets) open.push_back({bid, config_.chunk_bytes});
+      for (int bid : plan.targets) open.push_back({bid, code.member_bytes});
     }
-    plan.incomplete = plan.targets.size() < need;
-    plan.epoch = h.repair_epoch;
-    // Snapshot the authoritative checksum: the copy must be verified
-    // against it before any target receives the bytes.
-    plan.has_crc = h.has_crc;
-    plan.crc = h.crc;
+    plan.incomplete = plan.targets.size() < want;
     plans.push_back(std::move(plan));
   }
   return plans;
@@ -820,7 +718,8 @@ uint64_t Manager::CommitRepair(sim::VirtualClock& clock,
   if (requeue != nullptr) *requeue = false;
   if (wal_ != nullptr) wal_->TriggerPoint(CrashPoint::kMidRepairCommit);
   const RepairPlan& plan = outcome.plan;
-  const uint64_t res_bytes = ChunkResBytes(plan.ec);
+  const Redundancy& code = CodeOf(plan.ec);
+  const uint64_t res_bytes = code.member_bytes;
   MetaShard& shard = shards_[shard_of(plan.key)];
   std::lock_guard<std::mutex> lock(shard.mu);
   // The targets' fate is decided here: they stop being scrub-exempt.
@@ -869,7 +768,7 @@ uint64_t Manager::CommitRepair(sim::VirtualClock& clock,
   for (int bid : outcome.written) {
     Benefactor* b = BenefactorAt(bid);
     if (b != nullptr && b->alive()) {
-      if (plan.ec) {
+      if (code.positional) {
         const auto at = static_cast<size_t>(
             std::find(plan.targets.begin(), plan.targets.end(), bid) -
             plan.targets.begin());
@@ -909,18 +808,12 @@ uint64_t Manager::CommitRepair(sim::VirtualClock& clock,
     if (QuarantineReplicaLocked(clock, shard, plan.key, bid)) stripped = true;
   }
   if (stripped && requeue != nullptr) *requeue = true;
-  // A chunk quarantined earlier counts as healed once it is back at full
-  // replication (EC: a hole-free fragment map) with verified copies only.
-  if (h.corrupt_pending) {
-    auto now = h.replicas.load(std::memory_order_acquire);
-    const bool healed =
-        h.ec ? std::none_of(now->begin(), now->end(),
-                            [](int bid) { return bid < 0; })
-             : now->size() >= static_cast<size_t>(config_.replication);
-    if (healed) {
-      h.corrupt_pending = false;
-      corrupt_repaired_.Add(1);
-    }
+  // A chunk quarantined earlier counts as healed once `width` verified
+  // members are listed again.
+  if (h.corrupt_pending &&
+      code.Healed(*h.replicas.load(std::memory_order_acquire))) {
+    h.corrupt_pending = false;
+    corrupt_repaired_.Add(1);
   }
   // Short of the plan (no readable survivor, or targets died mid-copy):
   // hand the key back so the caller retries promptly instead of waiting
@@ -1001,13 +894,13 @@ Manager::ScrubResult Manager::ScrubOnce(sim::VirtualClock& clock) {
     cluster_.network().Transfer(clock, b->node_id(), manager_node_,
                                 config_.meta_response_bytes);
     if (!b->alive()) continue;
-    // Expected reservation in BYTES: a replica reserves a full chunk, an
-    // erasure-coded fragment one k-th of it.
+    // Expected reservation in BYTES: one member's worth per list naming
+    // this benefactor (a full chunk per replica, a fragment per stripe).
     uint64_t expected = 0;
     for (const auto& [key, list] : lists) {
       if (std::find(list->begin(), list->end(), static_cast<int>(i)) !=
           list->end()) {
-        expected += ChunkResBytes(placed.at(key)->ec);
+        expected += CodeOf(placed.at(key)->ec).member_bytes;
       }
     }
     // In-flight repair targets hold reservations (and possibly data) the
@@ -1050,34 +943,17 @@ Manager::ScrubResult Manager::ScrubOnce(sim::VirtualClock& clock) {
           CeilDiv(expected - reserved, config_.chunk_bytes);
     }
   }
-  // Pass 3 — re-find under-replicated chunks the report path missed.
+  // Pass 3 — re-find degraded chunks the report path missed, by the same
+  // rule as CollectUnderReplicated.
   for (const auto& [key, list] : lists) {
-    if (list->empty()) continue;  // lost
-    bool degraded = false;
-    if (placed.at(key)->ec) {
-      size_t live = 0;
-      for (int bid : *list) {
-        if (bid < 0) {
-          degraded = true;
-        } else if (bens[static_cast<size_t>(bid)]->alive()) {
-          ++live;
-        } else {
-          degraded = true;
-        }
-      }
-      if (live < config_.ec_k) continue;  // lost: nothing to repair
-    } else {
-      degraded = list->size() < static_cast<size_t>(config_.replication);
-      for (int bid : *list) {
-        if (!bens[static_cast<size_t>(bid)]->alive()) degraded = true;
-      }
+    const Redundancy& code = CodeOf(placed.at(key)->ec);
+    if (!code.Lost(*list) && code.Degraded(*list, bens)) {
+      result.under_replicated.push_back(key);
     }
-    if (degraded) result.under_replicated.push_back(key);
   }
   // Sorted so the requeue order does not depend on shard count or hash
   // iteration order.
-  std::sort(result.under_replicated.begin(), result.under_replicated.end(),
-            KeyLess);
+  std::sort(result.under_replicated.begin(), result.under_replicated.end());
   return result;
 }
 
@@ -1093,10 +969,9 @@ Manager::VerifyResult Manager::VerifyScrub(sim::VirtualClock& clock,
   struct Candidate {
     ChunkKey key;
     std::vector<int> replicas;
-    uint32_t crc = 0;
+    std::vector<uint32_t> want;  // checksum each member must store
     uint64_t epoch = 0;
-    bool ec = false;
-    std::vector<uint32_t> frag_crcs;  // positional, EC only
+    const Redundancy* code = nullptr;
   };
 
   // Phase 1 (shard mutexes, one at a time) — snapshot the next cursor
@@ -1115,26 +990,20 @@ Manager::VerifyResult Manager::VerifyScrub(sim::VirtualClock& clock,
       std::vector<ChunkKey> keys;
       keys.reserve(shard.chunks.size());
       for (const auto& [key, h] : shard.chunks) keys.push_back(key);
-      std::sort(keys.begin(), keys.end(), KeyLess);
+      std::sort(keys.begin(), keys.end());
       for (const ChunkKey& key : keys) {
-        if (shard.verify_cursor.has_value() &&
-            !KeyLess(*shard.verify_cursor, key)) {
+        if (shard.verify_cursor.has_value() && key <= *shard.verify_cursor) {
           continue;  // at or before the cursor: already covered this lap
         }
         const ChunkHandle& h = *shard.chunks.at(key);
         auto list = h.replicas.load(std::memory_order_acquire);
         if (list->empty()) continue;  // lost: nothing to read
         if (shard.inflight_writers.contains(key)) continue;  // in flux
-        if (!h.has_crc) continue;  // never written: nothing to rot
-        if (h.ec && h.frag_crcs.size() != list->size()) continue;
-        uint64_t cost;
-        if (h.ec) {
-          const auto live = static_cast<uint64_t>(std::count_if(
-              list->begin(), list->end(), [](int bid) { return bid >= 0; }));
-          cost = config_.ec_frag_bytes() * live;
-        } else {
-          cost = config_.chunk_bytes * list->size();
-        }
+        // Never written (or a stripe without positional checksums):
+        // nothing to rot.
+        if (MemberCrc(h, 0, list->size()) == nullptr) continue;
+        const Redundancy& code = CodeOf(h.ec);
+        const uint64_t cost = code.member_bytes * Redundancy::Listed(*list);
         if (!batch.empty() && planned + cost > max_bytes) {
           stopped = true;
           break;
@@ -1143,10 +1012,13 @@ Manager::VerifyResult Manager::VerifyScrub(sim::VirtualClock& clock,
         Candidate c;
         c.key = key;
         c.replicas = *list;
-        c.crc = h.crc;
+        // Each EC fragment verifies against ITS positional checksum; a
+        // replica against the full-image one.
+        for (size_t i = 0; i < list->size(); ++i) {
+          c.want.push_back(*MemberCrc(h, i, list->size()));
+        }
         c.epoch = h.repair_epoch;
-        c.ec = h.ec;
-        c.frag_crcs = h.frag_crcs;
+        c.code = &code;
         batch.push_back(std::move(c));
         shard.verify_cursor = key;
       }
@@ -1165,15 +1037,6 @@ Manager::VerifyResult Manager::VerifyScrub(sim::VirtualClock& clock,
   // Phase 2 (no shard mutex) — verify every alive replica benefactor-
   // locally: one request/verdict round-trip each; the chunk bytes never
   // leave the benefactor's node.
-  uint32_t zero_crc = 0;
-  uint32_t zero_frag_crc = 0;
-  if (!batch.empty()) {
-    const std::vector<uint8_t> zeros(config_.chunk_bytes, 0);
-    zero_crc = Crc32c(zeros.data(), zeros.size());
-    if (config_.ec()) {
-      zero_frag_crc = Crc32c(zeros.data(), config_.ec_frag_bytes());
-    }
-  }
   struct Mismatch {
     size_t cand;
     int bid;
@@ -1187,11 +1050,8 @@ Manager::VerifyResult Manager::VerifyScrub(sim::VirtualClock& clock,
       if (bid < 0) continue;  // EC hole: repair's business
       Benefactor* b = BenefactorAt(bid);
       if (b == nullptr || !b->alive()) continue;  // repair's business
-      // Each EC fragment verifies against ITS positional checksum; a
-      // replica against the full-image one.
-      const uint32_t want = c.ec ? c.frag_crcs[ri] : c.crc;
-      const uint32_t want_zero = c.ec ? zero_frag_crc : zero_crc;
-      const uint64_t stored_bytes = ChunkResBytes(c.ec);
+      const uint32_t want = c.want[ri];
+      const uint64_t stored_bytes = c.code->member_bytes;
       cluster_.network().Transfer(clock, manager_node_, b->node_id(),
                                   config_.meta_request_bytes);
       bool sparse = false;
@@ -1205,7 +1065,7 @@ Manager::VerifyResult Manager::VerifyScrub(sim::VirtualClock& clock,
         if (sparse) {
           // A replica with no stored bytes reads as zeros: that is silent
           // corruption too unless the chunk really is all zeros.
-          if (want != want_zero) mismatches.push_back({i, bid});
+          if (want != c.code->zero_crc) mismatches.push_back({i, bid});
         } else {
           result.bytes_checked += stored_bytes;
         }
@@ -1239,18 +1099,10 @@ Manager::VerifyResult Manager::VerifyScrub(sim::VirtualClock& clock,
       if (QuarantineReplicaLocked(clock, shard, c.key, m.bid)) {
         ++own_bumps[c.key];
         ++result.corrupt_found;
+        // Requeue only when a repair can still help: the chunk is not
+        // lost (a surviving replica, or k fragments to reconstruct from).
         auto now = hit->second->replicas.load(std::memory_order_acquire);
-        // Requeue only when a repair can still help: a surviving replica,
-        // or (EC) at least k surviving fragments to reconstruct from.
-        bool repairable = !now->empty();
-        if (c.ec) {
-          const auto live = static_cast<size_t>(std::count_if(
-              now->begin(), now->end(), [](int bid) { return bid >= 0; }));
-          repairable = live >= config_.ec_k;
-        }
-        if (repairable) {
-          result.quarantined.push_back(c.key);
-        }
+        if (!c.code->Lost(*now)) result.quarantined.push_back(c.key);
       } else {
         ++result.skipped;
       }
@@ -1281,20 +1133,14 @@ void Manager::ReportCorrupt(sim::VirtualClock& clock, const ChunkKey& key,
     if (QuarantineReplicaLocked(clock, shard, key, bid)) {
       auto it = shard.chunks.find(key);
       if (it != shard.chunks.end()) {
-        auto now = it->second->replicas.load(std::memory_order_acquire);
-        if (it->second->ec) {
-          // Repairable only while k fragments survive to reconstruct from.
-          const auto live = static_cast<size_t>(std::count_if(
-              now->begin(), now->end(), [](int b) { return b >= 0; }));
-          degraded = live >= config_.ec_k;
-        } else {
-          degraded = !now->empty();
-        }
+        const ChunkHandle& h = *it->second;
+        degraded =
+            !CodeOf(h.ec).Lost(*h.replicas.load(std::memory_order_acquire));
       }
     }
   }
-  // Queue a repair only when a surviving replica can seed the
-  // re-replication (a fully corrupt chunk is lost, not degraded).
+  // Queue a repair only when the chunk is not lost: a surviving replica
+  // or k fragments can seed it.
   if (degraded) ReportDegraded(key, clock.now());
 }
 
@@ -1341,7 +1187,7 @@ StatusOr<uint64_t> Manager::Decommission(sim::VirtualClock& clock, int id) {
   }
   std::sort(handles.begin(), handles.end(),
             [](const ChunkHandle* a, const ChunkHandle* b) {
-              return KeyLess(a->key, b->key);
+              return a->key < b->key;
             });
 
   uint64_t migrated = 0;
@@ -1356,38 +1202,28 @@ StatusOr<uint64_t> Manager::Decommission(sim::VirtualClock& clock, int id) {
     if (pos == current.end()) continue;
     const size_t member = static_cast<size_t>(pos - current.begin());
     const bool ec = h->ec;
-    const uint64_t move_bytes = ChunkResBytes(ec);
+    const Redundancy& code = CodeOf(ec);
+    const uint64_t move_bytes = code.member_bytes;
     // Destination through the shared placement engine: rotation order
     // from the benefactor after the leaving one, every holder excluded,
-    // and for an EC fragment no node hosting another fragment of the
-    // stripe (the failure-domain spread survives the migration).  The
-    // first ranked benefactor that can reserve the member wins.
+    // and for a spreading code no node hosting another member (the
+    // failure-domain spread survives the migration).  The first ranked
+    // benefactor that can reserve the member wins.
     std::vector<PlacementCandidate> cands = BuildPlacementCandidates(
         bens, suspected.empty() ? nullptr : &suspected);
-    std::vector<int> exclude_nodes;
-    for (int bid : current) {
-      if (bid < 0) continue;
-      cands[static_cast<size_t>(bid)].excluded = true;
-      if (ec && bid != id) {
-        exclude_nodes.push_back(cands[static_cast<size_t>(bid)].node);
-      }
-    }
+    std::vector<int> used_nodes = ExcludeMembers(code, current, cands, id);
     PlacementRequest req;
     req.order = PlacementRequest::Order::kRotation;
     req.start = (static_cast<size_t>(id) + 1) % bens.size();
     req.avoid_suspected = config_.placement_avoid_suspected;
     req.wear_weight = config_.placement_wear_weight;
-    req.exclude_nodes = &exclude_nodes;
-    int dst = -1;
-    for (int bid : RankPlacement(cands, req)) {
-      if (bens[static_cast<size_t>(bid)]->ReserveBytes(move_bytes).ok()) {
-        dst = bid;
-        break;
-      }
-    }
-    if (dst < 0) {
+    req.exclude_nodes = &used_nodes;
+    const std::vector<int> picked =
+        code.Reserve(bens, RankPlacement(cands, req), 1, used_nodes);
+    if (picked.empty()) {
       return OutOfSpace("no destination for chunk " + h->key.ToString());
     }
+    const int dst = picked.front();
     // Move the member benefactor-to-benefactor (read + network hop +
     // write), like the paper's re-configuration path would; a replica and
     // a fragment differ only in the blob's size and checksum.
@@ -1405,11 +1241,7 @@ StatusOr<uint64_t> Manager::Decommission(sim::VirtualClock& clock, int id) {
       cluster_.network().Transfer(clock, leaving->node_id(), to->node_id(),
                                   move_bytes);
       // The migrated bytes keep their authoritative checksum.
-      const uint32_t* crc = nullptr;
-      if (h->has_crc && !ec) crc = &h->crc;
-      if (h->has_crc && ec && h->frag_crcs.size() == current.size()) {
-        crc = &h->frag_crcs[member];
-      }
+      const uint32_t* crc = MemberCrc(*h, member, current.size());
       NVM_RETURN_IF_ERROR(
           ec ? to->WriteFragment(clock, h->key, blob, crc, kTenantMaintenance)
              : to->WritePages(clock, h->key, all_pages, blob, crc,
@@ -1486,11 +1318,12 @@ void Manager::UnrefChunkLocked(MetaShard& shard, ChunkHandle& h) {
   NVM_CHECK(h.refcount > 0, "unref of untracked chunk");
   if (--h.refcount == 0) {
     auto list = h.replicas.load(std::memory_order_acquire);
+    const uint64_t member_bytes = CodeOf(h.ec).member_bytes;
     for (int bid : *list) {
       if (bid < 0) continue;  // EC hole: nothing stored, nothing reserved
       Benefactor* b = BenefactorAt(bid);
       (void)b->DeleteChunk(h.key);
-      b->ReleaseBytes(ChunkResBytes(h.ec));
+      b->ReleaseBytes(member_bytes);
     }
     // The handle (and with it epoch/checksum/corruption state) dies here;
     // an open write fence or reserved repair target survives in the shard
@@ -1616,13 +1449,10 @@ Status Manager::Fallocate(sim::VirtualClock& clock, FileId id,
     std::unique_lock<std::mutex> slock(shard.mu);
     const std::vector<PlacementCandidate> cands = BuildPlacementCandidates(
         bens, suspected.empty() ? nullptr : &suspected);
-    const uint64_t member_bytes = ChunkResBytes(meta.ec);
-    const size_t want_members =
-        meta.ec ? config_.ec_fragments()
-                : static_cast<size_t>(config_.replication);
+    const Redundancy& code = CodeOf(meta.ec);
     const size_t start =
         ChooseStripeStart(cands, config_.stripe_policy, meta.stripe_cursor,
-                          client_node, member_bytes);
+                          client_node, code.member_bytes);
     PlacementRequest req;
     req.order = PlacementRequest::Order::kRotation;
     req.start = start;
@@ -1630,30 +1460,18 @@ Status Manager::Fallocate(sim::VirtualClock& clock, FileId id,
     // eligible — allocation must not fail just because a node flaps.
     req.avoid_suspected = config_.placement_avoid_suspected;
     req.wear_weight = config_.placement_wear_weight;
-    std::vector<int> replicas;
-    // Erasure stripes spread HARD over node-level failure domains: no two
-    // fragments of one stripe may share a node (a node failure must cost
-    // at most one fragment), enforced here even under capacity pressure —
-    // a stripe that cannot spread fails, it never silently co-locates.
+    // A spreading code (erasure stripes) spreads HARD over node-level
+    // failure domains: no two fragments of one stripe may share a node (a
+    // node failure must cost at most one fragment), enforced here even
+    // under capacity pressure — a stripe that cannot spread fails, it
+    // never silently co-locates.
     std::vector<int> used_nodes;
-    for (int bid : RankPlacement(cands, req)) {
-      if (replicas.size() == want_members) break;
-      const int node = bens[static_cast<size_t>(bid)]->node_id();
-      if (meta.ec && node >= 0 &&
-          std::find(used_nodes.begin(), used_nodes.end(), node) !=
-              used_nodes.end()) {
-        continue;
-      }
-      if (!bens[static_cast<size_t>(bid)]->ReserveBytes(member_bytes).ok()) {
-        continue;
-      }
-      replicas.push_back(bid);
-      if (meta.ec && node >= 0) used_nodes.push_back(node);
-    }
-    if (replicas.size() < want_members) {
+    std::vector<int> replicas =
+        code.Reserve(bens, RankPlacement(cands, req), code.width, used_nodes);
+    if (replicas.size() < code.width) {
       // Roll back partial placement.
       for (int bid : replicas) {
-        bens[static_cast<size_t>(bid)]->ReleaseBytes(member_bytes);
+        bens[static_cast<size_t>(bid)]->ReleaseBytes(code.member_bytes);
       }
       // The chunks placed by EARLIER loop iterations stay (they are live
       // in the file already): log them with the unchanged logical size so
@@ -1675,12 +1493,12 @@ Status Manager::Fallocate(sim::VirtualClock& clock, FileId id,
                            std::to_string(meta.chunks.size()) + " of '" +
                            meta.name + "'");
       }
-      if (meta.ec) {
+      if (code.spread) {
         // The spread constraint could not be met (too few distinct alive
         // failure domains with a fragment of space): unavailability, not
         // exhaustion — adding capacity to an existing domain won't help.
         return Unavailable(
-            "erasure stripe needs " + std::to_string(want_members) +
+            "erasure stripe needs " + std::to_string(code.width) +
             " distinct failure domains for chunk " +
             std::to_string(meta.chunks.size()) + " of '" + meta.name + "'");
       }
@@ -1812,11 +1630,12 @@ StatusOr<WriteLocation> Manager::PrepareWriteSlot(
   // shortened list is ordinary tracked under-replication the scrubber
   // re-queues for repair.  Knob off: the inherited immutable snapshot is
   // reused verbatim.
+  const Redundancy& code = CodeOf(h.ec);
   std::shared_ptr<const std::vector<int>> fresh_list = replicas;
-  if (config_.placement_avoid_suspected && !h.ec) {
-    // Replicated chunks only: an EC fragment map is positional, so the
-    // fresh version inherits it verbatim (a dead or suspected holder is
-    // the repair engine's business — dropping it would punch a hole).
+  if (config_.placement_avoid_suspected && !code.positional) {
+    // Compact codes only: an EC fragment map is positional, so the fresh
+    // version inherits it verbatim (a dead or suspected holder is the
+    // repair engine's business — dropping it would punch a hole).
     std::vector<int> keep;
     keep.reserve(replicas->size());
     for (int bid : *replicas) {
@@ -1833,7 +1652,7 @@ StatusOr<WriteLocation> Manager::PrepareWriteSlot(
       fresh_list = std::make_shared<const std::vector<int>>(std::move(keep));
     }
   }
-  const uint64_t member_bytes = ChunkResBytes(h.ec);
+  const uint64_t member_bytes = code.member_bytes;
   size_t reserved = 0;
   for (int bid : *fresh_list) {
     Status s = bid < 0 ? OkStatus()  // EC hole: nothing to reserve

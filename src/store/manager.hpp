@@ -41,6 +41,7 @@
 // charged by StoreClient, not here.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -154,6 +155,14 @@ class Manager {
 
   // --- incremental repair engine ---
   //
+  // Replicated chunks and erasure stripes follow one redundancy rule.  A
+  // chunk's location list has `width` members (replication copies, or k+m
+  // fragments) and any `need` of them suffice (1, or k).  A member is
+  // listed when its id is >= 0 and live when its holder is also alive.
+  // The chunk is lost below `need` listed members and healed at `width`;
+  // it is degraded when fewer than `width` are listed or any entry is a
+  // hole (-1) or a dead holder.
+  //
   // A repair is split into three steps so chunk data never moves while any
   // shard mutex is held:
   //   PlanRepairs        (shard mu)  snapshot survivors, reclaim dead
@@ -164,6 +173,8 @@ class Manager {
   // RepairReplication below and the background MaintenanceService are both
   // thin drivers over these steps.
 
+  // One chunk's repair: the survivors after the dead members were
+  // stripped, and width - live reserved targets.
   struct RepairPlan {
     ChunkKey key;
     std::vector<int> survivors;  // alive holders, primary first
@@ -192,20 +203,21 @@ class Manager {
     std::vector<int> corrupt_sources;
   };
 
-  // Every distinct chunk key whose replica list names a dead benefactor or
-  // is shorter than the replication factor (lost chunks excluded).
-  // Shards are visited one at a time; the result is sorted by key so it
-  // does not depend on the shard count or hash iteration order.
+  // Every distinct chunk key that is degraded but not lost under the rule
+  // above — the same test ScrubOnce's requeue pass applies.  Shards are
+  // visited one at a time; the result is sorted by key so it does not
+  // depend on the shard count or hash iteration order.
   std::vector<ChunkKey> CollectUnderReplicated() const;
   // Every distinct chunk key with a replica on benefactor `id` (sorted).
   std::vector<ChunkKey> ChunksWithReplicasOn(int id) const;
   // Build repair plans for `keys`, each under its shard's mutex: strip
-  // dead replicas from the metadata immediately (readers stop trying
-  // them), reclaim their space, and reserve targets on the least-loaded
-  // alive benefactors (capacity-aware placement).  A chunk with no
-  // surviving replica is counted in *lost, its list emptied, and no plan
-  // emitted; stale keys (freed or already healthy) are skipped.  `clock`
-  // pays the WAL appends (lost / dead-strip publishes are logged).
+  // dead members from the metadata immediately (readers stop trying
+  // them), reclaim their space, and reserve width - live targets on the
+  // least-loaded alive benefactors (capacity-aware placement).  A chunk
+  // the strip leaves below `need` is counted in *lost (once, when the
+  // strip crosses the threshold) and no plan is emitted; stale keys
+  // (freed or already healthy) are skipped.  `clock` pays the WAL appends
+  // (dead-strip publishes are logged).
   std::vector<RepairPlan> PlanRepairs(sim::VirtualClock& clock,
                                       std::span<const ChunkKey> keys,
                                       uint64_t* lost = nullptr);
@@ -289,9 +301,9 @@ class Manager {
   // Test hook: the authoritative checksum recorded for `key`, if any.
   bool LookupChecksum(const ChunkKey& key, uint32_t* crc) const;
 
-  // Chunks that lost every replica to failures (cumulative).  An
-  // erasure-coded chunk counts as lost when fewer than k fragments
-  // survive — below that no reconstruction exists.
+  // Chunks that fell below `need` listed members (cumulative): every
+  // replica gone, or fewer than k fragments of a stripe — below that no
+  // reconstruction exists.
   uint64_t lost_chunks() const { return lost_chunks_.value(); }
 
   // --- erasure-coding accounting ---
@@ -571,11 +583,88 @@ class Manager {
   std::vector<PlacementCandidate> BuildPlacementCandidates(
       const std::vector<Benefactor*>& bens,
       const std::vector<char>* suspected) const;
-  // Bytes one member of `key`'s location list reserves on its benefactor:
-  // a full chunk for a replica, one fragment for an erasure-coded chunk.
-  uint64_t ChunkResBytes(bool ec) const {
-    return ec ? config_.ec_frag_bytes() : config_.chunk_bytes;
+  // How a chunk's location list protects it: the one redundancy rule (see
+  // the repair engine above) that every health, placement and planning
+  // decision reads.  A replicated chunk is the code whose members are
+  // whole chunks: `replication` of them, kept compact, any one suffices.
+  // An RS(k,m) stripe has k+m fixed positions of one fragment each, on
+  // distinct nodes; a lost member leaves -1 and any k suffice.
+  struct Redundancy {
+    size_t width = 0;           // members of a healthy chunk
+    size_t need = 0;            // members a read needs
+    uint64_t member_bytes = 0;  // bytes one member stores and reserves
+    bool positional = false;    // a dropped member leaves a hole (-1)
+    bool spread = false;        // members on distinct nodes
+    uint32_t zero_crc = 0;      // checksum of one all-zero member
+
+    static size_t Listed(std::span<const int> list) {
+      return static_cast<size_t>(std::count_if(
+          list.begin(), list.end(), [](int bid) { return bid >= 0; }));
+    }
+    bool Lost(std::span<const int> list) const { return Listed(list) < need; }
+    bool Healed(std::span<const int> list) const {
+      return Listed(list) >= width;
+    }
+    bool Degraded(std::span<const int> list,
+                  const std::vector<Benefactor*>& bens) const {
+      size_t listed = 0;
+      size_t live = 0;
+      for (int bid : list) {
+        if (bid < 0) continue;
+        ++listed;
+        if (bens[static_cast<size_t>(bid)]->alive()) ++live;
+      }
+      return listed < width || live < list.size();
+    }
+    // Drop every listed member `gone(bid, index)` selects: a positional
+    // code leaves a hole in place, a compact one closes the gap.  Returns
+    // the dropped ids in list order.
+    template <typename Gone>
+    std::vector<int> Drop(std::vector<int>& list, Gone gone) const {
+      std::vector<int> dropped;
+      size_t out = 0;
+      for (size_t i = 0; i < list.size(); ++i) {
+        const int bid = list[i];
+        if (bid >= 0 && gone(bid, i)) {
+          dropped.push_back(bid);
+          if (positional) list[out++] = -1;
+        } else {
+          list[out++] = bid;
+        }
+      }
+      list.resize(out);
+      return dropped;
+    }
+    // The one reserve walk: take `ranked` in order, skip a benefactor
+    // whose node already hosts a member when the code spreads
+    // (`used_nodes`, which every pick extends), reserve one member's bytes
+    // and stop at `n` picks.
+    std::vector<int> Reserve(const std::vector<Benefactor*>& bens,
+                             const std::vector<int>& ranked, size_t n,
+                             std::vector<int>& used_nodes) const;
+  };
+  // Build the code of one redundancy mode from `config` (checking the
+  // erasure geometry), zero-image checksum included — once, at
+  // construction.  A chunk's code follows from its `ec` flag.
+  static Redundancy MakeCode(const StoreConfig& config, bool ec);
+  const Redundancy& CodeOf(bool ec) const {
+    return ec ? erasure_ : replicated_;
   }
+  // The checksum member `i` of `h`'s `n`-member list must store, or null
+  // when none is recorded: a whole-chunk member stores the chunk's image
+  // checksum, a stripe member its own positional fragment checksum.
+  const uint32_t* MemberCrc(const ChunkHandle& h, size_t i, size_t n) const {
+    if (!h.has_crc) return nullptr;
+    if (!CodeOf(h.ec).positional) return &h.crc;
+    return h.frag_crcs.size() == n ? &h.frag_crcs[i] : nullptr;
+  }
+  // Mark every listed member of `list` ineligible in `cands`, and return
+  // the nodes a spreading code keeps new members off: every member's but
+  // that of `leaving`, the member being moved.
+  std::vector<int> ExcludeMembers(const Redundancy& code,
+                                  std::span<const int> list,
+                                  std::vector<PlacementCandidate>& cands,
+                                  int leaving = -1) const;
   // Drop a reserved (and possibly partially written) repair target of an
   // abandoned plan (shard mu held).  `bytes` is the amount the plan
   // reserved on `bid` (chunk or fragment).  If a racing repair already
@@ -626,6 +715,8 @@ class Manager {
   net::Cluster& cluster_;
   const int manager_node_;
   const StoreConfig config_;
+  const Redundancy replicated_;
+  const Redundancy erasure_;
   const size_t meta_shards_;
   // Durable half of the metadata plane; owned by the AggregateStore (it
   // must survive KillManager).  Null = crash consistency off.

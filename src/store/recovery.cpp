@@ -22,7 +22,6 @@
 // inventories, which survive a manager crash by construction (they are
 // other machines).
 #include <algorithm>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -31,15 +30,6 @@
 #include "store/manager.hpp"
 
 namespace nvm::store {
-
-namespace {
-
-bool KeyLess(const ChunkKey& a, const ChunkKey& b) {
-  return std::tie(a.origin_file, a.index, a.version) <
-         std::tie(b.origin_file, b.index, b.version);
-}
-
-}  // namespace
 
 // --- checkpoint write path ---
 
@@ -78,7 +68,7 @@ std::string Manager::EncodeCheckpointLocked() const {
   }
   std::sort(handles.begin(), handles.end(),
             [](const ChunkHandle* a, const ChunkHandle* b) {
-              return KeyLess(a->key, b->key);
+              return a->key < b->key;
             });
   wire::PutU32(out, static_cast<uint32_t>(handles.size()));
   for (const ChunkHandle* h : handles) {
@@ -359,23 +349,13 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
     alive[i] = bens[i]->alive() ? 1 : 0;
   }
 
-  uint32_t zero_crc = 0;
-  uint32_t zero_frag_crc = 0;
-  {
-    const std::vector<uint8_t> zeros(config_.chunk_bytes, 0);
-    zero_crc = Crc32c(zeros.data(), zeros.size());
-    if (config_.ec()) {
-      zero_frag_crc = Crc32c(zeros.data(), config_.ec_frag_bytes());
-    }
-  }
-
   // Per-chunk reconciliation, keys sorted so the decision sequence (and
   // its virtual-time trace) is deterministic.
   std::vector<ChunkKey> keys;
   for (const MetaShard& shard : shards_) {
     for (const auto& [key, h] : shard.chunks) keys.push_back(key);
   }
-  std::sort(keys.begin(), keys.end(), KeyLess);
+  std::sort(keys.begin(), keys.end());
 
   auto mark_lost = [&](ChunkHandle& h) {
     PublishReplicasLocked(h, {});
@@ -462,6 +442,7 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
       continue;
     }
 
+    const Redundancy& code = CodeOf(h.ec);
     if (h.ec) {
       if (!h.has_crc) {
         // An erasure stripe commits at its completion record: unlike a
@@ -484,168 +465,108 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
         }
         continue;
       }
-      // Erasure stripes reconcile per fragment: every position carries its
-      // own write-time checksum, so the full-image adoption logic below
-      // does not apply.  A completion without positional checksums only
-      // occurs with the integrity knobs off — nothing decidable then.
-      if (h.frag_crcs.size() != list.size()) continue;
       // In-place rewrite completed on the benefactors, completion record
       // died with the crash: every position stores a fragment and NONE of
       // the write-time checksums matches the durable stripe (a full-stripe
       // rewrite replaces all k+m fragments).  The new generation is
-      // complete — adopt it, exactly as the replicated path adopts the
-      // agreed data-holder checksum; the full-image authority combines
+      // complete — adopt it, exactly as the replicated ladder below adopts
+      // the agreed data-holder checksum; the full-image authority combines
       // from the k data fragments' checksums.  Any position still on the
-      // old generation (or sparse) falls through to the per-fragment sift:
-      // the durable checksums stay authoritative and the partial rewrite
-      // is destroyed, never spliced.
-      {
-        bool all_stored_new = !members.empty();
-        for (size_t pos = 0; pos < members.size(); ++pos) {
-          const Member& m = members[pos];
-          if (!m.stored || !m.has_crc || m.crc == h.frag_crcs[pos]) {
-            all_stored_new = false;
+      // old generation (or sparse) is left to the sift: the durable
+      // checksums stay authoritative and the partial rewrite is
+      // destroyed, never spliced.  (A completion without positional
+      // checksums only occurs with the integrity knobs off — the sift
+      // then finds nothing decidable.)
+      bool all_stored_new = h.frag_crcs.size() == members.size();
+      for (size_t pos = 0; all_stored_new && pos < members.size(); ++pos) {
+        const Member& m = members[pos];
+        all_stored_new = m.stored && m.has_crc && m.crc != h.frag_crcs[pos];
+      }
+      if (all_stored_new) {
+        std::vector<uint32_t> fresh;
+        fresh.reserve(members.size());
+        for (const Member& m : members) fresh.push_back(m.crc);
+        uint32_t image = 0;
+        for (uint32_t c = 0; c < config_.ec_k; ++c) {
+          image = Crc32cCombine(image, fresh[c], config_.ec_frag_bytes());
+        }
+        h.frag_crcs = std::move(fresh);
+        h.crc = image;
+        ++report->crc_adopted;
+      }
+    } else {
+      // The replica authority ladder.  The durable checksum stands when at
+      // least one member still carries it (the common case), or when no
+      // member holds data and it is the zero image.  Else the checksum
+      // ALL data-holders agree on — a write that completed on the
+      // benefactors but whose completion record died with the crash
+      // ("new" wins, adopted as authoritative).  Else the durable checksum
+      // alone stands (divergent members drop; sparse members survive only
+      // a zero-image authority); with no checksum anywhere (integrity
+      // knobs off) the sift finds nothing decidable.
+      bool confirmed = false;
+      if (h.has_crc) {
+        for (const Member& m : members) {
+          confirmed |= m.stored && m.has_crc && m.crc == h.crc;
+        }
+        confirmed |= !any_data && h.crc == code.zero_crc;
+      }
+      if (!confirmed) {
+        bool agreed = false;
+        uint32_t agreed_crc = 0;
+        for (const Member& m : members) {
+          if (!m.stored || !m.has_crc) continue;
+          if (!agreed) {
+            agreed = true;
+            agreed_crc = m.crc;
+          } else if (m.crc != agreed_crc) {
+            agreed = false;  // data-holders disagree: no adoptable truth
             break;
           }
         }
-        if (all_stored_new) {
-          std::vector<uint32_t> fresh;
-          fresh.reserve(members.size());
-          for (const Member& m : members) fresh.push_back(m.crc);
-          uint32_t image = 0;
-          for (uint32_t c = 0; c < config_.ec_k; ++c) {
-            image = Crc32cCombine(image, fresh[c], config_.ec_frag_bytes());
-          }
-          h.frag_crcs = std::move(fresh);
-          h.crc = image;
-          ++report->crc_adopted;
-          continue;
-        }
-      }
-      std::vector<int> keep = list;
-      size_t live = 0;
-      bool changed = false;
-      for (size_t pos = 0; pos < members.size(); ++pos) {
-        const Member& m = members[pos];
-        bool ok;
-        if (m.stored) {
-          ok = m.has_crc ? m.crc == h.frag_crcs[pos] : true;
-        } else {
-          ok = h.frag_crcs[pos] == zero_frag_crc;  // sparse reads as zeros
-        }
-        if (ok) {
-          ++live;
-          continue;
-        }
-        if (m.stored) {
-          // Wrong-generation fragment: destroy it and punch a hole at its
-          // position so repair re-encodes it from verified survivors.
-          (void)bens[static_cast<size_t>(m.bid)]->DeleteChunk(key);
-          if (std::find(h.tainted.begin(), h.tainted.end(), m.bid) ==
-              h.tainted.end()) {
-            h.tainted.push_back(m.bid);
-          }
-        }
-        keep[pos] = -1;
-        changed = true;
-        ++report->replicas_dropped;
-      }
-      if (live < static_cast<size_t>(config_.ec_k)) {
-        mark_lost(h);  // below k survivors: not reconstructible
-      } else if (changed) {
-        PublishReplicasLocked(h, std::move(keep));
-      }
-      continue;
-    }
-
-    // Pick the authority the members must match:
-    //  * the durable checksum, when at least one member still carries it
-    //    (the common case);
-    //  * else the checksum ALL data-holders agree on — a write that
-    //    completed on the benefactors but whose completion record died
-    //    with the crash ("new" wins, adopted as authoritative);
-    //  * else the durable checksum alone (divergent members drop; sparse
-    //    members survive only a zero-image authority);
-    //  * with no checksum anywhere (integrity knobs off) nothing is
-    //    decidable — keep the list as-is.
-    bool have_auth = false;
-    uint32_t auth = 0;
-    if (h.has_crc) {
-      for (const Member& m : members) {
-        if (m.stored && m.has_crc && m.crc == h.crc) {
-          have_auth = true;
-          auth = h.crc;
-          break;
-        }
-      }
-      if (!have_auth && !any_data && h.crc == zero_crc) {
-        have_auth = true;  // sparse members legitimately read as zeros
-        auth = h.crc;
-      }
-    }
-    if (!have_auth) {
-      bool agreed = false;
-      uint32_t agreed_crc = 0;
-      for (const Member& m : members) {
-        if (!m.stored || !m.has_crc) continue;
-        if (!agreed) {
-          agreed = true;
-          agreed_crc = m.crc;
-        } else if (m.crc != agreed_crc) {
-          agreed = false;  // data-holders disagree: no adoptable truth
-          break;
-        }
-      }
-      if (agreed) {
-        have_auth = true;
-        auth = agreed_crc;
-        if (!h.has_crc || h.crc != auth) {
+        if (agreed && (!h.has_crc || h.crc != agreed_crc)) {
           h.has_crc = true;
-          h.crc = auth;
+          h.crc = agreed_crc;
           ++report->crc_adopted;
         }
       }
     }
-    if (!have_auth && h.has_crc) {
-      have_auth = true;
-      auth = h.crc;
-    }
-    if (!have_auth) continue;  // no checksum anywhere: nothing decidable
 
-    std::vector<int> keep;
-    keep.reserve(members.size());
-    for (const Member& m : members) {
-      bool ok;
+    // The member sift, shared by both codes: keep a member whose stored
+    // checksum matches the one wanted for its position (a sparse member
+    // reads as zeros), drop the rest — a hole in a stripe, erased from a
+    // replica list — and mark the chunk lost below `need`.
+    if (MemberCrc(h, 0, list.size()) == nullptr) continue;  // undecidable
+    std::vector<int> keep = list;
+    const std::vector<int> dropped = code.Drop(keep, [&](int, size_t pos) {
+      const Member& m = members[pos];
+      const uint32_t want = *MemberCrc(h, pos, list.size());
+      // A stored member without a recorded crc only occurs with the
+      // integrity knobs off, where no authority can exist — under an
+      // authority every stored member carries its write-time crc.
+      if (m.stored ? !m.has_crc || m.crc == want : want == code.zero_crc) {
+        return false;
+      }
       if (m.stored) {
-        // A stored member without a recorded crc only occurs with the
-        // integrity knobs off, where no authority can exist — under an
-        // authority every stored member carries its write-time crc.
-        ok = m.has_crc ? m.crc == auth : true;
-      } else {
-        ok = auth == zero_crc;  // sparse reads as zeros
-      }
-      if (ok) {
-        keep.push_back(m.bid);
-      } else {
-        // Wrong-generation bytes: destroy them so nothing ever serves
-        // them (the reservation settles in the final accounting pass).
-        if (m.stored) {
-          (void)bens[static_cast<size_t>(m.bid)]->DeleteChunk(key);
-          // A member that diverged from the chunk's authority is a
-          // correlated-loss source: the placement engine must not pick
-          // it as a repair target for this very chunk
-          // (placement_avoid_suspected).
-          if (std::find(h.tainted.begin(), h.tainted.end(), m.bid) ==
-              h.tainted.end()) {
-            h.tainted.push_back(m.bid);
-          }
+        // Wrong-generation bytes: destroy them so nothing ever serves them
+        // (the reservation settles in the final accounting pass).  A
+        // member that diverged from the chunk's authority is a
+        // correlated-loss source: the placement engine must not pick it
+        // as a repair target for this very chunk
+        // (placement_avoid_suspected).  A stripe's repair re-encodes the
+        // hole from verified survivors.
+        (void)bens[static_cast<size_t>(m.bid)]->DeleteChunk(key);
+        if (std::find(h.tainted.begin(), h.tainted.end(), m.bid) ==
+            h.tainted.end()) {
+          h.tainted.push_back(m.bid);
         }
-        ++report->replicas_dropped;
       }
-    }
-    if (keep.empty()) {
+      ++report->replicas_dropped;
+      return true;
+    });
+    if (code.Lost(keep)) {
       mark_lost(h);
-    } else if (keep != list) {
+    } else if (!dropped.empty()) {
       PublishReplicasLocked(h, std::move(keep));
     }
   }
@@ -655,7 +576,7 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
   for (size_t i = 0; i < bens.size(); ++i) {
     if (alive[i] == 0) continue;
     std::vector<ChunkKey> stored = bens[i]->StoredChunkKeys();
-    std::sort(stored.begin(), stored.end(), KeyLess);
+    std::sort(stored.begin(), stored.end());
     for (const ChunkKey& key : stored) {
       const MetaShard& shard = shards_[shard_of(key)];
       auto it = shard.chunks.find(key);
@@ -680,9 +601,10 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
   for (const MetaShard& shard : shards_) {
     for (const auto& [key, h] : shard.chunks) {
       auto l = h->replicas.load(std::memory_order_acquire);
+      const uint64_t member_bytes = CodeOf(h->ec).member_bytes;
       for (int bid : *l) {
         if (bid >= 0 && static_cast<size_t>(bid) < bens.size()) {
-          expected[static_cast<size_t>(bid)] += ChunkResBytes(h->ec);
+          expected[static_cast<size_t>(bid)] += member_bytes;
         }
       }
     }

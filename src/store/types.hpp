@@ -1,6 +1,7 @@
 // Shared vocabulary types for the aggregate NVM store.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -25,7 +26,9 @@ struct ChunkKey {
   uint32_t index = 0;                   // chunk index within the origin file
   uint32_t version = 0;
 
-  bool operator==(const ChunkKey&) const = default;
+  // Member order: sorting by key makes results accumulated across shards
+  // independent of the shard count and of hash-map iteration order.
+  auto operator<=>(const ChunkKey&) const = default;
   std::string ToString() const {
     return "chunk(" + std::to_string(origin_file) + "," +
            std::to_string(index) + ",v" + std::to_string(version) + ")";

@@ -403,6 +403,81 @@ TEST(ErasureStoreTest, StripeBelowKIsLostNotFabricated) {
   EXPECT_FALSE(c.ReadChunk(clock, id, 0, buf).ok());
 }
 
+TEST(ErasureStoreTest, RepairReplicationCountsStripeBelowKAsLost) {
+  Rig rig(6, [](store::StoreConfig& cfg) {
+    cfg.heartbeat_period_ms = 1'000'000;
+    cfg.scrub_period_ms = 1'000'000;
+  });
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  sim::VirtualClock clock(0);
+  const auto data = Pattern(kChunk, 26);
+  const store::FileId id = WriteStoreFile(c, "/below-k", 1, data, clock);
+
+  // m+1 = 3 holders die and no heartbeat declares them: the stripe's dead
+  // holders are still listed, and only RepairReplication's own sweep can
+  // find that fewer than k fragments survive.
+  rig.store->benefactor(0).Kill();
+  rig.store->benefactor(2).Kill();
+  rig.store->benefactor(4).Kill();
+  store::Manager& m = rig.store->manager();
+  uint64_t lost = 0;
+  auto recreated = m.RepairReplication(clock, &lost);
+  ASSERT_TRUE(recreated.ok());
+  EXPECT_EQ(*recreated, 0u);
+  EXPECT_EQ(lost, 1u);
+  EXPECT_EQ(m.lost_chunks(), 1u);
+
+  // Counted once: the stripped stripe is lost, not degraded, so a second
+  // pass finds nothing to repair.
+  EXPECT_TRUE(m.CollectUnderReplicated().empty());
+  ASSERT_TRUE(m.RepairReplication(clock, &lost).ok());
+  EXPECT_EQ(lost, 0u);
+  EXPECT_EQ(m.lost_chunks(), 1u);
+  std::vector<uint8_t> buf(kChunk);
+  EXPECT_FALSE(c.ReadChunk(clock, id, 0, buf).ok());
+}
+
+// ---- the shared redundancy rule ----
+
+// ScrubOnce's requeue pass and CollectUnderReplicated read one health
+// rule.  They must agree on a replicated store and on an erasure store at
+// every step as holders die — including the step that leaves each stripe
+// below k live fragments while its dead holders are still listed.
+TEST(ErasureStoreTest, ScrubRequeueMatchesCollectAsHoldersDie) {
+  for (const bool ec : {false, true}) {
+    SCOPED_TRACE(ec ? "RS(4,2)" : "replication 2");
+    Rig rig(6, [ec](store::StoreConfig& cfg) {
+      cfg.heartbeat_period_ms = 1'000'000;
+      cfg.scrub_period_ms = 1'000'000;
+      if (!ec) {
+        cfg.redundancy = store::RedundancyMode::kReplicate;
+        cfg.replication = 2;
+      }
+    });
+    store::StoreClient& c = rig.store->ClientForNode(0);
+    sim::VirtualClock clock(0);
+    constexpr uint32_t kChunks = 6;
+    WriteStoreFile(c, "/rule", kChunks, Pattern(kChunks * kChunk, 27), clock);
+    store::Manager& m = rig.store->manager();
+    EXPECT_TRUE(m.CollectUnderReplicated().empty());
+    EXPECT_TRUE(m.ScrubOnce(clock).under_replicated.empty());
+
+    for (const int victim : {0, 2, 4}) {
+      rig.store->benefactor(static_cast<size_t>(victim)).Kill();
+      const std::vector<store::ChunkKey> collected = m.CollectUnderReplicated();
+      EXPECT_FALSE(collected.empty()) << "after killing " << victim;
+      EXPECT_TRUE(m.ScrubOnce(clock).under_replicated == collected)
+          << "after killing " << victim;
+    }
+    if (ec) {
+      // Every stripe spans all six benefactors and still lists its three
+      // dead holders: degraded, not yet lost, so both callers hand every
+      // stripe to repair (which strips the holders and counts the loss).
+      EXPECT_EQ(m.CollectUnderReplicated().size(), kChunks);
+    }
+  }
+}
+
 // ---- corrupt fragments ----
 
 TEST(ErasureStoreTest, CorruptFragmentQuarantinedNeverWrongBytes) {

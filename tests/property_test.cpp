@@ -242,11 +242,6 @@ TEST_P(StorePropertyTest, ReservationsTrackLiveChunksExactly) {
   };
   auto expected_chunks = [&] {
     uint64_t chunks = 0;
-    std::set<store::ChunkKey, decltype([](const store::ChunkKey& a,
-                                          const store::ChunkKey& b) {
-      return std::tie(a.origin_file, a.index, a.version) <
-             std::tie(b.origin_file, b.index, b.version);
-    })> seen;
     for (const auto& [name, id] : live) {
       auto info = client.Stat(clock, id);
       chunks += info->num_chunks;
