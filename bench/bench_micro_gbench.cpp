@@ -3,6 +3,10 @@
 // and any larger experiments can run.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "common/bitmap.hpp"
 #include "common/checksum.hpp"
 #include "common/rng.hpp"
@@ -24,6 +28,43 @@ void BM_ResourceSchedule(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ResourceSchedule);
+
+// Resource::Schedule on a timeline aged to range(0) disjoint 1 us busy
+// intervals separated by random 1-3 us gaps — the shape of the traced
+// host.sim.resource.schedule_ns_age* probes.  Each call arrives at a
+// random point of the aged range and is shorter than any original gap, so
+// what it measures is the interval-map search.  The timeline is rebuilt
+// (untimed) every range(1) calls, so the calls' own intervals never fill
+// more than a few percent of the gaps.
+void BM_ResourceScheduleFragmented(benchmark::State& state) {
+  const auto age = static_cast<uint64_t>(state.range(0));
+  const auto calls = static_cast<size_t>(state.range(1));
+  Xoshiro256 rng(age);
+  std::unique_ptr<sim::Resource> r;
+  std::vector<std::pair<int64_t, int64_t>> reqs(calls);
+  size_t next = calls;
+  for (auto _ : state) {
+    if (next == calls) {
+      state.PauseTiming();
+      r = std::make_unique<sim::Resource>("aged");
+      for (uint64_t i = 0; i < age; ++i) {
+        r->Schedule(static_cast<int64_t>(i * 3'000 + rng.NextBelow(1'000)),
+                    1'000);
+      }
+      for (auto& q : reqs) {
+        q = {static_cast<int64_t>(rng.NextBelow(age * 3'000)),
+             100 + static_cast<int64_t>(rng.NextBelow(800))};
+      }
+      next = 0;
+      state.ResumeTiming();
+    }
+    const auto& q = reqs[next++];
+    benchmark::DoNotOptimize(r->Schedule(q.first, q.second));
+  }
+}
+BENCHMARK(BM_ResourceScheduleFragmented)
+    ->Args({1'000, 100})
+    ->Args({100'000, 5'000});
 
 void BM_XoshiroNext(benchmark::State& state) {
   Xoshiro256 rng(1);

@@ -350,9 +350,13 @@ Status Benefactor::WriteChunkRun(sim::VirtualClock& clock,
     // sees one UNAVAILABLE for the whole run and must treat every item as
     // unwritten on this replica.
     NVM_RETURN_IF_ERROR(EnsureAlive());
-    NVM_CHECK(item.dirty != nullptr);
-    NVM_CHECK(item.data.size() == config_.chunk_bytes);
-    NVM_CHECK(item.dirty->size() == config_.pages_per_chunk());
+    if (item.dirty != nullptr) {
+      NVM_CHECK(item.data.size() == config_.chunk_bytes);
+      NVM_CHECK(item.dirty->size() == config_.pages_per_chunk());
+    } else {
+      NVM_CHECK(!item.data.empty() &&
+                item.data.size() <= config_.chunk_bytes);
+    }
 
     if (item.needs_clone) {
       // The clone instruction is its own control message (exactly as in
@@ -365,12 +369,12 @@ Status Benefactor::WriteChunkRun(sim::VirtualClock& clock,
           CloneChunk(clock, item.clone_from, item.key, tenant));
     }
 
-    const uint64_t dirty_bytes = item.dirty->PopCount() * config_.page_bytes;
+    const uint64_t dirty_bytes = item.PayloadBytes(config_.page_bytes);
     // Dirty pages stream from the run's start (the client has them all in
     // hand at t0); a post-clone payload can only start once the clone has
-    // been instructed and applied.  Each chunk is admitted before its
+    // been instructed and applied.  Each item is admitted before its
     // payload books the wire (AdmitTransfer's contract), so a throttled
-    // writer's run yields the NIC and the device between chunks; the
+    // writer's run yields the NIC and the device between items; the
     // first payload carries the run header.
     sim::VirtualClock gate(item.needs_clone ? clock.now() : t0);
     AdmitTransfer(gate, tenant, dirty_bytes, /*is_write=*/true,

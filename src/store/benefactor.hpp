@@ -106,9 +106,11 @@ class Benefactor {
   // per-request write latency.  Each payload is admitted (AdmitTransfer)
   // before it is sent.  Each item writes the pages marked dirty into the
   // stored chunk, materialising it if absent; only dirty pages are charged
-  // to the device — the write-optimisation path of Table VII.  If the
-  // benefactor dies mid-run the whole run fails with UNAVAILABLE and the
-  // caller must treat every item as unwritten on this replica.
+  // to the device — the write-optimisation path of Table VII.  An item
+  // without a dirty set is a whole blob (an erasure fragment), shipped and
+  // programmed in full as WriteFragment would.  If the benefactor dies
+  // mid-run the whole run fails with UNAVAILABLE and the caller must treat
+  // every item as unwritten on this benefactor.
   //
   // Checksums (ignored when both integrity knobs are off): an item's
   // caller-computed CRC32C of the full image is stored verbatim when the

@@ -273,26 +273,34 @@ Status StoreClient::ReadStripe(sim::VirtualClock& clock, FileId id,
   for (size_t pos = 0; pos < k; ++pos) {
     if (frags[pos].empty()) data_complete = false;
   }
-  if (!data_complete) {
-    // Degraded read: any k of the k+m fragments reconstruct the chunk.
-    // The matrix solve is charged as one chunk through the encode engine.
-    ec_degraded_reads_.Add(1);
-    manager_.NoteEcDegradedRead();
-    clock.Advance(cfg.ec_encode_ns(cfg.chunk_bytes));
-    ErasureCodec codec(cfg.ec_k, cfg.ec_m);
-    NVM_CHECK(codec.Reconstruct(frags),
-              "k fragments must reconstruct the stripe");
+  if (data_complete) {
+    ErasureCodec::Assemble(frags, cfg.ec_k, out);
+  } else {
+    clock.Advance(DecodeStripe(frags, out));
   }
-  ErasureCodec::Assemble(frags, cfg.ec_k, out);
   return OkStatus();
 }
 
-Status StoreClient::ReadRun(sim::VirtualClock& clock,
-                            const BenefactorRun& run,
-                            std::span<const ReadLocation> locs,
-                            std::span<ChunkFetch> fetches) {
+int64_t StoreClient::DecodeStripe(std::vector<std::vector<uint8_t>>& frags,
+                                  std::span<uint8_t> out) {
+  // Degraded read: any k of the k+m fragments reconstruct the chunk.  The
+  // matrix solve is charged as one chunk through the encode engine.
   const StoreConfig& cfg = manager_.config();
-  Benefactor* b = manager_.benefactor(run.benefactor);
+  ec_degraded_reads_.Add(1);
+  manager_.NoteEcDegradedRead();
+  ErasureCodec codec(cfg.ec_k, cfg.ec_m);
+  NVM_CHECK(codec.Reconstruct(frags),
+            "k fragments must reconstruct the stripe");
+  ErasureCodec::Assemble(frags, cfg.ec_k, out);
+  return cfg.ec_encode_ns(cfg.chunk_bytes);
+}
+
+Status StoreClient::ReadRun(sim::VirtualClock& clock, int benefactor,
+                            std::span<const ChunkKey> keys,
+                            std::span<const std::span<uint8_t>> outs,
+                            std::span<int64_t> ready_at) {
+  const StoreConfig& cfg = manager_.config();
+  Benefactor* b = manager_.benefactor(benefactor);
   NVM_CHECK(b != nullptr);
   run_rpcs_.Add(1);
 
@@ -300,35 +308,29 @@ Status StoreClient::ReadRun(sim::VirtualClock& clock,
   cluster_.network().Transfer(clock, local_node_, b->node_id(),
                               cfg.meta_request_bytes);
 
-  std::vector<ChunkKey> keys;
-  keys.reserve(run.items.size());
-  for (size_t idx : run.items) keys.push_back(locs[idx].key);
-
-  // The reply is one stream: each chunk is pushed as soon as it leaves the
+  // The reply is one stream: each blob is pushed as soon as it leaves the
   // device and rides back-to-back behind its predecessor on the NICs.
   net::StreamTransfer reply(cluster_.network(), b->node_id(), local_node_);
   size_t next = 0;
   uint64_t data_bytes = 0;
-  Status streamed = b->ReadChunkRun(
+  NVM_RETURN_IF_ERROR(b->ReadChunkRun(
       clock, keys,
       [&](const ChunkRunItem& item, std::span<const uint8_t> data) -> Status {
-        ChunkFetch& f = fetches[run.items[next]];
-        ++next;
+        const std::span<uint8_t> out = outs[next];
         if (item.sparse) {
           // A hole costs only the "no such chunk" marker in the stream.
-          std::memset(f.out.data(), 0, f.out.size());
-          f.ready_at = reply.Push(item.ready_at, cfg.meta_response_bytes);
+          std::memset(out.data(), 0, out.size());
+          ready_at[next] = reply.Push(item.ready_at, cfg.meta_response_bytes);
         } else {
-          NVM_CHECK(data.size() == f.out.size());
-          std::memcpy(f.out.data(), data.data(), data.size());
-          f.ready_at = reply.Push(item.ready_at, cfg.chunk_bytes);
-          data_bytes += cfg.chunk_bytes;
+          NVM_CHECK(data.size() == out.size());
+          std::memcpy(out.data(), data.data(), data.size());
+          ready_at[next] = reply.Push(item.ready_at, out.size());
+          data_bytes += out.size();
         }
-        f.status = OkStatus();
+        ++next;
         return OkStatus();
       },
-      tenant_);
-  if (!streamed.ok()) return streamed;
+      tenant_));
   bytes_fetched_.Add(data_bytes);
   return OkStatus();
 }
@@ -360,26 +362,8 @@ Status StoreClient::ReadChunksInner(sim::VirtualClock& clock, FileId id,
   NVM_RETURN_IF_ERROR(LookupReadMany(clock, id, lo, hi - lo + 1));
   const int64_t t0 = clock.now();
 
-  // Erasure stripes scatter a chunk across k+m benefactors, so there is no
-  // primary holder to stream a run from: every chunk takes the per-chunk
-  // stripe path on its own detached clock.
-  if (cfg.ec()) {
-    for (ChunkFetch& f : fetches) {
-      // Each transfer branches off the post-lookup time: requests to
-      // distinct benefactors overlap, and shared NICs/devices serialise
-      // naturally through their modelled resources.  The location cache is
-      // already warm, so ReadChunk issues no further lookups unless a
-      // replica fails.
-      sim::VirtualClock detached(t0);
-      f.status = ReadChunkInner(detached, id, f.index, f.out);
-      f.ready_at = detached.now();
-    }
-    return OkStatus();
-  }
-
-  // Resolve the batch from the (just warmed) location cache.  A fetch with
-  // no cached location (beyond EOF) keeps the per-chunk path so it reports
-  // the usual per-chunk error.
+  // Resolve the batch from the (just warmed) location cache and group the
+  // members each chunk needs by benefactor.
   std::vector<ReadLocation> locs(fetches.size());
   {
     std::lock_guard<std::mutex> lock(loc_mutex_);
@@ -388,64 +372,130 @@ Status StoreClient::ReadChunksInner(sim::VirtualClock& clock, FileId id,
       if (it != loc_cache_.end()) locs[i] = it->second;
     }
   }
+  const std::vector<BenefactorRun> runs =
+      manager_.GroupByPrimaryBenefactor(locs);
+
+  // A fetch no run covers (no cached location beyond EOF, or a lost chunk)
+  // keeps the per-chunk path so it reports the usual per-chunk error.
+  std::vector<char> covered(fetches.size(), 0);
+  for (const BenefactorRun& run : runs) {
+    for (const RunMember& m : run.items) covered[m.loc] = 1;
+  }
   for (size_t i = 0; i < fetches.size(); ++i) {
-    if (!locs[i].benefactors.empty()) continue;
+    if (covered[i] != 0) continue;
     sim::VirtualClock detached(t0);
     fetches[i].status = ReadChunkInner(detached, id, fetches[i].index,
                                        fetches[i].out);
     fetches[i].ready_at = detached.now();
   }
 
+  // Where each member lands: a replica fills the chunk's buffer; the code
+  // is systematic, so data fragment p is the p-th slice of the chunk, and
+  // a parity fragment lands in a side buffer for the decode.
+  const uint64_t fb = cfg.ec() ? cfg.ec_frag_bytes() : 0;
+  std::vector<std::vector<std::vector<uint8_t>>> parity(fetches.size());
+  const auto dest = [&](const RunMember& m) -> std::span<uint8_t> {
+    const std::span<uint8_t> out = fetches[m.loc].out;
+    if (!locs[m.loc].ec) return out;
+    if (m.member < cfg.ec_k) return out.subspan(m.member * fb, fb);
+    std::vector<std::vector<uint8_t>>& side = parity[m.loc];
+    side.resize(cfg.ec_m);
+    side[m.member - cfg.ec_k].resize(fb);
+    return side[m.member - cfg.ec_k];
+  };
+
   // One streamed run per benefactor, each on its own clock branched at the
   // post-lookup time, so runs against distinct benefactors overlap.
-  for (const BenefactorRun& run : Manager::GroupByPrimaryBenefactor(locs)) {
+  std::vector<char> fell_back(fetches.size(), 0);
+  std::vector<int64_t> arrived(fetches.size(), t0);
+  for (const BenefactorRun& run : runs) {
+    // Members of chunks that already fell back are not requested again.
+    std::vector<RunMember> items;
+    std::vector<ChunkKey> keys;
+    std::vector<std::span<uint8_t>> outs;
+    for (const RunMember& m : run.items) {
+      if (fell_back[m.loc] != 0) continue;
+      items.push_back(m);
+      keys.push_back(locs[m.loc].key);
+      outs.push_back(dest(m));
+    }
+    if (items.empty()) continue;
+    std::vector<int64_t> ready(items.size(), t0);
     sim::VirtualClock run_clock(t0);
-    Status s = ReadRun(run_clock, run, locs, fetches);
-    if (s.ok()) continue;
+    Status s = ReadRun(run_clock, run.benefactor, keys, outs, ready);
+    if (s.ok()) {
+      for (size_t r = 0; r < items.size(); ++r) {
+        arrived[items[r].loc] = std::max(arrived[items[r].loc], ready[r]);
+      }
+      continue;
+    }
     if (s.code() == ErrorCode::kUnavailable) {
       manager_.MarkDead(run.benefactor);
       NVM_WLOG(
-          "benefactor %d failed mid-run (%zu chunks); discarding the run "
+          "benefactor %d failed mid-run (%zu members); discarding the run "
           "and falling back to per-chunk reads",
-          run.benefactor, run.items.size());
+          run.benefactor, items.size());
     }
     // The run failed as a whole: nothing it streamed counts.  Re-read every
-    // chunk through the per-chunk path, which refreshes stale locations and
-    // falls over to surviving replicas.
-    for (size_t idx : run.items) {
+    // chunk it touched through the per-chunk path, which refreshes stale
+    // locations and falls over to surviving replicas or to parity.
+    for (const RunMember& m : items) {
+      if (fell_back[m.loc] != 0) continue;
+      fell_back[m.loc] = 1;
+      ChunkFetch& f = fetches[m.loc];
       sim::VirtualClock fallback(t0);
-      fetches[idx].status =
-          ReadChunkInner(fallback, id, fetches[idx].index, fetches[idx].out);
-      fetches[idx].ready_at = fallback.now();
+      f.status = ReadChunkInner(fallback, id, f.index, f.out);
+      f.ready_at = fallback.now();
     }
+  }
+
+  // A chunk is ready when its last member arrived; a stripe that read
+  // parity (a data position is a hole) decodes first.
+  for (size_t i = 0; i < fetches.size(); ++i) {
+    if (covered[i] == 0 || fell_back[i] != 0) continue;
+    ChunkFetch& f = fetches[i];
+    f.status = OkStatus();
+    f.ready_at = arrived[i];
+    if (parity[i].empty()) continue;
+    std::vector<std::vector<uint8_t>> frags(cfg.ec_fragments());
+    for (uint32_t pos = 0; pos < cfg.ec_k; ++pos) {
+      if (locs[i].benefactors[pos] < 0) continue;
+      const auto slice = f.out.subspan(pos * fb, fb);
+      frags[pos].assign(slice.begin(), slice.end());
+    }
+    for (uint32_t p = 0; p < cfg.ec_m; ++p) {
+      frags[cfg.ec_k + p] = std::move(parity[i][p]);
+    }
+    f.ready_at += DecodeStripe(frags, f.out);
   }
   return OkStatus();
 }
 
-Status StoreClient::WriteReplica(sim::VirtualClock& clock,
-                                 const WriteLocation& loc, int bid,
-                                 const Bitmap& dirty_pages,
-                                 std::span<const uint8_t> chunk_image,
-                                 const uint32_t* crc, uint32_t* stored_crc) {
+Status StoreClient::WriteMember(sim::VirtualClock& clock, int bid,
+                                const ChunkWriteItem& item) {
   const StoreConfig& cfg = manager_.config();
   Benefactor* b = manager_.benefactor(bid);
   NVM_CHECK(b != nullptr);
-  if (loc.needs_clone) {
+  if (item.needs_clone) {
     // COW: instruct the benefactor to clone locally before the write.
     cluster_.network().Transfer(clock, local_node_, b->node_id(),
                                 cfg.meta_request_bytes);
     NVM_RETURN_IF_ERROR(
-        b->CloneChunk(clock, loc.clone_from, loc.key, tenant_));
+        b->CloneChunk(clock, item.clone_from, item.key, tenant_));
   }
-  // Ship only the dirty pages — admission first: the scheduler gates the
+  // Ship only the payload — admission first: the scheduler gates the
   // request before its bytes occupy the benefactor's NIC.
-  const uint64_t dirty_bytes = dirty_pages.PopCount() * cfg.page_bytes;
-  b->AdmitTransfer(clock, tenant_, dirty_bytes, /*is_write=*/true,
-                   dirty_bytes + cfg.meta_request_bytes);
+  const uint64_t bytes = item.PayloadBytes(cfg.page_bytes);
+  b->AdmitTransfer(clock, tenant_, bytes, /*is_write=*/true,
+                   bytes + cfg.meta_request_bytes);
   cluster_.network().Transfer(clock, local_node_, b->node_id(),
-                              dirty_bytes + cfg.meta_request_bytes);
-  NVM_RETURN_IF_ERROR(b->WritePages(clock, loc.key, dirty_pages,
-                                    chunk_image, crc, stored_crc, tenant_));
+                              bytes + cfg.meta_request_bytes);
+  const uint32_t* crc = item.has_crc ? &item.crc : nullptr;
+  NVM_RETURN_IF_ERROR(
+      item.dirty == nullptr
+          ? b->WriteFragment(clock, item.key, item.data, crc, tenant_)
+          : b->WritePages(clock, item.key, *item.dirty, item.data, crc,
+                          item.stored_crc, tenant_));
   cluster_.network().Transfer(clock, b->node_id(), local_node_,
                               cfg.meta_response_bytes);
   return OkStatus();
@@ -460,156 +510,17 @@ Status StoreClient::WriteChunkPages(sim::VirtualClock& clock, FileId id,
   return w.status;
 }
 
-Status StoreClient::WriteStripe(sim::VirtualClock& clock, FileId id,
-                                uint32_t chunk_index, const Bitmap& dirty_pages,
-                                std::span<const uint8_t> chunk_image) {
+Status StoreClient::WriteRun(sim::VirtualClock& clock, int benefactor,
+                             std::span<const ChunkWriteItem> items) {
   const StoreConfig& cfg = manager_.config();
-  const size_t k = cfg.ec_k;
-  const size_t nf = cfg.ec_fragments();
-  const uint64_t fb = cfg.ec_frag_bytes();
-
-  // Full-stripe discipline: fragments are rewritten whole, so a partial-
-  // dirty flush first reads the chunk's current bytes (degraded-capable)
-  // and overlays the dirty pages — the classic erasure read-modify-write
-  // penalty, paid serially on the writer's clock.
-  std::vector<uint8_t> merged;
-  std::span<const uint8_t> full = chunk_image;
-  if (dirty_pages.PopCount() < cfg.pages_per_chunk()) {
-    merged.resize(cfg.chunk_bytes);
-    NVM_RETURN_IF_ERROR(ReadChunkInner(clock, id, chunk_index, merged));
-    dirty_pages.ForEachSet([&](size_t p) {
-      std::memcpy(merged.data() + p * cfg.page_bytes,
-                  chunk_image.data() + p * cfg.page_bytes, cfg.page_bytes);
-    });
-    full = merged;
-  }
-
-  // Encode k data + m parity fragments (the matrix math is real; the CPU
-  // cost is one chunk through the encode engine) and checksum the full
-  // image plus each fragment — the positional checksums are what degraded
-  // reads and repair verify survivors against.
-  ErasureCodec codec(cfg.ec_k, cfg.ec_m);
-  std::vector<std::vector<uint8_t>> frags = codec.Encode(full);
-  clock.Advance(cfg.ec_encode_ns(cfg.chunk_bytes));
-  const bool with_crc = cfg.integrity();
-  uint32_t crc = 0;
-  std::vector<uint32_t> frag_crcs;
-  if (with_crc) {
-    crc = Crc32c(full.data(), full.size());
-    frag_crcs.reserve(nf);
-    for (const std::vector<uint8_t>& f : frags) {
-      frag_crcs.push_back(Crc32c(f.data(), f.size()));
-    }
-    clock.Advance(cfg.checksum_ns(cfg.chunk_bytes) +
-                  cfg.checksum_ns(nf * fb));
-  }
-
-  ChargeMetaRoundTrip(clock);
-  NVM_ASSIGN_OR_RETURN(WriteLocation loc,
-                       manager_.PrepareWrite(clock, id, chunk_index));
-  NVM_CHECK(loc.ec, "erasure-mode store prepared a replicate write");
-  NVM_CHECK(loc.benefactors.size() == nf);
-
-  // Each live fragment is written on its own clock forked at the post-
-  // prepare time; the writer joins at the max, so a stripe write costs
-  // max(fragment times), not their sum.
-  const int64_t t0 = clock.now();
-  int64_t done = t0;
-  size_t good = 0;
-  uint64_t parity_bytes = 0;
-  Status last = Unavailable("no fragments written");
-  for (size_t pos = 0; pos < nf; ++pos) {
-    const int bid = loc.benefactors[pos];
-    if (bid < 0) continue;  // hole: already the repair queue's business
-    Benefactor* b = manager_.benefactor(bid);
-    NVM_CHECK(b != nullptr);
-    sim::VirtualClock frag_clock(t0);
-    b->AdmitTransfer(frag_clock, tenant_, fb, /*is_write=*/true,
-                     fb + cfg.meta_request_bytes);
-    cluster_.network().Transfer(frag_clock, local_node_, b->node_id(),
-                                fb + cfg.meta_request_bytes);
-    Status s = b->WriteFragment(frag_clock, loc.key, frags[pos],
-                                with_crc ? &frag_crcs[pos] : nullptr,
-                                tenant_);
-    if (s.ok()) {
-      cluster_.network().Transfer(frag_clock, b->node_id(), local_node_,
-                                  cfg.meta_response_bytes);
-      ++good;
-      bytes_flushed_.Add(fb);
-      if (pos >= k) parity_bytes += fb;
-      done = std::max(done, frag_clock.now());
-    } else {
-      last = s;
-      if (s.code() == ErrorCode::kUnavailable) {
-        manager_.MarkDead(bid);
-        NVM_WLOG("benefactor %d unavailable writing fragment %zu of %s; "
-                 "continuing with surviving fragments",
-                 bid, pos, loc.key.ToString().c_str());
-      }
-    }
-  }
-  clock.AdvanceTo(done);
-
-  // A stripe that reached at least k fragments is reconstructible: commit
-  // its checksums.  Below k the write failed — the completion records no
-  // checksum, so recovery rolls the uncommitted stripe back rather than
-  // ever assembling mixed-generation fragments.
-  const bool committed = good >= k;
-  manager_.CompleteWrite(
-      clock, loc.key, with_crc && committed ? &crc : nullptr,
-      with_crc && committed ? std::span<const uint32_t>(frag_crcs)
-                            : std::span<const uint32_t>());
-  if (!committed) {
-    InvalidateLocation(id, chunk_index);
-    return last;
-  }
-  manager_.NoteEcParityBytes(parity_bytes);
-  if (good < nf) {
-    degraded_writes_.Add(1);
-    manager_.ReportDegraded(loc.key, clock.now());
-  }
-  {
-    std::lock_guard<std::mutex> lock(loc_mutex_);
-    loc_cache_[LocKey{id, chunk_index}] =
-        ReadLocation{loc.key, loc.benefactors, /*ec=*/true};
-  }
-  return OkStatus();
-}
-
-Status StoreClient::WriteRun(sim::VirtualClock& clock,
-                             const BenefactorRun& run,
-                             std::span<const WriteLocation> locs,
-                             std::span<const ChunkWrite> writes,
-                             std::span<const size_t> active,
-                             std::span<const uint32_t> crcs,
-                             std::span<uint32_t> stored_crcs) {
-  const StoreConfig& cfg = manager_.config();
-  Benefactor* b = manager_.benefactor(run.benefactor);
+  Benefactor* b = manager_.benefactor(benefactor);
   NVM_CHECK(b != nullptr);
   write_run_rpcs_.Add(1);
 
-  std::vector<ChunkWriteItem> items;
-  items.reserve(run.items.size());
-  for (size_t j : run.items) {
-    const ChunkWrite& w = writes[active[j]];
-    ChunkWriteItem item;
-    item.key = locs[j].key;
-    item.dirty = w.dirty;
-    item.data = w.image;
-    item.needs_clone = locs[j].needs_clone;
-    item.clone_from = locs[j].clone_from;
-    if (!crcs.empty()) {
-      item.has_crc = true;
-      item.crc = crcs[j];
-      item.stored_crc = stored_crcs.empty() ? nullptr : &stored_crcs[j];
-    }
-    items.push_back(item);
-  }
-
   // The request is one stream: the first payload also carries the run
   // header (which is what makes a run of one byte-identical to the
-  // WriteReplica message); clone instructions ride as their own control
-  // messages, exactly as in WriteReplica.
+  // WriteMember message); clone instructions ride as their own control
+  // messages, exactly as in WriteMember.
   net::StreamTransfer stream(cluster_.network(), local_node_, b->node_id());
   bool header_sent = false;
   const ChunkRunSend send = [&](RunMsg kind, int64_t earliest,
@@ -641,6 +552,86 @@ Status StoreClient::WriteChunks(sim::VirtualClock& clock, FileId id,
   return s;
 }
 
+std::vector<std::vector<std::vector<uint8_t>>> StoreClient::EncodeStripes(
+    sim::VirtualClock& clock, FileId id, std::span<ChunkWrite> writes,
+    std::vector<size_t>& active, std::vector<uint32_t>& crcs,
+    std::vector<std::vector<uint32_t>>& frag_crcs) {
+  const StoreConfig& cfg = manager_.config();
+
+  // The read-modify-write bases: one batch over the partial-dirty chunks,
+  // joined before any stripe is encoded.
+  std::vector<size_t> partial;  // positions in `active`
+  for (size_t j = 0; j < active.size(); ++j) {
+    if (writes[active[j]].dirty->PopCount() < cfg.pages_per_chunk()) {
+      partial.push_back(j);
+    }
+  }
+  std::vector<std::vector<uint8_t>> merged(partial.size());
+  std::vector<ChunkFetch> bases(partial.size());
+  for (size_t b = 0; b < partial.size(); ++b) {
+    merged[b].resize(cfg.chunk_bytes);
+    bases[b].index = writes[active[partial[b]]].index;
+    bases[b].out = merged[b];
+  }
+  std::vector<std::span<const uint8_t>> full(active.size());
+  for (size_t j = 0; j < active.size(); ++j) full[j] = writes[active[j]].image;
+  if (!bases.empty()) {
+    const Status looked_up = ReadChunksInner(clock, id, bases);
+    int64_t joined = clock.now();
+    for (const ChunkFetch& f : bases) joined = std::max(joined, f.ready_at);
+    clock.AdvanceTo(joined);
+    for (size_t b = 0; b < partial.size(); ++b) {
+      ChunkWrite& w = writes[active[partial[b]]];
+      const Status& s = looked_up.ok() ? bases[b].status : looked_up;
+      if (!s.ok()) {
+        w.status = s;
+        w.ready_at = clock.now();
+        continue;
+      }
+      w.dirty->ForEachSet([&](size_t p) {
+        std::memcpy(merged[b].data() + p * cfg.page_bytes,
+                    w.image.data() + p * cfg.page_bytes, cfg.page_bytes);
+      });
+      full[partial[b]] = merged[b];
+    }
+    // A chunk whose base could not be read is not written.
+    size_t kept = 0;
+    for (size_t j = 0; j < active.size(); ++j) {
+      if (!writes[active[j]].status.ok()) continue;
+      full[kept] = full[j];
+      active[kept++] = active[j];
+    }
+    active.resize(kept);
+    full.resize(kept);
+  }
+
+  // Encode k data + m parity fragments per stripe (the matrix math is real;
+  // the CPU cost is one chunk per stripe through the encode engine) and
+  // checksum each full image plus each fragment — the positional checksums
+  // are what degraded reads and repair verify survivors against.
+  const ErasureCodec codec(cfg.ec_k, cfg.ec_m);
+  const bool with_crc = cfg.integrity();
+  std::vector<std::vector<std::vector<uint8_t>>> frags(active.size());
+  crcs.assign(with_crc ? active.size() : 0, 0);
+  frag_crcs.assign(with_crc ? active.size() : 0, {});
+  for (size_t j = 0; j < active.size(); ++j) {
+    frags[j] = codec.Encode(full[j]);
+    if (!with_crc) continue;
+    crcs[j] = Crc32c(full[j].data(), full[j].size());
+    for (const std::vector<uint8_t>& f : frags[j]) {
+      frag_crcs[j].push_back(Crc32c(f.data(), f.size()));
+    }
+  }
+  const uint64_t bytes = active.size() * cfg.chunk_bytes;
+  clock.Advance(cfg.ec_encode_ns(bytes));
+  if (with_crc) {
+    const uint64_t frag_bytes =
+        active.size() * cfg.ec_fragments() * cfg.ec_frag_bytes();
+    clock.Advance(cfg.checksum_ns(bytes) + cfg.checksum_ns(frag_bytes));
+  }
+  return frags;
+}
+
 Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
                                      std::span<ChunkWrite> writes) {
   if (writes.empty()) return OkStatus();
@@ -658,144 +649,209 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
   }
   if (active.empty()) return OkStatus();
 
-  // Erasure-mode writes are full-stripe fan-outs with no per-benefactor
-  // run to stream: each chunk goes through the stripe path serially.
-  if (cfg.ec()) {
-    for (size_t i : active) {
-      ChunkWrite& w = writes[i];
-      w.status = WriteStripe(clock, id, w.index, *w.dirty, w.image);
-      w.ready_at = clock.now();
-    }
-    return OkStatus();
-  }
-
   // Flush-time checksums for the whole window, charged to the writer before
-  // the batched metadata round-trip.
+  // the batched metadata round-trip; an erasure window encodes its stripes
+  // first (and reads its read-modify-write bases before that).
   const bool with_crc = cfg.integrity();
-  std::vector<uint32_t> crcs(with_crc ? active.size() : 0, 0);
-  if (with_crc) {
+  std::vector<uint32_t> crcs;
+  std::vector<std::vector<std::vector<uint8_t>>> frags;  // [item][position]
+  std::vector<std::vector<uint32_t>> frag_crcs;
+  if (cfg.ec()) {
+    frags = EncodeStripes(clock, id, writes, active, crcs, frag_crcs);
+    if (active.empty()) return OkStatus();
+  } else if (with_crc) {
+    crcs.resize(active.size());
     for (size_t j = 0; j < active.size(); ++j) {
       crcs[j] = Crc32c(writes[active[j]].image.data(), cfg.chunk_bytes);
     }
     clock.Advance(cfg.checksum_ns(active.size() * cfg.chunk_bytes));
   }
 
-  // One metadata round-trip COW-resolves the whole window.
+  // One metadata round-trip COW-resolves the whole window.  A window of
+  // one takes the per-chunk manager calls, which charge exactly what the
+  // batch calls of one do; they survive because the repository
+  // benchmark's traced build wraps them (fold them in when it changes).
   ChargeMetaRoundTrip(clock);
-  std::vector<uint32_t> indices;
-  indices.reserve(active.size());
-  for (size_t i : active) indices.push_back(writes[i].index);
-  auto prepared = manager_.PrepareWriteBatch(clock, id, indices);
-  if (!prepared.ok()) {
-    for (size_t i : active) writes[i].status = prepared.status();
-    return prepared.status();
+  std::vector<WriteLocation> locs;  // parallel to active
+  Status prepared = OkStatus();
+  if (active.size() == 1) {
+    auto loc = manager_.PrepareWrite(clock, id, writes[active[0]].index);
+    if (loc.ok()) locs.push_back(*std::move(loc));
+    prepared = loc.status();
+  } else {
+    std::vector<uint32_t> indices;
+    indices.reserve(active.size());
+    for (size_t i : active) indices.push_back(writes[i].index);
+    auto batch = manager_.PrepareWriteBatch(clock, id, indices);
+    if (batch.ok()) locs = *std::move(batch);
+    prepared = batch.status();
   }
-  const std::vector<WriteLocation>& locs = *prepared;  // parallel to active
+  if (!prepared.ok()) {
+    for (size_t i : active) writes[i].status = prepared;
+    return prepared;
+  }
+  for (size_t j = 0; j < frag_crcs.size(); ++j) {
+    locs[j].frag_crcs = std::move(frag_crcs[j]);
+  }
   const int64_t t0 = clock.now();
 
-  // Per-item replica outcomes across all runs.
-  std::vector<size_t> ok_replicas(active.size(), 0);
-  std::vector<char> corrupt_replica(active.size(), 0);
+  // Per-item member outcomes across all runs.
+  std::vector<size_t> ok_members(active.size(), 0);
+  std::vector<char> corrupt_member(active.size(), 0);
   std::vector<Status> last_err(active.size(), OkStatus());
   std::vector<int64_t> done(active.size(), t0);
-  // Authoritative checksums to record at CompleteWrites: seeded with the
-  // client's full-image values, overwritten per item by the CRC the first
-  // successful replica actually stored (a partial-dirty merge can
-  // legitimately differ from the client image when clean pages were never
-  // faulted in).
+  std::vector<uint64_t> parity_bytes(active.size(), 0);
+  // Authoritative checksums to record at the completion: seeded with the
+  // client's full-image values, overwritten per replicated item by the CRC
+  // the first successful replica actually stored (a partial-dirty merge
+  // can legitimately differ from the client image when clean pages were
+  // never faulted in).
   std::vector<uint32_t> authority(crcs.begin(), crcs.end());
 
-  // One streamed run per benefactor — every replica holder gets its own
-  // run — each on a clock forked at the post-prepare time, so runs (and
-  // with them the replicas of each chunk) overlap.
-  for (const BenefactorRun& run : Manager::GroupByBenefactor(locs)) {
+  // The write-run item of one member: a replica gets the chunk's dirty
+  // pages (and reports the CRC it stored into `stored`), a stripe position
+  // its whole fragment with the fragment's checksum.
+  const auto member_item = [&](const RunMember& m, uint32_t* stored) {
+    const size_t j = m.loc;
+    ChunkWriteItem item;
+    item.key = locs[j].key;
+    item.needs_clone = locs[j].needs_clone;
+    item.clone_from = locs[j].clone_from;
+    item.has_crc = with_crc;
+    if (locs[j].ec) {
+      item.data = frags[j][m.member];
+      if (with_crc) item.crc = locs[j].frag_crcs[m.member];
+    } else {
+      item.dirty = writes[active[j]].dirty;
+      item.data = writes[active[j]].image;
+      if (with_crc) {
+        item.crc = crcs[j];
+        *stored = crcs[j];
+        item.stored_crc = stored;
+      }
+    }
+    return item;
+  };
+  const auto landed = [&](const RunMember& m, const ChunkWriteItem& item,
+                          int64_t at) {
+    const size_t j = m.loc;
+    if (item.stored_crc != nullptr && ok_members[j] == 0) {
+      authority[j] = *item.stored_crc;
+    }
+    ++ok_members[j];
+    const uint64_t bytes = item.PayloadBytes(cfg.page_bytes);
+    bytes_flushed_.Add(bytes);
+    if (locs[j].ec && m.member >= cfg.ec_k) parity_bytes[j] += bytes;
+    done[j] = std::max(done[j], at);
+  };
+
+  // One streamed run per benefactor — every member holder gets its own run
+  // — each on a clock forked at the post-prepare time, so runs (and with
+  // them the members of each chunk) overlap.
+  for (const BenefactorRun& run : manager_.GroupByBenefactor(locs)) {
+    std::vector<uint32_t> stored(run.items.size(), 0);
+    std::vector<ChunkWriteItem> items;
+    items.reserve(run.items.size());
+    for (size_t r = 0; r < run.items.size(); ++r) {
+      items.push_back(member_item(run.items[r], &stored[r]));
+    }
     sim::VirtualClock run_clock(t0);
-    std::vector<uint32_t> run_stored(crcs.begin(), crcs.end());
-    Status s = WriteRun(run_clock, run, locs, writes, active, crcs,
-                        run_stored);
+    Status s = WriteRun(run_clock, run.benefactor, items);
     if (s.ok()) {
-      for (size_t j : run.items) {
-        if (with_crc && ok_replicas[j] == 0) authority[j] = run_stored[j];
-        ++ok_replicas[j];
-        bytes_flushed_.Add(writes[active[j]].dirty->PopCount() *
-                           cfg.page_bytes);
-        done[j] = std::max(done[j], run_clock.now());
+      for (size_t r = 0; r < items.size(); ++r) {
+        landed(run.items[r], items[r], run_clock.now());
       }
       continue;
     }
     if (s.code() == ErrorCode::kUnavailable) {
       manager_.MarkDead(run.benefactor);
       NVM_WLOG(
-          "benefactor %d failed mid write run (%zu chunks); discarding the "
-          "run and retrying per chunk",
+          "benefactor %d failed mid write run (%zu members); discarding the "
+          "run and retrying per member",
           run.benefactor, run.items.size());
     }
     // The run failed as a whole: nothing it streamed counts.  Retry every
-    // item per chunk against the same benefactor (its other replicas are
-    // covered by their own runs); a dead benefactor fails fast here.
-    for (size_t j : run.items) {
-      const ChunkWrite& w = writes[active[j]];
+    // item per member against the same benefactor (the chunk's other
+    // members are covered by their own runs); a dead benefactor fails fast
+    // here.
+    for (size_t r = 0; r < items.size(); ++r) {
+      const size_t j = run.items[r].loc;
+      if (items[r].stored_crc != nullptr) stored[r] = crcs[j];
       sim::VirtualClock fallback(t0);
-      uint32_t replica_stored = with_crc ? crcs[j] : 0;
-      Status rs = WriteReplica(fallback, locs[j], run.benefactor, *w.dirty,
-                               w.image, with_crc ? &crcs[j] : nullptr,
-                               with_crc ? &replica_stored : nullptr);
-      if (rs.ok()) {
-        if (with_crc && ok_replicas[j] == 0) authority[j] = replica_stored;
-        ++ok_replicas[j];
-        bytes_flushed_.Add(w.dirty->PopCount() * cfg.page_bytes);
-        done[j] = std::max(done[j], fallback.now());
-      } else {
-        if (rs.code() == ErrorCode::kUnavailable) {
-          manager_.MarkDead(run.benefactor);
-        } else if (rs.code() == ErrorCode::kCorrupt) {
-          // Rotted base image refused the merge: quarantine this replica
-          // (repair rebuilds it from one that took the write).
-          corrupt_replica[j] = true;
-          manager_.ReportCorrupt(fallback, locs[j].key, run.benefactor);
-        }
-        last_err[j] = rs;
+      Status ms = WriteMember(fallback, run.benefactor, items[r]);
+      if (ms.ok()) {
+        landed(run.items[r], items[r], fallback.now());
+        continue;
       }
+      if (ms.code() == ErrorCode::kUnavailable) {
+        manager_.MarkDead(run.benefactor);
+      } else if (ms.code() == ErrorCode::kCorrupt) {
+        // Rotted base image refused the merge: quarantine this replica
+        // (repair rebuilds it from one that took the write).
+        corrupt_member[j] = 1;
+        manager_.ReportCorrupt(fallback, locs[j].key, run.benefactor);
+      }
+      last_err[j] = ms;
     }
   }
 
-  // Every replica attempt is over: close the prepared window in one lock
-  // pass (lifts the repair fences, moves the epochs) before reporting any
-  // degraded chunks to the repair queue.  Checksums are recorded only for
-  // chunks that reached at least one replica.
-  std::vector<char> wrote(active.size(), 0);
+  // Every member attempt is over.  A chunk commits when `need` members
+  // took the write — any replica, or k fragments of a stripe; below that
+  // the completion records no checksum (recovery rolls an uncommitted
+  // stripe back rather than ever assembling mixed-generation fragments).
+  const size_t need = cfg.ec() ? cfg.ec_k : 1;
+  std::vector<char> committed(active.size(), 0);
+  int64_t joined = t0;
   for (size_t j = 0; j < active.size(); ++j) {
-    wrote[j] = ok_replicas[j] > 0 ? 1 : 0;
+    committed[j] = ok_members[j] >= need ? 1 : 0;
+    joined = std::max(joined, done[j]);
   }
-  manager_.CompleteWrites(clock, locs, authority, wrote);
+  // A stripe commits at its completion record, so an erasure window joins
+  // its fragment writes before it closes.
+  if (cfg.ec()) clock.AdvanceTo(joined);
+  // Close the prepared window in one lock pass (lifts the repair fences,
+  // moves the epochs) before reporting any degraded chunks to the repair
+  // queue.
+  if (locs.size() == 1) {
+    manager_.CompleteWrite(
+        clock, locs[0].key,
+        with_crc && committed[0] != 0 ? &authority[0] : nullptr,
+        locs[0].frag_crcs);
+  } else {
+    manager_.CompleteWrites(clock, locs, authority, committed);
+  }
+  const int64_t completed = clock.now();
 
   // Per-chunk verdicts, location-cache updates, and the caller's join.
-  int64_t joined = t0;
+  uint64_t parity_total = 0;
   for (size_t j = 0; j < active.size(); ++j) {
     ChunkWrite& w = writes[active[j]];
     const WriteLocation& loc = locs[j];
-    if (ok_replicas[j] == 0) {
-      w.status = last_err[j].ok() ? Unavailable("no replicas") : last_err[j];
+    w.ready_at = cfg.ec() ? completed : done[j];
+    if (committed[j] == 0) {
+      w.status = !last_err[j].ok() ? last_err[j]
+                 : loc.ec          ? Unavailable("erasure stripe lost")
+                                   : Unavailable("no replicas");
+      InvalidateLocation(id, w.index);
+      continue;
+    }
+    parity_total += parity_bytes[j];
+    if (ok_members[j] < loc.benefactors.size()) {
+      degraded_writes_.Add(1);
+      // Degraded at the time this chunk's surviving writes completed.
+      manager_.ReportDegraded(loc.key, done[j]);
+    }
+    if (corrupt_member[j] != 0) {
+      // A quarantined (deleted) replica is still in this list: force the
+      // next read through a fresh lookup instead of sparse zeros.
       InvalidateLocation(id, w.index);
     } else {
-      if (ok_replicas[j] < loc.benefactors.size()) {
-        degraded_writes_.Add(1);
-        // Degraded at the time this chunk's surviving writes completed.
-        manager_.ReportDegraded(loc.key, done[j]);
-      }
-      if (corrupt_replica[j]) {
-        // A quarantined (deleted) replica is still in this list: force the
-        // next read through a fresh lookup instead of sparse zeros.
-        InvalidateLocation(id, w.index);
-      } else {
-        std::lock_guard<std::mutex> lock(loc_mutex_);
-        loc_cache_[LocKey{id, w.index}] =
-            ReadLocation{loc.key, loc.benefactors};
-      }
+      std::lock_guard<std::mutex> lock(loc_mutex_);
+      loc_cache_[LocKey{id, w.index}] =
+          ReadLocation{loc.key, loc.benefactors, loc.ec};
     }
-    w.ready_at = done[j];
-    joined = std::max(joined, done[j]);
   }
+  if (parity_total > 0) manager_.NoteEcParityBytes(parity_total);
   clock.AdvanceTo(joined);
   return OkStatus();
 }

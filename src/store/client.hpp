@@ -12,6 +12,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/bitmap.hpp"
 #include "common/hash.hpp"
@@ -68,17 +69,20 @@ class StoreClient {
 
   // Batched fetch of several chunks of one file.  The locations of the
   // whole index span are resolved with at most one metadata round-trip
-  // (LookupReadMany).  The resolved chunks are grouped by primary
-  // benefactor and each group is fetched with ONE streamed
-  // Benefactor::ReadChunkRun — one request header and one device queueing
-  // slot per benefactor, chunks riding back-to-back on the wire
-  // (net::StreamTransfer).  Each run uses its own detached clock branched
-  // at the post-lookup time, so runs against distinct benefactors overlap.
-  // A run that fails (benefactor death mid-stream) is discarded whole and
-  // every chunk of it is re-read through the per-chunk replica-failover
-  // path (ReadChunk's).  A run of one is charged exactly like ReadChunk.
-  // Erasure stripes have no primary holder: each chunk takes the stripe
-  // read on its own detached clock.  `clock` itself advances only past the
+  // (LookupReadMany).  The members each chunk needs — its primary replica,
+  // or the k fragments a stripe reads (data positions first, parity
+  // filling holes) — are grouped by benefactor (GroupByPrimaryBenefactor)
+  // and each group is fetched with ONE streamed Benefactor::ReadChunkRun —
+  // one request header and one device queueing slot per benefactor, blobs
+  // riding back-to-back on the wire (net::StreamTransfer).  Each run uses
+  // its own detached clock branched at the post-lookup time, so runs
+  // against distinct benefactors overlap; a chunk is ready when its last
+  // member arrived (plus the decode when a stripe read parity).  A run
+  // that fails (benefactor death or rot mid-stream) is discarded whole and
+  // every chunk it touched is re-read through the per-chunk path
+  // (ReadChunk's replica failover, or ReadStripe's parity failover); the
+  // later runs skip those chunks' other members.  A run of one is charged
+  // exactly like ReadChunk.  `clock` itself advances only past the
   // metadata lookup; callers consume the per-chunk `ready_at` completion
   // times.  Returns non-OK only if the batched lookup fails outright;
   // per-chunk failures (EOF, dead replicas) land in fetches[i].status.
@@ -93,12 +97,12 @@ class StoreClient {
 
   // Flush the dirty pages of a cached chunk image back to the store: a
   // WriteChunks window of one.  Performs the manager's copy-on-write
-  // protocol when the chunk is shared with a checkpoint.  Replicas are
+  // protocol when the chunk is shared with a checkpoint.  Members are
   // written on clocks forked at the post-prepare time and the caller joins
   // at the max, so a replicated write costs max(replica times), not their
-  // sum.  A write that reached at least one replica is a (possibly
-  // degraded) success; only total failure returns an error, and the
-  // location cache is updated only after a replica holds the data.
+  // sum.  A write that reached `need` members (a replica, or k fragments)
+  // is a (possibly degraded) success; anything less returns an error, and
+  // the location cache is updated only after the write committed.
   Status WriteChunkPages(sim::VirtualClock& clock, FileId id,
                          uint32_t chunk_index, const Bitmap& dirty_pages,
                          std::span<const uint8_t> chunk_image);
@@ -114,19 +118,25 @@ class StoreClient {
 
   // Batched write-back of several dirty chunks of one file — the write-side
   // mirror of ReadChunks.  The whole window is COW-resolved in ONE metadata
-  // round-trip (Manager::PrepareWriteBatch), grouped by benefactor (every
-  // replica holder gets the chunk) and flushed with ONE streamed
-  // Benefactor::WriteChunkRun per benefactor — one request header and one
-  // device queueing slot per run, dirty pages riding back-to-back on the
-  // wire.  Runs use clocks forked at the post-prepare time so runs against
-  // distinct benefactors — and replicas of the same chunk — overlap; the
-  // caller joins at the max.  A run that fails (benefactor death
-  // mid-stream) is discarded whole and every item is retried per chunk
-  // against that benefactor (WriteReplica); a chunk that reached ≥1
-  // replica is a (degraded) success.  In an erasure-mode store every chunk
-  // is a full-stripe write (WriteStripe), serially on `clock`.  Returns
-  // non-OK only if the batched prepare fails outright; per-chunk outcomes
-  // land in writes[i].status.
+  // round-trip (Manager::PrepareWriteBatch), every listed member is grouped
+  // by benefactor (GroupByBenefactor: each replica holder gets the chunk's
+  // dirty pages, each fragment holder its whole fragment) and flushed with
+  // ONE streamed Benefactor::WriteChunkRun per benefactor — one request
+  // header and one device queueing slot per run, payloads riding back-to-
+  // back on the wire — and the window closes with ONE completion
+  // (Manager::CompleteWrites).  Runs use clocks forked at the post-prepare
+  // time so runs against distinct benefactors — and the members of one
+  // chunk — overlap; the caller joins at the max.  In an erasure-mode store
+  // the window first reads the bases of its partial-dirty chunks as one
+  // ReadChunks batch (the read-modify-write), then encodes and checksums
+  // every stripe; a stripe commits at the completion, after its fragments
+  // landed.  A run that fails (benefactor death mid-stream) is discarded
+  // whole and every item is retried per member against that benefactor
+  // (WriteMember).  A chunk that reached `need` members — any replica, or
+  // k fragments — is a (possibly degraded) success.  A window of one takes
+  // the per-chunk manager calls (PrepareWrite, CompleteWrite), which charge
+  // exactly what the batch calls of one do.  Returns non-OK only if the
+  // prepare fails outright; per-chunk outcomes land in writes[i].status.
   Status WriteChunks(sim::VirtualClock& clock, FileId id,
                      std::span<ChunkWrite> writes);
 
@@ -168,9 +178,9 @@ class StoreClient {
   void ChargeMetaRoundTrip(sim::VirtualClock& clock);
   // Un-instrumented bodies of the public data-plane calls.  The public
   // wrappers record per-tenant end-to-end latency; internal re-entries
-  // (run fallbacks, the EC read-modify-write) call these directly so a
-  // single logical operation is recorded exactly once.  ReadChunkInner is
-  // also the per-chunk read path: single misses, stripes and run-failure
+  // (run fallbacks, the erasure read-modify-write) call these directly so
+  // a single logical operation is recorded exactly once.  ReadChunkInner
+  // is also the per-chunk read path: single misses and run-failure
   // fallbacks.
   Status ReadChunkInner(sim::VirtualClock& clock, FileId id,
                         uint32_t chunk_index, std::span<uint8_t> out);
@@ -185,39 +195,29 @@ class StoreClient {
   StatusOr<ReadLocation> LookupRead(sim::VirtualClock& clock, FileId id,
                                     uint32_t chunk_index, bool refresh);
   void InvalidateLocation(FileId id, uint32_t chunk_index);
-  // One streamed ReadChunkRun against run.benefactor, filling the fetches
-  // named by run.items.  All-or-nothing: on failure the caller must
-  // re-read every item of the run per chunk (partially streamed chunks
-  // are superseded) — no fetched-bytes traffic is committed for a failed
-  // run.
-  Status ReadRun(sim::VirtualClock& clock, const BenefactorRun& run,
-                 std::span<const ReadLocation> locs,
-                 std::span<ChunkFetch> fetches);
-  // The per-replica write wire sequence (clone instruction, dirty pages +
-  // header, device program, response) against one benefactor on the given
-  // clock — the fallback when a write run fails.  Does not touch counters
-  // or the location cache.
-  // `crc` is the flush-time CRC32C of the full chunk image (nullptr when
-  // integrity is off); `stored_crc` (when non-null) returns the CRC the
-  // replica actually stored — the merged-image value on a partial write —
-  // which is what CompleteWrite must record as authoritative.
-  Status WriteReplica(sim::VirtualClock& clock, const WriteLocation& loc,
-                      int bid, const Bitmap& dirty_pages,
-                      std::span<const uint8_t> chunk_image,
-                      const uint32_t* crc, uint32_t* stored_crc = nullptr);
-  // One streamed WriteChunkRun against run.benefactor covering the items
-  // named by run.items (indices into locs/active).  All-or-nothing: on
-  // failure the caller retries every item per chunk — nothing a failed
-  // run streamed counts.  `crcs` (parallel to locs/active) carries the
-  // flush-time checksums; empty when integrity is off.  `stored_crcs`
-  // (parallel to locs/active; empty when integrity is off) receives, for
-  // each item the run covers, the CRC this replica actually stored.
-  Status WriteRun(sim::VirtualClock& clock, const BenefactorRun& run,
-                  std::span<const WriteLocation> locs,
-                  std::span<const ChunkWrite> writes,
-                  std::span<const size_t> active,
-                  std::span<const uint32_t> crcs,
-                  std::span<uint32_t> stored_crcs);
+  // One streamed ReadChunkRun of `keys` against `benefactor`: blob i lands
+  // in outs[i] (sized as the stored blob — a chunk or a fragment) and
+  // arrives at ready_at[i].  All-or-nothing: on failure the caller must
+  // re-read every chunk the run touched per chunk (partially streamed
+  // blobs are superseded) — no fetched-bytes traffic is committed for a
+  // failed run.
+  Status ReadRun(sim::VirtualClock& clock, int benefactor,
+                 std::span<const ChunkKey> keys,
+                 std::span<const std::span<uint8_t>> outs,
+                 std::span<int64_t> ready_at);
+  // The per-member write wire sequence (clone instruction, payload +
+  // header, device program, response) of one write-run item against one
+  // benefactor on the given clock — the fallback when a write run fails.
+  // A replica's dirty pages go through WritePages (which fills
+  // item.stored_crc), a fragment through WriteFragment.  Does not touch
+  // counters or the location cache.
+  Status WriteMember(sim::VirtualClock& clock, int bid,
+                     const ChunkWriteItem& item);
+  // One streamed WriteChunkRun of `items` against `benefactor`.
+  // All-or-nothing: on failure the caller retries every item per member —
+  // nothing a failed run streamed counts.
+  Status WriteRun(sim::VirtualClock& clock, int benefactor,
+                  std::span<const ChunkWriteItem> items);
   // One read attempt against a resolved erasure stripe: the k data
   // fragments are fetched in parallel (clocks forked at the issue time,
   // caller joins at the max); any failure or hole falls over to parity
@@ -225,16 +225,25 @@ class StoreClient {
   // than k fragments of the stripe are readable.
   Status ReadStripe(sim::VirtualClock& clock, FileId id, uint32_t chunk_index,
                     const ReadLocation& loc, std::span<uint8_t> out);
-  // The erasure-coded write path: always full-stripe.  A partial-dirty
-  // flush first reads the chunk's current bytes (degraded-capable) and
-  // overlays the dirty pages — the classic EC read-modify-write penalty —
-  // then encodes k+m fragments and writes each on a forked clock.  A
-  // stripe that reached at least k fragments is a (possibly degraded)
-  // success; below k the write failed and the completion records no
-  // checksum (recovery rolls the uncommitted stripe back).
-  Status WriteStripe(sim::VirtualClock& clock, FileId id, uint32_t chunk_index,
-                     const Bitmap& dirty_pages,
-                     std::span<const uint8_t> chunk_image);
+  // A degraded read's client-side decode: rebuild the stripe from the k
+  // fragments present in `frags` (positional, empty = not read) into
+  // `out`.  Returns the modelled decode time, charged as one chunk through
+  // the encode engine.
+  int64_t DecodeStripe(std::vector<std::vector<uint8_t>>& frags,
+                       std::span<uint8_t> out);
+  // The erasure window's full-stripe discipline: fragments are rewritten
+  // whole, so the partial-dirty chunks of `active` first read their
+  // current bytes as one ReadChunks batch (degraded-capable) and overlay
+  // the dirty pages — the classic erasure read-modify-write penalty, paid
+  // on the writer's clock.  Every stripe is then encoded into k+m
+  // fragments and, with integrity on, checksummed whole (`crcs`) and per
+  // fragment (`frag_crcs`).  A chunk whose base read failed takes that
+  // status and leaves `active`.  Returns the fragments, [item][position],
+  // parallel to the remaining `active`.
+  std::vector<std::vector<std::vector<uint8_t>>> EncodeStripes(
+      sim::VirtualClock& clock, FileId id, std::span<ChunkWrite> writes,
+      std::vector<size_t>& active, std::vector<uint32_t>& crcs,
+      std::vector<std::vector<uint32_t>>& frag_crcs);
 
   net::Cluster& cluster_;
   Manager& manager_;

@@ -9,36 +9,44 @@
 
 namespace nvm::store {
 
-std::vector<BenefactorRun> Manager::GroupByPrimaryBenefactor(
-    std::span<const ReadLocation> locs) {
+namespace {
+
+// Group the first `need(loc)` listed members of every location by holder
+// (all of them when `need` returns the list length).
+template <typename Loc, typename Need>
+std::vector<BenefactorRun> GroupMembers(std::span<const Loc> locs,
+                                        Need need) {
   std::vector<BenefactorRun> runs;
   std::unordered_map<int, size_t> run_of;  // benefactor id -> index in runs
   for (size_t i = 0; i < locs.size(); ++i) {
-    if (locs[i].benefactors.empty()) continue;
-    // Erasure-coded chunks never join run RPCs: every read touches k
-    // devices, so there is no single-benefactor run to coalesce into.
-    if (locs[i].ec) continue;
-    const int primary = locs[i].benefactors.front();
-    auto [it, fresh] = run_of.try_emplace(primary, runs.size());
-    if (fresh) runs.push_back(BenefactorRun{primary, {}});
-    runs[it->second].items.push_back(i);
+    const std::vector<int>& list = locs[i].benefactors;
+    size_t left = need(locs[i]);
+    for (uint32_t pos = 0; pos < list.size() && left > 0; ++pos) {
+      if (list[pos] < 0) continue;  // a stripe hole
+      auto [it, fresh] = run_of.try_emplace(list[pos], runs.size());
+      if (fresh) runs.push_back(BenefactorRun{list[pos], {}});
+      runs[it->second].items.push_back(RunMember{i, pos});
+      --left;
+    }
   }
   return runs;
 }
 
+}  // namespace
+
+std::vector<BenefactorRun> Manager::GroupByPrimaryBenefactor(
+    std::span<const ReadLocation> locs) const {
+  return GroupMembers(locs, [this](const ReadLocation& loc) -> size_t {
+    const Redundancy& code = CodeOf(loc.ec);
+    return code.Lost(loc.benefactors) ? 0 : code.need;
+  });
+}
+
 std::vector<BenefactorRun> Manager::GroupByBenefactor(
-    std::span<const WriteLocation> locs) {
-  std::vector<BenefactorRun> runs;
-  std::unordered_map<int, size_t> run_of;  // benefactor id -> index in runs
-  for (size_t i = 0; i < locs.size(); ++i) {
-    if (locs[i].ec) continue;  // EC chunks go through the per-chunk path
-    for (int b : locs[i].benefactors) {
-      auto [it, fresh] = run_of.try_emplace(b, runs.size());
-      if (fresh) runs.push_back(BenefactorRun{b, {}});
-      runs[it->second].items.push_back(i);
-    }
-  }
-  return runs;
+    std::span<const WriteLocation> locs) const {
+  return GroupMembers(locs, [](const WriteLocation& loc) {
+    return loc.benefactors.size();
+  });
 }
 
 Manager::Manager(net::Cluster& cluster, int manager_node, StoreConfig config,
@@ -254,7 +262,12 @@ bool Manager::QuarantineReplicaLocked(sim::VirtualClock& clock,
   // the hole in place); a replica list closes up.
   const Redundancy& code = CodeOf(h.ec);
   std::vector<int> rest = *current;
-  code.Drop(rest, [bid](int id, size_t) { return id == bid; });
+  std::vector<int> reclaimed =
+      code.Drop(rest, [bid](int id, size_t) { return id == bid; });
+  // A quarantine that drops the chunk below `need` leaves no verified
+  // source or reconstruction: it is lost, not degraded.  Counted once, on
+  // the crossing (repairs never run below `need`).
+  const bool lost = code.LoseBelowNeed(*current, rest, reclaimed);
   // Log the shortened list BEFORE destroying the quarantined replica's
   // data.  The reverse order is unrecoverable: a crash in between would
   // leave a durable list still naming bid, and recovery — finding no data
@@ -267,16 +280,14 @@ bool Manager::QuarantineReplicaLocked(sim::VirtualClock& clock,
   rec.replicas = rest;
   LogAppend(clock, std::move(rec));
   // The copy is untrustworthy: drop its data and space immediately so no
-  // reader or repair ever consults it again.
-  Benefactor* b = BenefactorAt(bid);
-  (void)b->DeleteChunk(key);
-  b->ReleaseBytes(code.member_bytes);
-  if (code.Lost(rest) && !code.Lost(*current)) {
-    // This quarantine dropped the chunk below `need`: no verified source
-    // or reconstruction exists any more — it is lost, not degraded.
-    // Counted once, on the crossing: repairs never run below `need`.
-    lost_chunks_.Add(1);
+  // reader or repair ever consults it again (with it, a lost chunk's
+  // survivors).
+  for (int id : reclaimed) {
+    Benefactor* b = BenefactorAt(id);
+    (void)b->DeleteChunk(key);
+    b->ReleaseBytes(code.member_bytes);
   }
+  if (lost) lost_chunks_.Add(1);
   PublishReplicasLocked(h, std::move(rest));
   // Any repair copy in flight may have read the quarantined replica: move
   // the epoch so its commit fails and retries against the verified list.
@@ -385,15 +396,18 @@ void Manager::CompleteWrites(sim::VirtualClock& clock,
       auto cit = shards_[shard_of_loc[i]].chunks.find(locs[i].key);
       if (cit == shards_[shard_of_loc[i]].chunks.end()) continue;
       if (crc == nullptr && !cit->second->has_crc) continue;
-      rec.completions.push_back(WalCompletion{
-          locs[i].key, crc != nullptr, crc != nullptr ? *crc : 0});
+      WalCompletion done{locs[i].key, crc != nullptr,
+                         crc != nullptr ? *crc : 0};
+      if (crc != nullptr) done.frag_crcs = locs[i].frag_crcs;
+      rec.completions.push_back(std::move(done));
     }
     if (!rec.completions.empty()) LogAppend(clock, std::move(rec));
   }
   for (size_t i = 0; i < locs.size(); ++i) {
     const uint32_t* crc =
         !crcs.empty() && (ok.empty() || ok[i] != 0) ? &crcs[i] : nullptr;
-    CompleteWriteLocked(shards_[shard_of_loc[i]], locs[i].key, crc);
+    CompleteWriteLocked(shards_[shard_of_loc[i]], locs[i].key, crc,
+                        locs[i].frag_crcs);
   }
 }
 
@@ -452,13 +466,20 @@ std::vector<Manager::RepairPlan> Manager::PlanRepairs(
     // Strip the dead members: in a stripe they become holes in place
     // (their fragment died with the device), a replica list closes up.
     std::vector<int> members = recorded;
-    const std::vector<int> dead = code.Drop(members, [&](int bid, size_t) {
+    std::vector<int> reclaimed = code.Drop(members, [&](int bid, size_t) {
       return !bens[static_cast<size_t>(bid)]->alive();
     });
-    if (!dead.empty()) {
+    // Below `need` no verified source or reconstruction exists: the strip
+    // that crosses the threshold reclaims the survivors too and counts the
+    // loss (repairs never run below `need`, so it crosses at most once).
+    if (code.LoseBelowNeed(recorded, members, reclaimed)) {
+      lost_chunks_.Add(1);
+      if (lost != nullptr) ++*lost;
+    }
+    if (!reclaimed.empty()) {
       // Log the stripped list before touching any benefactor state, so a
       // crash mid-strip recovers to the truth rather than a list still
-      // naming reclaimed members; then reclaim the dead members' space
+      // naming reclaimed members; then reclaim the members' space
       // bookkeeping and publish — readers stop trying dead ids while the
       // copy runs.
       WalRecord rec;
@@ -466,23 +487,14 @@ std::vector<Manager::RepairPlan> Manager::PlanRepairs(
       rec.key = key;
       rec.replicas = members;
       LogAppend(clock, std::move(rec));
-      for (int bid : dead) {
+      for (int bid : reclaimed) {
         Benefactor* b = bens[static_cast<size_t>(bid)];
         b->ReleaseBytes(code.member_bytes);
         (void)b->DeleteChunk(key);
       }
       PublishReplicasLocked(h, members);
     }
-    if (code.Lost(members)) {
-      // Below `need` no verified source or reconstruction exists.  Count
-      // the loss only when THIS strip crossed the threshold (repairs never
-      // run below `need`, so the crossing happens at most once).
-      if (!code.Lost(recorded)) {
-        lost_chunks_.Add(1);
-        if (lost != nullptr) ++*lost;
-      }
-      continue;
-    }
+    if (code.Lost(members)) continue;
     const size_t live = Redundancy::Listed(members);
     if (live >= code.width) continue;  // healthy after stripping (stale)
 

@@ -78,12 +78,19 @@ struct ReadLocation {
   bool ec = false;
 };
 
-// One benefactor's slice of a batched read: the indices (into the caller's
-// location array) of the chunks whose primary replica lives on
-// `benefactor` — the unit of one Benefactor::ReadChunkRun RPC.
+// One item of a batched read or write: a member of one location list — a
+// replica, or the fragment at one stripe position.  A benefactor stores a
+// member under the chunk's key.
+struct RunMember {
+  size_t loc = 0;       // index into the grouped location span
+  uint32_t member = 0;  // position in that location's benefactor list
+};
+
+// One benefactor's slice of a batch: the members it holds — the unit of
+// one Benefactor::ReadChunkRun or WriteChunkRun RPC.
 struct BenefactorRun {
   int benefactor = -1;
-  std::vector<size_t> items;  // indices into the grouped span, input order
+  std::vector<RunMember> items;  // input order
 };
 
 // Location info for writing one chunk.  If `needs_clone` is set the chunk
@@ -95,6 +102,10 @@ struct WriteLocation {
   bool needs_clone = false;
   bool ec = false;
   ChunkKey clone_from;
+  // Erasure stripe: the positional fragment checksums of the encoded
+  // stripe, filled in by the writer before the completion records them
+  // next to the full-image checksum.  Empty otherwise.
+  std::vector<uint32_t> frag_crcs;
 };
 
 class Manager {
@@ -112,27 +123,27 @@ class Manager {
   size_t meta_shards() const { return meta_shards_; }
   WalStore* wal() { return wal_; }
 
-  // --- pure grouping helpers (no locks, no manager state) ---
+  // --- grouping helpers (no locks; they read only the redundancy codes) ---
   //
   // Both operate on already-resolved location spans, so grouping a batch
-  // for the run RPCs never re-enters any manager lock.
+  // for the run RPCs never re-enters any manager lock.  A run item is a
+  // member of a location list (see the redundancy rule below): a replica
+  // or one stripe fragment.  Runs are ordered by first appearance and
+  // keep input order (location, then position) within each run, so the
+  // result is deterministic for a given input.
 
-  // Group read locations by primary (first-listed) benefactor, preserving
-  // input order within each run; runs are ordered by first appearance, so
-  // the result is deterministic for a given input.  Locations with no
-  // benefactor (unresolved/EOF) are skipped — callers handle those through
-  // the per-chunk path.
-  static std::vector<BenefactorRun> GroupByPrimaryBenefactor(
-      std::span<const ReadLocation> locs);
+  // Group the members a read needs: the first `need` listed members of
+  // each location — the primary replica, or the first k listed fragments
+  // of a stripe (data positions first, parity filling holes).  A location
+  // with fewer than `need` listed members (unresolved, EOF, or lost) is
+  // skipped — callers handle those through the per-chunk path.
+  std::vector<BenefactorRun> GroupByPrimaryBenefactor(
+      std::span<const ReadLocation> locs) const;
 
-  // Group write locations by benefactor for the write-side run RPC.
-  // Unlike the read-side grouping, a chunk appears in the run of EVERY
-  // benefactor that holds a replica (writes must reach all replicas, reads
-  // only one).  Runs are ordered by first appearance and preserve input
-  // order within each run, so the result is deterministic for a given
-  // input.
-  static std::vector<BenefactorRun> GroupByBenefactor(
-      std::span<const WriteLocation> locs);
+  // Group every listed member of each write location: writes must reach
+  // every replica or fragment, reads only `need` of them.
+  std::vector<BenefactorRun> GroupByBenefactor(
+      std::span<const WriteLocation> locs) const;
 
   // --- benefactor registry ---
 
@@ -215,9 +226,10 @@ class Manager {
   // them), reclaim their space, and reserve width - live targets on the
   // least-loaded alive benefactors (capacity-aware placement).  A chunk
   // the strip leaves below `need` is counted in *lost (once, when the
-  // strip crosses the threshold) and no plan is emitted; stale keys
-  // (freed or already healthy) are skipped.  `clock` pays the WAL appends
-  // (dead-strip publishes are logged).
+  // strip crosses the threshold), its surviving members are reclaimed
+  // too, and it takes the lost shape — the empty list — with no plan;
+  // stale keys (freed or already healthy) are skipped.  `clock` pays the
+  // WAL appends (dead-strip publishes are logged).
   std::vector<RepairPlan> PlanRepairs(sim::VirtualClock& clock,
                                       std::span<const ChunkKey> keys,
                                       uint64_t* lost = nullptr);
@@ -399,8 +411,10 @@ class Manager {
   // index order, and the whole prepared window completes in that one lock
   // pass.  `crcs` (parallel to locs; may be empty) carries the flush-time
   // checksums, recorded per chunk only where `ok` (parallel; may be empty
-  // = all ok) says a replica holds the data.  One batched WAL record
-  // covers the whole window, appended before any in-memory mutation.
+  // = all ok) says the write committed; an erasure stripe's fragment
+  // checksums ride on its location (`WriteLocation::frag_crcs`) and are
+  // recorded with it.  One batched WAL record covers the whole window,
+  // appended before any in-memory mutation.
   void CompleteWrites(sim::VirtualClock& clock,
                       std::span<const WriteLocation> locs,
                       std::span<const uint32_t> crcs = {},
@@ -616,6 +630,19 @@ class Manager {
       }
       return listed < width || live < list.size();
     }
+    // A drop that took `list` below `need` (`before` was not) lost the
+    // chunk: its survivors can neither serve nor rebuild it, so they join
+    // `dropped` and `list` takes the one lost shape, the empty list that
+    // a replicated loss has.  Returns whether this drop crossed.
+    bool LoseBelowNeed(std::span<const int> before, std::vector<int>& list,
+                       std::vector<int>& dropped) const {
+      if (!Lost(list) || Lost(before)) return false;
+      for (int bid : list) {
+        if (bid >= 0) dropped.push_back(bid);
+      }
+      list.clear();
+      return true;
+    }
     // Drop every listed member `gone(bid, index)` selects: a positional
     // code leaves a hole in place, a compact one closes the gap.  Returns
     // the dropped ids in list order.
@@ -682,11 +709,13 @@ class Manager {
   bool IsRepairTargetLocked(const MetaShard& shard, const ChunkKey& key,
                             int bid) const;
   // Strip the corrupt replica (key, bid): drop its data and space, publish
-  // the shortened list, bump the repair epoch.  Returns false when bid is
-  // no longer in the chunk's list (already quarantined or replaced) —
-  // nothing new to learn.  Shard mu held.  The shortened list is logged
-  // BEFORE the replica's data is dropped: the reverse order would leave a
-  // crashed recovery believing the deleted replica still held the bytes.
+  // the shortened list, bump the repair epoch.  A strip that crosses below
+  // `need` reclaims the survivors too and publishes the empty list.
+  // Returns false when bid is no longer in the chunk's list (already
+  // quarantined or replaced) — nothing new to learn.  Shard mu held.  The
+  // shortened list is logged BEFORE the replica's data is dropped: the
+  // reverse order would leave a crashed recovery believing the deleted
+  // replica still held the bytes.
   bool QuarantineReplicaLocked(sim::VirtualClock& clock, MetaShard& shard,
                                const ChunkKey& key, int bid);
   // Append `rec` to the WAL (charging `clock`) — no-op without a WAL.

@@ -62,19 +62,21 @@ struct ChunkRunItem {
 using ChunkRunSink =
     std::function<Status(const ChunkRunItem&, std::span<const uint8_t>)>;
 
-// One chunk inside a multi-chunk write run (Benefactor::WriteChunkRun).
-// `data` is the full chunk image; `dirty` selects the pages to program.
-// When `needs_clone` is set the benefactor must copy `clone_from` into
-// `key` before applying the dirty pages (COW of a shared version).
+// One item of a multi-chunk write run (Benefactor::WriteChunkRun).
+// `data` is the full chunk image and `dirty` selects the pages to program;
+// with `dirty` null, `data` is a whole blob programmed in full (an erasure
+// fragment).  When `needs_clone` is set the benefactor must copy
+// `clone_from` into `key` before applying the dirty pages (COW of a shared
+// version).
 struct ChunkWriteItem {
   ChunkKey key;
   const Bitmap* dirty = nullptr;
   std::span<const uint8_t> data;
   bool needs_clone = false;
   ChunkKey clone_from;
-  // Client-computed CRC32C of the full chunk image (valid when `has_crc`);
-  // the benefactor stores it with the chunk — or recomputes over the
-  // merged image when the dirty set covers only part of the chunk.
+  // Client-computed CRC32C of the full image (valid when `has_crc`); the
+  // benefactor stores it with the blob — or recomputes over the merged
+  // image when the dirty set covers only part of the chunk.
   bool has_crc = false;
   uint32_t crc = 0;
   // Out (rides the run's ack): the CRC the benefactor actually stored.
@@ -83,6 +85,11 @@ struct ChunkWriteItem {
   // never faulted in — the merged value is the only one the manager may
   // record as authoritative.
   uint32_t* stored_crc = nullptr;
+
+  // Bytes the item ships and programs: its dirty pages, or the whole blob.
+  uint64_t PayloadBytes(uint64_t page_bytes) const {
+    return dirty == nullptr ? data.size() : dirty->PopCount() * page_bytes;
+  }
 };
 
 // Wire-message kinds inside a write run.  kControl carries run/clone

@@ -2,15 +2,18 @@
 // encode -> drop-any-m -> reconstruct byte-exactness guarantee, the
 // client degraded-read failover, background fragment repair from verified
 // survivors, corrupt-fragment quarantine (rot surfaces as a repair, never
-// as wrong bytes), a stripe write and read pinned to the same sequences
-// spelled out from component calls, and the knob-off pin: a store with the
-// erasure knobs present but the mode off stays byte- and
-// virtual-time-identical to the replicated default.
+// as wrong bytes), windows and batches through the run RPCs (one request
+// per benefactor, mid-run death and rot), a stripe write and read pinned
+// to the same sequences spelled out from component calls, and the knob-off
+// pin: a store with the erasure knobs present but the mode off stays byte-
+// and virtual-time-identical to the replicated default.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/checksum.hpp"
@@ -515,6 +518,188 @@ TEST(ErasureStoreTest, CorruptFragmentQuarantinedNeverWrongBytes) {
   EXPECT_GT(rig.store->manager().ec_fragments_repaired(), 0u);
   ExpectFullStripes(rig, id, 1);
   ExpectBytes(c, clock, id, 1, data);
+}
+
+// ---- erasure I/O through the run RPCs ----
+
+store::FileId CreateFile(store::StoreClient& c, sim::VirtualClock& clock,
+                         const std::string& name, uint32_t chunks) {
+  auto id = c.Create(clock, name);
+  EXPECT_TRUE(id.ok());
+  EXPECT_TRUE(c.Fallocate(clock, *id, chunks * kChunk).ok());
+  return *id;
+}
+
+// One WriteChunks window of `chunks` full-chunk writes; each must commit.
+void WriteWindow(store::StoreClient& c, sim::VirtualClock& clock,
+                 store::FileId id, uint32_t chunks,
+                 const std::vector<uint8_t>& data) {
+  Bitmap all(kChunk / c.config().page_bytes);
+  all.SetAll();
+  std::vector<store::StoreClient::ChunkWrite> writes(chunks);
+  for (uint32_t i = 0; i < chunks; ++i) {
+    writes[i].index = i;
+    writes[i].dirty = &all;
+    writes[i].image = {data.data() + i * kChunk, kChunk};
+  }
+  ASSERT_TRUE(c.WriteChunks(clock, id, writes).ok());
+  for (uint32_t i = 0; i < chunks; ++i) {
+    EXPECT_TRUE(writes[i].status.ok())
+        << "chunk " << i << ": " << writes[i].status.ToString();
+  }
+}
+
+// One ReadChunks batch over the first `chunks` chunks; each must come back
+// byte-exact.
+void ExpectBatchBytes(store::StoreClient& c, sim::VirtualClock& clock,
+                      store::FileId id, uint32_t chunks,
+                      const std::vector<uint8_t>& want) {
+  std::vector<uint8_t> buf(chunks * kChunk);
+  std::vector<store::StoreClient::ChunkFetch> fetches(chunks);
+  for (uint32_t i = 0; i < chunks; ++i) {
+    fetches[i].index = i;
+    fetches[i].out = {buf.data() + i * kChunk, kChunk};
+  }
+  ASSERT_TRUE(c.ReadChunks(clock, id, fetches).ok());
+  for (uint32_t i = 0; i < chunks; ++i) {
+    ASSERT_TRUE(fetches[i].status.ok())
+        << "chunk " << i << ": " << fetches[i].status.ToString();
+    ASSERT_EQ(0, std::memcmp(buf.data() + i * kChunk,
+                             want.data() + i * kChunk, kChunk))
+        << "chunk " << i;
+  }
+}
+
+uint64_t ReadRequests(Rig& rig) {
+  uint64_t n = 0;
+  for (size_t b = 0; b < rig.store->num_benefactors(); ++b) {
+    n += rig.store->benefactor(b).read_requests();
+  }
+  return n;
+}
+
+// Maintenance off: no repair refills a quarantined hole or strips a dead
+// holder behind the test's back.
+void Quiet(store::StoreConfig& cfg) { cfg.maintenance = false; }
+
+TEST(ErasureStoreTest, WindowTakesOneRequestPerBenefactor) {
+  // Eight full stripes on six benefactors: every stripe spans all six, so
+  // the window's 48 fragments ride one write run per benefactor (48
+  // requests one stripe at a time), and one batched read of the eight
+  // stripes fetches their 32 data fragments in at most six read runs.
+  Rig rig(6, Quiet);
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  sim::VirtualClock clock(0);
+  constexpr uint32_t kChunks = 8;
+  const auto data = Pattern(kChunks * kChunk, 31);
+  const store::FileId id = CreateFile(c, clock, "/win", kChunks);
+  WriteWindow(c, clock, id, kChunks, data);
+  for (size_t b = 0; b < 6; ++b) {
+    EXPECT_EQ(rig.store->benefactor(b).write_requests(), 1u)
+        << "benefactor " << b;
+  }
+  EXPECT_EQ(c.write_run_rpcs(), 6u);
+  EXPECT_EQ(c.degraded_writes(), 0u);
+  ExpectFullStripes(rig, id, kChunks);
+  EXPECT_EQ(rig.store->manager().ec_parity_bytes(), kChunks * kChunk * 2 / 4);
+
+  const uint64_t reads = ReadRequests(rig);
+  ExpectBatchBytes(c, clock, id, kChunks, data);
+  EXPECT_LE(ReadRequests(rig) - reads, 6u);
+  EXPECT_EQ(c.ec_degraded_reads(), 0u);
+}
+
+TEST(ErasureStoreTest, WriteRunDeathCommitsEveryStripeDegraded) {
+  // A fragment holder dies three programs into its write run: the run is
+  // discarded, its fragments fall back per fragment and fail fast, and
+  // every stripe still commits on its other k+m-1 fragments as a degraded
+  // write — checksums recorded, bytes exact through parity.
+  Rig rig(6, Quiet);
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  sim::VirtualClock clock(0);
+  constexpr uint32_t kChunks = 8;
+  const auto data = Pattern(kChunks * kChunk, 32);
+  const store::FileId id = CreateFile(c, clock, "/wdie", kChunks);
+  store::Benefactor& victim = rig.store->benefactor(0);
+  victim.KillAfterWrites(3);
+  WriteWindow(c, clock, id, kChunks, data);
+  EXPECT_FALSE(victim.alive());
+  // The run was its only request: the per-fragment retries failed fast.
+  EXPECT_EQ(victim.write_requests(), 1u);
+  EXPECT_EQ(c.degraded_writes(), kChunks);
+
+  store::Manager& m = rig.store->manager();
+  auto locs = m.GetReadLocations(clock, id, 0, kChunks);
+  ASSERT_TRUE(locs.ok());
+  for (uint32_t i = 0; i < kChunks; ++i) {
+    uint32_t crc = 0;
+    ASSERT_TRUE(m.LookupChecksum((*locs)[i].key, &crc)) << "chunk " << i;
+    EXPECT_EQ(crc, Crc32c(data.data() + i * kChunk, kChunk)) << "chunk " << i;
+  }
+  ExpectBatchBytes(c, clock, id, kChunks, data);
+  EXPECT_GT(c.ec_degraded_reads(), 0u);
+  EXPECT_EQ(m.lost_chunks(), 0u);
+}
+
+TEST(ErasureStoreTest, ReadRunDeathFallsOverToParity) {
+  // The benefactor holding the most data fragments dies two blobs into its
+  // read run: the run is discarded and every stripe it touched is re-read
+  // per chunk, reconstructing from parity.
+  Rig rig(6, Quiet);
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  sim::VirtualClock clock(0);
+  constexpr uint32_t kChunks = 8;
+  const auto data = Pattern(kChunks * kChunk, 33);
+  const store::FileId id = CreateFile(c, clock, "/rdie", kChunks);
+  WriteWindow(c, clock, id, kChunks, data);
+
+  auto locs = rig.store->manager().GetReadLocations(clock, id, 0, kChunks);
+  ASSERT_TRUE(locs.ok());
+  std::vector<int> data_frags(6, 0);
+  for (const store::ReadLocation& loc : *locs) {
+    for (uint32_t pos = 0; pos < c.config().ec_k; ++pos) {
+      ++data_frags[static_cast<size_t>(loc.benefactors[pos])];
+    }
+  }
+  const auto most = std::max_element(data_frags.begin(), data_frags.end());
+  ASSERT_GE(*most, 3) << "the victim's run must outlast its death";
+  store::Benefactor& victim = rig.store->benefactor(
+      static_cast<size_t>(most - data_frags.begin()));
+  victim.KillAfterReads(2);
+  ExpectBatchBytes(c, clock, id, kChunks, data);
+  EXPECT_FALSE(victim.alive());
+  EXPECT_GT(c.ec_degraded_reads(), 0u);
+  EXPECT_EQ(rig.store->manager().lost_chunks(), 0u);
+}
+
+TEST(ErasureStoreTest, CorruptFragmentInReadRunIsQuarantined) {
+  // A rotted data fragment inside a read run fails the run with CORRUPT;
+  // the per-chunk fallback catches it again, quarantines it and
+  // reconstructs the stripe from parity.  No wrong byte reaches the batch.
+  Rig rig(6, Quiet);
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  sim::VirtualClock clock(0);
+  constexpr uint32_t kChunks = 8;
+  const auto data = Pattern(kChunks * kChunk, 34);
+  const store::FileId id = CreateFile(c, clock, "/rrot", kChunks);
+  WriteWindow(c, clock, id, kChunks, data);
+
+  store::Manager& m = rig.store->manager();
+  auto loc = m.GetReadLocation(clock, id, 3);
+  ASSERT_TRUE(loc.ok());
+  const int bad = loc->benefactors[1];
+  store::Benefactor& holder = rig.store->benefactor(static_cast<size_t>(bad));
+  ASSERT_TRUE(holder.CorruptChunk(loc->key, 17, 0x40).ok());
+
+  ExpectBatchBytes(c, clock, id, kChunks, data);
+  EXPECT_GT(c.corrupt_failovers(), 0u);
+  EXPECT_GT(c.ec_degraded_reads(), 0u);
+  EXPECT_EQ(m.corrupt_detected(), 1u);
+  auto after = m.GetReadLocation(clock, id, 3);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->benefactors[1], -1) << "the rotted fragment stays listed";
+  EXPECT_FALSE(holder.HasChunk(loc->key));
+  EXPECT_EQ(m.lost_chunks(), 0u);
 }
 
 // ---- virtual-time pin against component calls ----

@@ -377,18 +377,25 @@ Status WriteChunk(store::StoreClient& c, sim::VirtualClock& clock,
   return c.WriteChunkPages(clock, id, index, all, bytes);
 }
 
-// The bytes every live file must serve, keyed by name.
+// The bytes every live file must serve, keyed by name.  An empty chunk
+// image marks a chunk the store has surfaced as lost.
 struct ShadowFile {
   store::FileId id = store::kInvalidFileId;
   std::vector<std::vector<uint8_t>> chunks;
 };
 using Shadow = std::map<std::string, ShadowFile>;
 
-void ExpectBytes(Rig& rig, sim::VirtualClock& clock, const Shadow& shadow) {
+template <typename AnyRig>
+void ExpectBytes(AnyRig& rig, sim::VirtualClock& clock, const Shadow& shadow) {
   store::StoreClient& c = rig.client();
   std::vector<uint8_t> buf(kChunk);
   for (const auto& [name, f] : shadow) {
     for (uint32_t i = 0; i < f.chunks.size(); ++i) {
+      if (f.chunks[i].empty()) {
+        ASSERT_FALSE(c.ReadChunk(clock, f.id, i, buf).ok())
+            << name << " chunk " << i << " is lost but serves bytes";
+        continue;
+      }
       ASSERT_TRUE(c.ReadChunk(clock, f.id, i, buf).ok())
           << name << " chunk " << i;
       ASSERT_EQ(0, std::memcmp(buf.data(), f.chunks[i].data(), kChunk))
@@ -400,16 +407,24 @@ void ExpectBytes(Rig& rig, sim::VirtualClock& clock, const Shadow& shadow) {
 // The cross-layer invariant sweep from store_invariant_test, restated at
 // manager/benefactor level (no mount): namespace agreement, placement
 // sanity, checksum agreement on every alive stored replica, reservation
-// accounting, and no orphans.  `expect_full` demands exactly-R replica
-// lists (off while a just-recovered store is still legitimately
-// degraded).  Shared handles (checkpoint links) are deduped by key so
-// reservation accounting counts each physical chunk once.
-void CheckInvariants(Rig& rig, const Shadow& shadow, bool expect_full) {
+// accounting (one member's bytes — a chunk or a fragment — per listed
+// member), and no orphans.  `expect_full` demands full-width lists (off
+// while a just-recovered store is still legitimately degraded); a lost
+// chunk must carry the empty list.  Shared handles (checkpoint links) are
+// deduped by key so reservation accounting counts each physical chunk
+// once.
+template <typename AnyRig>
+void CheckInvariants(AnyRig& rig, const Shadow& shadow, bool expect_full) {
   sim::VirtualClock clock(0);
   store::Manager& m = rig.store.manager();
-  const size_t repl = static_cast<size_t>(m.config().replication);
+  const store::StoreConfig& cfg = m.config();
+  const bool ec = cfg.ec();
+  const size_t width =
+      ec ? cfg.ec_fragments() : static_cast<size_t>(cfg.replication);
+  const uint64_t member_bytes = ec ? cfg.ec_frag_bytes() : cfg.chunk_bytes;
+  const int benefactors = static_cast<int>(rig.store.num_benefactors());
 
-  std::map<std::string, std::vector<int>> placed;  // key -> replica list
+  std::map<std::string, std::vector<int>> placed;  // key -> member list
   for (const auto& [name, f] : shadow) {
     auto id = m.LookupFile(clock, name);
     ASSERT_TRUE(id.ok()) << name;
@@ -422,20 +437,31 @@ void CheckInvariants(Rig& rig, const Shadow& shadow, bool expect_full) {
                                    static_cast<uint32_t>(f.chunks.size()));
     ASSERT_TRUE(locs.ok()) << name;
     ASSERT_EQ(locs->size(), f.chunks.size()) << name;
-    for (const store::ReadLocation& loc : *locs) {
-      ASSERT_FALSE(loc.benefactors.empty()) << loc.key.ToString();
-      if (expect_full) {
-        ASSERT_EQ(loc.benefactors.size(), repl);
-      }
-      std::set<int> distinct(loc.benefactors.begin(), loc.benefactors.end());
-      ASSERT_EQ(distinct.size(), loc.benefactors.size());
-      for (int b : loc.benefactors) {
-        ASSERT_GE(b, 0);
-        ASSERT_LT(b, kBenefactors);
-      }
+    for (size_t i = 0; i < locs->size(); ++i) {
+      const store::ReadLocation& loc = (*locs)[i];
       ASSERT_GE(m.ChunkRefcount(loc.key), 1u);
+      if (f.chunks[i].empty()) {
+        ASSERT_TRUE(loc.benefactors.empty())
+            << loc.key.ToString() << " is lost in another shape";
+      } else {
+        ASSERT_FALSE(loc.benefactors.empty()) << loc.key.ToString();
+      }
+      if (expect_full && !f.chunks[i].empty()) {
+        ASSERT_EQ(loc.benefactors.size(), width);
+      }
+      std::set<int> distinct;
+      for (int b : loc.benefactors) {
+        if (b < 0) {
+          ASSERT_TRUE(ec && !expect_full) << "hole in " << loc.key.ToString();
+          continue;
+        }
+        ASSERT_LT(b, benefactors);
+        ASSERT_TRUE(distinct.insert(b).second) << loc.key.ToString();
+      }
       uint32_t want = 0;
-      if (m.config().integrity() && m.LookupChecksum(loc.key, &want)) {
+      // A stripe member stores its fragment, whose checksum is not the
+      // chunk's; only a replica's stored bytes must match the image's.
+      if (!ec && cfg.integrity() && m.LookupChecksum(loc.key, &want)) {
         for (int b : loc.benefactors) {
           store::Benefactor& ben = rig.store.benefactor(static_cast<size_t>(b));
           uint32_t got = 0;
@@ -452,18 +478,19 @@ void CheckInvariants(Rig& rig, const Shadow& shadow, bool expect_full) {
     }
   }
 
-  std::vector<uint64_t> reserved(kBenefactors, 0);
+  std::vector<uint64_t> reserved(static_cast<size_t>(benefactors), 0);
   std::map<std::string, std::set<int>> where;
   for (const auto& [key, list] : placed) {
     for (int b : list) {
+      if (b < 0) continue;
       ++reserved[static_cast<size_t>(b)];
       where[key].insert(b);
     }
   }
-  for (int b = 0; b < kBenefactors; ++b) {
+  for (int b = 0; b < benefactors; ++b) {
     store::Benefactor& ben = rig.store.benefactor(static_cast<size_t>(b));
     if (!ben.alive()) continue;
-    ASSERT_EQ(ben.bytes_used(), reserved[static_cast<size_t>(b)] * kChunk)
+    ASSERT_EQ(ben.bytes_used(), reserved[static_cast<size_t>(b)] * member_bytes)
         << "benefactor " << b;
     for (const store::ChunkKey& key : ben.StoredChunkKeys()) {
       auto it = where.find(key.ToString());
@@ -813,6 +840,198 @@ TEST(CrashMatrix, EcRewriteCompletedOnBenefactorsAdoptsFragmentChecksums) {
   uint32_t auth = 0;
   ASSERT_TRUE(rig.store.manager().LookupChecksum(loc->key, &auth));
   EXPECT_EQ(auth, Crc32c(v2.data(), v2.size()));
+}
+
+// One WriteChunks window writing `chunks` whole, chunk i at index i; every
+// chunk must commit.
+Status WriteWindow(store::StoreClient& c, sim::VirtualClock& clock,
+                   store::FileId id,
+                   const std::vector<std::vector<uint8_t>>& chunks) {
+  Bitmap all(kChunk / c.config().page_bytes);
+  all.SetAll();
+  std::vector<store::StoreClient::ChunkWrite> writes(chunks.size());
+  for (uint32_t i = 0; i < chunks.size(); ++i) {
+    writes[i].index = i;
+    writes[i].dirty = &all;
+    writes[i].image = {chunks[i].data(), kChunk};
+  }
+  Status s = c.WriteChunks(clock, id, writes);
+  for (const auto& w : writes) {
+    if (s.ok()) s = w.status;
+  }
+  return s;
+}
+
+TEST(CrashMatrix, EcWindowCompletionCarriesFragmentChecksums) {
+  // A multi-stripe window commits with ONE completion record that carries
+  // every stripe's fragment checksums next to its full-image checksum.  The
+  // manager then dies with its next record torn.  Recovery replays the
+  // window's record: the positional checksums are authoritative again with
+  // nothing adopted from the benefactors, and a verify scrub still pins a
+  // rotted fragment to its position.
+  EcRig rig;
+  sim::VirtualClock clock(0);
+  constexpr uint32_t kStripes = 4;
+  auto idr = rig.client().Create(clock, "/ec2");
+  ASSERT_TRUE(idr.ok());
+  ASSERT_TRUE(rig.client().Fallocate(clock, *idr, kStripes * kChunk).ok());
+  const store::FileId id = *idr;
+  std::vector<std::vector<uint8_t>> v1, v2;
+  for (uint32_t i = 0; i < kStripes; ++i) {
+    v1.push_back(Pattern(100 + i));
+    v2.push_back(Pattern(110 + i));
+  }
+  ASSERT_TRUE(WriteWindow(rig.client(), clock, id, v1).ok());
+  const uint64_t before = rig.store.wal()->appends();
+  ASSERT_TRUE(WriteWindow(rig.client(), clock, id, v2).ok());
+  EXPECT_EQ(rig.store.wal()->appends(), before + 1)
+      << "one completion record closes the window";
+
+  rig.store.wal()->CrashAfterAppends(1, 0);  // tear the next record
+  (void)rig.client().Create(clock, "/ec2.next");
+  ASSERT_TRUE(rig.store.wal()->crashed());
+
+  rig.store.KillManager();
+  auto report = rig.store.RestartManager(clock);
+  EXPECT_TRUE(report.torn_tail);
+  EXPECT_EQ(report.chunks_lost, 0u);
+  EXPECT_EQ(report.crc_adopted, 0u);
+  EXPECT_EQ(report.replicas_dropped, 0u);
+
+  Shadow shadow;
+  shadow["/ec2"] = {id, v2};
+  ASSERT_NO_FATAL_FAILURE(ExpectBytes(rig, clock, shadow));
+  ASSERT_NO_FATAL_FAILURE(CheckInvariants(rig, shadow, /*expect_full=*/true));
+
+  store::Manager& m = rig.store.manager();
+  auto locs = m.GetReadLocations(clock, id, 0, kStripes);
+  ASSERT_TRUE(locs.ok());
+  for (uint32_t i = 0; i < kStripes; ++i) {
+    const store::ReadLocation& loc = (*locs)[i];
+    uint32_t auth = 0;
+    ASSERT_TRUE(m.LookupChecksum(loc.key, &auth)) << "stripe " << i;
+    EXPECT_EQ(auth, Crc32c(v2[i].data(), kChunk)) << "stripe " << i;
+    // Rot one fragment per stripe, at a different position each time.
+    const int holder = loc.benefactors[i % loc.benefactors.size()];
+    ASSERT_TRUE(rig.store.benefactor(static_cast<size_t>(holder))
+                    .CorruptChunk(loc.key, 5, 0x01)
+                    .ok());
+  }
+  const auto scrub = m.VerifyScrub(clock, 64_MiB);
+  EXPECT_EQ(scrub.corrupt_found, kStripes);
+}
+
+// ---------------------------------------------------------------------------
+// The lost shape: a chunk below `need` is an empty list, live and restarted
+// ---------------------------------------------------------------------------
+
+// Kill `victims`, let RepairReplication strip them, and check that the
+// live manager's loss count equals a restarted manager's recount — one
+// shape, counted once — with the survivors' reservations and data gone
+// both before and after the restart.  `shadow` names the lost chunks with
+// empty images.
+template <typename AnyRig>
+void ExpectLossSurvivesRestart(AnyRig& rig, sim::VirtualClock& clock,
+                               const std::vector<int>& victims,
+                               const Shadow& shadow, uint64_t want_lost) {
+  for (int v : victims) {
+    rig.store.benefactor(static_cast<size_t>(v)).Kill();
+  }
+  uint64_t lost = 0;
+  ASSERT_TRUE(rig.store.manager().RepairReplication(clock, &lost).ok());
+  EXPECT_EQ(lost, want_lost);
+  const uint64_t live_lost = rig.store.manager().lost_chunks();
+  EXPECT_EQ(live_lost, want_lost);
+  ASSERT_NO_FATAL_FAILURE(ExpectBytes(rig, clock, shadow));
+  ASSERT_NO_FATAL_FAILURE(CheckInvariants(rig, shadow, /*expect_full=*/false));
+
+  rig.store.KillManager();
+  auto report = rig.store.RestartManager(clock);
+  EXPECT_EQ(report.chunks_lost, live_lost);
+  EXPECT_EQ(rig.store.manager().lost_chunks(), live_lost);
+  ASSERT_NO_FATAL_FAILURE(ExpectBytes(rig, clock, shadow));
+  ASSERT_NO_FATAL_FAILURE(CheckInvariants(rig, shadow, /*expect_full=*/false));
+}
+
+TEST(LostShape, StripeWithThreeOfSixHoldersDeadMatchesAcrossRestart) {
+  // RS(4,2) over six benefactors: every stripe spans all six, so three
+  // dead holders leave each with three fragments — below k.
+  EcRig rig;
+  sim::VirtualClock clock(0);
+  constexpr uint32_t kStripes = 2;
+  auto idr = rig.client().Create(clock, "/gone");
+  ASSERT_TRUE(idr.ok());
+  ASSERT_TRUE(rig.client().Fallocate(clock, *idr, kStripes * kChunk).ok());
+  ASSERT_TRUE(
+      WriteWindow(rig.client(), clock, *idr, {Pattern(120), Pattern(121)})
+          .ok());
+  Shadow shadow;
+  shadow["/gone"] = {*idr, {{}, {}}};
+  ExpectLossSurvivesRestart(rig, clock, {0, 2, 4}, shadow, kStripes);
+}
+
+TEST(LostShape, ReplicaWithBothHoldersDeadMatchesAcrossRestart) {
+  // Replication 2: both holders of chunk 0 die; the chunks sharing one
+  // holder with it are re-replicated onto the survivors.
+  Rig rig;
+  sim::VirtualClock clock(0);
+  constexpr uint32_t kChunks = 4;
+  const store::FileId id = MakeFile(rig, clock, "/gone", kChunks);
+  std::vector<std::vector<uint8_t>> data;
+  for (uint32_t i = 0; i < kChunks; ++i) data.push_back(Pattern(130 + i));
+  ASSERT_TRUE(WriteWindow(rig.client(), clock, id, data).ok());
+  auto locs = rig.store.manager().GetReadLocations(clock, id, 0, kChunks);
+  ASSERT_TRUE(locs.ok());
+  const std::vector<int> victims = (*locs)[0].benefactors;
+  ASSERT_EQ(victims.size(), 2u);
+  Shadow shadow;
+  shadow["/gone"] = {id, data};
+  uint64_t want_lost = 0;
+  for (uint32_t i = 0; i < kChunks; ++i) {
+    std::vector<int> holders = (*locs)[i].benefactors;
+    std::sort(holders.begin(), holders.end());
+    std::vector<int> dead = victims;
+    std::sort(dead.begin(), dead.end());
+    if (holders == dead) {
+      shadow["/gone"].chunks[i].clear();
+      ++want_lost;
+    }
+  }
+  ExpectLossSurvivesRestart(rig, clock, victims, shadow, want_lost);
+}
+
+TEST(LostShape, QuarantineBelowKTakesTheEmptyList) {
+  // Two dead holders leave a stripe with exactly k fragments; quarantining
+  // one more crosses below k.  The quarantine reclaims the survivors and
+  // publishes the empty list, which a restart counts once.
+  EcRig rig;
+  sim::VirtualClock clock(0);
+  auto idr = rig.client().Create(clock, "/rot");
+  ASSERT_TRUE(idr.ok());
+  ASSERT_TRUE(rig.client().Fallocate(clock, *idr, kChunk).ok());
+  ASSERT_TRUE(WriteChunk(rig.client(), clock, *idr, 0, Pattern(140)).ok());
+  rig.store.benefactor(0).Kill();
+  rig.store.benefactor(2).Kill();
+  store::Manager& m = rig.store.manager();
+  uint64_t lost = 0;
+  ASSERT_TRUE(m.RepairReplication(clock, &lost).ok());  // strips, no target
+  ASSERT_EQ(lost, 0u);
+  auto loc = m.GetReadLocation(clock, *idr, 0);
+  ASSERT_TRUE(loc.ok());
+  ASSERT_EQ(loc->benefactors.size(), 6u);
+  m.ReportCorrupt(clock, loc->key, loc->benefactors[1]);
+  EXPECT_EQ(m.lost_chunks(), 1u);
+
+  // The client's cached location predates the quarantine, so the reads
+  // below go through the restarted manager's fresh client stubs.
+  Shadow shadow;
+  shadow["/rot"] = {*idr, {{}}};
+  ASSERT_NO_FATAL_FAILURE(CheckInvariants(rig, shadow, /*expect_full=*/false));
+  rig.store.KillManager();
+  auto report = rig.store.RestartManager(clock);
+  EXPECT_EQ(report.chunks_lost, 1u);
+  ASSERT_NO_FATAL_FAILURE(ExpectBytes(rig, clock, shadow));
+  ASSERT_NO_FATAL_FAILURE(CheckInvariants(rig, shadow, /*expect_full=*/false));
 }
 
 // ---------------------------------------------------------------------------
