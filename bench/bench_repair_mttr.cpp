@@ -183,7 +183,6 @@ CorruptResult RunCorrupt(uint64_t verify_bytes) {
   sc.store.heartbeat_misses = 3;
   sc.store.repair_bw_fraction = 0.5;
   sc.store.scrub_period_ms = kScrubPeriodMs;
-  sc.store.scrub_verify = true;
   sc.store.scrub_verify_bytes = verify_bytes;
   Rig rig(sc);
   store::Manager& m = rig.store.manager();

@@ -17,8 +17,9 @@
 // report (print store status),
 // maintenance (background failure detection/repair/scrub), plus its knobs
 // heartbeat_period_ms, heartbeat_misses, repair_bw_fraction, scrub_period_ms,
-// and the integrity knobs verify_reads, scrub_verify, scrub_verify_bytes,
-// checksum_bw_gbps (per-chunk CRC32C: verifying reads + checksum scrub),
+// and the integrity knobs scrub_verify_bytes (0 skips the checksum scrub)
+// and checksum_bw_gbps (per-chunk CRC32C, always on: verifying reads +
+// checksum scrub),
 // meta_shards (manager metadata-plane shard count), the crash-
 // consistency knobs wal, checkpoint_period_ms, wal_segment, wal_device,
 // wal_device_wear_leveling (durable manager metadata: WAL + checkpoints),
@@ -79,8 +80,6 @@ TestbedOptions BuildTestbed(const Config& cfg) {
       cfg.GetDouble("repair_bw_fraction", to.store.repair_bw_fraction);
   to.store.scrub_period_ms =
       cfg.GetInt("scrub_period_ms", to.store.scrub_period_ms);
-  to.store.verify_reads = cfg.GetBool("verify_reads", to.store.verify_reads);
-  to.store.scrub_verify = cfg.GetBool("scrub_verify", to.store.scrub_verify);
   to.store.scrub_verify_bytes =
       cfg.GetBytes("scrub_verify_bytes", to.store.scrub_verify_bytes);
   to.store.checksum_bw_gbps =

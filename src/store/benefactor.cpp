@@ -254,7 +254,7 @@ Status Benefactor::ReadRun(sim::VirtualClock& clock,
     // whole run (like a mid-run death, but with CORRUPT) once the
     // verification that caught it is paid for: the caller fails over to
     // another replica or to parity on that clock.
-    if (config_.verify_reads && has_crc) {
+    if (has_crc) {
       verify_done_ns = std::max(verify_done_ns, clock.now()) +
                        config_.checksum_ns(bytes);
       if (Crc32c(blob.data(), bytes) != crc) {
@@ -388,8 +388,7 @@ Status Benefactor::WriteChunkRun(sim::VirtualClock& clock,
     // no per-item status); the caller falls back to per-chunk writes,
     // where the corrupt replica is reported and the healthy ones land.
     NVM_RETURN_IF_ERROR(Program(clock, item.key, item.dirty, item.data,
-                                item.has_crc ? &item.crc : nullptr,
-                                item.stored_crc, first_in_run));
+                                &item.crc, item.stored_crc, first_in_run));
   }
   return OkStatus();
 }
@@ -414,8 +413,7 @@ Status Benefactor::Program(sim::VirtualClock& clock, const ChunkKey& key,
       fresh.data.assign(blob_bytes, 0);
       fresh.ssd_offset = AllocateOffset();
       it = chunks_.emplace(key, std::move(fresh)).first;
-    } else if (config_.integrity() && it->second.has_crc && bytes > 0 &&
-               !whole) {
+    } else if (it->second.has_crc && bytes > 0 && !whole) {
       // Partial merge onto an existing image: verify the base first.
       // Recomputing the merged checksum over unverified clean pages would
       // launder bit rot into a fresh, matching checksum — the one state no
@@ -438,23 +436,18 @@ Status Benefactor::Program(sim::VirtualClock& clock, const ChunkKey& key,
                       config_.page_bytes);
         });
       }
-      if (config_.integrity() && bytes > 0) {
+      if (bytes > 0) {
         if (whole && crc != nullptr) {
           // Full-image write: the caller already computed (and paid for)
           // the checksum of exactly these bytes — store it verbatim.
           blob.crc = *crc;
-          blob.has_crc = true;
-        } else if (dirty == nullptr) {
-          // A fragment is checksummed by its writer only; without one the
-          // old checksum no longer describes the bytes.
-          blob.has_crc = false;
         } else {
           // Partial-dirty merge (or no caller crc): the checksum must
           // cover the merged image, at the benefactor's CPU cost.
           blob.crc = Crc32c(blob.data.data(), blob.data.size());
-          blob.has_crc = true;
           charge_crc = true;
         }
+        blob.has_crc = true;
       }
       if (stored_crc != nullptr && blob.has_crc) *stored_crc = blob.crc;
     }

@@ -59,9 +59,11 @@ class Benefactor {
   // per-item program step writes.  ReadChunk, ReadFragment, WritePages and
   // WriteFragment are requests of one blob over those bodies, charged
   // exactly like a lone request because SsdDevice::ChargeRun*(first_in_run
-  // = true) is Charge*.  The four names survive only because the
-  // repository benchmark's traced build wraps them; fold them into the run
-  // calls when the benchmark next changes.
+  // = true) is Charge*.  ReadFragment and WriteFragment take a whole blob
+  // of either size, so the manager's member mover (repair and drain) moves
+  // replicas and fragments alike through them.  The four names survive
+  // only because the repository benchmark's traced build wraps them; fold
+  // them into the run calls when the benchmark next changes.
 
   // Multi-chunk streamed read — the run RPC.  One call is ONE request at
   // this benefactor (one header, one device queueing slot): each stored
@@ -69,10 +71,10 @@ class Benefactor {
   // the SSD channel), but only the first pays the per-request read
   // latency.  Blobs are handed to `sink` in request order, stamped with
   // their device completion time; sparse (reserved-but-never-written)
-  // blobs skip the device and carry no data.  With config.verify_reads
-  // the stored bytes are re-checksummed before they are handed over (CPU
-  // charged at checksum_bw_gbps, pipelined with the device stream); a
-  // mismatch fails the run with CORRUPT once that verification is charged.
+  // blobs skip the device and carry no data.  A blob stored with a
+  // checksum is re-checksummed before it is handed over (CPU charged at
+  // checksum_bw_gbps, pipelined with the device stream); a mismatch fails
+  // the run with CORRUPT once that verification is charged.
   // If the benefactor dies mid-run the whole run fails with UNAVAILABLE —
   // the caller must discard any blobs already streamed (no partial runs
   // are surfaced).
@@ -90,9 +92,10 @@ class Benefactor {
                    std::span<uint8_t> out, bool* sparse = nullptr,
                    TenantId tenant = kTenantForeground);
 
-  // Read the full fragment into `out` (out.size() == ec_frag_bytes), like
+  // Read the whole stored blob into `out` (out.size() is the blob's size:
+  // ec_frag_bytes for a fragment, chunk_bytes for a replica), like
   // ReadChunk: rot surfaces as CORRUPT, never as wrong bytes in a
-  // reconstruction.
+  // reconstruction or a repair copy.
   Status ReadFragment(sim::VirtualClock& clock, const ChunkKey& key,
                       std::span<uint8_t> out, bool* sparse = nullptr,
                       TenantId tenant = kTenantForeground);
@@ -112,12 +115,12 @@ class Benefactor {
   // mid-run the whole run fails with UNAVAILABLE and the caller must treat
   // every item as unwritten on this benefactor.
   //
-  // Checksums (ignored when both integrity knobs are off): an item's
-  // caller-computed CRC32C of the full image is stored verbatim when the
-  // dirty set covers the whole chunk; a partial write first verifies the
-  // stored base image (a mismatch fails the run with CORRUPT) and then
-  // recomputes the CRC over the merged image, charging the checksum CPU
-  // cost.  `stored_crc` returns the CRC actually stored — the merged-image
+  // Checksums: an item's caller-computed CRC32C of the full image is
+  // stored verbatim when the dirty set covers the whole chunk; a partial
+  // write first verifies the stored base image (a mismatch fails the run
+  // with CORRUPT) and then recomputes the CRC over the merged image,
+  // charging the checksum CPU cost, as does a whole write without a
+  // caller CRC.  `stored_crc` returns the CRC actually stored — the merged-image
   // value on a partial write — which is what the caller must hand the
   // manager as the authoritative checksum.
   Status WriteChunkRun(sim::VirtualClock& clock,
@@ -134,10 +137,11 @@ class Benefactor {
                     uint32_t* stored_crc = nullptr,
                     TenantId tenant = kTenantForeground);
 
-  // Store the full fragment image — a blob of ec_frag_bytes with every
-  // byte dirty (the client's EC write path is full-stripe, so there is no
-  // merge).  `crc` is the caller-computed CRC32C of the fragment, stored
-  // verbatim; without one no checksum is recorded (none is computed here).
+  // Store a whole blob — a fragment of ec_frag_bytes or a replica of
+  // chunk_bytes, every byte dirty (the client's EC write path is
+  // full-stripe, so there is no merge).  `crc` is the caller-computed
+  // CRC32C of the blob, stored verbatim; without one the benefactor
+  // computes it, at its CPU cost.
   Status WriteFragment(sim::VirtualClock& clock, const ChunkKey& key,
                        std::span<const uint8_t> data,
                        const uint32_t* crc = nullptr,

@@ -490,11 +490,10 @@ Status StoreClient::WriteMember(sim::VirtualClock& clock, int bid,
                    bytes + cfg.meta_request_bytes);
   cluster_.network().Transfer(clock, local_node_, b->node_id(),
                               bytes + cfg.meta_request_bytes);
-  const uint32_t* crc = item.has_crc ? &item.crc : nullptr;
   NVM_RETURN_IF_ERROR(
       item.dirty == nullptr
-          ? b->WriteFragment(clock, item.key, item.data, crc, tenant_)
-          : b->WritePages(clock, item.key, *item.dirty, item.data, crc,
+          ? b->WriteFragment(clock, item.key, item.data, &item.crc, tenant_)
+          : b->WritePages(clock, item.key, *item.dirty, item.data, &item.crc,
                           item.stored_crc, tenant_));
   cluster_.network().Transfer(clock, b->node_id(), local_node_,
                               cfg.meta_response_bytes);
@@ -610,25 +609,21 @@ std::vector<std::vector<std::vector<uint8_t>>> StoreClient::EncodeStripes(
   // checksum each full image plus each fragment — the positional checksums
   // are what degraded reads and repair verify survivors against.
   const ErasureCodec codec(cfg.ec_k, cfg.ec_m);
-  const bool with_crc = cfg.integrity();
   std::vector<std::vector<std::vector<uint8_t>>> frags(active.size());
-  crcs.assign(with_crc ? active.size() : 0, 0);
-  frag_crcs.assign(with_crc ? active.size() : 0, {});
+  crcs.assign(active.size(), 0);
+  frag_crcs.assign(active.size(), {});
   for (size_t j = 0; j < active.size(); ++j) {
     frags[j] = codec.Encode(full[j]);
-    if (!with_crc) continue;
     crcs[j] = Crc32c(full[j].data(), full[j].size());
     for (const std::vector<uint8_t>& f : frags[j]) {
       frag_crcs[j].push_back(Crc32c(f.data(), f.size()));
     }
   }
   const uint64_t bytes = active.size() * cfg.chunk_bytes;
+  const uint64_t frag_bytes =
+      active.size() * cfg.ec_fragments() * cfg.ec_frag_bytes();
   clock.Advance(cfg.ec_encode_ns(bytes));
-  if (with_crc) {
-    const uint64_t frag_bytes =
-        active.size() * cfg.ec_fragments() * cfg.ec_frag_bytes();
-    clock.Advance(cfg.checksum_ns(bytes) + cfg.checksum_ns(frag_bytes));
-  }
+  clock.Advance(cfg.checksum_ns(bytes) + cfg.checksum_ns(frag_bytes));
   return frags;
 }
 
@@ -652,14 +647,13 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
   // Flush-time checksums for the whole window, charged to the writer before
   // the batched metadata round-trip; an erasure window encodes its stripes
   // first (and reads its read-modify-write bases before that).
-  const bool with_crc = cfg.integrity();
   std::vector<uint32_t> crcs;
   std::vector<std::vector<std::vector<uint8_t>>> frags;  // [item][position]
   std::vector<std::vector<uint32_t>> frag_crcs;
   if (cfg.ec()) {
     frags = EncodeStripes(clock, id, writes, active, crcs, frag_crcs);
     if (active.empty()) return OkStatus();
-  } else if (with_crc) {
+  } else {
     crcs.resize(active.size());
     for (size_t j = 0; j < active.size(); ++j) {
       crcs[j] = Crc32c(writes[active[j]].image.data(), cfg.chunk_bytes);
@@ -717,18 +711,15 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
     item.key = locs[j].key;
     item.needs_clone = locs[j].needs_clone;
     item.clone_from = locs[j].clone_from;
-    item.has_crc = with_crc;
     if (locs[j].ec) {
       item.data = frags[j][m.member];
-      if (with_crc) item.crc = locs[j].frag_crcs[m.member];
+      item.crc = locs[j].frag_crcs[m.member];
     } else {
       item.dirty = writes[active[j]].dirty;
       item.data = writes[active[j]].image;
-      if (with_crc) {
-        item.crc = crcs[j];
-        *stored = crcs[j];
-        item.stored_crc = stored;
-      }
+      item.crc = crcs[j];
+      *stored = crcs[j];
+      item.stored_crc = stored;
     }
     return item;
   };
@@ -813,10 +804,9 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
   // moves the epochs) before reporting any degraded chunks to the repair
   // queue.
   if (locs.size() == 1) {
-    manager_.CompleteWrite(
-        clock, locs[0].key,
-        with_crc && committed[0] != 0 ? &authority[0] : nullptr,
-        locs[0].frag_crcs);
+    manager_.CompleteWrite(clock, locs[0].key,
+                           committed[0] != 0 ? &authority[0] : nullptr,
+                           locs[0].frag_crcs);
   } else {
     manager_.CompleteWrites(clock, locs, authority, committed);
   }

@@ -236,8 +236,8 @@ class StoreClient {
   // current bytes as one ReadChunks batch (degraded-capable) and overlay
   // the dirty pages — the classic erasure read-modify-write penalty, paid
   // on the writer's clock.  Every stripe is then encoded into k+m
-  // fragments and, with integrity on, checksummed whole (`crcs`) and per
-  // fragment (`frag_crcs`).  A chunk whose base read failed takes that
+  // fragments and checksummed whole (`crcs`) and per fragment
+  // (`frag_crcs`).  A chunk whose base read failed takes that
   // status and leaves `active`.  Returns the fragments, [item][position],
   // parallel to the remaining `active`.
   std::vector<std::vector<std::vector<uint8_t>>> EncodeStripes(

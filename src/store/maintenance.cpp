@@ -299,23 +299,21 @@ void MaintenanceService::ScrubPass(sim::VirtualClock& clock) {
   scrub_orphans_.Add(result.orphans_deleted);
   scrub_res_fixes_.Add(result.reservation_fixes);
 
-  Manager::VerifyResult verified;
-  if (manager_.config().scrub_verify) {
-    // Incremental checksum verification, bounded per pass and throttled
-    // like repair: the verification reads keep devices busy, so the worker
-    // idles afterwards and foreground traffic backfills the gap.
-    const int64_t busy_start = clock.now();
-    verified =
-        manager_.VerifyScrub(clock, manager_.config().scrub_verify_bytes);
-    scrub_chunks_verified_.Add(verified.chunks_checked);
-    scrub_bytes_verified_.Add(verified.bytes_checked);
-    const int64_t busy = clock.now() - busy_start;
-    if (bw_fraction_ < 1.0 && busy > 0 && !qos_on_) {
-      const auto idle = static_cast<int64_t>(
-          static_cast<double>(busy) * (1.0 - bw_fraction_) / bw_fraction_);
-      clock.Advance(idle);
-      throttle_idle_ns_.fetch_add(idle, std::memory_order_relaxed);
-    }
+  // Incremental checksum verification (a zero budget skips it), bounded
+  // per pass and throttled like repair: the verification reads keep
+  // devices busy, so the worker idles afterwards and foreground traffic
+  // backfills the gap.
+  const int64_t busy_start = clock.now();
+  const Manager::VerifyResult verified =
+      manager_.VerifyScrub(clock, manager_.config().scrub_verify_bytes);
+  scrub_chunks_verified_.Add(verified.chunks_checked);
+  scrub_bytes_verified_.Add(verified.bytes_checked);
+  const int64_t busy = clock.now() - busy_start;
+  if (bw_fraction_ < 1.0 && busy > 0 && !qos_on_) {
+    const auto idle = static_cast<int64_t>(
+        static_cast<double>(busy) * (1.0 - bw_fraction_) / bw_fraction_);
+    clock.Advance(idle);
+    throttle_idle_ns_.fetch_add(idle, std::memory_order_relaxed);
   }
 
   for (const ChunkKey& key : result.under_replicated) {

@@ -19,11 +19,11 @@
 //   scrubber          a slow periodic Manager::ScrubOnce pass reconciling
 //                     chunk maps against benefactor state, reclaiming
 //                     orphans and re-queueing missed under-replicated
-//                     chunks; with scrub_verify it also runs an incremental
+//                     chunks; it also runs an incremental
 //                     Manager::VerifyScrub sweep re-checksumming stored
-//                     chunk contents (scrub_verify_bytes per pass, same
-//                     duty-cycle throttle as repair) and queueing
-//                     quarantined bit rot for re-replication
+//                     chunk contents (scrub_verify_bytes per pass, 0
+//                     skips it; same duty-cycle throttle as repair) and
+//                     queueing quarantined bit rot for re-replication
 //   checkpointer      with the wal knob on and checkpoint_period_ms > 0, a
 //                     periodic Manager::Checkpoint serialises the metadata
 //                     plane into the WAL's checkpoint store, bounding the
@@ -35,7 +35,8 @@
 // plane, so reporters on different shards never contend — and the
 // schedule target, guarded by one small mutex.  A queue-shard lock is
 // never held while taking mu_ (or any manager lock), and chunk data moves
-// only in Manager::ExecuteRepairPlan, never under any metadata mutex.
+// only in Manager::ExecuteRepairPlan (the manager's member mover), never
+// under any metadata mutex.
 //
 // The service has no thread of time of its own — virtual time only moves
 // when something drives it.  Foreground metadata round-trips call Tick()
@@ -87,7 +88,7 @@ struct MaintenanceStats {
   uint64_t scrub_requeued = 0;
   // Checkpointer (wal knob + checkpoint_period_ms > 0).
   uint64_t checkpoints = 0;
-  // Checksum verification (scrub_verify).
+  // Checksum verification (the VerifyScrub sweep).
   uint64_t scrub_chunks_verified = 0;  // distinct keys visited by the sweep
   uint64_t scrub_bytes_verified = 0;   // chunk bytes read + checksummed
   uint64_t corrupt_chunks_detected = 0;  // replicas quarantined (read+scrub)

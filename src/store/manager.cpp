@@ -530,19 +530,18 @@ std::vector<Manager::RepairPlan> Manager::PlanRepairs(
     plan.ec = h.ec;
     plan.survivors = members;
     plan.epoch = h.repair_epoch;
-    // Snapshot the authoritative checksums: the copy must be verified
-    // against them before any target receives the bytes.
-    plan.has_crc = h.has_crc;
-    plan.crc = h.crc;
-    plan.frag_crcs = h.frag_crcs;
     const size_t want = code.width - live;
     plan.targets =
         code.Reserve(bens, RankPlacement(cands, req), want, used_nodes);
-    if (code.positional) {
-      // Each target re-fills the next hole, in position order.
-      for (uint32_t pos = 0; pos < members.size(); ++pos) {
-        if (plan.target_positions.size() == plan.targets.size()) break;
-        if (members[pos] < 0) plan.target_positions.push_back(pos);
+    // Each target fills the next free position — a stripe's hole, in
+    // position order, or past the end of a replica list — and stores the
+    // checksum recorded for that position, snapshot now.
+    for (uint32_t pos = 0; plan.target_positions.size() < plan.targets.size();
+         ++pos) {
+      if (pos < members.size() && members[pos] >= 0) continue;
+      plan.target_positions.push_back(pos);
+      if (const uint32_t* crc = MemberCrc(h, pos, members.size())) {
+        plan.target_crcs.push_back(*crc);
       }
     }
     // Register the targets so the scrubber leaves the in-flight copies
@@ -562,162 +561,127 @@ Manager::RepairOutcome Manager::ExecuteRepairPlan(sim::VirtualClock& clock,
   RepairOutcome out;
   out.plan = plan;
   if (plan.targets.empty()) return out;
-  if (plan.ec) {
-    // Fragment repair: fetch k VERIFIED surviving fragments to the
-    // manager's node, decode + re-encode, then write each missing
-    // fragment to its reserved target.  The stripe is never read in full
-    // off one device — that is the repair-traffic saving the MTTR bench
-    // measures (k fragments + the rebuilt ones vs one full replica copy).
-    const uint32_t k = config_.ec_k;
-    const uint32_t nf = config_.ec_fragments();
-    const uint64_t fb = config_.ec_frag_bytes();
-    NVM_CHECK(plan.survivors.size() == nf,
-              "EC repair plan with malformed fragment map");
-    std::vector<std::vector<uint8_t>> frags(nf);
-    const int64_t start = clock.now();
-    int64_t fetched = start;
-    size_t good = 0;
-    bool any_data = false;
-    for (uint32_t pos = 0; pos < nf && good < k; ++pos) {
-      const int bid = plan.survivors[pos];
-      if (bid < 0) continue;
-      Benefactor* b = BenefactorAt(bid);
-      if (b == nullptr || !b->alive()) continue;
-      // Fetches fork from the plan start and join at the max: the k reads
-      // overlap in flight; a fallback read past a corrupt fragment simply
-      // joins later.
-      sim::VirtualClock fetch(start);
-      std::vector<uint8_t> buf(fb);
-      bool sparse = false;
-      Status s = b->ReadFragment(fetch, plan.key, buf, &sparse,
-                                 kTenantMaintenance);
-      if (s.code() == ErrorCode::kCorrupt) {
-        // The survivor failed its own read verification: quarantine at
-        // commit, try the next fragment.
-        out.corrupt_sources.push_back(bid);
-        fetched = std::max(fetched, fetch.now());
-        continue;
-      }
-      if (!s.ok()) continue;
-      if (!sparse && plan.has_crc && plan.frag_crcs.size() == nf &&
-          !config_.verify_reads) {
-        // With verify_reads off the benefactor served unchecked bytes —
-        // verify here against the authoritative per-fragment checksum.
-        fetch.Advance(config_.checksum_ns(fb));
-        if (Crc32c(buf.data(), buf.size()) != plan.frag_crcs[pos]) {
-          out.corrupt_sources.push_back(bid);
-          fetched = std::max(fetched, fetch.now());
-          continue;
-        }
-      }
-      if (!sparse) {
-        cluster_.network().Transfer(fetch, b->node_id(), manager_node_, fb);
-        any_data = true;
-      }
-      frags[pos] = std::move(buf);  // sparse reads back as zeros
-      ++good;
-      fetched = std::max(fetched, fetch.now());
+  const Redundancy& code = CodeOf(plan.ec);
+  const std::vector<int>& list = plan.survivors;
+  const auto live = [&](int bid) {
+    Benefactor* b = BenefactorAt(bid);
+    return b != nullptr && b->alive();
+  };
+  // Fetch `bid`'s member into `buf` on `at`.  A member that fails its own
+  // read verification is quarantined at commit; any failure lets the
+  // next source in.
+  const auto fetch = [&](sim::VirtualClock& at, int bid,
+                         std::vector<uint8_t>& buf, bool* sparse) {
+    buf.resize(code.member_bytes);
+    const Status s = BenefactorAt(bid)->ReadFragment(at, plan.key, buf, sparse,
+                                                     kTenantMaintenance);
+    if (s.code() == ErrorCode::kCorrupt) out.corrupt_sources.push_back(bid);
+    if (!s.ok()) buf.clear();
+    return s.ok();
+  };
+  // The live members' positions (a holder already known dead is skipped
+  // before any fetch is issued).  `copies` hold the very bytes the targets
+  // need: the holder a drain replaces (listed at its target's position)
+  // first, then, when every member is the whole chunk, each survivor in
+  // list order.  `others` hold the rest.
+  std::vector<uint32_t> copies;
+  std::vector<uint32_t> others;
+  for (uint32_t pos : plan.target_positions) {
+    if (pos < list.size() && list[pos] >= 0 && live(list[pos])) {
+      copies.push_back(pos);
     }
-    clock.AdvanceTo(fetched);
-    if (good < k) {
+  }
+  for (uint32_t pos = 0; pos < list.size(); ++pos) {
+    if (list[pos] < 0 || !live(list[pos]) ||
+        std::find(copies.begin(), copies.end(), pos) != copies.end()) {
+      continue;
+    }
+    (code.positional ? others : copies).push_back(pos);
+  }
+
+  // Copy: off the first copy source whose read verifies.
+  std::vector<uint8_t> blob;
+  bool has_data = false;
+  int src = -1;
+  for (uint32_t pos : copies) {
+    bool sparse = false;
+    if (!fetch(clock, list[pos], blob, &sparse)) continue;
+    src = list[pos];
+    has_data = !sparse;
+    break;
+  }
+
+  // Rebuild: no copy verified, so `need` verified members are fetched to
+  // the manager's node in rounds, the degraded-read rule — a round forks
+  // the need - good outstanding fetches, and a failure seen at its join
+  // pulls the next member into the following round.  The members are
+  // decoded and the missing ones re-encoded; the stripe is never read in
+  // full off one device (the repair-traffic saving the MTTR bench
+  // measures).
+  std::vector<std::vector<uint8_t>> members;
+  if (src < 0) {
+    members.resize(code.width);
+    size_t good = 0;
+    size_t next = 0;
+    while (good < code.need && next < others.size()) {
+      const int64_t round_start = clock.now();
+      int64_t join = round_start;
+      const size_t end = std::min(others.size(), next + (code.need - good));
+      for (; next < end; ++next) {
+        const uint32_t pos = others[next];
+        sim::VirtualClock at(round_start);
+        bool sparse = false;
+        if (fetch(at, list[pos], members[pos], &sparse)) {
+          if (!sparse) {
+            cluster_.network().Transfer(at, BenefactorAt(list[pos])->node_id(),
+                                        manager_node_, code.member_bytes);
+            has_data = true;
+          }
+          ++good;  // a sparse member reads back as zeros
+        }
+        join = std::max(join, at.now());
+      }
+      clock.AdvanceTo(join);
+    }
+    if (good < code.need) {
       out.failed = plan.targets;
       return out;
     }
-    if (any_data) {
+    if (has_data) {
       // Decode + re-encode cost is modelled; the parity math is real, so
-      // the rebuilt fragments are byte-exact.
+      // the rebuilt members are byte-exact.
       clock.Advance(config_.ec_encode_ns(config_.chunk_bytes));
-      ErasureCodec codec(k, config_.ec_m);
-      NVM_CHECK(codec.Reconstruct(frags),
-                "k verified fragments failed to reconstruct");
+      ErasureCodec codec(static_cast<uint32_t>(code.need),
+                         static_cast<uint32_t>(code.width - code.need));
+      NVM_CHECK(codec.Reconstruct(members),
+                "need verified members failed to reconstruct");
     }
-    const int64_t rebuilt = clock.now();
-    int64_t done = rebuilt;
-    for (size_t i = 0; i < plan.targets.size(); ++i) {
-      const int bid = plan.targets[i];
-      const uint32_t pos = plan.target_positions[i];
-      Benefactor* b = BenefactorAt(bid);
-      bool ok = b != nullptr && b->alive();
-      sim::VirtualClock copy(rebuilt);
-      if (ok && any_data) {
-        b->AdmitTransfer(copy, kTenantMaintenance, fb, /*is_write=*/true, fb);
-        cluster_.network().Transfer(copy, manager_node_, b->node_id(), fb);
-        const uint32_t* crc = plan.has_crc && plan.frag_crcs.size() == nf
-                                  ? &plan.frag_crcs[pos]
-                                  : nullptr;
-        ok = b->WriteFragment(copy, plan.key, frags[pos], crc,
-                              kTenantMaintenance)
-                 .ok();
-      }
-      // An all-sparse stripe has no bytes to move: the reservation alone
-      // makes the fragment (it reads back as zeros, like the survivors).
-      done = std::max(done, copy.now());
-      (ok ? out.written : out.failed).push_back(bid);
-    }
-    clock.AdvanceTo(done);
-    return out;
   }
-  std::vector<uint8_t> buf(config_.chunk_bytes);
-  // Read from the first survivor still answering whose bytes VERIFY (one
-  // may have died — or rotted — since the plan was made).  Re-replication
-  // must never seed targets from an unverified replica while a verified
-  // one may exist.
-  bool sparse = false;
-  int src = -1;
-  for (int bid : plan.survivors) {
-    Benefactor* b = BenefactorAt(bid);
-    if (b == nullptr) continue;
-    Status s = b->ReadChunk(clock, plan.key, buf, &sparse,
-                            kTenantMaintenance);
-    if (s.code() == ErrorCode::kCorrupt) {
-      // The survivor failed its own read verification: quarantine at
-      // commit, try the next one.
-      out.corrupt_sources.push_back(bid);
-      continue;
-    }
-    if (!s.ok()) continue;
-    if (!sparse && plan.has_crc && !config_.verify_reads) {
-      // With verify_reads off the benefactor served unchecked bytes —
-      // verify here against the authoritative checksum (and charge the
-      // CPU; with verify_reads on the read already did both).
-      clock.Advance(config_.checksum_ns(config_.chunk_bytes));
-      if (Crc32c(buf.data(), buf.size()) != plan.crc) {
-        out.corrupt_sources.push_back(bid);
-        continue;
-      }
-    }
-    src = bid;
-    break;
-  }
-  if (src < 0) {
-    out.failed = plan.targets;
-    return out;
-  }
-  Bitmap all_pages(config_.pages_per_chunk());
-  all_pages.SetAll();
-  // Target copies fan out in parallel: fork a clock per target, join max.
+
+  // Every target forks from here: admitted before the wire (a repair storm
+  // queues behind the scheduler, not in front of it), shipped from the
+  // copy source or the manager, and written whole with the checksum its
+  // position carries.  Sparse bytes need no move: the reservation alone
+  // makes the member (it reads back as zeros, like its sources).
+  const int from = src >= 0 ? BenefactorAt(src)->node_id() : manager_node_;
   const int64_t start = clock.now();
   int64_t done = start;
-  for (int bid : plan.targets) {
+  for (size_t i = 0; i < plan.targets.size(); ++i) {
+    const int bid = plan.targets[i];
     Benefactor* b = BenefactorAt(bid);
-    bool ok = b != nullptr && b->alive();
+    bool ok = live(bid);
     sim::VirtualClock copy(start);
-    if (ok && !sparse) {
-      // Benefactor-to-benefactor move; the manager never touches the data.
-      // The verified source bytes carry the authoritative checksum, so the
-      // target stores it without recomputing.  Admit before the wire so a
-      // repair storm queues behind the scheduler, not in front of it.
-      b->AdmitTransfer(copy, kTenantMaintenance, config_.chunk_bytes,
-                       /*is_write=*/true, config_.chunk_bytes);
-      cluster_.network().Transfer(copy, BenefactorAt(src)->node_id(),
-                                  b->node_id(), config_.chunk_bytes);
-      ok = b->WritePages(copy, plan.key, all_pages, buf,
-                         plan.has_crc ? &plan.crc : nullptr,
-                         /*stored_crc=*/nullptr, kTenantMaintenance)
+    if (ok && has_data) {
+      b->AdmitTransfer(copy, kTenantMaintenance, code.member_bytes,
+                       /*is_write=*/true, code.member_bytes);
+      cluster_.network().Transfer(copy, from, b->node_id(), code.member_bytes);
+      const std::vector<uint8_t>& member =
+          src >= 0 ? blob : members[plan.target_positions[i]];
+      const uint32_t* crc =
+          plan.target_crcs.empty() ? nullptr : &plan.target_crcs[i];
+      ok = b->WriteFragment(copy, plan.key, member, crc, kTenantMaintenance)
                .ok();
     }
-    // A sparse chunk has no bytes to move: the reservation alone makes the
-    // replica (it reads back as zeros, exactly like the survivors).
     done = std::max(done, copy.now());
     (ok ? out.written : out.failed).push_back(bid);
   }
@@ -972,7 +936,7 @@ Manager::ScrubResult Manager::ScrubOnce(sim::VirtualClock& clock) {
 Manager::VerifyResult Manager::VerifyScrub(sim::VirtualClock& clock,
                                            uint64_t max_bytes) {
   VerifyResult result;
-  if (!config_.scrub_verify || max_bytes == 0) return result;
+  if (max_bytes == 0) return result;
   // One sweep at a time: verify_mu_ guards the inter-shard cursor and is
   // ordered strictly before the shard mutexes.
   std::lock_guard<std::mutex> sweep(verify_mu_);
@@ -1203,19 +1167,13 @@ StatusOr<uint64_t> Manager::Decommission(sim::VirtualClock& clock, int id) {
             });
 
   uint64_t migrated = 0;
-  std::vector<uint8_t> blob;
-  Bitmap all_pages(config_.pages_per_chunk());
-  all_pages.SetAll();
-
   for (ChunkHandle* h : handles) {
     const std::vector<int> current =
         *h->replicas.load(std::memory_order_acquire);
     auto pos = std::find(current.begin(), current.end(), id);
     if (pos == current.end()) continue;
-    const size_t member = static_cast<size_t>(pos - current.begin());
-    const bool ec = h->ec;
-    const Redundancy& code = CodeOf(ec);
-    const uint64_t move_bytes = code.member_bytes;
+    const auto member = static_cast<uint32_t>(pos - current.begin());
+    const Redundancy& code = CodeOf(h->ec);
     // Destination through the shared placement engine: rotation order
     // from the benefactor after the leaving one, every holder excluded,
     // and for a spreading code no node hosting another member (the
@@ -1236,43 +1194,57 @@ StatusOr<uint64_t> Manager::Decommission(sim::VirtualClock& clock, int id) {
       return OutOfSpace("no destination for chunk " + h->key.ToString());
     }
     const int dst = picked.front();
-    // Move the member benefactor-to-benefactor (read + network hop +
-    // write), like the paper's re-configuration path would; a replica and
-    // a fragment differ only in the blob's size and checksum.
     Benefactor* to = bens[static_cast<size_t>(dst)];
-    bool sparse = false;
-    blob.resize(move_bytes);
-    NVM_RETURN_IF_ERROR(
-        ec ? leaving->ReadFragment(clock, h->key, blob, &sparse,
-                                   kTenantMaintenance)
-           : leaving->ReadChunk(clock, h->key, blob, &sparse,
-                                kTenantMaintenance));
-    if (!sparse) {
-      to->AdmitTransfer(clock, kTenantMaintenance, move_bytes,
-                        /*is_write=*/true, move_bytes);
-      cluster_.network().Transfer(clock, leaving->node_id(), to->node_id(),
-                                  move_bytes);
-      // The migrated bytes keep their authoritative checksum.
-      const uint32_t* crc = MemberCrc(*h, member, current.size());
-      NVM_RETURN_IF_ERROR(
-          ec ? to->WriteFragment(clock, h->key, blob, crc, kTenantMaintenance)
-             : to->WritePages(clock, h->key, all_pages, blob, crc,
-                              /*stored_crc=*/nullptr, kTenantMaintenance));
+    // The member moves through the repair mover, as a plan whose one
+    // target replaces the leaving holder: copied off it when its bytes
+    // verify, else off another replica or rebuilt from `need` others.
+    RepairPlan plan;
+    plan.key = h->key;
+    plan.ec = h->ec;
+    plan.survivors = current;
+    plan.targets = {dst};
+    plan.target_positions = {member};
+    if (const uint32_t* crc = MemberCrc(*h, member, current.size())) {
+      plan.target_crcs = {*crc};
     }
-    std::vector<int> rewritten = current;
-    rewritten[member] = dst;
-    // Log the rewritten placement BEFORE dropping the leaving replica's
-    // copy: a crash in between then recovers to the new list (the copy on
-    // dst is already in place), never to a list naming deleted data.
-    WalRecord rec;
-    rec.type = WalRecordType::kReplicas;
-    rec.key = h->key;
-    rec.replicas = rewritten;
-    LogAppend(clock, std::move(rec));
-    (void)leaving->DeleteChunk(h->key);
-    leaving->ReleaseBytes(move_bytes);
-    PublishReplicasLocked(*h, std::move(rewritten));
-    ++migrated;
+    const RepairOutcome out = ExecuteRepairPlan(clock, plan);
+    const bool moved = !out.written.empty();
+    if (moved) {
+      std::vector<int> rewritten = current;
+      rewritten[member] = dst;
+      // Log the rewritten placement BEFORE dropping the leaving replica's
+      // copy: a crash in between then recovers to the new list (the copy
+      // on dst is already in place), never to a list naming deleted data.
+      WalRecord rec;
+      rec.type = WalRecordType::kReplicas;
+      rec.key = h->key;
+      rec.replicas = rewritten;
+      LogAppend(clock, std::move(rec));
+      (void)leaving->DeleteChunk(h->key);
+      leaving->ReleaseBytes(code.member_bytes);
+      PublishReplicasLocked(*h, std::move(rewritten));
+      ++migrated;
+    }
+    // Rot met on the way counts like a reader's report: the leaving
+    // holder's left with it, any other member is quarantined (the scrub
+    // requeues the chunk's repair).
+    MetaShard& shard = shards_[shard_of(h->key)];
+    for (int bid : out.corrupt_sources) {
+      if (moved && bid == id) {
+        corrupt_detected_.Add(1);
+      } else {
+        (void)QuarantineReplicaLocked(clock, shard, h->key, bid);
+      }
+    }
+    if (!moved) {
+      // No verified source is left (or the destination died): the drain
+      // stops with the benefactor still in service.
+      (void)to->DeleteChunk(h->key);
+      to->ReleaseBytes(code.member_bytes);
+      const std::string what = "cannot move chunk " + h->key.ToString() +
+                               " off benefactor " + std::to_string(id);
+      return out.corrupt_sources.empty() ? Unavailable(what) : Corrupt(what);
+    }
   }
   leaving->Kill();  // retired: no longer schedulable
   return migrated;

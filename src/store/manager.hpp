@@ -178,32 +178,35 @@ class Manager {
   // shard mutex is held:
   //   PlanRepairs        (shard mu)  snapshot survivors, reclaim dead
   //                                  replicas, reserve targets
-  //   ExecuteRepairPlan  (none)      copy the chunk survivor -> targets
+  //   ExecuteRepairPlan  (none)      move the missing members: copy a
+  //                                  verified holder of the same bytes, or
+  //                                  rebuild from `need` verified members
   //   CommitRepair       (shard mu)  re-validate, publish the new replica
   //                                  list — or undo if the chunk changed
   // RepairReplication below and the background MaintenanceService are both
-  // thin drivers over these steps.
+  // thin drivers over these steps; Decommission moves each drained member
+  // through the same mover.
 
   // One chunk's repair: the survivors after the dead members were
-  // stripped, and width - live reserved targets.
+  // stripped, and width - live reserved targets.  A drain's plan (see
+  // Decommission) keeps the leaving holder listed and has one target, at
+  // that holder's position.
   struct RepairPlan {
     ChunkKey key;
-    std::vector<int> survivors;  // alive holders, primary first
+    bool ec = false;             // the chunk's code (CodeOf)
+    // The location list: replicas primary first, or an erasure stripe's
+    // POSITIONAL fragment map (length k+m, -1 = missing).
+    std::vector<int> survivors;
     std::vector<int> targets;    // reserved destinations
+    // The list position `targets[i]` fills — a stripe's hole, past the end
+    // of a replica list, or a drained holder's — and, when the chunk has
+    // checksums recorded, the one it must store there (empty otherwise).
+    // Snapshot at plan time: a source is trusted only if its own read
+    // verification passed.
+    std::vector<uint32_t> target_positions;
+    std::vector<uint32_t> target_crcs;
     uint64_t epoch = 0;          // repair epoch of `key` at plan time
     bool incomplete = false;     // alive capacity too low to fully heal
-    // Authoritative checksum snapshot: the copy must come from a survivor
-    // whose bytes verify against it — never from an unverified replica
-    // while a verified one may exist.
-    bool has_crc = false;
-    uint32_t crc = 0;
-    // Erasure-coded chunk: `survivors` is the POSITIONAL fragment map
-    // (length k+m, -1 = missing), `targets[i]` is the reserved destination
-    // for fragment position `target_positions[i]`, and `frag_crcs` (when
-    // has_crc) snapshots the per-fragment authoritative checksums.
-    bool ec = false;
-    std::vector<uint32_t> target_positions;
-    std::vector<uint32_t> frag_crcs;
   };
   struct RepairOutcome {
     RepairPlan plan;
@@ -233,9 +236,16 @@ class Manager {
   std::vector<RepairPlan> PlanRepairs(sim::VirtualClock& clock,
                                       std::span<const ChunkKey> keys,
                                       uint64_t* lost = nullptr);
-  // Copy the chunk from a surviving replica to every planned target,
-  // charging `clock`; target copies fork clocks and join at the max.
-  // Called WITHOUT any lock — this is the slow part.
+  // The member mover, one rule for both codes, charging `clock`.  If a
+  // live holder of the very bytes the targets need verifies — any replica
+  // in list order, after the holder a drain replaces — the targets copy
+  // from it.  Otherwise `need` verified members are fetched to the
+  // manager in rounds (a round forks need - good fetches; a failure seen
+  // at its join pulls the next member into the following round), decoded
+  // and the missing members re-encoded.  Then every target forks from
+  // that point and admits, ships and writes its whole member with its
+  // checksum; the targets join at the max.  Called WITHOUT any shard lock
+  // by the repair drivers — this is the slow part.
   RepairOutcome ExecuteRepairPlan(sim::VirtualClock& clock,
                                   const RepairPlan& plan);
   // Publish the outcome under the key's shard mutex.  If the chunk was
@@ -345,10 +355,14 @@ class Manager {
 
   // Decommission a benefactor for maintenance/upgrade (the paper's
   // "aggregation ... allows for ... easy system hardware upgrades or
-  // re-configuration"): migrate every chunk it holds to the surviving
-  // benefactors, rewrite the placement metadata, then retire it.  Holds
-  // every shard mutex for the duration (rare, operator-driven).  Returns
-  // the number of chunks migrated.
+  // re-configuration"): migrate every member it holds to the surviving
+  // benefactors through the member mover (a drained member that fails
+  // verification is copied from another replica or rebuilt from `need`
+  // others, and its rot counts as detected), rewrite the placement
+  // metadata, then retire it.  Holds every shard mutex for the duration
+  // (rare, operator-driven).  Returns the number of chunks migrated; with
+  // no verified source left for a member it stops with CORRUPT and the
+  // benefactor stays in service.
   StatusOr<uint64_t> Decommission(sim::VirtualClock& clock, int id);
 
   // --- namespace ---

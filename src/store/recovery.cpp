@@ -450,10 +450,7 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
         // fragments of a torn stripe can straddle write generations —
         // assembling them would splice bytes.  Roll the slot back to the
         // previous version; a torn v0 stripe deletes what landed and
-        // reads as the zeros the uncompleted write left behind.  (With
-        // the integrity knobs off a completed stripe is also crc-less —
-        // then nothing is decidable and the stripe stands.)
-        if (!config_.integrity()) continue;
+        // reads as the zeros the uncompleted write left behind.
         if (key.version > 0) {
           rollback_cow(key, h, shard);
         } else {
@@ -474,9 +471,7 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
       // from the k data fragments' checksums.  Any position still on the
       // old generation (or sparse) is left to the sift: the durable
       // checksums stay authoritative and the partial rewrite is
-      // destroyed, never spliced.  (A completion without positional
-      // checksums only occurs with the integrity knobs off — the sift
-      // then finds nothing decidable.)
+      // destroyed, never spliced.
       bool all_stored_new = h.frag_crcs.size() == members.size();
       for (size_t pos = 0; all_stored_new && pos < members.size(); ++pos) {
         const Member& m = members[pos];
@@ -502,8 +497,8 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
       // benefactors but whose completion record died with the crash
       // ("new" wins, adopted as authoritative).  Else the durable checksum
       // alone stands (divergent members drop; sparse members survive only
-      // a zero-image authority); with no checksum anywhere (integrity
-      // knobs off) the sift finds nothing decidable.
+      // a zero-image authority); with no durable checksum and no
+      // agreement the sift finds nothing decidable.
       bool confirmed = false;
       if (h.has_crc) {
         for (const Member& m : members) {
@@ -541,9 +536,9 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
     const std::vector<int> dropped = code.Drop(keep, [&](int, size_t pos) {
       const Member& m = members[pos];
       const uint32_t want = *MemberCrc(h, pos, list.size());
-      // A stored member without a recorded crc only occurs with the
-      // integrity knobs off, where no authority can exist — under an
-      // authority every stored member carries its write-time crc.
+      // Benefactors record a crc with every programmed byte, so only a
+      // blob materialised by a program of no pages lacks one; the sift
+      // leaves it be.
       if (m.stored ? !m.has_crc || m.crc == want : want == code.zero_crc) {
         return false;
       }

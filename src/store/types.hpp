@@ -74,10 +74,9 @@ struct ChunkWriteItem {
   std::span<const uint8_t> data;
   bool needs_clone = false;
   ChunkKey clone_from;
-  // Client-computed CRC32C of the full image (valid when `has_crc`); the
-  // benefactor stores it with the blob — or recomputes over the merged
-  // image when the dirty set covers only part of the chunk.
-  bool has_crc = false;
+  // Client-computed CRC32C of the full image; the benefactor stores it
+  // with the blob — or recomputes over the merged image when the dirty set
+  // covers only part of the chunk.
   uint32_t crc = 0;
   // Out (rides the run's ack): the CRC the benefactor actually stored.
   // For a partial-dirty merge this covers the MERGED image, which can
@@ -190,16 +189,14 @@ struct StoreConfig {
   int64_t scrub_period_ms = 500;
 
   // --- end-to-end chunk integrity (common/checksum.hpp) ---
-  // Benefactors verify a chunk's CRC32C before serving it; a mismatch
-  // fails the read with CORRUPT and the client fails over to another
-  // replica, quarantining the bad copy for repair.
-  bool verify_reads = true;
-  // The scrubber additionally verifies stored chunk contents against the
-  // manager's authoritative checksums, `scrub_verify_bytes` per pass, and
-  // quarantines silent bit rot no reader has touched yet.
-  bool scrub_verify = true;
-  // Per-pass byte budget of the scrub verification sweep (a round-robin
-  // cursor covers the whole store incrementally across passes).
+  // Checksums are always on: writers compute a CRC32C per chunk (and per
+  // stripe fragment), benefactors store it and verify it before serving
+  // the bytes — a mismatch fails the read with CORRUPT and the reader
+  // fails over, quarantining the bad copy for repair.  The scrubber also
+  // verifies stored contents against the manager's authoritative
+  // checksums, `scrub_verify_bytes` per pass (a round-robin cursor covers
+  // the whole store incrementally), so silent bit rot no reader has
+  // touched is found too; 0 skips that sweep.
   uint64_t scrub_verify_bytes = 8_MiB;
   // Modelled CPU throughput of the software CRC32C, in GB/s: every
   // checksummed byte charges 1/bw ns to the computing side's clock, so
@@ -314,10 +311,6 @@ struct StoreConfig {
     return placement_avoid_suspected || placement_wear_weight > 0.0;
   }
 
-  // With both integrity knobs off no checksum is computed, stored, or
-  // charged anywhere — byte- and virtual-time-identical to the pre-
-  // integrity store.
-  bool integrity() const { return verify_reads || scrub_verify; }
   int64_t checksum_ns(uint64_t bytes) const {
     // 1 GB/s == 1 byte/ns, so bytes / GBps is already ns.
     return static_cast<int64_t>(static_cast<double>(bytes) /

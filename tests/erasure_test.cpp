@@ -485,7 +485,6 @@ TEST(ErasureStoreTest, ScrubRequeueMatchesCollectAsHoldersDie) {
 
 TEST(ErasureStoreTest, CorruptFragmentQuarantinedNeverWrongBytes) {
   Rig rig(7, [](store::StoreConfig& cfg) {
-    cfg.verify_reads = true;
     cfg.heartbeat_period_ms = 1'000'000;
     cfg.scrub_period_ms = 1'000'000;
   });
@@ -700,6 +699,102 @@ TEST(ErasureStoreTest, CorruptFragmentInReadRunIsQuarantined) {
   EXPECT_EQ(after->benefactors[1], -1) << "the rotted fragment stays listed";
   EXPECT_FALSE(holder.HasChunk(loc->key));
   EXPECT_EQ(m.lost_chunks(), 0u);
+}
+
+// ---- repair fetch rounds ----
+
+// One stripe written on eight benefactors, its position-5 holder killed
+// and (optionally) data fragment 0 rotted, then repaired by hand on a
+// clock far past the writes, so every device and NIC starts idle.
+struct TimedRepair {
+  store::FileId id = store::kInvalidFileId;
+  store::ChunkKey key;
+  int rotted = -1;
+  int64_t ns = 0;  // ExecuteRepairPlan's virtual duration
+  store::Manager::RepairOutcome out;
+};
+
+TimedRepair RepairAfterLoss(Rig& rig, const std::vector<uint8_t>& data,
+                            bool rot) {
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  store::Manager& m = rig.store->manager();
+  sim::VirtualClock clock(0);
+  TimedRepair r;
+  r.id = WriteStoreFile(c, "/rounds", 1, data, clock);
+  auto loc = m.GetReadLocation(clock, r.id, 0);
+  EXPECT_TRUE(loc.ok());
+  r.key = loc->key;
+  rig.store->benefactor(static_cast<size_t>(loc->benefactors[5])).Kill();
+  if (rot) {
+    r.rotted = loc->benefactors[0];
+    EXPECT_TRUE(rig.store->benefactor(static_cast<size_t>(r.rotted))
+                    .CorruptChunk(loc->key, 17, 0x40)
+                    .ok());
+  }
+  const std::vector<store::ChunkKey> keys = {loc->key};
+  auto plans = m.PlanRepairs(clock, keys);
+  EXPECT_EQ(plans.size(), 1u);
+  sim::VirtualClock repair(clock.now() + 1'000 * kMs);
+  const int64_t t0 = repair.now();
+  r.out = m.ExecuteRepairPlan(repair, plans[0]);
+  r.ns = repair.now() - t0;
+  return r;
+}
+
+TEST(ErasureStoreTest, RepairFetchesPastARottedSourceInALaterRound) {
+  // RS(4,2), 8 benefactors, 64 KiB chunks.  The rebuild fetches k
+  // verified fragments in rounds: with data fragment 0 rotted, the first
+  // round finds only three, and position 4 is fetched in a second round
+  // that starts at the first one's join — never overlapping the read that
+  // failed.  So the rotted repair takes at least one idle fragment read
+  // longer than the clean one.
+  const auto data = Pattern(kChunk, 41);
+  Rig clean_rig(8, Quiet);
+  Rig rot_rig(8, Quiet);
+  const TimedRepair clean = RepairAfterLoss(clean_rig, data, /*rot=*/false);
+  const TimedRepair rot = RepairAfterLoss(rot_rig, data, /*rot=*/true);
+  ASSERT_EQ(clean.out.written.size(), 1u);
+  ASSERT_EQ(rot.out.written.size(), 1u);
+  EXPECT_TRUE(clean.out.corrupt_sources.empty());
+  EXPECT_EQ(rot.out.corrupt_sources, std::vector<int>{rot.rotted});
+
+  // One fragment read + verify on an idle device.
+  store::Manager& m = clean_rig.store->manager();
+  sim::VirtualClock probe(2'000 * kMs);
+  auto loc = m.GetReadLocation(probe, clean.id, 0);
+  ASSERT_TRUE(loc.ok());
+  std::vector<uint8_t> frag(m.config().ec_frag_bytes());
+  const int64_t p0 = probe.now();
+  ASSERT_TRUE(clean_rig.store->benefactor(static_cast<size_t>(
+                  loc->benefactors[1]))
+                  .ReadFragment(probe, loc->key, frag)
+                  .ok());
+  const int64_t idle_read = probe.now() - p0;
+  ASSERT_GT(idle_read, 0);
+  EXPECT_GE(rot.ns - clean.ns, idle_read)
+      << "clean " << clean.ns << " ns, rotted " << rot.ns << " ns";
+
+  // The clean commit makes the stripe whole.
+  sim::VirtualClock clock(3'000 * kMs);
+  bool requeue = true;
+  EXPECT_EQ(m.CommitRepair(clock, clean.out, &requeue), 1u);
+  EXPECT_FALSE(requeue);
+  ExpectFullStripes(clean_rig, clean.id, 1);
+
+  // The rotted commit fills position 5 and quarantines the rotted source,
+  // asking for another round; that round makes the stripe whole, and the
+  // bytes read back exact.
+  store::Manager& rm = rot_rig.store->manager();
+  EXPECT_EQ(rm.CommitRepair(clock, rot.out, &requeue), 1u);
+  EXPECT_TRUE(requeue);
+  EXPECT_EQ(rm.corrupt_detected(), 1u);
+  auto after = rm.GetReadLocation(clock, rot.id, 0);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->benefactors[0], -1);
+  EXPECT_EQ(after->benefactors[5], rot.out.written[0]);
+  ASSERT_TRUE(rm.RepairReplication(clock).ok());
+  ExpectFullStripes(rot_rig, rot.id, 1);
+  ExpectBytes(rot_rig.store->ClientForNode(0), clock, rot.id, 1, data);
 }
 
 // ---- virtual-time pin against component calls ----

@@ -6,10 +6,14 @@
 
 #include <cstring>
 #include <functional>
+#include <set>
+#include <span>
 
+#include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "nvmalloc/runtime.hpp"
 #include "sim/clock.hpp"
+#include "store/erasure.hpp"
 #include "workloads/matmul.hpp"
 #include "workloads/testbed.hpp"
 
@@ -540,6 +544,187 @@ TEST(DecommissionTest, WearWeightDrainsOntoFresherBenefactor) {
   }
 }
 
+// ---- drains through the member mover ----
+
+void Erasure(store::StoreConfig& s) {
+  s.redundancy = store::RedundancyMode::kErasure;
+  s.ec_k = 4;
+  s.ec_m = 2;
+}
+
+// Every chunk of `id` reads back `want` byte-exact through a client whose
+// location cache predates nothing.
+void ExpectStoreBytes(Rig& rig, int client_node, store::FileId id,
+                      uint32_t chunks, const std::vector<uint8_t>& want) {
+  store::StoreClient& c = rig.store->ClientForNode(client_node);
+  sim::VirtualClock clock(sim::CurrentClock().now());
+  std::vector<uint8_t> got(kChunk);
+  for (uint32_t i = 0; i < chunks; ++i) {
+    ASSERT_TRUE(c.ReadChunk(clock, id, i, got).ok()) << "chunk " << i;
+    ASSERT_EQ(0, std::memcmp(got.data(), want.data() + i * kChunk, kChunk))
+        << "chunk " << i;
+  }
+}
+
+// The checksum member `pos` of an RS(4,2) stripe of `chunk` stores.
+uint32_t FragmentCrc(std::span<const uint8_t> chunk, uint32_t pos) {
+  const auto frags = store::ErasureCodec(4, 2).Encode(chunk);
+  return Crc32c(frags[pos].data(), frags[pos].size());
+}
+
+// Flip a bit in chunk 0's first member, then drain its holder: the drain
+// must not stop at the rot.  The member is copied off the other replica
+// (r=2) or rebuilt from k other fragments (RS(4,2)); the benefactor
+// retires, the destination stores and verifies the member's checksum, the
+// bytes read back exact, and the rot counts as detected.
+void DrainPastRottedFirstMember(bool ec) {
+  Rig rig(/*replication=*/ec ? 1 : 2, /*benefactors=*/ec ? 8 : 4,
+          /*maintenance=*/false,
+          ec ? std::function<void(store::StoreConfig&)>(Erasure) : nullptr);
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  store::Manager& m = rig.store->manager();
+  constexpr uint32_t kChunks = 4;
+  const auto data = Pattern(kChunks * kChunk, ec ? 71 : 70);
+  const store::FileId id = WriteStoreFile(c, "/drain-rot", kChunks, data);
+
+  sim::VirtualClock clock(0);
+  auto loc = m.GetReadLocation(clock, id, 0);
+  ASSERT_TRUE(loc.ok());
+  const int victim = loc->benefactors[0];
+  ASSERT_TRUE(rig.store->benefactor(static_cast<size_t>(victim))
+                  .CorruptChunk(loc->key, 17, 0x04)
+                  .ok());
+
+  auto migrated = m.Decommission(sim::CurrentClock(), victim);
+  ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
+  EXPECT_GE(*migrated, 1u);
+  store::Benefactor& gone = rig.store->benefactor(static_cast<size_t>(victim));
+  EXPECT_FALSE(gone.alive());
+  EXPECT_EQ(gone.num_chunks(), 0u);
+  EXPECT_EQ(gone.bytes_used(), 0u);
+  EXPECT_EQ(m.corrupt_detected(), 1u);
+
+  // The destination took the drained member's position and stores the
+  // checksum recorded for it: the chunk's image checksum for a replica,
+  // the positional fragment checksum for a stripe member.
+  auto after = m.GetReadLocation(clock, id, 0);
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after->benefactors.size(), loc->benefactors.size());
+  const int dst = after->benefactors[0];
+  ASSERT_GE(dst, 0);
+  EXPECT_NE(dst, victim);
+  uint32_t want = 0;
+  if (ec) {
+    want = FragmentCrc({data.data(), kChunk}, 0);
+  } else {
+    ASSERT_TRUE(m.LookupChecksum(after->key, &want));
+  }
+  store::Benefactor& to = rig.store->benefactor(static_cast<size_t>(dst));
+  bool has_crc = false;
+  uint32_t stored = 0;
+  ASSERT_TRUE(to.StoredChunkCrc(after->key, &has_crc, &stored));
+  EXPECT_TRUE(has_crc);
+  EXPECT_EQ(stored, want);
+  bool sparse = true;
+  EXPECT_TRUE(to.VerifyChunk(clock, after->key, want, &sparse).ok());
+  EXPECT_FALSE(sparse);
+
+  ExpectStoreBytes(rig, /*client_node=*/2, id, kChunks, data);
+}
+
+TEST(DecommissionTest, DrainCopiesPastARottedReplica) {
+  DrainPastRottedFirstMember(/*ec=*/false);
+}
+
+TEST(DecommissionTest, DrainRebuildsPastARottedFragment) {
+  DrainPastRottedFirstMember(/*ec=*/true);
+}
+
+TEST(DecommissionTest, DrainWithNoVerifiedSourceStopsCorrupt) {
+  // Both replicas of chunk 0 rotted: nothing verifies, so the drain stops
+  // with CORRUPT and the benefactor stays in service.
+  Rig rig(/*replication=*/2);
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  store::Manager& m = rig.store->manager();
+  const auto data = Pattern(2 * kChunk, 72);
+  const store::FileId id = WriteStoreFile(c, "/drain-lost", 2, data);
+  sim::VirtualClock clock(0);
+  auto loc = m.GetReadLocation(clock, id, 0);
+  ASSERT_TRUE(loc.ok());
+  ASSERT_EQ(loc->benefactors.size(), 2u);
+  for (int bid : loc->benefactors) {
+    ASSERT_TRUE(rig.store->benefactor(static_cast<size_t>(bid))
+                    .CorruptChunk(loc->key, 9, 0x10)
+                    .ok());
+  }
+  const int victim = loc->benefactors[0];
+  auto migrated = m.Decommission(sim::CurrentClock(), victim);
+  EXPECT_EQ(migrated.status().code(), ErrorCode::kCorrupt);
+  EXPECT_TRUE(rig.store->benefactor(static_cast<size_t>(victim)).alive());
+}
+
+TEST(DecommissionTest, ErasureDrainKeepsStripesSpreadAndChecksummed) {
+  // RS(4,2) over 8 benefactors, one per node: draining a holder moves its
+  // fragments onto the spare domains without breaking the stripe rules.
+  Rig rig(/*replication=*/1, /*benefactors=*/8, /*maintenance=*/false,
+          Erasure);
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  store::Manager& m = rig.store->manager();
+  constexpr uint32_t kChunks = 8;
+  const auto data = Pattern(kChunks * kChunk, 73);
+  const store::FileId id = WriteStoreFile(c, "/drain-ec", kChunks, data);
+
+  constexpr int kVictim = 3;
+  const size_t held = rig.store->benefactor(kVictim).num_chunks();
+  ASSERT_GT(held, 0u);
+  auto migrated = m.Decommission(sim::CurrentClock(), kVictim);
+  ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
+  EXPECT_EQ(*migrated, held);
+  EXPECT_FALSE(rig.store->benefactor(kVictim).alive());
+  EXPECT_EQ(m.corrupt_detected(), 0u);
+
+  const uint64_t frag_bytes = kChunk / 4;
+  std::vector<uint64_t> named(8, 0);
+  sim::VirtualClock clock(sim::CurrentClock().now());
+  auto locs = m.GetReadLocations(clock, id, 0, kChunks);
+  ASSERT_TRUE(locs.ok());
+  for (uint32_t i = 0; i < kChunks; ++i) {
+    const store::ReadLocation& loc = (*locs)[i];
+    // Every stripe keeps k+m members, on distinct nodes, none the drained
+    // one.
+    ASSERT_EQ(loc.benefactors.size(), 6u) << "chunk " << i;
+    std::set<int> nodes;
+    for (uint32_t pos = 0; pos < loc.benefactors.size(); ++pos) {
+      const int bid = loc.benefactors[pos];
+      ASSERT_GE(bid, 0) << "chunk " << i << " has a hole";
+      ASSERT_NE(bid, kVictim);
+      store::Benefactor& b = rig.store->benefactor(static_cast<size_t>(bid));
+      EXPECT_TRUE(nodes.insert(b.node_id()).second)
+          << "chunk " << i << " co-locates fragments";
+      ++named[static_cast<size_t>(bid)];
+      // Each member stores its positional checksum.
+      const uint32_t want =
+          FragmentCrc({data.data() + i * kChunk, kChunk}, pos);
+      bool sparse = true;
+      EXPECT_TRUE(b.VerifyChunk(clock, loc.key, want, &sparse).ok())
+          << "chunk " << i << " position " << pos;
+      EXPECT_FALSE(sparse);
+    }
+  }
+  // Each benefactor reserves one fragment per list naming it.
+  for (size_t b = 0; b < named.size(); ++b) {
+    EXPECT_EQ(rig.store->benefactor(b).bytes_used(), named[b] * frag_bytes)
+        << "benefactor " << b;
+  }
+
+  // A later double loss still reads back exact.
+  const int a = (*locs)[0].benefactors[0];
+  const int b = (*locs)[0].benefactors[5];
+  rig.store->benefactor(static_cast<size_t>(a)).Kill();
+  rig.store->benefactor(static_cast<size_t>(b)).Kill();
+  ExpectStoreBytes(rig, /*client_node=*/2, id, kChunks, data);
+}
+
 // ---- replication repair ----
 
 TEST(RepairTest, RestoresReplicationAfterLoss) {
@@ -902,35 +1087,6 @@ TEST(CorruptionTest, BlindPartialWriteSurvivesChecksumScrub) {
   ASSERT_TRUE(c.ReadChunk(rc, id, 0, got).ok());
   EXPECT_EQ(got, expect);
   EXPECT_EQ(c.corrupt_failovers(), 0u);
-}
-
-TEST(CorruptionTest, VerifyOffServesRotSilently) {
-  // Negative control for the knob: with the integrity layer off the same
-  // flipped bit sails through to the reader — checksums, not luck, are
-  // what the other tests are measuring.
-  Rig rig(/*replication=*/2, /*benefactors=*/4, /*maintenance=*/false,
-          [](store::StoreConfig& s) {
-            s.verify_reads = false;
-            s.scrub_verify = false;
-          });
-  store::StoreClient& c = rig.store->ClientForNode(0);
-  store::Manager& m = rig.store->manager();
-  sim::VirtualClock clock(0);
-  const auto data = Pattern(kChunk, 65);
-  const store::FileId id = WriteStoreFile(c, "/unseen", 1, data, clock);
-
-  auto loc = m.GetReadLocation(clock, id, 0);
-  ASSERT_TRUE(loc.ok());
-  ASSERT_TRUE(rig.store->benefactor(static_cast<size_t>(loc->benefactors[0]))
-                  .CorruptChunk(loc->key, 17, 0x04)
-                  .ok());
-
-  std::vector<uint8_t> got(kChunk);
-  ASSERT_TRUE(c.ReadChunk(clock, id, 0, got).ok());
-  EXPECT_NE(got, data);                  // rot reached the reader
-  EXPECT_EQ(got[17], data[17] ^ 0x04);   // exactly the injected flip
-  EXPECT_EQ(c.corrupt_failovers(), 0u);
-  EXPECT_EQ(m.corrupt_detected(), 0u);
 }
 
 }  // namespace

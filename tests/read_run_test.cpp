@@ -140,7 +140,7 @@ int64_t ReferenceRead(Rig& rig, int64_t start, FileId id, uint32_t index,
   b.AdmitTransfer(clock, kTenantForeground, cfg.chunk_bytes,
                   /*is_write=*/false, cfg.chunk_bytes);
   b.ssd().ChargeRead(clock, /*offset=*/0, cfg.chunk_bytes);
-  if (cfg.verify_reads && has_crc) {
+  if (has_crc) {
     clock.Advance(cfg.checksum_ns(cfg.chunk_bytes));
   }
   net.Transfer(clock, b.node_id(), node, cfg.chunk_bytes);

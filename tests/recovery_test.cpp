@@ -461,7 +461,7 @@ void CheckInvariants(AnyRig& rig, const Shadow& shadow, bool expect_full) {
       uint32_t want = 0;
       // A stripe member stores its fragment, whose checksum is not the
       // chunk's; only a replica's stored bytes must match the image's.
-      if (!ec && cfg.integrity() && m.LookupChecksum(loc.key, &want)) {
+      if (!ec && m.LookupChecksum(loc.key, &want)) {
         for (int b : loc.benefactors) {
           store::Benefactor& ben = rig.store.benefactor(static_cast<size_t>(b));
           uint32_t got = 0;

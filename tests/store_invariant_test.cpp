@@ -169,7 +169,6 @@ struct Harness {
         //    stored fragment, so the scrub owns that agreement there.)
         uint32_t want_crc = 0;
         if (!ec && expect_clean_checksums &&
-            store->manager().config().integrity() &&
             store->manager().LookupChecksum(loc.key, &want_crc)) {
           for (int b : loc.benefactors) {
             uint32_t stored_crc = 0;

@@ -7,8 +7,7 @@
 // to (dense, partial-dirty and COW-clone cases), device-latency
 // amortisation, parallel replica charging (a replicated flush costs
 // max(replica times), not their sum), degraded writes when a replica dies,
-// write-back with integrity off, and a multi-process write storm over the
-// streamed path.
+// and a multi-process write storm over the streamed path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -478,44 +477,6 @@ TEST(BatchWriteTest, DegradedWriteSucceedsOnSurvivingReplica) {
   EXPECT_FALSE(rig.store->benefactor(static_cast<size_t>(victim)).alive());
   // Every chunk reads back the update from the surviving replicas.
   ExpectReadsBack(c, id, kChunks, update);
-}
-
-TEST(BatchWriteTest, ReplicatedWindowWithIntegrityOffReadsBack) {
-  // With verify_reads and scrub_verify both off no checksum is computed or
-  // recorded.  A replicated window must still write back and read back —
-  // on a healthy run and when a replica holder dies mid-run, so every item
-  // of that run takes the per-replica fallback.
-  auto no_integrity = [](StoreConfig& s) {
-    s.verify_reads = false;
-    s.scrub_verify = false;
-  };
-  for (const bool kill_mid_run : {false, true}) {
-    constexpr uint32_t kChunks = 6;
-    Rig rig(/*benefactors=*/4, /*replication=*/2, /*client_nodes=*/1,
-            /*nic_bw_mbps=*/0.0, no_integrity);
-    ASSERT_FALSE(rig.client().config().integrity());
-    StoreClient& c = rig.client();
-    const FileId id = rig.CreateFile("/noint", kChunks);
-    if (kill_mid_run) {
-      // Benefactor 0 holds a replica of several chunks; it dies after the
-      // first chunk of its run lands.
-      rig.store->benefactor(0).KillAfterWrites(1);
-    }
-    const auto data = Pattern(kChunks * kChunk, 45 + kill_mid_run);
-    sim::VirtualClock clock(0);
-    std::vector<Bitmap> dirty;
-    auto writes = BatchWrite(c, clock, id, kChunks, data, dirty);
-    for (uint32_t i = 0; i < kChunks; ++i) {
-      EXPECT_TRUE(writes[i].status.ok()) << "chunk " << i;
-    }
-    if (kill_mid_run) {
-      EXPECT_FALSE(rig.store->benefactor(0).alive());
-      EXPECT_GT(c.degraded_writes(), 0u);
-    } else {
-      EXPECT_EQ(c.degraded_writes(), 0u);
-    }
-    ExpectReadsBack(c, id, kChunks, data);
-  }
 }
 
 TEST(BatchWriteTest, ConcurrentBatchedWritersSeeTheirOwnBytes) {
