@@ -4,7 +4,6 @@
 
 #include "common/checksum.hpp"
 #include "common/log.hpp"
-#include "store/erasure.hpp"
 #include "store/maintenance.hpp"
 
 namespace nvm::store {
@@ -126,19 +125,6 @@ std::vector<int> Manager::Redundancy::Reserve(
   return picked;
 }
 
-std::vector<int> Manager::ExcludeMembers(
-    const Redundancy& code, std::span<const int> list,
-    std::vector<PlacementCandidate>& cands, int leaving) const {
-  std::vector<int> nodes;
-  for (int bid : list) {
-    if (bid < 0) continue;
-    PlacementCandidate& c = cands[static_cast<size_t>(bid)];
-    c.excluded = true;
-    if (code.spread && bid != leaving) nodes.push_back(c.node);
-  }
-  return nodes;
-}
-
 int Manager::RegisterBenefactor(Benefactor* benefactor) {
   std::unique_lock<std::shared_mutex> lock(reg_mu_);
   benefactors_.push_back(benefactor);
@@ -218,90 +204,6 @@ void Manager::PublishReplicasLocked(ChunkHandle& h,
   h.replicas.store(
       std::make_shared<const std::vector<int>>(std::move(replicas)),
       std::memory_order_release);
-}
-
-void Manager::UndoRepairTargetLocked(MetaShard& shard, const ChunkKey& key,
-                                     int bid, uint64_t bytes) {
-  Benefactor* b = BenefactorAt(bid);
-  if (b == nullptr) return;
-  auto it = shard.chunks.find(key);
-  if (it != shard.chunks.end()) {
-    auto current = it->second->replicas.load(std::memory_order_acquire);
-    if (std::find(current->begin(), current->end(), bid) != current->end()) {
-      // A racing repair picked the same target and already committed it:
-      // the data and one reservation belong to the published replica list.
-      // Only this plan's duplicate reservation comes back.
-      b->ReleaseBytes(bytes);
-      return;
-    }
-  }
-  (void)b->DeleteChunk(key);  // drop any partially copied data
-  b->ReleaseBytes(bytes);
-}
-
-bool Manager::QuarantineReplicaLocked(sim::VirtualClock& clock,
-                                      MetaShard& shard, const ChunkKey& key,
-                                      int bid) {
-  auto it = shard.chunks.find(key);
-  if (it == shard.chunks.end()) return false;  // freed meanwhile
-  ChunkHandle& h = *it->second;
-  auto current = h.replicas.load(std::memory_order_acquire);
-  if (std::find(current->begin(), current->end(), bid) == current->end()) {
-    return false;  // already quarantined or replaced
-  }
-  corrupt_detected_.Add(1);
-  h.corrupt_pending = true;
-  // Correlated-loss memory: this device just served wrong bytes for this
-  // chunk — the placement engine must not pick it as a repair target for
-  // the same chunk (placement_avoid_suspected).
-  if (std::find(h.tainted.begin(), h.tainted.end(), bid) ==
-      h.tainted.end()) {
-    h.tainted.push_back(bid);
-  }
-  // A stripe's slot goes to -1 (positions are stable — a repair re-fills
-  // the hole in place); a replica list closes up.
-  const Redundancy& code = CodeOf(h.ec);
-  std::vector<int> rest = *current;
-  std::vector<int> reclaimed =
-      code.Drop(rest, [bid](int id, size_t) { return id == bid; });
-  // A quarantine that drops the chunk below `need` leaves no verified
-  // source or reconstruction: it is lost, not degraded.  Counted once, on
-  // the crossing (repairs never run below `need`).
-  const bool lost = code.LoseBelowNeed(*current, rest, reclaimed);
-  // Log the shortened list BEFORE destroying the quarantined replica's
-  // data.  The reverse order is unrecoverable: a crash in between would
-  // leave a durable list still naming bid, and recovery — finding no data
-  // there and a quarantined (possibly wrong-byte) image gone — could pick
-  // the corrupt replica's stored checksum as truth or fail chunks that
-  // have a healthy survivor.
-  WalRecord rec;
-  rec.type = WalRecordType::kReplicas;
-  rec.key = key;
-  rec.replicas = rest;
-  LogAppend(clock, std::move(rec));
-  // The copy is untrustworthy: drop its data and space immediately so no
-  // reader or repair ever consults it again (with it, a lost chunk's
-  // survivors).
-  for (int id : reclaimed) {
-    Benefactor* b = BenefactorAt(id);
-    (void)b->DeleteChunk(key);
-    b->ReleaseBytes(code.member_bytes);
-  }
-  if (lost) lost_chunks_.Add(1);
-  PublishReplicasLocked(h, std::move(rest));
-  // Any repair copy in flight may have read the quarantined replica: move
-  // the epoch so its commit fails and retries against the verified list.
-  ++h.repair_epoch;
-  return true;
-}
-
-bool Manager::IsRepairTargetLocked(const MetaShard& shard, const ChunkKey& key,
-                                   int bid) const {
-  auto it = shard.repair_targets.find(key);
-  if (it == shard.repair_targets.end()) return false;
-  return std::any_of(
-      it->second.begin(), it->second.end(),
-      [bid](const MetaShard::RepairTarget& t) { return t.bid == bid; });
 }
 
 void Manager::CompleteWriteLocked(MetaShard& shard, const ChunkKey& key,
@@ -411,682 +313,6 @@ void Manager::CompleteWrites(sim::VirtualClock& clock,
   }
 }
 
-std::vector<ChunkKey> Manager::CollectUnderReplicated() const {
-  const std::vector<Benefactor*> bens = SnapshotBenefactors();
-  std::vector<ChunkKey> keys;
-  for (const MetaShard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [key, h] : shard.chunks) {
-      auto list = h->replicas.load(std::memory_order_acquire);
-      const Redundancy& code = CodeOf(h->ec);
-      if (!code.Lost(*list) && code.Degraded(*list, bens)) {
-        keys.push_back(key);
-      }
-    }
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-std::vector<ChunkKey> Manager::ChunksWithReplicasOn(int id) const {
-  std::vector<ChunkKey> keys;
-  for (const MetaShard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [key, h] : shard.chunks) {
-      auto list = h->replicas.load(std::memory_order_acquire);
-      if (std::find(list->begin(), list->end(), id) != list->end()) {
-        keys.push_back(key);
-      }
-    }
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-std::vector<Manager::RepairPlan> Manager::PlanRepairs(
-    sim::VirtualClock& clock, std::span<const ChunkKey> keys,
-    uint64_t* lost) {
-  const std::vector<Benefactor*> bens = SnapshotBenefactors();
-  // Reliability signal for target placement, snapshotted once per call
-  // and BEFORE any shard mutex (hook_mu_ is never taken under one).
-  std::vector<char> suspected;
-  if (config_.placement_avoid_suspected) suspected = SuspectedBenefactors();
-  std::unordered_set<ChunkKey, ChunkKeyHash> seen;
-  std::vector<RepairPlan> plans;
-  for (const ChunkKey& key : keys) {
-    if (!seen.insert(key).second) continue;  // each key planned at most once
-    MetaShard& shard = shards_[shard_of(key)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto hit = shard.chunks.find(key);
-    if (hit == shard.chunks.end()) continue;  // freed since reported
-    ChunkHandle& h = *hit->second;
-    const Redundancy& code = CodeOf(h.ec);
-    const std::vector<int> recorded =
-        *h.replicas.load(std::memory_order_acquire);
-    // Strip the dead members: in a stripe they become holes in place
-    // (their fragment died with the device), a replica list closes up.
-    std::vector<int> members = recorded;
-    std::vector<int> reclaimed = code.Drop(members, [&](int bid, size_t) {
-      return !bens[static_cast<size_t>(bid)]->alive();
-    });
-    // Below `need` no verified source or reconstruction exists: the strip
-    // that crosses the threshold reclaims the survivors too and counts the
-    // loss (repairs never run below `need`, so it crosses at most once).
-    if (code.LoseBelowNeed(recorded, members, reclaimed)) {
-      lost_chunks_.Add(1);
-      if (lost != nullptr) ++*lost;
-    }
-    if (!reclaimed.empty()) {
-      // Log the stripped list before touching any benefactor state, so a
-      // crash mid-strip recovers to the truth rather than a list still
-      // naming reclaimed members; then reclaim the members' space
-      // bookkeeping and publish — readers stop trying dead ids while the
-      // copy runs.
-      WalRecord rec;
-      rec.type = WalRecordType::kReplicas;
-      rec.key = key;
-      rec.replicas = members;
-      LogAppend(clock, std::move(rec));
-      for (int bid : reclaimed) {
-        Benefactor* b = bens[static_cast<size_t>(bid)];
-        b->ReleaseBytes(code.member_bytes);
-        (void)b->DeleteChunk(key);
-      }
-      PublishReplicasLocked(h, members);
-    }
-    if (code.Lost(members)) continue;
-    const size_t live = Redundancy::Listed(members);
-    if (live >= code.width) continue;  // healthy after stripping (stale)
-
-    // Target placement through the shared engine: least-loaded alive
-    // benefactors that hold no member (ties broken by id for determinism),
-    // off every survivor's node when the code spreads — a single node
-    // failure must never take out two fragments of one stripe.  With
-    // placement_avoid_suspected on, benefactors missing heartbeats are
-    // HARD-excluded (re-protection must not bet on a flapping node) and so
-    // are the chunk's correlated-loss sources (h.tainted — the devices
-    // that corrupted or diverged on these very bytes).  The reservations
-    // race planners on other shards only through the benefactors'
-    // CAS-bounded counters — a loser simply plans incomplete and requeues.
-    std::vector<PlacementCandidate> cands = BuildPlacementCandidates(
-        bens, suspected.empty() ? nullptr : &suspected);
-    std::vector<int> used_nodes = ExcludeMembers(code, members, cands);
-    if (config_.placement_avoid_suspected) {
-      for (int bid : h.tainted) {
-        if (static_cast<size_t>(bid) < cands.size()) {
-          cands[static_cast<size_t>(bid)].excluded = true;
-        }
-      }
-    }
-    PlacementRequest req;
-    req.order = PlacementRequest::Order::kLeastLoaded;
-    req.avoid_suspected = config_.placement_avoid_suspected;
-    req.exclude_suspected = config_.placement_avoid_suspected;
-    req.wear_weight = config_.placement_wear_weight;
-    req.exclude_nodes = &used_nodes;
-
-    RepairPlan plan;
-    plan.key = key;
-    plan.ec = h.ec;
-    plan.survivors = members;
-    plan.epoch = h.repair_epoch;
-    const size_t want = code.width - live;
-    plan.targets =
-        code.Reserve(bens, RankPlacement(cands, req), want, used_nodes);
-    // Each target fills the next free position — a stripe's hole, in
-    // position order, or past the end of a replica list — and stores the
-    // checksum recorded for that position, snapshot now.
-    for (uint32_t pos = 0; plan.target_positions.size() < plan.targets.size();
-         ++pos) {
-      if (pos < members.size() && members[pos] >= 0) continue;
-      plan.target_positions.push_back(pos);
-      if (const uint32_t* crc = MemberCrc(h, pos, members.size())) {
-        plan.target_crcs.push_back(*crc);
-      }
-    }
-    // Register the targets so the scrubber leaves the in-flight copies
-    // alone; CommitRepair deregisters them.
-    if (!plan.targets.empty()) {
-      std::vector<MetaShard::RepairTarget>& open = shard.repair_targets[key];
-      for (int bid : plan.targets) open.push_back({bid, code.member_bytes});
-    }
-    plan.incomplete = plan.targets.size() < want;
-    plans.push_back(std::move(plan));
-  }
-  return plans;
-}
-
-Manager::RepairOutcome Manager::ExecuteRepairPlan(sim::VirtualClock& clock,
-                                                  const RepairPlan& plan) {
-  RepairOutcome out;
-  out.plan = plan;
-  if (plan.targets.empty()) return out;
-  const Redundancy& code = CodeOf(plan.ec);
-  const std::vector<int>& list = plan.survivors;
-  const auto live = [&](int bid) {
-    Benefactor* b = BenefactorAt(bid);
-    return b != nullptr && b->alive();
-  };
-  // Fetch `bid`'s member into `buf` on `at`.  A member that fails its own
-  // read verification is quarantined at commit; any failure lets the
-  // next source in.
-  const auto fetch = [&](sim::VirtualClock& at, int bid,
-                         std::vector<uint8_t>& buf, bool* sparse) {
-    buf.resize(code.member_bytes);
-    const Status s = BenefactorAt(bid)->ReadFragment(at, plan.key, buf, sparse,
-                                                     kTenantMaintenance);
-    if (s.code() == ErrorCode::kCorrupt) out.corrupt_sources.push_back(bid);
-    if (!s.ok()) buf.clear();
-    return s.ok();
-  };
-  // The live members' positions (a holder already known dead is skipped
-  // before any fetch is issued).  `copies` hold the very bytes the targets
-  // need: the holder a drain replaces (listed at its target's position)
-  // first, then, when every member is the whole chunk, each survivor in
-  // list order.  `others` hold the rest.
-  std::vector<uint32_t> copies;
-  std::vector<uint32_t> others;
-  for (uint32_t pos : plan.target_positions) {
-    if (pos < list.size() && list[pos] >= 0 && live(list[pos])) {
-      copies.push_back(pos);
-    }
-  }
-  for (uint32_t pos = 0; pos < list.size(); ++pos) {
-    if (list[pos] < 0 || !live(list[pos]) ||
-        std::find(copies.begin(), copies.end(), pos) != copies.end()) {
-      continue;
-    }
-    (code.positional ? others : copies).push_back(pos);
-  }
-
-  // Copy: off the first copy source whose read verifies.
-  std::vector<uint8_t> blob;
-  bool has_data = false;
-  int src = -1;
-  for (uint32_t pos : copies) {
-    bool sparse = false;
-    if (!fetch(clock, list[pos], blob, &sparse)) continue;
-    src = list[pos];
-    has_data = !sparse;
-    break;
-  }
-
-  // Rebuild: no copy verified, so `need` verified members are fetched to
-  // the manager's node in rounds, the degraded-read rule — a round forks
-  // the need - good outstanding fetches, and a failure seen at its join
-  // pulls the next member into the following round.  The members are
-  // decoded and the missing ones re-encoded; the stripe is never read in
-  // full off one device (the repair-traffic saving the MTTR bench
-  // measures).
-  std::vector<std::vector<uint8_t>> members;
-  if (src < 0) {
-    members.resize(code.width);
-    size_t good = 0;
-    size_t next = 0;
-    while (good < code.need && next < others.size()) {
-      const int64_t round_start = clock.now();
-      int64_t join = round_start;
-      const size_t end = std::min(others.size(), next + (code.need - good));
-      for (; next < end; ++next) {
-        const uint32_t pos = others[next];
-        sim::VirtualClock at(round_start);
-        bool sparse = false;
-        if (fetch(at, list[pos], members[pos], &sparse)) {
-          if (!sparse) {
-            cluster_.network().Transfer(at, BenefactorAt(list[pos])->node_id(),
-                                        manager_node_, code.member_bytes);
-            has_data = true;
-          }
-          ++good;  // a sparse member reads back as zeros
-        }
-        join = std::max(join, at.now());
-      }
-      clock.AdvanceTo(join);
-    }
-    if (good < code.need) {
-      out.failed = plan.targets;
-      return out;
-    }
-    if (has_data) {
-      // Decode + re-encode cost is modelled; the parity math is real, so
-      // the rebuilt members are byte-exact.
-      clock.Advance(config_.ec_encode_ns(config_.chunk_bytes));
-      ErasureCodec codec(static_cast<uint32_t>(code.need),
-                         static_cast<uint32_t>(code.width - code.need));
-      NVM_CHECK(codec.Reconstruct(members),
-                "need verified members failed to reconstruct");
-    }
-  }
-
-  // Every target forks from here: admitted before the wire (a repair storm
-  // queues behind the scheduler, not in front of it), shipped from the
-  // copy source or the manager, and written whole with the checksum its
-  // position carries.  Sparse bytes need no move: the reservation alone
-  // makes the member (it reads back as zeros, like its sources).
-  const int from = src >= 0 ? BenefactorAt(src)->node_id() : manager_node_;
-  const int64_t start = clock.now();
-  int64_t done = start;
-  for (size_t i = 0; i < plan.targets.size(); ++i) {
-    const int bid = plan.targets[i];
-    Benefactor* b = BenefactorAt(bid);
-    bool ok = live(bid);
-    sim::VirtualClock copy(start);
-    if (ok && has_data) {
-      b->AdmitTransfer(copy, kTenantMaintenance, code.member_bytes,
-                       /*is_write=*/true, code.member_bytes);
-      cluster_.network().Transfer(copy, from, b->node_id(), code.member_bytes);
-      const std::vector<uint8_t>& member =
-          src >= 0 ? blob : members[plan.target_positions[i]];
-      const uint32_t* crc =
-          plan.target_crcs.empty() ? nullptr : &plan.target_crcs[i];
-      ok = b->WriteFragment(copy, plan.key, member, crc, kTenantMaintenance)
-               .ok();
-    }
-    done = std::max(done, copy.now());
-    (ok ? out.written : out.failed).push_back(bid);
-  }
-  clock.AdvanceTo(done);
-  return out;
-}
-
-uint64_t Manager::CommitRepair(sim::VirtualClock& clock,
-                               const RepairOutcome& outcome, bool* requeue) {
-  if (requeue != nullptr) *requeue = false;
-  if (wal_ != nullptr) wal_->TriggerPoint(CrashPoint::kMidRepairCommit);
-  const RepairPlan& plan = outcome.plan;
-  const Redundancy& code = CodeOf(plan.ec);
-  const uint64_t res_bytes = code.member_bytes;
-  MetaShard& shard = shards_[shard_of(plan.key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  // The targets' fate is decided here: they stop being scrub-exempt.
-  auto rt = shard.repair_targets.find(plan.key);
-  if (rt != shard.repair_targets.end()) {
-    for (int bid : plan.targets) {
-      auto pos = std::find_if(
-          rt->second.begin(), rt->second.end(),
-          [bid](const MetaShard::RepairTarget& t) { return t.bid == bid; });
-      if (pos != rt->second.end()) rt->second.erase(pos);
-    }
-    if (rt->second.empty()) shard.repair_targets.erase(rt);
-  }
-  auto undo_all = [&] {
-    for (int bid : outcome.written) {
-      UndoRepairTargetLocked(shard, plan.key, bid, res_bytes);
-    }
-    for (int bid : outcome.failed) {
-      UndoRepairTargetLocked(shard, plan.key, bid, res_bytes);
-    }
-  };
-  // Freed while the copy ran?  Nothing references the chunk any more.
-  auto hit = shard.chunks.find(plan.key);
-  if (hit == shard.chunks.end()) {
-    undo_all();
-    return 0;
-  }
-  ChunkHandle& h = *hit->second;
-  // Rewritten (epoch moved), concurrently re-placed (list changed), or a
-  // prepared write still in flight (its bytes could land on a survivor
-  // after our read and never reach the targets)?  The bytes we moved are
-  // stale — retry from scratch.
-  const std::vector<int> current =
-      *h.replicas.load(std::memory_order_acquire);
-  if (h.repair_epoch != plan.epoch || current != plan.survivors ||
-      shard.inflight_writers.contains(plan.key)) {
-    undo_all();
-    if (requeue != nullptr) *requeue = true;
-    return 0;
-  }
-  // Survivors stay first: the primary keeps holding every written byte, so
-  // reads served off it never observe the copy-window gap.  (EC: written
-  // fragments slot back into their stable positions instead.)
-  std::vector<int> fresh = plan.survivors;
-  uint64_t recreated = 0;
-  for (int bid : outcome.written) {
-    Benefactor* b = BenefactorAt(bid);
-    if (b != nullptr && b->alive()) {
-      if (code.positional) {
-        const auto at = static_cast<size_t>(
-            std::find(plan.targets.begin(), plan.targets.end(), bid) -
-            plan.targets.begin());
-        NVM_CHECK(at < plan.target_positions.size(),
-                  "EC repair wrote an unplanned target");
-        const uint32_t pos = plan.target_positions[at];
-        NVM_CHECK(fresh[pos] == -1, "EC repair filling an occupied slot");
-        fresh[pos] = bid;
-        ec_fragments_repaired_.Add(1);
-      } else {
-        fresh.push_back(bid);
-      }
-      ++recreated;
-    } else {
-      // Died after the copy landed.
-      UndoRepairTargetLocked(shard, plan.key, bid, res_bytes);
-    }
-  }
-  for (int bid : outcome.failed) {
-    UndoRepairTargetLocked(shard, plan.key, bid, res_bytes);
-  }
-  if (fresh != plan.survivors) {
-    // Log the committed list before publishing it (log-before-publish).
-    // An unchanged list (every target died/failed) appends nothing.
-    WalRecord rec;
-    rec.type = WalRecordType::kReplicas;
-    rec.key = plan.key;
-    rec.replicas = fresh;
-    LogAppend(clock, std::move(rec));
-  }
-  PublishReplicasLocked(h, std::move(fresh));
-  // Survivors caught serving corrupt bytes during the copy are stripped
-  // now, under the same commit (the epoch check above guarantees no write
-  // refreshed them in between); the shortened list needs another round.
-  bool stripped = false;
-  for (int bid : outcome.corrupt_sources) {
-    if (QuarantineReplicaLocked(clock, shard, plan.key, bid)) stripped = true;
-  }
-  if (stripped && requeue != nullptr) *requeue = true;
-  // A chunk quarantined earlier counts as healed once `width` verified
-  // members are listed again.
-  if (h.corrupt_pending &&
-      code.Healed(*h.replicas.load(std::memory_order_acquire))) {
-    h.corrupt_pending = false;
-    corrupt_repaired_.Add(1);
-  }
-  // Short of the plan (no readable survivor, or targets died mid-copy):
-  // hand the key back so the caller retries promptly instead of waiting
-  // for the next heartbeat declaration or scrub pass to rediscover it.
-  if (requeue != nullptr && recreated < plan.targets.size()) *requeue = true;
-  return recreated;
-}
-
-StatusOr<uint64_t> Manager::RepairReplication(sim::VirtualClock& clock,
-                                              uint64_t* lost) {
-  if (lost != nullptr) *lost = 0;
-  // Synchronous, unthrottled driver over the plan/execute/commit engine —
-  // no shard mutex is ever held across a data transfer.  A commit that
-  // loses to a concurrent write or a mid-copy death asks for a requeue;
-  // retry those keys a bounded number of rounds so a single unlucky race
-  // does not leave the chunk degraded until the next sweep.
-  std::vector<ChunkKey> keys = CollectUnderReplicated();
-  uint64_t recreated = 0;
-  for (int round = 0; round < 3 && !keys.empty(); ++round) {
-    uint64_t lost_now = 0;
-    std::vector<RepairPlan> plans = PlanRepairs(clock, keys, &lost_now);
-    if (lost != nullptr) *lost += lost_now;
-    std::vector<ChunkKey> retry;
-    for (const RepairPlan& plan : plans) {
-      RepairOutcome out = ExecuteRepairPlan(clock, plan);
-      bool requeue = false;
-      recreated += CommitRepair(clock, out, &requeue);
-      if (requeue) retry.push_back(plan.key);
-    }
-    keys = std::move(retry);
-  }
-  return recreated;
-}
-
-Manager::ScrubResult Manager::ScrubOnce(sim::VirtualClock& clock) {
-  ScrubResult result;
-  // Per-file metadata scan cost, charged before any shard lock is taken
-  // (the lock graph stays acyclic: ns_mu_ is never held across shard
-  // acquisitions, and the charges land on the files' own lanes).
-  std::vector<FileId> fids;
-  {
-    std::shared_lock<std::shared_mutex> lock(ns_mu_);
-    fids.reserve(files_.size());
-    for (const auto& [fid, meta] : files_) fids.push_back(fid);
-  }
-  std::sort(fids.begin(), fids.end());
-  for (FileId fid : fids) ChargeOp(clock, FileLane(fid));
-
-  // Stop-the-world metadata pass: every shard mutex held, in ascending
-  // order.  Reservations only move under some shard mutex, so the drift
-  // comparison below is race-free.
-  std::vector<std::unique_lock<std::mutex>> held;
-  held.reserve(meta_shards_);
-  for (MetaShard& shard : shards_) held.emplace_back(shard.mu);
-
-  // Pass 1 — the authoritative replica map, straight from the shard chunk
-  // tables (every live chunk has exactly one handle there).
-  std::unordered_map<ChunkKey, const ChunkHandle*, ChunkKeyHash> placed;
-  std::unordered_map<ChunkKey, std::shared_ptr<const std::vector<int>>,
-                     ChunkKeyHash>
-      lists;
-  for (const MetaShard& shard : shards_) {
-    for (const auto& [key, h] : shard.chunks) {
-      placed.try_emplace(key, h.get());
-      lists.try_emplace(key, h->replicas.load(std::memory_order_acquire));
-    }
-  }
-  // Pass 2 — reconcile each alive benefactor against the map.  Dead ones
-  // are the repair path's business, not the scrubber's.
-  if (wal_ != nullptr) wal_->TriggerPoint(CrashPoint::kMidScrub);
-  const std::vector<Benefactor*> bens = SnapshotBenefactors();
-  for (size_t i = 0; i < bens.size(); ++i) {
-    Benefactor* b = bens[i];
-    // One metadata round-trip fetches the benefactor's stored-chunk set.
-    ChargeOp(clock, i % meta_shards_);
-    cluster_.network().Transfer(clock, manager_node_, b->node_id(),
-                                config_.meta_request_bytes);
-    cluster_.network().Transfer(clock, b->node_id(), manager_node_,
-                                config_.meta_response_bytes);
-    if (!b->alive()) continue;
-    // Expected reservation in BYTES: one member's worth per list naming
-    // this benefactor (a full chunk per replica, a fragment per stripe).
-    uint64_t expected = 0;
-    for (const auto& [key, list] : lists) {
-      if (std::find(list->begin(), list->end(), static_cast<int>(i)) !=
-          list->end()) {
-        expected += CodeOf(placed.at(key)->ec).member_bytes;
-      }
-    }
-    // In-flight repair targets hold reservations (and possibly data) the
-    // replica lists do not name yet; their commit will settle them.
-    for (const MetaShard& shard : shards_) {
-      for (const auto& [key, targets] : shard.repair_targets) {
-        for (const MetaShard::RepairTarget& t : targets) {
-          if (t.bid == static_cast<int>(i)) expected += t.bytes;
-        }
-      }
-    }
-    for (const ChunkKey& key : b->StoredChunkKeys()) {
-      auto it = lists.find(key);
-      const bool reachable =
-          it != lists.end() &&
-          std::find(it->second->begin(), it->second->end(),
-                    static_cast<int>(i)) != it->second->end();
-      if (!reachable &&
-          !IsRepairTargetLocked(shards_[shard_of(key)], key,
-                                static_cast<int>(i))) {
-        // Orphan: stored but absent from the replica list — the leavings
-        // of an unlink against a then-dead benefactor or an abandoned
-        // repair copy.  No reader ever consults it; reclaim the space.
-        (void)b->DeleteChunk(key);
-        ++result.orphans_deleted;
-      }
-    }
-    // Reservation drift: reserved bytes must equal the bytes the metadata
-    // places here plus the in-flight repair targets.  Fixes are reported
-    // in chunk-slot units (rounded up) for continuity with the historic
-    // counter.
-    const uint64_t reserved = b->bytes_used();
-    if (reserved > expected) {
-      b->ReleaseBytes(reserved - expected);
-      result.reservation_fixes +=
-          CeilDiv(reserved - expected, config_.chunk_bytes);
-    } else if (reserved < expected) {
-      (void)b->ReserveBytes(expected - reserved);
-      result.reservation_fixes +=
-          CeilDiv(expected - reserved, config_.chunk_bytes);
-    }
-  }
-  // Pass 3 — re-find degraded chunks the report path missed, by the same
-  // rule as CollectUnderReplicated.
-  for (const auto& [key, list] : lists) {
-    const Redundancy& code = CodeOf(placed.at(key)->ec);
-    if (!code.Lost(*list) && code.Degraded(*list, bens)) {
-      result.under_replicated.push_back(key);
-    }
-  }
-  // Sorted so the requeue order does not depend on shard count or hash
-  // iteration order.
-  std::sort(result.under_replicated.begin(), result.under_replicated.end());
-  return result;
-}
-
-Manager::VerifyResult Manager::VerifyScrub(sim::VirtualClock& clock,
-                                           uint64_t max_bytes) {
-  VerifyResult result;
-  if (max_bytes == 0) return result;
-  // One sweep at a time: verify_mu_ guards the inter-shard cursor and is
-  // ordered strictly before the shard mutexes.
-  std::lock_guard<std::mutex> sweep(verify_mu_);
-  const size_t start_lane = verify_shard_ % meta_shards_;
-
-  struct Candidate {
-    ChunkKey key;
-    std::vector<int> replicas;
-    std::vector<uint32_t> want;  // checksum each member must store
-    uint64_t epoch = 0;
-    const Redundancy* code = nullptr;
-  };
-
-  // Phase 1 (shard mutexes, one at a time) — snapshot the next cursor
-  // batch: placed chunks with a recorded checksum and no write in flight,
-  // shards in index order and sorted keys within each shard, until the
-  // byte budget is covered (at least one chunk always makes the batch so
-  // tiny budgets still progress).
-  std::vector<Candidate> batch;
-  ChargeOp(clock, start_lane);  // batch lookup cost
-  {
-    uint64_t planned = 0;
-    bool stopped = false;
-    for (size_t s = verify_shard_; s < meta_shards_ && !stopped; ++s) {
-      MetaShard& shard = shards_[s];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      std::vector<ChunkKey> keys;
-      keys.reserve(shard.chunks.size());
-      for (const auto& [key, h] : shard.chunks) keys.push_back(key);
-      std::sort(keys.begin(), keys.end());
-      for (const ChunkKey& key : keys) {
-        if (shard.verify_cursor.has_value() && key <= *shard.verify_cursor) {
-          continue;  // at or before the cursor: already covered this lap
-        }
-        const ChunkHandle& h = *shard.chunks.at(key);
-        auto list = h.replicas.load(std::memory_order_acquire);
-        if (list->empty()) continue;  // lost: nothing to read
-        if (shard.inflight_writers.contains(key)) continue;  // in flux
-        // Never written (or a stripe without positional checksums):
-        // nothing to rot.
-        if (MemberCrc(h, 0, list->size()) == nullptr) continue;
-        const Redundancy& code = CodeOf(h.ec);
-        const uint64_t cost = code.member_bytes * Redundancy::Listed(*list);
-        if (!batch.empty() && planned + cost > max_bytes) {
-          stopped = true;
-          break;
-        }
-        planned += cost;
-        Candidate c;
-        c.key = key;
-        c.replicas = *list;
-        // Each EC fragment verifies against ITS positional checksum; a
-        // replica against the full-image one.
-        for (size_t i = 0; i < list->size(); ++i) {
-          c.want.push_back(*MemberCrc(h, i, list->size()));
-        }
-        c.epoch = h.repair_epoch;
-        c.code = &code;
-        batch.push_back(std::move(c));
-        shard.verify_cursor = key;
-      }
-      if (stopped) {
-        verify_shard_ = s;  // resume this shard at its cursor
-      } else {
-        shard.verify_cursor.reset();  // shard fully covered this lap
-      }
-    }
-    if (!stopped) {
-      result.wrapped = true;  // covered the tail of the keyspace
-      verify_shard_ = 0;
-    }
-  }
-
-  // Phase 2 (no shard mutex) — verify every alive replica benefactor-
-  // locally: one request/verdict round-trip each; the chunk bytes never
-  // leave the benefactor's node.
-  struct Mismatch {
-    size_t cand;
-    int bid;
-  };
-  std::vector<Mismatch> mismatches;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const Candidate& c = batch[i];
-    ++result.chunks_checked;
-    for (size_t ri = 0; ri < c.replicas.size(); ++ri) {
-      const int bid = c.replicas[ri];
-      if (bid < 0) continue;  // EC hole: repair's business
-      Benefactor* b = BenefactorAt(bid);
-      if (b == nullptr || !b->alive()) continue;  // repair's business
-      const uint32_t want = c.want[ri];
-      const uint64_t stored_bytes = c.code->member_bytes;
-      cluster_.network().Transfer(clock, manager_node_, b->node_id(),
-                                  config_.meta_request_bytes);
-      bool sparse = false;
-      Status s = b->VerifyChunk(clock, c.key, want, &sparse);
-      cluster_.network().Transfer(clock, b->node_id(), manager_node_,
-                                  config_.meta_response_bytes);
-      if (s.code() == ErrorCode::kCorrupt) {
-        result.bytes_checked += stored_bytes;
-        mismatches.push_back({i, bid});
-      } else if (s.ok()) {
-        if (sparse) {
-          // A replica with no stored bytes reads as zeros: that is silent
-          // corruption too unless the chunk really is all zeros.
-          if (want != c.code->zero_crc) mismatches.push_back({i, bid});
-        } else {
-          result.bytes_checked += stored_bytes;
-        }
-      }
-      // Unavailable: died between phases — the heartbeat/repair path owns
-      // dead replicas.
-    }
-  }
-
-  // Phase 3 (shard mutex per mismatch) — quarantine confirmed mismatches,
-  // dropping any whose chunk was rewritten or repaired while the
-  // verification ran (their verdicts describe bytes that no longer exist).
-  if (!mismatches.empty()) {
-    ChargeOp(clock, start_lane);
-    // Our own quarantines bump the epoch by one each; account for them so
-    // a chunk with several corrupt replicas sheds all of them in one pass.
-    std::unordered_map<ChunkKey, uint64_t, ChunkKeyHash> own_bumps;
-    for (const Mismatch& m : mismatches) {
-      const Candidate& c = batch[m.cand];
-      MetaShard& shard = shards_[shard_of(c.key)];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      auto hit = shard.chunks.find(c.key);
-      const uint64_t epoch =
-          hit == shard.chunks.end() ? 0 : hit->second->repair_epoch;
-      if (hit == shard.chunks.end() ||
-          epoch != c.epoch + own_bumps[c.key] ||
-          shard.inflight_writers.contains(c.key)) {
-        ++result.skipped;
-        continue;
-      }
-      if (QuarantineReplicaLocked(clock, shard, c.key, m.bid)) {
-        ++own_bumps[c.key];
-        ++result.corrupt_found;
-        // Requeue only when a repair can still help: the chunk is not
-        // lost (a surviving replica, or k fragments to reconstruct from).
-        auto now = hit->second->replicas.load(std::memory_order_acquire);
-        if (!c.code->Lost(*now)) result.quarantined.push_back(c.key);
-      } else {
-        ++result.skipped;
-      }
-    }
-  }
-  return result;
-}
-
 void Manager::AttachMaintenance(MaintenanceService* service) {
   // Exclusive: detaching blocks until every hook call already holding the
   // shared lock has returned, so ~MaintenanceService cannot destroy the
@@ -1098,26 +324,6 @@ void Manager::AttachMaintenance(MaintenanceService* service) {
 void Manager::ReportDegraded(const ChunkKey& key, int64_t now_ns) {
   std::shared_lock<std::shared_mutex> lock(hook_mu_);
   if (maintenance_ != nullptr) maintenance_->ReportDegraded(key, now_ns);
-}
-
-void Manager::ReportCorrupt(sim::VirtualClock& clock, const ChunkKey& key,
-                            int bid) {
-  bool degraded = false;
-  {
-    MetaShard& shard = shards_[shard_of(key)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (QuarantineReplicaLocked(clock, shard, key, bid)) {
-      auto it = shard.chunks.find(key);
-      if (it != shard.chunks.end()) {
-        const ChunkHandle& h = *it->second;
-        degraded =
-            !CodeOf(h.ec).Lost(*h.replicas.load(std::memory_order_acquire));
-      }
-    }
-  }
-  // Queue a repair only when the chunk is not lost: a surviving replica
-  // or k fragments can seed it.
-  if (degraded) ReportDegraded(key, clock.now());
 }
 
 bool Manager::LookupChecksum(const ChunkKey& key, uint32_t* crc) const {
@@ -1132,122 +338,6 @@ bool Manager::LookupChecksum(const ChunkKey& key, uint32_t* crc) const {
 void Manager::MaintenanceTick(int64_t now_ns) {
   std::shared_lock<std::shared_mutex> lock(hook_mu_);
   if (maintenance_ != nullptr) maintenance_->Tick(now_ns);
-}
-
-StatusOr<uint64_t> Manager::Decommission(sim::VirtualClock& clock, int id) {
-  const std::vector<Benefactor*> bens = SnapshotBenefactors();
-  if (id < 0 || static_cast<size_t>(id) >= bens.size()) {
-    return NotFound("benefactor " + std::to_string(id));
-  }
-  Benefactor* leaving = bens[static_cast<size_t>(id)];
-  if (!leaving->alive()) {
-    return FailedPrecondition("cannot drain a dead benefactor");
-  }
-
-  // Reliability signal for the placement engine, snapshotted before the
-  // shard locks (hook_mu_ is never taken under a shard mutex).
-  std::vector<char> suspected;
-  if (config_.placement_avoid_suspected) suspected = SuspectedBenefactors();
-
-  // Rare, operator-driven: hold every shard mutex for the duration so the
-  // placement rewrite is atomic against the whole metadata plane.
-  std::vector<std::unique_lock<std::mutex>> held;
-  held.reserve(meta_shards_);
-  for (MetaShard& shard : shards_) held.emplace_back(shard.mu);
-
-  // Each chunk has exactly one handle; visit them in key order so the
-  // migration sequence (and its virtual-time trace) is deterministic.
-  std::vector<ChunkHandle*> handles;
-  for (const MetaShard& shard : shards_) {
-    for (const auto& [key, h] : shard.chunks) handles.push_back(h.get());
-  }
-  std::sort(handles.begin(), handles.end(),
-            [](const ChunkHandle* a, const ChunkHandle* b) {
-              return a->key < b->key;
-            });
-
-  uint64_t migrated = 0;
-  for (ChunkHandle* h : handles) {
-    const std::vector<int> current =
-        *h->replicas.load(std::memory_order_acquire);
-    auto pos = std::find(current.begin(), current.end(), id);
-    if (pos == current.end()) continue;
-    const auto member = static_cast<uint32_t>(pos - current.begin());
-    const Redundancy& code = CodeOf(h->ec);
-    // Destination through the shared placement engine: rotation order
-    // from the benefactor after the leaving one, every holder excluded,
-    // and for a spreading code no node hosting another member (the
-    // failure-domain spread survives the migration).  The first ranked
-    // benefactor that can reserve the member wins.
-    std::vector<PlacementCandidate> cands = BuildPlacementCandidates(
-        bens, suspected.empty() ? nullptr : &suspected);
-    std::vector<int> used_nodes = ExcludeMembers(code, current, cands, id);
-    PlacementRequest req;
-    req.order = PlacementRequest::Order::kRotation;
-    req.start = (static_cast<size_t>(id) + 1) % bens.size();
-    req.avoid_suspected = config_.placement_avoid_suspected;
-    req.wear_weight = config_.placement_wear_weight;
-    req.exclude_nodes = &used_nodes;
-    const std::vector<int> picked =
-        code.Reserve(bens, RankPlacement(cands, req), 1, used_nodes);
-    if (picked.empty()) {
-      return OutOfSpace("no destination for chunk " + h->key.ToString());
-    }
-    const int dst = picked.front();
-    Benefactor* to = bens[static_cast<size_t>(dst)];
-    // The member moves through the repair mover, as a plan whose one
-    // target replaces the leaving holder: copied off it when its bytes
-    // verify, else off another replica or rebuilt from `need` others.
-    RepairPlan plan;
-    plan.key = h->key;
-    plan.ec = h->ec;
-    plan.survivors = current;
-    plan.targets = {dst};
-    plan.target_positions = {member};
-    if (const uint32_t* crc = MemberCrc(*h, member, current.size())) {
-      plan.target_crcs = {*crc};
-    }
-    const RepairOutcome out = ExecuteRepairPlan(clock, plan);
-    const bool moved = !out.written.empty();
-    if (moved) {
-      std::vector<int> rewritten = current;
-      rewritten[member] = dst;
-      // Log the rewritten placement BEFORE dropping the leaving replica's
-      // copy: a crash in between then recovers to the new list (the copy
-      // on dst is already in place), never to a list naming deleted data.
-      WalRecord rec;
-      rec.type = WalRecordType::kReplicas;
-      rec.key = h->key;
-      rec.replicas = rewritten;
-      LogAppend(clock, std::move(rec));
-      (void)leaving->DeleteChunk(h->key);
-      leaving->ReleaseBytes(code.member_bytes);
-      PublishReplicasLocked(*h, std::move(rewritten));
-      ++migrated;
-    }
-    // Rot met on the way counts like a reader's report: the leaving
-    // holder's left with it, any other member is quarantined (the scrub
-    // requeues the chunk's repair).
-    MetaShard& shard = shards_[shard_of(h->key)];
-    for (int bid : out.corrupt_sources) {
-      if (moved && bid == id) {
-        corrupt_detected_.Add(1);
-      } else {
-        (void)QuarantineReplicaLocked(clock, shard, h->key, bid);
-      }
-    }
-    if (!moved) {
-      // No verified source is left (or the destination died): the drain
-      // stops with the benefactor still in service.
-      (void)to->DeleteChunk(h->key);
-      to->ReleaseBytes(code.member_bytes);
-      const std::string what = "cannot move chunk " + h->key.ToString() +
-                               " off benefactor " + std::to_string(id);
-      return out.corrupt_sources.empty() ? Unavailable(what) : Corrupt(what);
-    }
-  }
-  leaving->Kill();  // retired: no longer schedulable
-  return migrated;
 }
 
 StatusOr<FileId> Manager::CreateFile(sim::VirtualClock& clock,
