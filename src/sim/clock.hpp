@@ -16,6 +16,8 @@
 // from physical concurrency.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -43,6 +45,32 @@ class VirtualClock {
  private:
   int64_t now_ns_ = 0;
 };
+
+// Any `need` of `candidates` items, fetched in rounds: each round forks
+// one clock per outstanding item at its start — the next need - done
+// untried candidates, in order — and joins them at the max, so a failure
+// seen at the join pulls the next candidate into the following round and
+// never overlaps the attempt that failed.  `try_one(fork, i)` runs
+// candidate i on its forked clock and reports success.  `clock` ends at
+// the last join; returns the number of successes.
+template <typename TryOne>
+size_t ForkJoinRounds(VirtualClock& clock, size_t need, size_t candidates,
+                      TryOne&& try_one) {
+  size_t done = 0;
+  size_t next = 0;
+  while (done < need && next < candidates) {
+    const int64_t start = clock.now();
+    int64_t join = start;
+    const size_t end = std::min(candidates, next + (need - done));
+    for (; next < end; ++next) {
+      VirtualClock fork(start);
+      if (try_one(fork, next)) ++done;
+      join = std::max(join, fork.now());
+    }
+    clock.AdvanceTo(join);
+  }
+  return done;
+}
 
 // Per-thread execution context.  The simulated cluster installs one for
 // each process thread; test code and main() get a lazily created default so

@@ -205,40 +205,32 @@ Status StoreClient::ReadStripe(sim::VirtualClock& clock, FileId id,
   }
 
   std::vector<std::vector<uint8_t>> frags(nf);
-  size_t good = 0;
-  size_t next = 0;
   bool saw_corrupt = false;
   Status last = Unavailable("fewer than k fragments readable");
-  // Each round issues the (k - good) outstanding fetches in parallel —
-  // clocks forked at the round start, joined at the max — and failures
-  // discovered at the join pull the next candidates in a follow-up round.
-  int64_t round_start = clock.now();
-  while (good < k && next < candidates.size()) {
-    int64_t join = round_start;
-    const size_t want = std::min(candidates.size(), next + (k - good));
-    const size_t begin = next;
-    next = want;
-    for (size_t c = begin; c < want; ++c) {
-      const size_t pos = candidates[c];
-      const int bid = loc.benefactors[pos];
-      Benefactor* b = manager_.benefactor(bid);
-      NVM_CHECK(b != nullptr);
-      sim::VirtualClock frag_clock(round_start);
-      cluster_.network().Transfer(frag_clock, local_node_, b->node_id(),
-                                  cfg.meta_request_bytes);
-      std::vector<uint8_t> buf(fb);
-      bool sparse = false;
-      Status s = b->ReadFragment(frag_clock, loc.key, buf, &sparse, tenant_);
-      if (s.ok()) {
-        // A hole costs only the "no such fragment" reply (it reads as
-        // zeros — a never-written region of the stripe).
-        cluster_.network().Transfer(
-            frag_clock, b->node_id(), local_node_,
-            sparse ? cfg.meta_response_bytes : fb);
-        if (!sparse) bytes_fetched_.Add(fb);
-        frags[pos] = std::move(buf);
-        ++good;
-      } else {
+  // Each round issues the (k - good) outstanding fetches in parallel and
+  // failures discovered at its join pull the next candidates into a
+  // follow-up round.
+  const size_t good = sim::ForkJoinRounds(
+      clock, k, candidates.size(),
+      [&](sim::VirtualClock& frag_clock, size_t c) {
+        const size_t pos = candidates[c];
+        const int bid = loc.benefactors[pos];
+        Benefactor* b = manager_.benefactor(bid);
+        NVM_CHECK(b != nullptr);
+        cluster_.network().Transfer(frag_clock, local_node_, b->node_id(),
+                                    cfg.meta_request_bytes);
+        std::vector<uint8_t> buf(fb);
+        bool sparse = false;
+        Status s = b->ReadFragment(frag_clock, loc.key, buf, &sparse, tenant_);
+        if (s.ok()) {
+          // A hole costs only the "no such fragment" reply (it reads as
+          // zeros — a never-written region of the stripe).
+          cluster_.network().Transfer(frag_clock, b->node_id(), local_node_,
+                                      sparse ? cfg.meta_response_bytes : fb);
+          if (!sparse) bytes_fetched_.Add(fb);
+          frags[pos] = std::move(buf);
+          return true;
+        }
         last = s;
         if (s.code() == ErrorCode::kUnavailable) {
           manager_.MarkDead(bid);
@@ -257,12 +249,8 @@ Status StoreClient::ReadStripe(sim::VirtualClock& clock, FileId id,
                    "falling over to parity",
                    bid, pos, loc.key.ToString().c_str());
         }
-      }
-      join = std::max(join, frag_clock.now());
-    }
-    clock.AdvanceTo(join);
-    round_start = join;
-  }
+        return false;
+      });
   if (saw_corrupt) {
     // The quarantine punched a hole this cached location still names.
     InvalidateLocation(id, chunk_index);

@@ -308,37 +308,25 @@ Manager::RepairOutcome Manager::ExecuteRepairPlan(sim::VirtualClock& clock,
   }
 
   // Rebuild: no copy verified, so `need` verified members are fetched to
-  // the manager's node in rounds, the degraded-read rule — a round forks
-  // the need - good outstanding fetches, and a failure seen at its join
-  // pulls the next member into the following round.  The members are
-  // decoded and the missing ones re-encoded; the stripe is never read in
+  // the manager's node in rounds — the client's degraded-read rule — then
+  // decoded, and the missing ones re-encoded.  The stripe is never read in
   // full off one device (the repair-traffic saving the MTTR bench
   // measures).
   std::vector<std::vector<uint8_t>> members;
   if (src < 0) {
     members.resize(code.width);
-    size_t good = 0;
-    size_t next = 0;
-    while (good < code.need && next < others.size()) {
-      const int64_t round_start = clock.now();
-      int64_t join = round_start;
-      const size_t end = std::min(others.size(), next + (code.need - good));
-      for (; next < end; ++next) {
-        const uint32_t pos = others[next];
-        sim::VirtualClock at(round_start);
-        bool sparse = false;
-        if (fetch(at, list[pos], members[pos], &sparse)) {
-          if (!sparse) {
+    const size_t good = sim::ForkJoinRounds(
+        clock, code.need, others.size(), [&](sim::VirtualClock& at, size_t i) {
+          const uint32_t pos = others[i];
+          bool sparse = false;
+          if (!fetch(at, list[pos], members[pos], &sparse)) return false;
+          if (!sparse) {  // a sparse member reads back as zeros
             cluster_.network().Transfer(at, BenefactorAt(list[pos])->node_id(),
                                         manager_node_, code.member_bytes);
             has_data = true;
           }
-          ++good;  // a sparse member reads back as zeros
-        }
-        join = std::max(join, at.now());
-      }
-      clock.AdvanceTo(join);
-    }
+          return true;
+        });
     if (good < code.need) {
       out.failed = plan.targets;
       return out;
