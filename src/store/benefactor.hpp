@@ -120,9 +120,9 @@ class Benefactor {
   // write first verifies the stored base image (a mismatch fails the run
   // with CORRUPT) and then recomputes the CRC over the merged image,
   // charging the checksum CPU cost, as does a whole write without a
-  // caller CRC.  `stored_crc` returns the CRC actually stored — the merged-image
-  // value on a partial write — which is what the caller must hand the
-  // manager as the authoritative checksum.
+  // caller CRC.  `stored_crc` returns the CRC actually stored — the
+  // merged-image value on a partial write — which is what the caller must
+  // hand the manager as the authoritative checksum.
   Status WriteChunkRun(sim::VirtualClock& clock,
                        std::span<const ChunkWriteItem> items,
                        const ChunkRunSend& send,

@@ -164,7 +164,7 @@ class Manager {
   size_t CheckLiveness(sim::VirtualClock& clock,
                        std::vector<char>* alive_out = nullptr);
 
-  // --- incremental repair engine ---
+  // --- incremental repair engine (store/repair.cpp) ---
   //
   // Replicated chunks and erasure stripes follow one redundancy rule.  A
   // chunk's location list has `width` members (replication copies, or k+m
@@ -270,16 +270,17 @@ class Manager {
   StatusOr<uint64_t> RepairReplication(sim::VirtualClock& clock,
                                        uint64_t* lost = nullptr);
 
-  // One scrub pass reconciling metadata against benefactor state, with
-  // EVERY shard mutex held (ascending — a stop-the-world metadata pass, no
-  // data transfers): deletes stored chunks no file references any more
-  // (orphans of failed repairs or unlinks against dead benefactors), fixes
-  // reservation-accounting drift, and reports under-replicated chunks for
-  // re-queueing.  Holding all shards makes the drift comparison race-free:
-  // reservations only move under some shard mutex.  In-flight repair
-  // targets (planned, not yet committed) are exempt from both the orphan
-  // sweep and the drift accounting — a concurrent repair's copy
-  // legitimately stores data the replica lists do not name yet.
+  // One scrub pass (store/scrub.cpp) reconciling metadata against
+  // benefactor state, with EVERY shard mutex held (ascending — a
+  // stop-the-world metadata pass, no data transfers): deletes stored
+  // chunks no file references any more (orphans of failed repairs or
+  // unlinks against dead benefactors), fixes reservation-accounting
+  // drift, and reports under-replicated chunks for re-queueing.  Holding
+  // all shards makes the drift comparison race-free: reservations only
+  // move under some shard mutex.  In-flight repair targets (planned, not
+  // yet committed) are exempt from both the orphan sweep and the drift
+  // accounting — a concurrent repair's copy legitimately stores data the
+  // replica lists do not name yet.
   struct ScrubResult {
     uint64_t orphans_deleted = 0;
     uint64_t reservation_fixes = 0;  // chunk-slots corrected
@@ -287,7 +288,7 @@ class Manager {
   };
   ScrubResult ScrubOnce(sim::VirtualClock& clock);
 
-  // --- checksum verification scrub ---
+  // --- checksum verification scrub (store/scrub.cpp) ---
   //
   // Incremental sweep verifying stored chunk contents against the
   // manager's authoritative checksums, at most `max_bytes` of chunk data
@@ -353,12 +354,12 @@ class Manager {
   // maintenance worker's schedule catch up to foreground virtual time.
   void MaintenanceTick(int64_t now_ns);
 
-  // Decommission a benefactor for maintenance/upgrade (the paper's
-  // "aggregation ... allows for ... easy system hardware upgrades or
-  // re-configuration"): migrate every member it holds to the surviving
-  // benefactors through the member mover (a drained member that fails
-  // verification is copied from another replica or rebuilt from `need`
-  // others, and its rot counts as detected), rewrite the placement
+  // Decommission (store/repair.cpp) a benefactor for maintenance/upgrade
+  // (the paper's "aggregation ... allows for ... easy system hardware
+  // upgrades or re-configuration"): migrate every member it holds to the
+  // surviving benefactors through the member mover (a drained member that
+  // fails verification is copied from another replica or rebuilt from
+  // `need` others, and its rot counts as detected), rewrite the placement
   // metadata, then retire it.  Holds every shard mutex for the duration
   // (rare, operator-driven).  Returns the number of chunks migrated; with
   // no verified source left for a member it stops with CORRUPT and the

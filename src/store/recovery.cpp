@@ -2,7 +2,7 @@
 // and cold-start reconciliation (Manager::Checkpoint / Manager::Recover).
 //
 // The correctness frame is simple because of two disciplines enforced at
-// the mutation sites in manager.cpp:
+// the mutation sites in manager.cpp, repair.cpp and scrub.cpp:
 //
 //  * log-before-publish — every durable mutation appends its WAL record
 //    under the mutex that orders the mutation, BEFORE any in-memory or

@@ -552,8 +552,9 @@ void Erasure(store::StoreConfig& s) {
   s.ec_m = 2;
 }
 
-// Every chunk of `id` reads back `want` byte-exact through a client whose
-// location cache predates nothing.
+// Every chunk of `id` reads back `want` byte-exact through the client on
+// `client_node` — one that has cached none of the file's locations, so
+// every read resolves the placement as it stands now.
 void ExpectStoreBytes(Rig& rig, int client_node, store::FileId id,
                       uint32_t chunks, const std::vector<uint8_t>& want) {
   store::StoreClient& c = rig.store->ClientForNode(client_node);
