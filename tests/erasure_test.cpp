@@ -708,7 +708,6 @@ TEST(ErasureStoreTest, CorruptFragmentInReadRunIsQuarantined) {
 // clock far past the writes, so every device and NIC starts idle.
 struct TimedRepair {
   store::FileId id = store::kInvalidFileId;
-  store::ChunkKey key;
   int rotted = -1;
   int64_t ns = 0;  // ExecuteRepairPlan's virtual duration
   store::Manager::RepairOutcome out;
@@ -723,7 +722,6 @@ TimedRepair RepairAfterLoss(Rig& rig, const std::vector<uint8_t>& data,
   r.id = WriteStoreFile(c, "/rounds", 1, data, clock);
   auto loc = m.GetReadLocation(clock, r.id, 0);
   EXPECT_TRUE(loc.ok());
-  r.key = loc->key;
   rig.store->benefactor(static_cast<size_t>(loc->benefactors[5])).Kill();
   if (rot) {
     r.rotted = loc->benefactors[0];
