@@ -662,6 +662,22 @@ TEST(DecommissionTest, DrainWithNoVerifiedSourceStopsCorrupt) {
   auto migrated = m.Decommission(sim::CurrentClock(), victim);
   EXPECT_EQ(migrated.status().code(), ErrorCode::kCorrupt);
   EXPECT_TRUE(rig.store->benefactor(static_cast<size_t>(victim)).alive());
+  // Both rotted replicas were quarantined like a reader's reports: the
+  // chunk surfaces as lost, and no reservation is left behind.
+  EXPECT_EQ(m.corrupt_detected(), 2u);
+  EXPECT_EQ(m.lost_chunks(), 1u);
+  auto after = m.GetReadLocation(clock, id, 0);
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(after->benefactors.empty());
+  uint64_t named = 0;
+  auto locs = m.GetReadLocations(clock, id, 0, 2);
+  ASSERT_TRUE(locs.ok());
+  for (const store::ReadLocation& l : *locs) named += l.benefactors.size();
+  uint64_t used = 0;
+  for (size_t b = 0; b < rig.store->num_benefactors(); ++b) {
+    used += rig.store->benefactor(b).bytes_used();
+  }
+  EXPECT_EQ(used, named * kChunk);
 }
 
 TEST(DecommissionTest, ErasureDrainKeepsStripesSpreadAndChecksummed) {
