@@ -15,7 +15,13 @@
 //       each chunk out as six sub-chunk fragment writes, and
 //   (d) the same dataset rewritten in WriteChunks windows of 32 and read
 //       back in ReadChunks batches of 8 — the run RPCs, which carry one
-//       request per benefactor per window or batch in both modes.
+//       request per benefactor per window or batch in both modes, and
+//   (e) random 4 KiB pages, one at a time: page reads through the
+//       page-range read (a replica is one whole chunk, a stripe reads only
+//       the fragment that holds the page) and single-dirty-page writes
+//       (replication ships the page to each replica; RS(4,2) reads the
+//       stripe, re-encodes it and rewrites all k+m fragments — the
+//       read-modify-write a partial-stripe write would cut).
 // Both datasets are read back byte-exact afterwards so the overhead
 // numbers describe stores that actually work.
 //
@@ -41,6 +47,7 @@ constexpr int kBenefactors = 8;
 
 constexpr uint32_t kWriteWindow = 32;  // chunks per WriteChunks window
 constexpr uint32_t kReadBatch = 8;     // chunks per ReadChunks batch
+constexpr int kPageOps = 256;          // random page reads, then writes
 
 uint32_t g_chunks = 512;  // 32 MiB logical dataset (128 with --quick)
 
@@ -50,7 +57,16 @@ struct ModeResult {
   double space_amp = 0;   // device bytes at rest / logical bytes
   double write_w32_gbps = 0;  // the same, rewritten in windows of 32
   double read_b8_gbps = 0;    // logical bytes / batched read time
+  double page_read_us = 0;     // median virtual latency of a page read
+  double page_read_bytes = 0;  // client bytes fetched per page read
+  double page_write_us = 0;    // median virtual latency of a page write
+  double page_write_amp = 0;   // device bytes ingested per page byte
 };
+
+double MedianUs(std::vector<int64_t> ns) {
+  std::sort(ns.begin(), ns.end());
+  return static_cast<double>(ns[ns.size() / 2]) / 1e3;
+}
 
 ModeResult RunMode(bool ec) {
   store::AggregateStoreConfig sc;
@@ -148,6 +164,56 @@ ModeResult RunMode(bool ec) {
   }
   const double batch_secs = static_cast<double>(clock.now() - rb0) / 1e9;
 
+  // Random pages, one at a time on the same clock.  Reads go through the
+  // page-range read and must land the page byte-exact; each write dirties
+  // one page of its chunk's image.
+  const uint64_t page = client.config().page_bytes;
+  const uint32_t pages = client.config().pages_per_chunk();
+  Xoshiro256 pick(29);
+  std::vector<int64_t> read_ns;
+  const uint64_t fetched0 = client.bytes_fetched();
+  for (int op = 0; op < kPageOps; ++op) {
+    const auto i = static_cast<uint32_t>(pick.NextBelow(g_chunks));
+    const auto p = static_cast<size_t>(pick.NextBelow(pages));
+    const int64_t t = clock.now();
+    auto got = client.ReadChunkPages(clock, id, i, p, p, buf);
+    NVM_CHECK(got.ok() && got->first <= p && p <= got->last);
+    read_ns.push_back(clock.now() - t);
+    NVM_CHECK(std::memcmp(buf.data() + p * page,
+                          data.data() + i * kChunk + p * page, page) == 0,
+              "page read mismatch");
+  }
+  const uint64_t page_fetched = client.bytes_fetched() - fetched0;
+
+  const auto device_in = [&] {
+    uint64_t n = 0;
+    for (int b = 0; b < kBenefactors; ++b) {
+      n += store.benefactor(static_cast<size_t>(b)).data_bytes_in();
+    }
+    return n;
+  };
+  std::vector<int64_t> write_ns;
+  const uint64_t in0 = device_in();
+  for (int op = 0; op < kPageOps; ++op) {
+    const auto i = static_cast<uint32_t>(pick.NextBelow(g_chunks));
+    const auto p = static_cast<size_t>(pick.NextBelow(pages));
+    uint8_t* image = data.data() + i * kChunk;
+    for (uint64_t b = 0; b < page; ++b) {
+      image[p * page + b] = static_cast<uint8_t>(pick.Next());
+    }
+    Bitmap one(pages);
+    one.Set(p);
+    const int64_t t = clock.now();
+    NVM_CHECK(client.WriteChunkPages(clock, id, i, one, {image, kChunk}).ok());
+    write_ns.push_back(clock.now() - t);
+  }
+  const uint64_t page_ingested = device_in() - in0;
+  for (uint32_t i = 0; i < g_chunks; ++i) {
+    NVM_CHECK(client.ReadChunk(clock, id, i, buf).ok());
+    NVM_CHECK(std::memcmp(buf.data(), data.data() + i * kChunk, kChunk) == 0,
+              "read-back after page writes mismatch");
+  }
+
   ModeResult r;
   r.write_gbps = static_cast<double>(logical) / write_secs / 1e9;
   r.write_w32_gbps = static_cast<double>(logical) / window_secs / 1e9;
@@ -156,6 +222,11 @@ ModeResult RunMode(bool ec) {
       static_cast<double>(ingested) / static_cast<double>(logical);
   r.space_amp =
       static_cast<double>(at_rest) / static_cast<double>(logical);
+  r.page_read_us = MedianUs(read_ns);
+  r.page_read_bytes = static_cast<double>(page_fetched) / kPageOps;
+  r.page_write_us = MedianUs(write_ns);
+  r.page_write_amp =
+      static_cast<double>(page_ingested) / static_cast<double>(kPageOps * page);
   return r;
 }
 
@@ -195,6 +266,21 @@ int main(int argc, char** argv) {
        "per call, so a window of stripes stops paying the per-request "
        "device latency once per fragment.");
 
+  Table pt({"mode", "Page read (us)", "Fetched/read (KiB)", "Page write (us)",
+            "Device bytes/page byte"});
+  pt.AddRow({"replication r=2", Fmt("%.1f", repl.page_read_us),
+             Fmt("%.1f", repl.page_read_bytes / 1024),
+             Fmt("%.1f", repl.page_write_us),
+             Fmt("%.2fx", repl.page_write_amp)});
+  pt.AddRow({"RS(4,2)", Fmt("%.1f", ec.page_read_us),
+             Fmt("%.1f", ec.page_read_bytes / 1024),
+             Fmt("%.1f", ec.page_write_us), Fmt("%.2fx", ec.page_write_amp)});
+  pt.Print();
+  Note("%d random 4 KiB pages each: a stripe page read fetches the one "
+       "fragment that holds the page; a stripe page write rewrites all k+m "
+       "fragments after reading the stripe.",
+       kPageOps);
+
   bool ok = true;
   ok &= Shape(repl.write_amp >= 1.9 && repl.write_amp <= 2.1,
               "replication-2 ingests ~2 device bytes per logical byte "
@@ -221,6 +307,13 @@ int main(int argc, char** argv) {
               "RS(4,2) batches of %u read >= 0.9x replication's rate "
               "(%.3f vs %.3f GB/s)",
               kReadBatch, ec.read_b8_gbps, repl.read_b8_gbps);
+  ok &= Shape(ec.page_read_bytes == static_cast<double>(kChunk / 4),
+              "an RS(4,2) page read fetches exactly chunk/k bytes (%.0f)",
+              ec.page_read_bytes);
+  ok &= Shape(ec.page_read_us < repl.page_read_us,
+              "RS(4,2) page reads beat replication's median (%.1f vs %.1f "
+              "us)",
+              ec.page_read_us, repl.page_read_us);
 
   JsonReport json("ec_overhead");
   json.Add("quick", quick);
@@ -234,6 +327,14 @@ int main(int argc, char** argv) {
   json.Add("repl_read_b8_gbps", repl.read_b8_gbps);
   json.Add("ec_write_w32_gbps", ec.write_w32_gbps);
   json.Add("ec_read_b8_gbps", ec.read_b8_gbps);
+  json.Add("repl_page_read_us", repl.page_read_us);
+  json.Add("repl_page_read_bytes", repl.page_read_bytes);
+  json.Add("repl_page_write_us", repl.page_write_us);
+  json.Add("repl_page_write_amp", repl.page_write_amp);
+  json.Add("ec_page_read_us", ec.page_read_us);
+  json.Add("ec_page_read_bytes", ec.page_read_bytes);
+  json.Add("ec_page_write_us", ec.page_write_us);
+  json.Add("ec_page_write_amp", ec.page_write_amp);
   json.Add("shape_ok", ok);
   json.Print();
   return ok ? 0 : 1;

@@ -3,6 +3,7 @@
 // and any larger experiments can run.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -14,6 +15,9 @@
 #include "nvmalloc/runtime.hpp"
 #include "sim/resource.hpp"
 #include "store/erasure.hpp"
+#include "store/placement.hpp"
+#include "store/qos.hpp"
+#include "store/store.hpp"
 
 namespace {
 
@@ -145,6 +149,83 @@ void BM_RsReconstruct(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_RsReconstruct)->Arg(64 << 10);
+
+// One repair-target placement over 64 benefactors with unequal loads:
+// snapshot the candidates (Manager::BuildPlacementCandidates) and rank them
+// least-loaded (RankPlacement).  range(0) = 0 runs the default knobs;
+// 1 turns on suspicion avoidance (two benefactors suspected) and the wear
+// bias, which reads each device's wear.
+void BM_RankPlacement(benchmark::State& state) {
+  constexpr int kBenefactors = 64;
+  const bool knobs = state.range(0) != 0;
+  net::ClusterConfig cc;
+  cc.num_nodes = kBenefactors + 1;
+  net::Cluster cluster(cc);
+  store::AggregateStoreConfig sc;
+  for (int b = 0; b < kBenefactors; ++b) sc.benefactor_nodes.push_back(b + 1);
+  sc.contribution_bytes = 64_MiB;
+  sc.manager_node = 1;
+  sc.store.placement_avoid_suspected = knobs;
+  sc.store.placement_wear_weight = knobs ? 1.0 : 0.0;
+  store::AggregateStore st(cluster, sc);
+  std::vector<store::Benefactor*> bens;
+  for (size_t b = 0; b < kBenefactors; ++b) {
+    store::Benefactor& ben = st.benefactor(b);
+    NVM_CHECK(ben.ReserveBytes((b * 37 % kBenefactors) * 64_KiB).ok());
+    bens.push_back(&ben);
+  }
+  std::vector<char> suspected(kBenefactors, 0);
+  suspected[3] = suspected[17] = 1;
+  const std::vector<char>* flags = knobs ? &suspected : nullptr;
+  store::PlacementRequest req;
+  req.order = store::PlacementRequest::Order::kLeastLoaded;
+  req.avoid_suspected = knobs;
+  req.exclude_suspected = knobs;
+  req.wear_weight = sc.store.placement_wear_weight;
+  for (auto _ : state) {
+    const std::vector<store::PlacementCandidate> cands =
+        st.manager().BuildPlacementCandidates(bens, flags);
+    benchmark::DoNotOptimize(store::RankPlacement(cands, req));
+  }
+}
+BENCHMARK(BM_RankPlacement)->Arg(0)->Arg(1);
+
+// QosScheduler::AdmitChunk with four tenants backlogged on one SSD lane and
+// one NIC lane: each tenant issues its next 64 KiB chunk at the start it
+// was granted (at its completion when admitted free), and the tenant with
+// the earliest clock goes next, so every admission is contended.
+void BM_QosAdmitContended(benchmark::State& state) {
+  store::StoreConfig cfg;
+  cfg.qos = true;
+  // {id, weight, guaranteed share, priority}
+  cfg.qos_tenants.push_back({0, 1.0, 0.4, 2});
+  cfg.qos_tenants.push_back({1, 1.0, 0.1, 0});
+  cfg.qos_tenants.push_back({2, 2.0, 0.2, 1});
+  cfg.qos_tenants.push_back({3, 1.0, 0.2, 1});
+  store::QosScheduler qos(cfg, 230.0);
+  constexpr int kSsdLane = 0;  // benefactor 0's SSD
+  constexpr int kNicLane = 1;  // node 1's NIC
+  constexpr int64_t kServiceNs = 250'000;
+  constexpr uint64_t kWireBytes = 64 << 10;
+  int64_t now[4] = {};
+  for (auto _ : state) {
+    const auto t = static_cast<size_t>(std::min_element(now, now + 4) - now);
+    const auto tenant = static_cast<store::TenantId>(t);
+    const int64_t start = qos.AdmitChunk(kSsdLane, kNicLane, tenant, kServiceNs,
+                                         kWireBytes, now[t]);
+    now[t] = start == now[t] ? start + kServiceNs : start;
+    benchmark::DoNotOptimize(start);
+  }
+  uint64_t admitted = 0;
+  uint64_t delayed = 0;
+  for (const store::QosTenantStats& ts : qos.Snapshot().tenants) {
+    admitted += ts.admitted;
+    delayed += ts.delayed;
+  }
+  state.counters["delayed_frac"] =
+      admitted == 0 ? 0.0 : static_cast<double>(delayed) / admitted;
+}
+BENCHMARK(BM_QosAdmitContended);
 
 struct CacheFixtureState {
   std::unique_ptr<net::Cluster> cluster;

@@ -301,23 +301,23 @@ StatusOr<ChunkCache::Slot*> ChunkCache::GetOrCreateSlot(
 Status ChunkCache::EnsureValidLocked(sim::VirtualClock& clock,
                                      const SlotKey& key, Slot& slot,
                                      size_t first_page, size_t last_page) {
-  bool all_valid = true;
-  for (size_t p = first_page; p <= last_page; ++p) {
-    if (!slot.valid.Test(p)) {
-      all_valid = false;
-      break;
-    }
-  }
-  if (all_valid) return OkStatus();
+  // Ask only for the still-invalid pages of [first, last].
+  while (first_page <= last_page && slot.valid.Test(first_page)) ++first_page;
+  if (first_page > last_page) return OkStatus();
+  while (slot.valid.Test(last_page)) --last_page;
 
-  // Fetch the whole chunk (the store's transfer unit) and fill only the
-  // pages we do not already have locally.
+  // The store returns at least those pages — a whole replica, or the
+  // erasure fragments that hold them — and only the invalid pages of what
+  // landed are filled (dirty local pages are never clobbered).
   std::vector<uint8_t> fetched(chunk_bytes());
   const int64_t t0 = clock.now();
-  NVM_RETURN_IF_ERROR(client_.ReadChunk(clock, key.file, key.index, fetched));
+  NVM_ASSIGN_OR_RETURN(
+      const store::StoreClient::PageRange got,
+      client_.ReadChunkPages(clock, key.file, key.index, first_page, last_page,
+                             fetched));
   SerializeOnDaemon(clock, t0);
   ++traffic_.fetched_chunks;
-  for (size_t p = 0; p < slot.valid.size(); ++p) {
+  for (size_t p = got.first; p <= got.last; ++p) {
     if (!slot.valid.Test(p)) {
       std::memcpy(slot.data.data() + p * page_bytes(),
                   fetched.data() + p * page_bytes(), page_bytes());

@@ -215,10 +215,13 @@ class ChunkCache {
   StatusOr<Slot*> GetOrCreateSlot(std::unique_lock<std::mutex>& lk, Shard& sh,
                                   sim::VirtualClock& clock,
                                   const SlotKey& key);
-  // Fetch the chunk from the store if any page in [first, last] is not
-  // yet valid, filling only the invalid pages (dirty local pages are
-  // never clobbered).  Pages about to be fully overwritten need no fetch —
-  // that is how a page cache avoids read-modify-write on full-page writes.
+  // Fetch from the store if any page in [first, last] is not yet valid:
+  // StoreClient::ReadChunkPages over the still-invalid pages of the range
+  // (a whole replica, or only the erasure fragments that hold them),
+  // filling only the invalid pages of what landed (dirty local pages are
+  // never clobbered; a later miss in the chunk fetches the next
+  // fragment).  Pages about to be fully overwritten need no fetch — that
+  // is how a page cache avoids read-modify-write on full-page writes.
   // Runs with the slot's shard lock held; other shards stay available.
   Status EnsureValidLocked(sim::VirtualClock& clock, const SlotKey& key,
                            Slot& slot, size_t first_page, size_t last_page);

@@ -476,13 +476,14 @@ Status Benefactor::CloneChunk(sim::VirtualClock& clock, const ChunkKey& from,
   NVM_RETURN_IF_ERROR(EnsureAlive());
   uint64_t src_offset = 0;
   uint64_t dst_offset = 0;
-  bool materialised = false;
+  uint64_t bytes = 0;  // 0 = sparse source, nothing to copy
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = chunks_.find(from);
     if (it != chunks_.end()) {
       StoredChunk clone;
       clone.data = it->second.data;
+      bytes = clone.data.size();
       clone.ssd_offset = AllocateOffset();
       // The clone inherits the source's checksum: a local copy of bytes
       // whose crc is already known needs no recompute (any rot in the
@@ -492,18 +493,17 @@ Status Benefactor::CloneChunk(sim::VirtualClock& clock, const ChunkKey& from,
       src_offset = it->second.ssd_offset;
       dst_offset = clone.ssd_offset;
       chunks_.emplace(to, std::move(clone));
-      materialised = true;
     }
     // Cloning a sparse (never-written) chunk needs no data movement: the
     // clone is sparse too.
   }
-  if (materialised) {
-    AdmitTransfer(clock, tenant, config_.chunk_bytes, /*is_write=*/false,
-                  /*wire_bytes=*/0);
-    node_.ssd().ChargeRead(clock, src_offset, config_.chunk_bytes);
-    AdmitTransfer(clock, tenant, config_.chunk_bytes, /*is_write=*/true,
-                  /*wire_bytes=*/0);
-    node_.ssd().ChargeWrite(clock, dst_offset, config_.chunk_bytes);
+  if (bytes > 0) {
+    // The copy moves the stored blob's own size: a whole chunk for a
+    // replica, one fragment for erasure-coded data.
+    AdmitTransfer(clock, tenant, bytes, /*is_write=*/false, /*wire_bytes=*/0);
+    node_.ssd().ChargeRead(clock, src_offset, bytes);
+    AdmitTransfer(clock, tenant, bytes, /*is_write=*/true, /*wire_bytes=*/0);
+    node_.ssd().ChargeWrite(clock, dst_offset, bytes);
   }
   return OkStatus();
 }

@@ -158,7 +158,8 @@ class Benefactor {
                      TenantId tenant = kTenantMaintenance);
 
   // Copy-on-write support: duplicate `from` under key `to` locally
-  // (device read + write of one chunk, no network).
+  // (device read + write of the stored blob — a chunk or a fragment — no
+  // network).
   Status CloneChunk(sim::VirtualClock& clock, const ChunkKey& from,
                     const ChunkKey& to,
                     TenantId tenant = kTenantForeground);

@@ -113,17 +113,26 @@ void StoreClient::InvalidateLocation(FileId id, uint32_t chunk_index) {
 
 Status StoreClient::ReadChunk(sim::VirtualClock& clock, FileId id,
                               uint32_t chunk_index, std::span<uint8_t> out) {
-  const int64_t t0 = clock.now();
-  Status s = ReadChunkInner(clock, id, chunk_index, out);
-  if (s.ok() && qos_ != nullptr) qos_->RecordRead(tenant_, clock.now() - t0);
-  return s;
+  const size_t last_page = manager_.config().pages_per_chunk() - 1;
+  return ReadChunkPages(clock, id, chunk_index, 0, last_page, out).status();
 }
 
-Status StoreClient::ReadChunkInner(sim::VirtualClock& clock, FileId id,
-                                   uint32_t chunk_index,
-                                   std::span<uint8_t> out) {
+StatusOr<StoreClient::PageRange> StoreClient::ReadChunkPages(
+    sim::VirtualClock& clock, FileId id, uint32_t chunk_index,
+    size_t first_page, size_t last_page, std::span<uint8_t> out) {
+  const int64_t t0 = clock.now();
+  StatusOr<PageRange> got =
+      ReadChunkInner(clock, id, chunk_index, first_page, last_page, out);
+  if (got.ok() && qos_ != nullptr) qos_->RecordRead(tenant_, clock.now() - t0);
+  return got;
+}
+
+StatusOr<StoreClient::PageRange> StoreClient::ReadChunkInner(
+    sim::VirtualClock& clock, FileId id, uint32_t chunk_index,
+    size_t first_page, size_t last_page, std::span<uint8_t> out) {
   const StoreConfig& cfg = manager_.config();
   NVM_CHECK(out.size() == cfg.chunk_bytes);
+  NVM_CHECK(first_page <= last_page && last_page < cfg.pages_per_chunk());
 
   for (int attempt = 0; attempt < 2; ++attempt) {
     // Second attempt forces a fresh manager lookup (the cached location
@@ -133,13 +142,14 @@ Status StoreClient::ReadChunkInner(sim::VirtualClock& clock, FileId id,
         LookupRead(clock, id, chunk_index, /*refresh=*/attempt > 0));
 
     if (loc.ec) {
-      Status s = ReadStripe(clock, id, chunk_index, loc, out);
-      if (s.ok()) return s;
+      StatusOr<PageRange> got = ReadStripe(clock, id, chunk_index, loc,
+                                           first_page, last_page, out);
+      if (got.ok()) return got;
       // Below k readable fragments on this resolution: quarantines and
       // MarkDeads already went to the manager, so a fresh lookup may see
       // a repaired stripe.
       InvalidateLocation(id, chunk_index);
-      if (attempt > 0) return s;
+      if (attempt > 0) return got;
       continue;
     }
 
@@ -159,7 +169,7 @@ Status StoreClient::ReadChunkInner(sim::VirtualClock& clock, FileId id,
             clock, b->node_id(), local_node_,
             sparse ? cfg.meta_response_bytes : cfg.chunk_bytes);
         if (!sparse) bytes_fetched_.Add(cfg.chunk_bytes);
-        return OkStatus();
+        return PageRange{0, cfg.pages_per_chunk() - 1};
       }
       last = s;
       if (s.code() == ErrorCode::kUnavailable) {
@@ -185,9 +195,10 @@ Status StoreClient::ReadChunkInner(sim::VirtualClock& clock, FileId id,
   return Unavailable("no replicas");
 }
 
-Status StoreClient::ReadStripe(sim::VirtualClock& clock, FileId id,
-                               uint32_t chunk_index, const ReadLocation& loc,
-                               std::span<uint8_t> out) {
+StatusOr<StoreClient::PageRange> StoreClient::ReadStripe(
+    sim::VirtualClock& clock, FileId id, uint32_t chunk_index,
+    const ReadLocation& loc, size_t first_page, size_t last_page,
+    std::span<uint8_t> out) {
   const StoreConfig& cfg = manager_.config();
   const size_t k = cfg.ec_k;
   const size_t nf = cfg.ec_fragments();
@@ -196,77 +207,103 @@ Status StoreClient::ReadStripe(sim::VirtualClock& clock, FileId id,
     return Unavailable("erasure stripe lost");  // durably below k survivors
   }
 
-  // Live positions in preference order: data fragments first (the
-  // systematic fast path), parity fills in for holes and failures.
+  // The code is systematic: data fragment p is the p-th slice of the
+  // chunk, so the pages live in data positions [lo, hi].  Live positions
+  // in preference order: those, then the other data fragments, then
+  // parity for holes and failures.
+  const size_t frag_pages = fb / cfg.page_bytes;
+  const size_t lo = first_page / frag_pages;
+  const size_t hi = last_page / frag_pages;
   std::vector<size_t> candidates;
   candidates.reserve(nf);
-  for (size_t pos = 0; pos < nf; ++pos) {
+  for (size_t pos = lo; pos <= hi; ++pos) {
     if (loc.benefactors[pos] >= 0) candidates.push_back(pos);
   }
+  // The first round fetches exactly the covering positions; a covering
+  // hole means a decode, so then it fetches any k.
+  const bool hole = candidates.size() < hi - lo + 1;
+  const size_t first_round = hole ? k : hi - lo + 1;
+  for (size_t pos = 0; pos < nf; ++pos) {
+    if ((pos < lo || pos > hi) && loc.benefactors[pos] >= 0) {
+      candidates.push_back(pos);
+    }
+  }
 
+  // Data fragments land in `out` in place, parity in side buffers.
   std::vector<std::vector<uint8_t>> frags(nf);
+  std::vector<char> landed(nf, 0);
   bool saw_corrupt = false;
   Status last = Unavailable("fewer than k fragments readable");
-  // Each round issues the (k - good) outstanding fetches in parallel and
-  // failures discovered at its join pull the next candidates into a
-  // follow-up round.
-  const size_t good = sim::ForkJoinRounds(
-      clock, k, candidates.size(),
-      [&](sim::VirtualClock& frag_clock, size_t c) {
-        const size_t pos = candidates[c];
-        const int bid = loc.benefactors[pos];
-        Benefactor* b = manager_.benefactor(bid);
-        NVM_CHECK(b != nullptr);
-        cluster_.network().Transfer(frag_clock, local_node_, b->node_id(),
-                                    cfg.meta_request_bytes);
-        std::vector<uint8_t> buf(fb);
-        bool sparse = false;
-        Status s = b->ReadFragment(frag_clock, loc.key, buf, &sparse, tenant_);
-        if (s.ok()) {
-          // A hole costs only the "no such fragment" reply (it reads as
-          // zeros — a never-written region of the stripe).
-          cluster_.network().Transfer(frag_clock, b->node_id(), local_node_,
-                                      sparse ? cfg.meta_response_bytes : fb);
-          if (!sparse) bytes_fetched_.Add(fb);
-          frags[pos] = std::move(buf);
-          return true;
-        }
-        last = s;
-        if (s.code() == ErrorCode::kUnavailable) {
-          manager_.MarkDead(bid);
-          NVM_WLOG(
-              "benefactor %d unavailable reading fragment %zu of %s; "
-              "falling over to parity",
-              bid, pos, loc.key.ToString().c_str());
-        } else if (s.code() == ErrorCode::kCorrupt) {
-          // The fragment failed its checksum: rot surfaces as CORRUPT,
-          // never as wrong bytes in the assembled chunk.  Quarantine it
-          // and reconstruct from the survivors.
-          saw_corrupt = true;
-          corrupt_failovers_.Add(1);
-          manager_.ReportCorrupt(frag_clock, loc.key, bid);
-          NVM_WLOG("benefactor %d served corrupt fragment %zu of %s; "
-                   "falling over to parity",
-                   bid, pos, loc.key.ToString().c_str());
-        }
-        return false;
-      });
+  const auto fetch = [&](sim::VirtualClock& frag_clock, size_t c) {
+    const size_t pos = candidates[c];
+    const int bid = loc.benefactors[pos];
+    Benefactor* b = manager_.benefactor(bid);
+    NVM_CHECK(b != nullptr);
+    cluster_.network().Transfer(frag_clock, local_node_, b->node_id(),
+                                cfg.meta_request_bytes);
+    if (pos >= k) frags[pos].resize(fb);
+    const std::span<uint8_t> dst =
+        pos < k ? out.subspan(pos * fb, fb) : std::span<uint8_t>(frags[pos]);
+    bool sparse = false;
+    Status s = b->ReadFragment(frag_clock, loc.key, dst, &sparse, tenant_);
+    if (s.ok()) {
+      // A hole costs only the "no such fragment" reply (it reads as
+      // zeros — a never-written region of the stripe).
+      cluster_.network().Transfer(frag_clock, b->node_id(), local_node_,
+                                  sparse ? cfg.meta_response_bytes : fb);
+      if (!sparse) bytes_fetched_.Add(fb);
+      landed[pos] = 1;
+      return true;
+    }
+    frags[pos].clear();
+    last = s;
+    if (s.code() == ErrorCode::kUnavailable) {
+      manager_.MarkDead(bid);
+      NVM_WLOG(
+          "benefactor %d unavailable reading fragment %zu of %s; "
+          "falling over to parity",
+          bid, pos, loc.key.ToString().c_str());
+    } else if (s.code() == ErrorCode::kCorrupt) {
+      // The fragment failed its checksum: rot surfaces as CORRUPT,
+      // never as wrong bytes in the assembled chunk.  Quarantine it
+      // and reconstruct from the survivors.
+      saw_corrupt = true;
+      corrupt_failovers_.Add(1);
+      manager_.ReportCorrupt(frag_clock, loc.key, bid);
+      NVM_WLOG("benefactor %d served corrupt fragment %zu of %s; "
+               "falling over to parity",
+               bid, pos, loc.key.ToString().c_str());
+    }
+    return false;
+  };
+  // Each round issues its outstanding fetches in parallel; failures seen
+  // at a join pull the next candidates into a follow-up round, until k
+  // members are in hand.
+  const size_t tried = std::min(first_round, candidates.size());
+  size_t good = sim::ForkJoinRounds(clock, first_round, tried, fetch);
+  const bool covered = !hole && good == first_round;
+  if (good < first_round) {
+    good += sim::ForkJoinRounds(
+        clock, k - good, candidates.size() - tried,
+        [&](sim::VirtualClock& frag_clock, size_t c) {
+          return fetch(frag_clock, tried + c);
+        });
+  }
   if (saw_corrupt) {
     // The quarantine punched a hole this cached location still names.
     InvalidateLocation(id, chunk_index);
   }
+  if (covered) return PageRange{lo * frag_pages, (hi + 1) * frag_pages - 1};
   if (good < k) return last;
 
-  bool data_complete = true;
+  // Decode: the data fragments that landed in place join the parity.
   for (size_t pos = 0; pos < k; ++pos) {
-    if (frags[pos].empty()) data_complete = false;
+    if (landed[pos] == 0) continue;
+    const std::span<uint8_t> slice = out.subspan(pos * fb, fb);
+    frags[pos].assign(slice.begin(), slice.end());
   }
-  if (data_complete) {
-    ErasureCodec::Assemble(frags, cfg.ec_k, out);
-  } else {
-    clock.Advance(DecodeStripe(frags, out));
-  }
-  return OkStatus();
+  clock.Advance(DecodeStripe(frags, out));
+  return PageRange{0, cfg.pages_per_chunk() - 1};
 }
 
 int64_t StoreClient::DecodeStripe(std::vector<std::vector<uint8_t>>& frags,
@@ -365,16 +402,18 @@ Status StoreClient::ReadChunksInner(sim::VirtualClock& clock, FileId id,
 
   // A fetch no run covers (no cached location beyond EOF, or a lost chunk)
   // keeps the per-chunk path so it reports the usual per-chunk error.
+  const size_t last_page = cfg.pages_per_chunk() - 1;
+  const auto read_alone = [&](ChunkFetch& f) {
+    sim::VirtualClock alone(t0);
+    f.status = ReadChunkInner(alone, id, f.index, 0, last_page, f.out).status();
+    f.ready_at = alone.now();
+  };
   std::vector<char> covered(fetches.size(), 0);
   for (const BenefactorRun& run : runs) {
     for (const RunMember& m : run.items) covered[m.loc] = 1;
   }
   for (size_t i = 0; i < fetches.size(); ++i) {
-    if (covered[i] != 0) continue;
-    sim::VirtualClock detached(t0);
-    fetches[i].status = ReadChunkInner(detached, id, fetches[i].index,
-                                       fetches[i].out);
-    fetches[i].ready_at = detached.now();
+    if (covered[i] == 0) read_alone(fetches[i]);
   }
 
   // Where each member lands: a replica fills the chunk's buffer; the code
@@ -430,10 +469,7 @@ Status StoreClient::ReadChunksInner(sim::VirtualClock& clock, FileId id,
     for (const RunMember& m : items) {
       if (fell_back[m.loc] != 0) continue;
       fell_back[m.loc] = 1;
-      ChunkFetch& f = fetches[m.loc];
-      sim::VirtualClock fallback(t0);
-      f.status = ReadChunkInner(fallback, id, f.index, f.out);
-      f.ready_at = fallback.now();
+      read_alone(fetches[m.loc]);
     }
   }
 

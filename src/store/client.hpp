@@ -55,9 +55,33 @@ class StoreClient {
 
   // --- data plane ---
 
-  // Fetch a full chunk into `out` (sized chunk_bytes).
+  // Fetch a full chunk into `out` (sized chunk_bytes): ReadChunkPages over
+  // every page.
   Status ReadChunk(sim::VirtualClock& clock, FileId id, uint32_t chunk_index,
                    std::span<uint8_t> out);
+
+  // Pages [first, last] of a chunk, inclusive.
+  struct PageRange {
+    size_t first = 0;
+    size_t last = 0;
+  };
+
+  // Fetch at least pages [first_page, last_page] of a chunk into `out`
+  // (sized chunk_bytes; page p lands at p * page_bytes) and return the
+  // pages that landed, a range that covers the request.  The read fetches
+  // the smallest checksummed units that hold the pages: a replicated chunk
+  // reads one whole replica (every page lands); a stripe reads only the
+  // data fragments that hold the pages, in one parallel round, straight
+  // into `out`.  A covering hole, or a covering fragment whose holder is
+  // dead (reported once through MarkDead) or whose bytes are rotted
+  // (quarantined once through ReportCorrupt), turns the read into an any-k
+  // decode: the stripe's other live fragments join until k are in hand,
+  // and the whole chunk lands.  Records the tenant's read latency like
+  // ReadChunk.
+  StatusOr<PageRange> ReadChunkPages(sim::VirtualClock& clock, FileId id,
+                                     uint32_t chunk_index, size_t first_page,
+                                     size_t last_page,
+                                     std::span<uint8_t> out);
 
   // One element of a batched read.
   struct ChunkFetch {
@@ -180,10 +204,11 @@ class StoreClient {
   // wrappers record per-tenant end-to-end latency; internal re-entries
   // (run fallbacks, the erasure read-modify-write) call these directly so
   // a single logical operation is recorded exactly once.  ReadChunkInner
-  // is also the per-chunk read path: single misses and run-failure
-  // fallbacks.
-  Status ReadChunkInner(sim::VirtualClock& clock, FileId id,
-                        uint32_t chunk_index, std::span<uint8_t> out);
+  // is also the per-chunk read path: single misses (a page range) and
+  // run-failure fallbacks (the whole chunk).
+  StatusOr<PageRange> ReadChunkInner(sim::VirtualClock& clock, FileId id,
+                                     uint32_t chunk_index, size_t first_page,
+                                     size_t last_page, std::span<uint8_t> out);
   Status ReadChunksInner(sim::VirtualClock& clock, FileId id,
                          std::span<ChunkFetch> fetches);
   Status WriteChunksInner(sim::VirtualClock& clock, FileId id,
@@ -218,13 +243,18 @@ class StoreClient {
   // nothing a failed run streamed counts.
   Status WriteRun(sim::VirtualClock& clock, int benefactor,
                   std::span<const ChunkWriteItem> items);
-  // One read attempt against a resolved erasure stripe: the k data
-  // fragments are fetched in parallel (clocks forked at the issue time,
-  // caller joins at the max); any failure or hole falls over to parity
-  // fragments and reconstructs — a degraded read.  Fails only when fewer
-  // than k fragments of the stripe are readable.
-  Status ReadStripe(sim::VirtualClock& clock, FileId id, uint32_t chunk_index,
-                    const ReadLocation& loc, std::span<uint8_t> out);
+  // One read attempt of pages [first_page, last_page] against a resolved
+  // erasure stripe: the data fragments that hold the pages are fetched in
+  // parallel (clocks forked at the issue time, caller joins at the max)
+  // and land in `out` in place.  A covering hole puts the rest of the k
+  // into that first round; a covering failure pulls the other live
+  // fragments into later rounds (sim::ForkJoinRounds) until k are in
+  // hand, and the chunk is reconstructed — a degraded read.  Fails only
+  // when fewer than k fragments of the stripe are readable.
+  StatusOr<PageRange> ReadStripe(sim::VirtualClock& clock, FileId id,
+                                 uint32_t chunk_index, const ReadLocation& loc,
+                                 size_t first_page, size_t last_page,
+                                 std::span<uint8_t> out);
   // A degraded read's client-side decode: rebuild the stripe from the k
   // fragments present in `frags` (positional, empty = not read) into
   // `out`.  Returns the modelled decode time, charged as one chunk through

@@ -163,6 +163,13 @@ class Manager {
   // receives one flag per benefactor id.
   size_t CheckLiveness(sim::VirtualClock& clock,
                        std::vector<char>* alive_out = nullptr);
+  // Snapshot per-benefactor placement state for the engine.  `suspected`
+  // may be null (no suspicion signal); wear fractions are read only when
+  // placement_wear_weight > 0.  Called with the chunk's shard mutex held,
+  // like the capacity reads it replaces.
+  std::vector<PlacementCandidate> BuildPlacementCandidates(
+      const std::vector<Benefactor*>& bens,
+      const std::vector<char>* suspected) const;
 
   // --- incremental repair engine (store/repair.cpp) ---
   //
@@ -605,13 +612,6 @@ class Manager {
   // only when placement_avoid_suspected is on — the knob-off store never
   // touches hook_mu_ here.
   std::vector<char> SuspectedBenefactors() const;
-  // Snapshot per-benefactor placement state for the engine.  `suspected`
-  // may be null (no suspicion signal); wear fractions are read only when
-  // placement_wear_weight > 0.  Called with the chunk's shard mutex held,
-  // like the capacity reads it replaces.
-  std::vector<PlacementCandidate> BuildPlacementCandidates(
-      const std::vector<Benefactor*>& bens,
-      const std::vector<char>* suspected) const;
   // How a chunk's location list protects it: the one redundancy rule (see
   // the repair engine above) that every health, placement and planning
   // decision reads.  A replicated chunk is the code whose members are

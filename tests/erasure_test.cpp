@@ -3,10 +3,13 @@
 // client degraded-read failover, background fragment repair from verified
 // survivors, corrupt-fragment quarantine (rot surfaces as a repair, never
 // as wrong bytes), windows and batches through the run RPCs (one request
-// per benefactor, mid-run death and rot), a stripe write and read pinned
-// to the same sequences spelled out from component calls, and the knob-off
-// pin: a store with the erasure knobs present but the mode off stays byte-
-// and virtual-time-identical to the replicated default.
+// per benefactor, mid-run death and rot), page-range reads that fetch only
+// the data fragments holding a cache miss's pages (with their dead- and
+// rotted-holder fallbacks), a fragment clone charged as one fragment, a
+// stripe write and read pinned to the same sequences spelled out from
+// component calls, and the knob-off pin: a store with the erasure knobs
+// present but the mode off stays byte- and virtual-time-identical to the
+// replicated default.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +21,9 @@
 
 #include "common/checksum.hpp"
 #include "common/rng.hpp"
+#include "fuselite/cache.hpp"
 #include "sim/clock.hpp"
+#include "sim/device.hpp"
 #include "store/erasure.hpp"
 #include "store/store.hpp"
 
@@ -699,6 +704,214 @@ TEST(ErasureStoreTest, CorruptFragmentInReadRunIsQuarantined) {
   EXPECT_EQ(after->benefactors[1], -1) << "the rotted fragment stays listed";
   EXPECT_FALSE(holder.HasChunk(loc->key));
   EXPECT_EQ(m.lost_chunks(), 0u);
+}
+
+// ---- partial reads ----
+
+// A chunk cache over the client with read-ahead off, so every store read a
+// test sees is the miss it drives.  RS(4,2) over 64 KiB chunks: four 16 KiB
+// data fragments of four pages each.
+fuselite::ChunkCache MissCache(store::StoreClient& c) {
+  fuselite::FuseliteConfig fc;
+  fc.readahead = false;
+  return fuselite::ChunkCache(c, fc);
+}
+
+TEST(ErasureStoreTest, PageMissReadsOneFragment) {
+  // A one-page miss reads the fragment that holds the page and nothing
+  // else; the rest of that fragment lands valid with it.
+  Rig rig(6, Quiet);
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  sim::VirtualClock clock(0);
+  const auto data = Pattern(kChunk, 51);
+  const store::FileId id = WriteStoreFile(c, "/page", 1, data, clock);
+  fuselite::ChunkCache cache = MissCache(c);
+  const uint64_t page = c.config().page_bytes;
+  const uint64_t fb = c.config().ec_frag_bytes();
+
+  const uint64_t reads = ReadRequests(rig);
+  const uint64_t fetched = c.bytes_fetched();
+  std::vector<uint8_t> got(page);
+  ASSERT_TRUE(cache.Read(clock, id, 5 * page, got).ok());
+  EXPECT_EQ(0, std::memcmp(got.data(), data.data() + 5 * page, page));
+  EXPECT_EQ(ReadRequests(rig) - reads, 1u);
+  EXPECT_EQ(c.bytes_fetched() - fetched, fb);
+
+  // Pages 4-7 came with it: reading them touches the store no more.
+  std::vector<uint8_t> frag(fb);
+  ASSERT_TRUE(cache.Read(clock, id, fb, frag).ok());
+  EXPECT_EQ(0, std::memcmp(frag.data(), data.data() + fb, fb));
+  EXPECT_EQ(ReadRequests(rig) - reads, 1u);
+  EXPECT_EQ(cache.traffic().fetched_chunks.load(), 1u);
+  EXPECT_EQ(c.ec_degraded_reads(), 0u);
+}
+
+TEST(ErasureStoreTest, MissSpanningTwoFragmentsReadsThoseTwo) {
+  Rig rig(6, Quiet);
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  sim::VirtualClock clock(0);
+  const auto data = Pattern(kChunk, 52);
+  const store::FileId id = WriteStoreFile(c, "/span", 1, data, clock);
+  fuselite::ChunkCache cache = MissCache(c);
+  const uint64_t page = c.config().page_bytes;
+  const uint64_t fb = c.config().ec_frag_bytes();
+
+  // Pages 3 and 4 straddle fragments 0 and 1.
+  const uint64_t reads = ReadRequests(rig);
+  const uint64_t fetched = c.bytes_fetched();
+  std::vector<uint8_t> got(2 * page);
+  ASSERT_TRUE(cache.Read(clock, id, 3 * page, got).ok());
+  EXPECT_EQ(0, std::memcmp(got.data(), data.data() + 3 * page, 2 * page));
+  EXPECT_EQ(ReadRequests(rig) - reads, 2u);
+  EXPECT_EQ(c.bytes_fetched() - fetched, 2 * fb);
+
+  // A later miss in the same chunk fetches the next fragment, and the
+  // cache counts it as another fetch.
+  std::vector<uint8_t> one(page);
+  ASSERT_TRUE(cache.Read(clock, id, 9 * page, one).ok());
+  EXPECT_EQ(0, std::memcmp(one.data(), data.data() + 9 * page, page));
+  EXPECT_EQ(ReadRequests(rig) - reads, 3u);
+  EXPECT_EQ(c.bytes_fetched() - fetched, 3 * fb);
+  EXPECT_EQ(cache.traffic().fetched_chunks.load(), 2u);
+
+  // The store call reports the pages of the fragments that landed.
+  std::vector<uint8_t> buf(kChunk);
+  auto range = c.ReadChunkPages(clock, id, 0, 3, 4, buf);
+  ASSERT_TRUE(range.ok());
+  EXPECT_EQ(range->first, 0u);
+  EXPECT_EQ(range->last, 2 * fb / page - 1);
+  EXPECT_EQ(0, std::memcmp(buf.data(), data.data(), 2 * fb));
+}
+
+TEST(ErasureStoreTest, DeadCoveringHolderFallsBackToAnyKDecode) {
+  // The page's fragment holder died after the location was cached: the
+  // first round's one fetch fails and the holder is reported once; a
+  // second round pulls the other live positions until k are in hand, and
+  // the decode lands the whole chunk, so no later miss touches the store.
+  Rig rig(6, Quiet);
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  sim::VirtualClock clock(0);
+  const auto data = Pattern(kChunk, 53);
+  const store::FileId id = WriteStoreFile(c, "/dead", 1, data, clock);
+  fuselite::ChunkCache cache = MissCache(c);
+  const store::StoreConfig& cfg = c.config();
+  const uint64_t page = cfg.page_bytes;
+  const uint64_t fb = cfg.ec_frag_bytes();
+  auto loc = rig.store->manager().GetReadLocation(clock, id, 0);
+  ASSERT_TRUE(loc.ok());
+  rig.store->benefactor(static_cast<size_t>(loc->benefactors[1])).Kill();
+
+  const uint64_t reads = ReadRequests(rig);
+  const uint64_t wire = rig.cluster->network().bytes_transferred();
+  std::vector<uint8_t> got(page);
+  ASSERT_TRUE(cache.Read(clock, id, 5 * page, got).ok());
+  EXPECT_EQ(0, std::memcmp(got.data(), data.data() + 5 * page, page));
+  EXPECT_EQ(c.ec_degraded_reads(), 1u);
+  EXPECT_EQ(ReadRequests(rig) - reads, cfg.ec_k);
+  // One request reached the dead holder, k more the live ones, and k
+  // fragments came back.
+  EXPECT_EQ(rig.cluster->network().bytes_transferred() - wire,
+            (cfg.ec_k + 1) * cfg.meta_request_bytes + cfg.ec_k * fb);
+
+  std::vector<uint8_t> all(kChunk);
+  ASSERT_TRUE(cache.Read(clock, id, 0, all).ok());
+  EXPECT_EQ(all, data);
+  EXPECT_EQ(ReadRequests(rig) - reads, cfg.ec_k);
+  EXPECT_EQ(cache.traffic().fetched_chunks.load(), 1u);
+  EXPECT_EQ(rig.store->manager().lost_chunks(), 0u);
+}
+
+TEST(ErasureStoreTest, RottedCoveringFragmentIsQuarantinedAndDecoded) {
+  // As above with the page's fragment rotted instead of its holder dead:
+  // one quarantine, then the same any-k decode of the whole chunk.
+  Rig rig(6, Quiet);
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  store::Manager& m = rig.store->manager();
+  sim::VirtualClock clock(0);
+  const auto data = Pattern(kChunk, 54);
+  const store::FileId id = WriteStoreFile(c, "/prot", 1, data, clock);
+  fuselite::ChunkCache cache = MissCache(c);
+  const uint64_t page = c.config().page_bytes;
+  auto loc = m.GetReadLocation(clock, id, 0);
+  ASSERT_TRUE(loc.ok());
+  store::Benefactor& holder =
+      rig.store->benefactor(static_cast<size_t>(loc->benefactors[1]));
+  ASSERT_TRUE(holder.CorruptChunk(loc->key, 17, 0x40).ok());
+
+  std::vector<uint8_t> got(page);
+  ASSERT_TRUE(cache.Read(clock, id, 5 * page, got).ok());
+  EXPECT_EQ(0, std::memcmp(got.data(), data.data() + 5 * page, page));
+  EXPECT_EQ(c.corrupt_failovers(), 1u);
+  EXPECT_EQ(m.corrupt_detected(), 1u);
+  EXPECT_EQ(c.ec_degraded_reads(), 1u);
+  EXPECT_FALSE(holder.HasChunk(loc->key));
+  auto after = m.GetReadLocation(clock, id, 0);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->benefactors[1], -1);
+
+  const uint64_t reads = ReadRequests(rig);
+  std::vector<uint8_t> all(kChunk);
+  ASSERT_TRUE(cache.Read(clock, id, 0, all).ok());
+  EXPECT_EQ(all, data);
+  EXPECT_EQ(ReadRequests(rig), reads);
+  EXPECT_EQ(cache.traffic().fetched_chunks.load(), 1u);
+  EXPECT_EQ(m.lost_chunks(), 0u);
+}
+
+TEST(ErasureStoreTest, PartialFillNeverOverwritesDirtyPages) {
+  // Page 4 is dirty in the cache.  A miss on pages 4-5 asks the store only
+  // for page 5; its fragment (pages 4-7) lands around the dirty page
+  // without touching it, and the flush writes the page over the old chunk.
+  Rig rig(6, Quiet);
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  sim::VirtualClock clock(0);
+  const auto data = Pattern(kChunk, 55);
+  const store::FileId id = WriteStoreFile(c, "/dirty", 1, data, clock);
+  fuselite::ChunkCache cache = MissCache(c);
+  const uint64_t page = c.config().page_bytes;
+  const uint64_t fb = c.config().ec_frag_bytes();
+
+  const uint64_t reads = ReadRequests(rig);
+  const uint64_t fetched = c.bytes_fetched();
+  const std::vector<uint8_t> mine(page, 0xA5);
+  ASSERT_TRUE(cache.Write(clock, id, 4 * page, mine).ok());
+  EXPECT_EQ(ReadRequests(rig), reads) << "a full-page write fetches nothing";
+  std::vector<uint8_t> got(2 * page);
+  ASSERT_TRUE(cache.Read(clock, id, 4 * page, got).ok());
+  EXPECT_EQ(ReadRequests(rig) - reads, 1u);
+  EXPECT_EQ(c.bytes_fetched() - fetched, fb);
+  EXPECT_EQ(0, std::memcmp(got.data(), mine.data(), page));
+  EXPECT_EQ(0, std::memcmp(got.data() + page, data.data() + 5 * page, page));
+
+  ASSERT_TRUE(cache.Flush(clock, id).ok());
+  auto want = data;
+  std::copy(mine.begin(), mine.end(), want.begin() + 4 * page);
+  ExpectBytes(c, clock, id, 1, want);
+}
+
+TEST(ErasureStoreTest, CloneOfAFragmentChargesOneFragment) {
+  // A copy-on-write clone moves the stored blob: one fragment read and one
+  // fragment program on the device, not a chunk's worth of each.
+  Rig rig(6, Quiet);
+  store::Benefactor& b = rig.store->benefactor(0);
+  const uint64_t fb = rig.store->manager().config().ec_frag_bytes();
+  store::ChunkKey from;
+  from.origin_file = 900;
+  store::ChunkKey to = from;
+  to.version = 1;
+  const auto frag = Pattern(fb, 56);
+  sim::VirtualClock clock(0);
+  ASSERT_TRUE(b.WriteFragment(clock, from, frag).ok());
+
+  const int64_t busy = b.ssd().channel().busy_ns();
+  ASSERT_TRUE(b.CloneChunk(clock, from, to).ok());
+  const sim::DeviceProfile& p = b.ssd().profile();
+  EXPECT_EQ(b.ssd().channel().busy_ns() - busy,
+            sim::TransferNs(fb, p.read_bw_mbps, p.read_latency_ns) +
+                sim::TransferNs(fb, p.write_bw_mbps, p.write_latency_ns));
+  std::vector<uint8_t> got(fb);
+  ASSERT_TRUE(b.ReadFragment(clock, to, got).ok());
+  EXPECT_EQ(got, frag);
 }
 
 // ---- repair fetch rounds ----

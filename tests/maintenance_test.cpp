@@ -237,8 +237,13 @@ TEST(MaintenanceTest, RepairPlacementPrefersLeastLoadedBenefactor) {
   ASSERT_TRUE(rig.store->benefactor(3).ReserveBytes(200 * kChunk).ok());
   const uint64_t free3 = rig.store->benefactor(3).bytes_free();
 
+  // Deadlines are relative to the worker's settled clock: drain the
+  // writes' tick work before reading it, or a catch-up task still in
+  // flight can leave the deadline short of the sweeps a declaration needs.
+  rig.ms().RunUntil(rig.ms().now_ns());
+  const int64_t t0 = rig.ms().now_ns();
   rig.store->benefactor(0).Kill();
-  rig.ms().RunUntil(rig.ms().now_ns() + 5 * kMs);  // declare + drain
+  rig.ms().RunUntil(t0 + 5 * kMs);  // declare + drain
   ASSERT_TRUE(rig.ms().QueueEmpty());
   ExpectFullyReplicated(rig, id, 8, 2);
   // The fullest benefactor gained nothing beyond what it already held.
@@ -254,8 +259,10 @@ TEST(MaintenanceTest, ThrottleDutyCycleBoundsRepairTime) {
     store::StoreClient& c = rig.store->ClientForNode(0);
     sim::VirtualClock clock(0);
     WriteStoreFile(c, "/thr", 16, Pattern(16 * kChunk, 6), clock);
+    rig.ms().RunUntil(rig.ms().now_ns());  // drain in-flight tick work
+    const int64_t t0 = rig.ms().now_ns();
     rig.store->benefactor(1).Kill();
-    rig.ms().RunUntil(rig.ms().now_ns() + 5 * kMs);
+    rig.ms().RunUntil(t0 + 5 * kMs);
     EXPECT_TRUE(rig.ms().QueueEmpty());
     auto s = rig.ms().stats();
     EXPECT_GT(s.replicas_recreated, 0u);
@@ -323,8 +330,10 @@ TEST(MaintenanceTest, ScrubRequeuesFailuresTheReportPathMissed) {
   const store::FileId id =
       WriteStoreFile(c, "/silent", 8, Pattern(8 * kChunk, 8), clock);
 
+  rig.ms().RunUntil(rig.ms().now_ns());  // drain in-flight tick work
+  const int64_t t0 = rig.ms().now_ns();
   rig.store->benefactor(2).Kill();
-  rig.ms().RunUntil(rig.ms().now_ns() + 12 * kMs);  // two scrub passes
+  rig.ms().RunUntil(t0 + 12 * kMs);  // two scrub passes
   auto s = rig.ms().stats();
   EXPECT_EQ(s.heartbeat_sweeps, 0u);
   EXPECT_EQ(s.degraded_reports, 0u);
@@ -344,9 +353,11 @@ TEST(MaintenanceTest, LostChunksAreSurfacedNotSilentlyKept) {
   const store::FileId id =
       WriteStoreFile(c, "/lost", kChunks, Pattern(kChunks * kChunk, 9), clock);
 
+  rig.ms().RunUntil(rig.ms().now_ns());  // drain in-flight tick work
+  const int64_t t0 = rig.ms().now_ns();
   rig.store->benefactor(1).Kill();
   // Declared dead after three misses; its chunks have no survivor.
-  rig.ms().RunUntil(rig.ms().now_ns() + 5 * kMs);
+  rig.ms().RunUntil(t0 + 5 * kMs);
   auto s = rig.ms().stats();
   EXPECT_EQ(s.lost_chunks, 2u);  // 8 chunks striped over 4 benefactors
   EXPECT_EQ(rig.store->manager().lost_chunks(), 2u);
