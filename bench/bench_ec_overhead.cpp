@@ -18,10 +18,13 @@
 //       request per benefactor per window or batch in both modes, and
 //   (e) random 4 KiB pages, one at a time: page reads through the
 //       page-range read (a replica is one whole chunk, a stripe reads only
-//       the fragment that holds the page) and single-dirty-page writes
+//       the fragment that holds the page), single-dirty-page writes
 //       (replication ships the page to each replica; RS(4,2) reads the
 //       stripe, re-encodes it and rewrites all k+m fragments — the
-//       read-modify-write a partial-stripe write would cut).
+//       read-modify-write a partial-stripe write would cut), and the same
+//       page reads again shipping only the page (the holder still reads
+//       and verifies its whole replica or fragment) — what a random cache
+//       miss costs.
 // Both datasets are read back byte-exact afterwards so the overhead
 // numbers describe stores that actually work.
 //
@@ -61,6 +64,8 @@ struct ModeResult {
   double page_read_bytes = 0;  // client bytes fetched per page read
   double page_write_us = 0;    // median virtual latency of a page write
   double page_write_amp = 0;   // device bytes ingested per page byte
+  double page_ship_us = 0;     // median latency of a pages-only page read
+  double page_ship_bytes = 0;  // client bytes fetched per pages-only read
 };
 
 double MedianUs(std::vector<int64_t> ns) {
@@ -214,6 +219,25 @@ ModeResult RunMode(bool ec) {
               "read-back after page writes mismatch");
   }
 
+  // The page reads again (same seed, same pages), shipping only the page:
+  // exactly that page lands, byte-exact.
+  Xoshiro256 repick(29);
+  std::vector<int64_t> ship_ns;
+  const uint64_t shipped0 = client.bytes_fetched();
+  for (int op = 0; op < kPageOps; ++op) {
+    const auto i = static_cast<uint32_t>(repick.NextBelow(g_chunks));
+    const auto p = static_cast<size_t>(repick.NextBelow(pages));
+    const int64_t t = clock.now();
+    auto got = client.ReadChunkPages(clock, id, i, p, p, buf,
+                                     store::StoreClient::Ship::kPages);
+    NVM_CHECK(got.ok() && got->first == p && got->last == p);
+    ship_ns.push_back(clock.now() - t);
+    NVM_CHECK(std::memcmp(buf.data() + p * page,
+                          data.data() + i * kChunk + p * page, page) == 0,
+              "pages-only read mismatch");
+  }
+  const uint64_t page_shipped = client.bytes_fetched() - shipped0;
+
   ModeResult r;
   r.write_gbps = static_cast<double>(logical) / write_secs / 1e9;
   r.write_w32_gbps = static_cast<double>(logical) / window_secs / 1e9;
@@ -227,6 +251,8 @@ ModeResult RunMode(bool ec) {
   r.page_write_us = MedianUs(write_ns);
   r.page_write_amp =
       static_cast<double>(page_ingested) / static_cast<double>(kPageOps * page);
+  r.page_ship_us = MedianUs(ship_ns);
+  r.page_ship_bytes = static_cast<double>(page_shipped) / kPageOps;
   return r;
 }
 
@@ -266,19 +292,25 @@ int main(int argc, char** argv) {
        "per call, so a window of stripes stops paying the per-request "
        "device latency once per fragment.");
 
-  Table pt({"mode", "Page read (us)", "Fetched/read (KiB)", "Page write (us)",
+  Table pt({"mode", "Page read (us)", "Fetched/read (KiB)",
+            "Pages-only read (us)", "Shipped/read (KiB)", "Page write (us)",
             "Device bytes/page byte"});
   pt.AddRow({"replication r=2", Fmt("%.1f", repl.page_read_us),
              Fmt("%.1f", repl.page_read_bytes / 1024),
+             Fmt("%.1f", repl.page_ship_us),
+             Fmt("%.1f", repl.page_ship_bytes / 1024),
              Fmt("%.1f", repl.page_write_us),
              Fmt("%.2fx", repl.page_write_amp)});
   pt.AddRow({"RS(4,2)", Fmt("%.1f", ec.page_read_us),
              Fmt("%.1f", ec.page_read_bytes / 1024),
+             Fmt("%.1f", ec.page_ship_us),
+             Fmt("%.1f", ec.page_ship_bytes / 1024),
              Fmt("%.1f", ec.page_write_us), Fmt("%.2fx", ec.page_write_amp)});
   pt.Print();
   Note("%d random 4 KiB pages each: a stripe page read fetches the one "
-       "fragment that holds the page; a stripe page write rewrites all k+m "
-       "fragments after reading the stripe.",
+       "fragment that holds the page; a pages-only read ships the page "
+       "alone from the verified replica or fragment; a stripe page write "
+       "rewrites all k+m fragments after reading the stripe.",
        kPageOps);
 
   bool ok = true;
@@ -314,6 +346,18 @@ int main(int argc, char** argv) {
               "RS(4,2) page reads beat replication's median (%.1f vs %.1f "
               "us)",
               ec.page_read_us, repl.page_read_us);
+  const auto one_page = static_cast<double>(store::StoreConfig{}.page_bytes);
+  ok &= Shape(repl.page_ship_bytes == one_page &&
+                  ec.page_ship_bytes == one_page,
+              "a pages-only read ships exactly one page for both codes "
+              "(%.0f and %.0f bytes)",
+              repl.page_ship_bytes, ec.page_ship_bytes);
+  ok &= Shape(repl.page_ship_us < repl.page_read_us &&
+                  ec.page_ship_us < ec.page_read_us,
+              "shipping only the page beats shipping the whole unit "
+              "(r=2 %.1f vs %.1f us, RS(4,2) %.1f vs %.1f us)",
+              repl.page_ship_us, repl.page_read_us, ec.page_ship_us,
+              ec.page_read_us);
 
   JsonReport json("ec_overhead");
   json.Add("quick", quick);
@@ -335,6 +379,10 @@ int main(int argc, char** argv) {
   json.Add("ec_page_read_bytes", ec.page_read_bytes);
   json.Add("ec_page_write_us", ec.page_write_us);
   json.Add("ec_page_write_amp", ec.page_write_amp);
+  json.Add("repl_page_ship_us", repl.page_ship_us);
+  json.Add("repl_page_ship_bytes", repl.page_ship_bytes);
+  json.Add("ec_page_ship_us", ec.page_ship_us);
+  json.Add("ec_page_ship_bytes", ec.page_ship_bytes);
   json.Add("shape_ok", ok);
   json.Print();
   return ok ? 0 : 1;

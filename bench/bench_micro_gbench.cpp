@@ -11,6 +11,7 @@
 #include "common/bitmap.hpp"
 #include "common/checksum.hpp"
 #include "common/rng.hpp"
+#include "fuselite/cache.hpp"
 #include "fuselite/mount.hpp"
 #include "nvmalloc/runtime.hpp"
 #include "sim/resource.hpp"
@@ -262,6 +263,60 @@ void BM_CacheHitRead(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheHitRead);
+
+// A random one-page miss through ChunkCache::Read on a replicated store
+// (r=2, 64 KiB chunks).  A one-chunk cache and a different chunk on every
+// iteration make each read a fresh miss; it ships only its page unless it
+// lands where a tracked stream ended, and the holder still reads and
+// verifies the whole replica.  `bytes_per_read` is what crossed the wire
+// per miss.
+void BM_CacheMissPage(benchmark::State& state) {
+  constexpr uint32_t kChunks = 64;
+  constexpr uint64_t kChunkBytes = 64_KiB;
+  net::ClusterConfig cc;
+  cc.num_nodes = 3;
+  net::Cluster cluster(cc);
+  store::AggregateStoreConfig sc;
+  sc.benefactor_nodes = {1, 2};
+  sc.contribution_bytes = 64_MiB;
+  sc.manager_node = 1;
+  sc.store.chunk_bytes = kChunkBytes;
+  sc.store.replication = 2;
+  store::AggregateStore st(cluster, sc);
+  store::StoreClient& client = st.ClientForNode(0);
+  sim::VirtualClock clock(0);
+  auto id = client.Create(clock, "/miss");
+  NVM_CHECK(id.ok());
+  NVM_CHECK(client.Fallocate(clock, *id, kChunks * kChunkBytes).ok());
+  const uint64_t page = client.config().page_bytes;
+  const std::vector<uint8_t> image(kChunkBytes, 0x5A);
+  Bitmap all(kChunkBytes / page);
+  all.SetAll();
+  for (uint32_t i = 0; i < kChunks; ++i) {
+    NVM_CHECK(client.WriteChunkPages(clock, *id, i, all, image).ok());
+  }
+  fuselite::FuseliteConfig fc;
+  fc.cache_bytes = kChunkBytes;  // one chunk: each miss evicts the last
+  fc.readahead = false;
+  fuselite::ChunkCache cache(client, fc);
+  Xoshiro256 rng(7);
+  std::vector<uint8_t> buf(page);
+  uint32_t chunk = 0;
+  const uint64_t fetched0 = client.bytes_fetched();
+  for (auto _ : state) {
+    chunk = static_cast<uint32_t>((chunk + 1 + rng.NextBelow(kChunks - 1)) %
+                                  kChunks);
+    const uint64_t off = chunk * kChunkBytes +
+                         rng.NextBelow(kChunkBytes / page) * page;
+    benchmark::DoNotOptimize(cache.Read(clock, *id, off, buf));
+  }
+  state.counters["bytes_per_read"] =
+      state.iterations() == 0
+          ? 0.0
+          : static_cast<double>(client.bytes_fetched() - fetched0) /
+                static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_CacheMissPage);
 
 void BM_RegionResidentPin(benchmark::State& state) {
   CacheFixtureState fx;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <memory>
 
 #include "common/log.hpp"
 
@@ -158,7 +159,7 @@ Status ChunkCache::FlushFileWindow(sim::VirtualClock& clock,
       (background && config_.async_writeback) ? detached : clock;
   const int64_t t0 = wclock.now();
   // A failed batched prepare leaves every slot dirty and no traffic
-  // counted — failed flushes must not inflate store_bytes_flushed().
+  // counted — failed flushes must not inflate the flushed counters.
   NVM_RETURN_IF_ERROR(client_.WriteChunks(wclock, file, writes));
 
   Status first = OkStatus();
@@ -247,7 +248,8 @@ Status ChunkCache::ReserveResidency(sim::VirtualClock& clock, size_t count) {
 
 StatusOr<ChunkCache::Slot*> ChunkCache::GetOrCreateSlot(
     std::unique_lock<std::mutex>& lk, Shard& sh, sim::VirtualClock& clock,
-    const SlotKey& key) {
+    const SlotKey& key, bool* cached) {
+  *cached = false;
   auto it = sh.slots.find(key);
   if (it != sh.slots.end()) {
     // If this chunk is still in flight from a prefetch or a batched
@@ -256,7 +258,7 @@ StatusOr<ChunkCache::Slot*> ChunkCache::GetOrCreateSlot(
     if (it->second.fresh_fetch) {
       it->second.fresh_fetch = false;  // the miss that paid for the fetch
     } else {
-      ++traffic_.hit_chunks;
+      *cached = true;
     }
     if (it->second.ra_pending) {
       it->second.ra_pending = false;
@@ -298,34 +300,37 @@ StatusOr<ChunkCache::Slot*> ChunkCache::GetOrCreateSlot(
   return &ins->second;
 }
 
-Status ChunkCache::EnsureValidLocked(sim::VirtualClock& clock,
-                                     const SlotKey& key, Slot& slot,
-                                     size_t first_page, size_t last_page) {
+StatusOr<bool> ChunkCache::EnsureValidLocked(sim::VirtualClock& clock,
+                                             const SlotKey& key, Slot& slot,
+                                             size_t first_page,
+                                             size_t last_page, Ship ship) {
   // Ask only for the still-invalid pages of [first, last].
   while (first_page <= last_page && slot.valid.Test(first_page)) ++first_page;
-  if (first_page > last_page) return OkStatus();
+  if (first_page > last_page) return false;
   while (slot.valid.Test(last_page)) --last_page;
 
-  // The store returns at least those pages — a whole replica, or the
-  // erasure fragments that hold them — and only the invalid pages of what
-  // landed are filled (dirty local pages are never clobbered).
-  std::vector<uint8_t> fetched(chunk_bytes());
+  // The store returns at least those pages — only those, or the whole
+  // replica or erasure fragments that hold them — and only the invalid
+  // pages of what landed are filled (dirty local pages are never
+  // clobbered).
+  // Only the landed pages are read back, so the buffer needs no zeroing.
+  const auto fetched = std::make_unique_for_overwrite<uint8_t[]>(chunk_bytes());
   const int64_t t0 = clock.now();
   NVM_ASSIGN_OR_RETURN(
       const store::StoreClient::PageRange got,
       client_.ReadChunkPages(clock, key.file, key.index, first_page, last_page,
-                             fetched));
+                             {fetched.get(), chunk_bytes()}, ship));
   SerializeOnDaemon(clock, t0);
   ++traffic_.fetched_chunks;
   for (size_t p = got.first; p <= got.last; ++p) {
     if (!slot.valid.Test(p)) {
       std::memcpy(slot.data.data() + p * page_bytes(),
-                  fetched.data() + p * page_bytes(), page_bytes());
+                  fetched.get() + p * page_bytes(), page_bytes());
       slot.valid.Set(p);
     }
   }
   slot.ready_at = std::max(slot.ready_at, clock.now());
-  return OkStatus();
+  return true;
 }
 
 uint32_t ChunkCache::AbsentRunLength(store::FileId file, uint32_t first,
@@ -448,6 +453,16 @@ Status ChunkCache::FetchRun(sim::VirtualClock& clock, store::FileId file,
   return OkStatus();
 }
 
+bool ChunkCache::ContinuesStream(store::FileId file, uint64_t pos) const {
+  std::lock_guard<std::mutex> lock(stream_mutex_);
+  auto it = streams_.find(file);
+  if (it == streams_.end()) return false;
+  for (const StreamState& s : it->second) {
+    if (s.next_offset == pos) return true;
+  }
+  return false;
+}
+
 ChunkCache::PrefetchPlan ChunkCache::UpdateStreams(store::FileId file,
                                                    uint64_t pos, uint64_t n,
                                                    uint32_t index) {
@@ -559,12 +574,20 @@ Status ChunkCache::Read(sim::VirtualClock& clock, store::FileId file,
       }
     }
 
+    // A miss that continues one of the file's streams fetches whole units
+    // (the stream reads on); any other miss ships only its pages.
+    const Ship ship =
+        ContinuesStream(file, pos) ? Ship::kWholeUnits : Ship::kPages;
     Shard& sh = shard_for(key);
     std::unique_lock<std::mutex> lk(sh.mutex);
-    NVM_ASSIGN_OR_RETURN(Slot * slot, GetOrCreateSlot(lk, sh, clock, key));
-    NVM_RETURN_IF_ERROR(EnsureValidLocked(clock, key, *slot,
-                                          within / page_bytes(),
-                                          (within + n - 1) / page_bytes()));
+    bool cached = false;
+    NVM_ASSIGN_OR_RETURN(Slot * slot,
+                         GetOrCreateSlot(lk, sh, clock, key, &cached));
+    NVM_ASSIGN_OR_RETURN(
+        const bool fetched,
+        EnsureValidLocked(clock, key, *slot, within / page_bytes(),
+                          (within + n - 1) / page_bytes(), ship));
+    if (cached && !fetched) ++traffic_.hit_chunks;
     std::memcpy(out.data() + done, slot->data.data() + within, n);
     lk.unlock();
 
@@ -611,27 +634,37 @@ Status ChunkCache::Write(sim::VirtualClock& clock, store::FileId file,
     const SlotKey key{file, index};
     Shard& sh = shard_for(key);
     std::unique_lock<std::mutex> lk(sh.mutex);
-    NVM_ASSIGN_OR_RETURN(Slot * slot, GetOrCreateSlot(lk, sh, clock, key));
+    bool cached = false;
+    NVM_ASSIGN_OR_RETURN(Slot * slot,
+                         GetOrCreateSlot(lk, sh, clock, key, &cached));
     const size_t first_page = within / page_bytes();
     const size_t last_page = (within + n - 1) / page_bytes();
+    bool fetched = false;
     if (!config_.dirty_page_writeback) {
       // Chunk-granular baseline (Table VII "w/o optimisation"): the dirty
       // unit is the whole chunk, so the whole chunk must be materialised
       // before any modification.
-      NVM_RETURN_IF_ERROR(EnsureValidLocked(clock, key, *slot, 0,
-                                            slot->valid.size() - 1));
+      NVM_ASSIGN_OR_RETURN(
+          fetched, EnsureValidLocked(clock, key, *slot, 0,
+                                     slot->valid.size() - 1,
+                                     Ship::kWholeUnits));
     } else {
       // Partially covered head/tail pages need their old contents first
-      // (read-modify-write); fully covered pages are written blind.
-      if (within % page_bytes() != 0 && !slot->valid.Test(first_page)) {
-        NVM_RETURN_IF_ERROR(
-            EnsureValidLocked(clock, key, *slot, first_page, first_page));
-      }
-      if ((within + n) % page_bytes() != 0 && !slot->valid.Test(last_page)) {
-        NVM_RETURN_IF_ERROR(
-            EnsureValidLocked(clock, key, *slot, last_page, last_page));
+      // (read-modify-write); fully covered pages are written blind.  Both
+      // ends come in one pages-only store call over [head, tail].
+      const bool head =
+          within % page_bytes() != 0 && !slot->valid.Test(first_page);
+      const bool tail =
+          (within + n) % page_bytes() != 0 && !slot->valid.Test(last_page);
+      if (head || tail) {
+        NVM_ASSIGN_OR_RETURN(
+            fetched, EnsureValidLocked(clock, key, *slot,
+                                       head ? first_page : last_page,
+                                       tail ? last_page : first_page,
+                                       Ship::kPages));
       }
     }
+    if (cached && !fetched) ++traffic_.hit_chunks;
     std::memcpy(slot->data.data() + within, in.data() + done, n);
     for (size_t p = first_page; p <= last_page; ++p) {
       slot->dirty.Set(p);

@@ -11,6 +11,10 @@
 //  * eviction flushes only the dirty pages (Table VII's write optimisation),
 //  * contiguous runs of missing chunks are fetched with one batched
 //    manager lookup and one streamed run per benefactor,
+//  * a single-chunk miss that continues a sequential stream fetches the
+//    whole units holding its pages (a replica, or erasure fragments); any
+//    other miss ships only its pages (the holder still reads and
+//    verifies the whole unit),
 //  * sequential-read detection triggers adaptive read-ahead: the window
 //    ramps 1 -> 2 -> 4 ... up to readahead_max_chunks (deeper for
 //    kWriteOnceReadMany) and each window is issued as one batched fetch
@@ -114,15 +118,6 @@ struct CacheTraffic {
     }
     return *this;
   }
-
-  uint64_t store_bytes_fetched(uint64_t chunk_bytes) const {
-    return (fetched_chunks.load() + prefetched_chunks.load()) * chunk_bytes;
-  }
-  uint64_t store_bytes_flushed(uint64_t page_bytes, uint64_t chunk_bytes,
-                               bool dirty_page_writeback) const {
-    return dirty_page_writeback ? flushed_pages.load() * page_bytes
-                                : flushed_chunks.load() * chunk_bytes;
-  }
 };
 
 class ChunkCache {
@@ -209,22 +204,30 @@ class ChunkCache {
         *shards_[HashPair64(key.file, key.index) & shard_mask_]);
   }
 
+  using Ship = store::StoreClient::Ship;
+
   // Find or create (without fetching) the slot for `key` in shard `sh`.
   // `lk` must hold sh.mutex; it may be released and reacquired to make
   // room, so previously returned Slot pointers are invalidated.
+  // `*cached` says whether the slot was already resident before this
+  // access (not created by it, nor just fetched for it by a foreground
+  // batch): such an access is a hit if it then fetches nothing.
   StatusOr<Slot*> GetOrCreateSlot(std::unique_lock<std::mutex>& lk, Shard& sh,
-                                  sim::VirtualClock& clock,
-                                  const SlotKey& key);
+                                  sim::VirtualClock& clock, const SlotKey& key,
+                                  bool* cached);
   // Fetch from the store if any page in [first, last] is not yet valid:
-  // StoreClient::ReadChunkPages over the still-invalid pages of the range
-  // (a whole replica, or only the erasure fragments that hold them),
-  // filling only the invalid pages of what landed (dirty local pages are
-  // never clobbered; a later miss in the chunk fetches the next
-  // fragment).  Pages about to be fully overwritten need no fetch — that
-  // is how a page cache avoids read-modify-write on full-page writes.
-  // Runs with the slot's shard lock held; other shards stay available.
-  Status EnsureValidLocked(sim::VirtualClock& clock, const SlotKey& key,
-                           Slot& slot, size_t first_page, size_t last_page);
+  // StoreClient::ReadChunkPages over the still-invalid pages of the range,
+  // shipping only those pages or the whole units that hold them (`ship`),
+  // and filling only the invalid pages of what landed (dirty local pages
+  // are never clobbered; a later miss in the chunk fetches again).  Pages
+  // about to be fully overwritten need no fetch — that is how a page
+  // cache avoids read-modify-write on full-page writes.  Returns whether
+  // the store was read.  Runs with the slot's shard lock held; other
+  // shards stay available.
+  StatusOr<bool> EnsureValidLocked(sim::VirtualClock& clock,
+                                   const SlotKey& key, Slot& slot,
+                                   size_t first_page, size_t last_page,
+                                   Ship ship);
   // Write back the dirty slots among `indices` of one file as ONE batched
   // store write (StoreClient::WriteChunks): one metadata round-trip and
   // one streamed run per benefactor for the whole window.  Locks every
@@ -264,6 +267,9 @@ class ChunkCache {
     uint32_t count = 0;  // 0 = nothing to prefetch
     bool evict_behind = false;
   };
+  // Whether a read at `pos` continues one of the file's tracked streams
+  // (a read-only peek; UpdateStreams does the bookkeeping).
+  bool ContinuesStream(store::FileId file, uint64_t pos) const;
   // Update the file's stream detector with a read of [pos, pos+n) in
   // chunk `index`; returns the read-ahead plan (under stream_mutex_).
   PrefetchPlan UpdateStreams(store::FileId file, uint64_t pos, uint64_t n,

@@ -119,20 +119,28 @@ Status StoreClient::ReadChunk(sim::VirtualClock& clock, FileId id,
 
 StatusOr<StoreClient::PageRange> StoreClient::ReadChunkPages(
     sim::VirtualClock& clock, FileId id, uint32_t chunk_index,
-    size_t first_page, size_t last_page, std::span<uint8_t> out) {
+    size_t first_page, size_t last_page, std::span<uint8_t> out, Ship ship) {
   const int64_t t0 = clock.now();
-  StatusOr<PageRange> got =
-      ReadChunkInner(clock, id, chunk_index, first_page, last_page, out);
+  StatusOr<PageRange> got = ReadChunkInner(clock, id, chunk_index, first_page,
+                                           last_page, out, ship);
   if (got.ok() && qos_ != nullptr) qos_->RecordRead(tenant_, clock.now() - t0);
   return got;
 }
 
 StatusOr<StoreClient::PageRange> StoreClient::ReadChunkInner(
     sim::VirtualClock& clock, FileId id, uint32_t chunk_index,
-    size_t first_page, size_t last_page, std::span<uint8_t> out) {
+    size_t first_page, size_t last_page, std::span<uint8_t> out, Ship ship) {
   const StoreConfig& cfg = manager_.config();
   NVM_CHECK(out.size() == cfg.chunk_bytes);
   NVM_CHECK(first_page <= last_page && last_page < cfg.pages_per_chunk());
+  // A replica ships whole or only the requested pages.
+  const bool pages_only = ship == Ship::kPages;
+  const uint64_t shipped = pages_only
+                               ? (last_page - first_page + 1) * cfg.page_bytes
+                               : cfg.chunk_bytes;
+  const PageRange landed =
+      pages_only ? PageRange{first_page, last_page}
+                 : PageRange{0, cfg.pages_per_chunk() - 1};
 
   for (int attempt = 0; attempt < 2; ++attempt) {
     // Second attempt forces a fresh manager lookup (the cached location
@@ -143,7 +151,7 @@ StatusOr<StoreClient::PageRange> StoreClient::ReadChunkInner(
 
     if (loc.ec) {
       StatusOr<PageRange> got = ReadStripe(clock, id, chunk_index, loc,
-                                           first_page, last_page, out);
+                                           first_page, last_page, out, ship);
       if (got.ok()) return got;
       // Below k readable fragments on this resolution: quarantines and
       // MarkDeads already went to the manager, so a fresh lookup may see
@@ -165,11 +173,10 @@ StatusOr<StoreClient::PageRange> StoreClient::ReadChunkInner(
       if (s.ok()) {
         // A hole costs only the "no such chunk" reply, not a data
         // transfer.
-        cluster_.network().Transfer(
-            clock, b->node_id(), local_node_,
-            sparse ? cfg.meta_response_bytes : cfg.chunk_bytes);
-        if (!sparse) bytes_fetched_.Add(cfg.chunk_bytes);
-        return PageRange{0, cfg.pages_per_chunk() - 1};
+        cluster_.network().Transfer(clock, b->node_id(), local_node_,
+                                    sparse ? cfg.meta_response_bytes : shipped);
+        if (!sparse) bytes_fetched_.Add(shipped);
+        return landed;
       }
       last = s;
       if (s.code() == ErrorCode::kUnavailable) {
@@ -198,7 +205,7 @@ StatusOr<StoreClient::PageRange> StoreClient::ReadChunkInner(
 StatusOr<StoreClient::PageRange> StoreClient::ReadStripe(
     sim::VirtualClock& clock, FileId id, uint32_t chunk_index,
     const ReadLocation& loc, size_t first_page, size_t last_page,
-    std::span<uint8_t> out) {
+    std::span<uint8_t> out, Ship ship) {
   const StoreConfig& cfg = manager_.config();
   const size_t k = cfg.ec_k;
   const size_t nf = cfg.ec_fragments();
@@ -220,9 +227,10 @@ StatusOr<StoreClient::PageRange> StoreClient::ReadStripe(
     if (loc.benefactors[pos] >= 0) candidates.push_back(pos);
   }
   // The first round fetches exactly the covering positions; a covering
-  // hole means a decode, so then it fetches any k.
+  // hole means a decode, so then it fetches any k, whole.
   const bool hole = candidates.size() < hi - lo + 1;
   const size_t first_round = hole ? k : hi - lo + 1;
+  const bool pages_only = ship == Ship::kPages && !hole;
   for (size_t pos = 0; pos < nf; ++pos) {
     if ((pos < lo || pos > hi) && loc.benefactors[pos] >= 0) {
       candidates.push_back(pos);
@@ -230,8 +238,10 @@ StatusOr<StoreClient::PageRange> StoreClient::ReadStripe(
   }
 
   // Data fragments land in `out` in place, parity in side buffers.
+  // `sent` is what each landed fragment put on the wire.
   std::vector<std::vector<uint8_t>> frags(nf);
   std::vector<char> landed(nf, 0);
+  std::vector<uint64_t> sent(nf, 0);
   bool saw_corrupt = false;
   Status last = Unavailable("fewer than k fragments readable");
   const auto fetch = [&](sim::VirtualClock& frag_clock, size_t c) {
@@ -248,10 +258,18 @@ StatusOr<StoreClient::PageRange> StoreClient::ReadStripe(
     Status s = b->ReadFragment(frag_clock, loc.key, dst, &sparse, tenant_);
     if (s.ok()) {
       // A hole costs only the "no such fragment" reply (it reads as
-      // zeros — a never-written region of the stripe).
+      // zeros — a never-written region of the stripe).  Pages-only, a
+      // covering fragment ships just its share of [first, last].
+      uint64_t bytes = sparse ? 0 : fb;
+      if (bytes > 0 && pages_only && pos >= lo && pos <= hi) {
+        const size_t from = std::max(first_page, pos * frag_pages);
+        const size_t to = std::min(last_page, (pos + 1) * frag_pages - 1);
+        bytes = (to - from + 1) * cfg.page_bytes;
+      }
       cluster_.network().Transfer(frag_clock, b->node_id(), local_node_,
-                                  sparse ? cfg.meta_response_bytes : fb);
-      if (!sparse) bytes_fetched_.Add(fb);
+                                  sparse ? cfg.meta_response_bytes : bytes);
+      bytes_fetched_.Add(bytes);
+      sent[pos] = bytes;
       landed[pos] = 1;
       return true;
     }
@@ -293,8 +311,24 @@ StatusOr<StoreClient::PageRange> StoreClient::ReadStripe(
     // The quarantine punched a hole this cached location still names.
     InvalidateLocation(id, chunk_index);
   }
-  if (covered) return PageRange{lo * frag_pages, (hi + 1) * frag_pages - 1};
+  if (covered) {
+    return pages_only ? PageRange{first_page, last_page}
+                      : PageRange{lo * frag_pages, (hi + 1) * frag_pages - 1};
+  }
   if (good < k) return last;
+
+  // The decode needs whole fragments: a covering holder that shipped only
+  // pages still holds the fragment it verified and sends the rest (a
+  // request and the wire, no device read).
+  for (size_t pos = lo; pos <= hi; ++pos) {
+    if (sent[pos] == 0 || sent[pos] == fb) continue;
+    const Benefactor* b = manager_.benefactor(loc.benefactors[pos]);
+    cluster_.network().Transfer(clock, local_node_, b->node_id(),
+                                cfg.meta_request_bytes);
+    cluster_.network().Transfer(clock, b->node_id(), local_node_,
+                                fb - sent[pos]);
+    bytes_fetched_.Add(fb - sent[pos]);
+  }
 
   // Decode: the data fragments that landed in place join the parity.
   for (size_t pos = 0; pos < k; ++pos) {
@@ -405,7 +439,9 @@ Status StoreClient::ReadChunksInner(sim::VirtualClock& clock, FileId id,
   const size_t last_page = cfg.pages_per_chunk() - 1;
   const auto read_alone = [&](ChunkFetch& f) {
     sim::VirtualClock alone(t0);
-    f.status = ReadChunkInner(alone, id, f.index, 0, last_page, f.out).status();
+    f.status = ReadChunkInner(alone, id, f.index, 0, last_page, f.out,
+                              Ship::kWholeUnits)
+                   .status();
     f.ready_at = alone.now();
   };
   std::vector<char> covered(fetches.size(), 0);

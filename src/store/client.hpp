@@ -66,22 +66,33 @@ class StoreClient {
     size_t last = 0;
   };
 
+  // What a page-range read ships back.  The holder of each covering unit
+  // reads and verifies the whole unit either way; only the wire differs.
+  enum class Ship : uint8_t {
+    kWholeUnits,  // every covering unit whole: a replica, or fragments
+    kPages,       // only the requested pages
+  };
+
   // Fetch at least pages [first_page, last_page] of a chunk into `out`
   // (sized chunk_bytes; page p lands at p * page_bytes) and return the
   // pages that landed, a range that covers the request.  The read fetches
   // the smallest checksummed units that hold the pages: a replicated chunk
-  // reads one whole replica (every page lands); a stripe reads only the
-  // data fragments that hold the pages, in one parallel round, straight
-  // into `out`.  A covering hole, or a covering fragment whose holder is
-  // dead (reported once through MarkDead) or whose bytes are rotted
-  // (quarantined once through ReportCorrupt), turns the read into an any-k
-  // decode: the stripe's other live fragments join until k are in hand,
-  // and the whole chunk lands.  Records the tenant's read latency like
-  // ReadChunk.
+  // reads one replica; a stripe reads only the data fragments that hold
+  // the pages, in one parallel round, straight into `out`.  kWholeUnits
+  // ships those units whole (every page of the replica, or of each
+  // covering fragment, lands); kPages ships only [first_page, last_page],
+  // which is then exactly the range returned.  A covering hole, or a
+  // covering fragment whose holder is dead (reported once through
+  // MarkDead) or whose bytes are rotted (quarantined once through
+  // ReportCorrupt), turns the read into an any-k decode from whole
+  // fragments: the stripe's other live fragments join until k are in
+  // hand, a covering holder that shipped only pages sends the rest of its
+  // fragment, and the whole chunk lands.  Records the tenant's read
+  // latency like ReadChunk.
   StatusOr<PageRange> ReadChunkPages(sim::VirtualClock& clock, FileId id,
                                      uint32_t chunk_index, size_t first_page,
-                                     size_t last_page,
-                                     std::span<uint8_t> out);
+                                     size_t last_page, std::span<uint8_t> out,
+                                     Ship ship = Ship::kWholeUnits);
 
   // One element of a batched read.
   struct ChunkFetch {
@@ -208,7 +219,8 @@ class StoreClient {
   // run-failure fallbacks (the whole chunk).
   StatusOr<PageRange> ReadChunkInner(sim::VirtualClock& clock, FileId id,
                                      uint32_t chunk_index, size_t first_page,
-                                     size_t last_page, std::span<uint8_t> out);
+                                     size_t last_page, std::span<uint8_t> out,
+                                     Ship ship);
   Status ReadChunksInner(sim::VirtualClock& clock, FileId id,
                          std::span<ChunkFetch> fetches);
   Status WriteChunksInner(sim::VirtualClock& clock, FileId id,
@@ -246,15 +258,17 @@ class StoreClient {
   // One read attempt of pages [first_page, last_page] against a resolved
   // erasure stripe: the data fragments that hold the pages are fetched in
   // parallel (clocks forked at the issue time, caller joins at the max)
-  // and land in `out` in place.  A covering hole puts the rest of the k
-  // into that first round; a covering failure pulls the other live
-  // fragments into later rounds (sim::ForkJoinRounds) until k are in
-  // hand, and the chunk is reconstructed — a degraded read.  Fails only
-  // when fewer than k fragments of the stripe are readable.
+  // and land in `out` in place, each shipping whole or only its share of
+  // the pages (`ship`).  A covering hole puts the rest of the k into that
+  // first round, all shipped whole; a covering failure pulls the other
+  // live fragments into later rounds (sim::ForkJoinRounds) until k are in
+  // hand, the covering holders that shipped only pages send the rest of
+  // their fragments, and the chunk is reconstructed — a degraded read.
+  // Fails only when fewer than k fragments of the stripe are readable.
   StatusOr<PageRange> ReadStripe(sim::VirtualClock& clock, FileId id,
                                  uint32_t chunk_index, const ReadLocation& loc,
                                  size_t first_page, size_t last_page,
-                                 std::span<uint8_t> out);
+                                 std::span<uint8_t> out, Ship ship);
   // A degraded read's client-side decode: rebuild the stripe from the k
   // fragments present in `frags` (positional, empty = not read) into
   // `out`.  Returns the modelled decode time, charged as one chunk through

@@ -719,7 +719,8 @@ fuselite::ChunkCache MissCache(store::StoreClient& c) {
 
 TEST(ErasureStoreTest, PageMissReadsOneFragment) {
   // A one-page miss reads the fragment that holds the page and nothing
-  // else; the rest of that fragment lands valid with it.
+  // else, and ships only the page.  The miss that continues its stream
+  // fetches that fragment whole, so the rest of it lands valid.
   Rig rig(6, Quiet);
   store::StoreClient& c = rig.store->ClientForNode(0);
   sim::VirtualClock clock(0);
@@ -735,15 +736,79 @@ TEST(ErasureStoreTest, PageMissReadsOneFragment) {
   ASSERT_TRUE(cache.Read(clock, id, 5 * page, got).ok());
   EXPECT_EQ(0, std::memcmp(got.data(), data.data() + 5 * page, page));
   EXPECT_EQ(ReadRequests(rig) - reads, 1u);
-  EXPECT_EQ(c.bytes_fetched() - fetched, fb);
+  EXPECT_EQ(c.bytes_fetched() - fetched, page);
+
+  ASSERT_TRUE(cache.Read(clock, id, 6 * page, got).ok());
+  EXPECT_EQ(0, std::memcmp(got.data(), data.data() + 6 * page, page));
+  EXPECT_EQ(ReadRequests(rig) - reads, 2u);
+  EXPECT_EQ(c.bytes_fetched() - fetched, page + fb);
 
   // Pages 4-7 came with it: reading them touches the store no more.
   std::vector<uint8_t> frag(fb);
   ASSERT_TRUE(cache.Read(clock, id, fb, frag).ok());
   EXPECT_EQ(0, std::memcmp(frag.data(), data.data() + fb, fb));
-  EXPECT_EQ(ReadRequests(rig) - reads, 1u);
-  EXPECT_EQ(cache.traffic().fetched_chunks.load(), 1u);
+  EXPECT_EQ(ReadRequests(rig) - reads, 2u);
+  EXPECT_EQ(cache.traffic().fetched_chunks.load(), 2u);
+  EXPECT_EQ(cache.traffic().hit_chunks.load(), 1u);
   EXPECT_EQ(c.ec_degraded_reads(), 0u);
+}
+
+TEST(ErasureStoreTest, RandomPageMissShipsOnePageOfOneFragment) {
+  // The holder reads and verifies its whole fragment; one request and one
+  // page cross the wire, and only that page lands in the cache.
+  Rig rig(6, Quiet);
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  sim::VirtualClock clock(0);
+  const auto data = Pattern(kChunk, 57);
+  const store::FileId id = WriteStoreFile(c, "/rpage", 1, data, clock);
+  fuselite::ChunkCache cache = MissCache(c);
+  const store::StoreConfig& cfg = c.config();
+  const uint64_t page = cfg.page_bytes;
+  const auto device_out = [&] {
+    uint64_t n = 0;
+    for (size_t b = 0; b < rig.store->num_benefactors(); ++b) {
+      n += rig.store->benefactor(b).data_bytes_out();
+    }
+    return n;
+  };
+
+  const uint64_t reads = ReadRequests(rig);
+  const uint64_t fetched = c.bytes_fetched();
+  const uint64_t wire = rig.cluster->network().bytes_transferred();
+  const uint64_t device = device_out();
+  std::vector<uint8_t> got(page);
+  ASSERT_TRUE(cache.Read(clock, id, 10 * page, got).ok());
+  EXPECT_EQ(0, std::memcmp(got.data(), data.data() + 10 * page, page));
+  EXPECT_EQ(ReadRequests(rig) - reads, 1u);
+  EXPECT_EQ(c.bytes_fetched() - fetched, page);
+  EXPECT_EQ(rig.cluster->network().bytes_transferred() - wire,
+            cfg.meta_request_bytes + page);
+  EXPECT_EQ(device_out() - device, cfg.ec_frag_bytes());
+
+  // Page 9 shares the fragment but did not land: a second one-page miss.
+  ASSERT_TRUE(cache.Read(clock, id, 9 * page, got).ok());
+  EXPECT_EQ(0, std::memcmp(got.data(), data.data() + 9 * page, page));
+  EXPECT_EQ(ReadRequests(rig) - reads, 2u);
+  EXPECT_EQ(c.bytes_fetched() - fetched, 2 * page);
+  EXPECT_EQ(c.ec_degraded_reads(), 0u);
+}
+
+TEST(ErasureStoreTest, MissesInTwoFragmentsCountTwoFetchesAndNoHit) {
+  // The second miss finds the slot resident but fetches: one fetch, not
+  // also a hit.
+  Rig rig(6, Quiet);
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  sim::VirtualClock clock(0);
+  const auto data = Pattern(kChunk, 58);
+  const store::FileId id = WriteStoreFile(c, "/count", 1, data, clock);
+  fuselite::ChunkCache cache = MissCache(c);
+  const uint64_t page = c.config().page_bytes;
+  std::vector<uint8_t> got(page);
+  ASSERT_TRUE(cache.Read(clock, id, 1 * page, got).ok());
+  ASSERT_TRUE(cache.Read(clock, id, 9 * page, got).ok());
+  EXPECT_EQ(0, std::memcmp(got.data(), data.data() + 9 * page, page));
+  EXPECT_EQ(cache.traffic().hit_chunks.load(), 0u);
+  EXPECT_EQ(cache.traffic().fetched_chunks.load(), 2u);
 }
 
 TEST(ErasureStoreTest, MissSpanningTwoFragmentsReadsThoseTwo) {
@@ -756,31 +821,45 @@ TEST(ErasureStoreTest, MissSpanningTwoFragmentsReadsThoseTwo) {
   const uint64_t page = c.config().page_bytes;
   const uint64_t fb = c.config().ec_frag_bytes();
 
-  // Pages 3 and 4 straddle fragments 0 and 1.
+  // Pages 3 and 4 straddle fragments 0 and 1: one request to each, and
+  // one page from each.
   const uint64_t reads = ReadRequests(rig);
   const uint64_t fetched = c.bytes_fetched();
   std::vector<uint8_t> got(2 * page);
   ASSERT_TRUE(cache.Read(clock, id, 3 * page, got).ok());
   EXPECT_EQ(0, std::memcmp(got.data(), data.data() + 3 * page, 2 * page));
   EXPECT_EQ(ReadRequests(rig) - reads, 2u);
-  EXPECT_EQ(c.bytes_fetched() - fetched, 2 * fb);
+  EXPECT_EQ(c.bytes_fetched() - fetched, 2 * page);
 
-  // A later miss in the same chunk fetches the next fragment, and the
-  // cache counts it as another fetch.
+  // A later miss in the same chunk reads the next fragment, and the cache
+  // counts it as another fetch.
   std::vector<uint8_t> one(page);
   ASSERT_TRUE(cache.Read(clock, id, 9 * page, one).ok());
   EXPECT_EQ(0, std::memcmp(one.data(), data.data() + 9 * page, page));
   EXPECT_EQ(ReadRequests(rig) - reads, 3u);
-  EXPECT_EQ(c.bytes_fetched() - fetched, 3 * fb);
+  EXPECT_EQ(c.bytes_fetched() - fetched, 3 * page);
   EXPECT_EQ(cache.traffic().fetched_chunks.load(), 2u);
 
-  // The store call reports the pages of the fragments that landed.
+  // The store call reports the pages that landed: every page of both
+  // fragments when they ship whole, exactly the pages asked for when only
+  // pages ship.
   std::vector<uint8_t> buf(kChunk);
   auto range = c.ReadChunkPages(clock, id, 0, 3, 4, buf);
   ASSERT_TRUE(range.ok());
   EXPECT_EQ(range->first, 0u);
   EXPECT_EQ(range->last, 2 * fb / page - 1);
   EXPECT_EQ(0, std::memcmp(buf.data(), data.data(), 2 * fb));
+  EXPECT_EQ(c.bytes_fetched() - fetched, 3 * page + 2 * fb);
+  std::vector<uint8_t> pages(kChunk);
+  range = c.ReadChunkPages(clock, id, 0, 3, 4, pages,
+                           store::StoreClient::Ship::kPages);
+  ASSERT_TRUE(range.ok());
+  EXPECT_EQ(range->first, 3u);
+  EXPECT_EQ(range->last, 4u);
+  EXPECT_EQ(0, std::memcmp(pages.data() + 3 * page, data.data() + 3 * page,
+                           2 * page));
+  EXPECT_EQ(c.bytes_fetched() - fetched, 5 * page + 2 * fb);
+  EXPECT_EQ(ReadRequests(rig) - reads, 7u);
 }
 
 TEST(ErasureStoreTest, DeadCoveringHolderFallsBackToAnyKDecode) {
@@ -860,8 +939,10 @@ TEST(ErasureStoreTest, RottedCoveringFragmentIsQuarantinedAndDecoded) {
 
 TEST(ErasureStoreTest, PartialFillNeverOverwritesDirtyPages) {
   // Page 4 is dirty in the cache.  A miss on pages 4-5 asks the store only
-  // for page 5; its fragment (pages 4-7) lands around the dirty page
-  // without touching it, and the flush writes the page over the old chunk.
+  // for page 5, and only page 5 lands.  The miss that continues it
+  // fetches the fragment (pages 4-7) whole, which lands around the dirty
+  // page without touching it, and the flush writes the page over the old
+  // chunk.
   Rig rig(6, Quiet);
   store::StoreClient& c = rig.store->ClientForNode(0);
   sim::VirtualClock clock(0);
@@ -879,14 +960,69 @@ TEST(ErasureStoreTest, PartialFillNeverOverwritesDirtyPages) {
   std::vector<uint8_t> got(2 * page);
   ASSERT_TRUE(cache.Read(clock, id, 4 * page, got).ok());
   EXPECT_EQ(ReadRequests(rig) - reads, 1u);
-  EXPECT_EQ(c.bytes_fetched() - fetched, fb);
+  EXPECT_EQ(c.bytes_fetched() - fetched, page);
   EXPECT_EQ(0, std::memcmp(got.data(), mine.data(), page));
   EXPECT_EQ(0, std::memcmp(got.data() + page, data.data() + 5 * page, page));
+
+  std::vector<uint8_t> next(page);
+  ASSERT_TRUE(cache.Read(clock, id, 6 * page, next).ok());
+  EXPECT_EQ(0, std::memcmp(next.data(), data.data() + 6 * page, page));
+  EXPECT_EQ(ReadRequests(rig) - reads, 2u);
+  EXPECT_EQ(c.bytes_fetched() - fetched, page + fb);
+  std::vector<uint8_t> frag(fb);
+  ASSERT_TRUE(cache.Read(clock, id, 4 * page, frag).ok());
+  EXPECT_EQ(ReadRequests(rig) - reads, 2u);
+  EXPECT_EQ(0, std::memcmp(frag.data(), mine.data(), page));
+  EXPECT_EQ(0, std::memcmp(frag.data() + page, data.data() + 5 * page,
+                           fb - page));
 
   ASSERT_TRUE(cache.Flush(clock, id).ok());
   auto want = data;
   std::copy(mine.begin(), mine.end(), want.begin() + 4 * page);
   ExpectBytes(c, clock, id, 1, want);
+}
+
+TEST(ErasureStoreTest, DeadSecondCoveringHolderTopsUpTheFirstBeforeDecode) {
+  // Pages 3-4 straddle fragments 0 and 1, and fragment 1's holder died
+  // after the location was cached.  Fragment 0 ships its page, the dead
+  // holder's one request fails, a second round fetches k-1 more fragments
+  // whole, and fragment 0's holder sends the rest of its fragment so the
+  // decode has k whole fragments.
+  Rig rig(6, Quiet);
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  sim::VirtualClock clock(0);
+  const auto data = Pattern(kChunk, 59);
+  const store::FileId id = WriteStoreFile(c, "/topup", 1, data, clock);
+  fuselite::ChunkCache cache = MissCache(c);
+  const store::StoreConfig& cfg = c.config();
+  const uint64_t page = cfg.page_bytes;
+  const uint64_t fb = cfg.ec_frag_bytes();
+  auto loc = rig.store->manager().GetReadLocation(clock, id, 0);
+  ASSERT_TRUE(loc.ok());
+  rig.store->benefactor(static_cast<size_t>(loc->benefactors[1])).Kill();
+
+  const uint64_t reads = ReadRequests(rig);
+  const uint64_t fetched = c.bytes_fetched();
+  const uint64_t wire = rig.cluster->network().bytes_transferred();
+  std::vector<uint8_t> got(2 * page);
+  ASSERT_TRUE(cache.Read(clock, id, 3 * page, got).ok());
+  EXPECT_EQ(0, std::memcmp(got.data(), data.data() + 3 * page, 2 * page));
+  EXPECT_EQ(c.ec_degraded_reads(), 1u);
+  EXPECT_EQ(ReadRequests(rig) - reads, cfg.ec_k);
+  // Fragment 0 counts whole (a page, then the rest), plus k-1 fragments.
+  EXPECT_EQ(c.bytes_fetched() - fetched, cfg.ec_k * fb);
+  // Requests: two in the first round (one to the dead holder), k-1 in the
+  // second, one for the rest of fragment 0.
+  EXPECT_EQ(rig.cluster->network().bytes_transferred() - wire,
+            (cfg.ec_k + 2) * cfg.meta_request_bytes + cfg.ec_k * fb);
+
+  // The decode landed the whole chunk.
+  std::vector<uint8_t> all(kChunk);
+  ASSERT_TRUE(cache.Read(clock, id, 0, all).ok());
+  EXPECT_EQ(all, data);
+  EXPECT_EQ(ReadRequests(rig) - reads, cfg.ec_k);
+  EXPECT_EQ(cache.traffic().fetched_chunks.load(), 1u);
+  EXPECT_EQ(rig.store->manager().lost_chunks(), 0u);
 }
 
 TEST(ErasureStoreTest, CloneOfAFragmentChargesOneFragment) {

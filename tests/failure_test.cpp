@@ -11,6 +11,7 @@
 
 #include "common/checksum.hpp"
 #include "common/rng.hpp"
+#include "fuselite/cache.hpp"
 #include "nvmalloc/runtime.hpp"
 #include "sim/clock.hpp"
 #include "store/erasure.hpp"
@@ -951,6 +952,43 @@ TEST(CorruptionTest, ReadFailsOverOnCorruptReplica) {
   EXPECT_NE(after->benefactors[0], rotten);
   EXPECT_FALSE(
       rig.store->benefactor(static_cast<size_t>(rotten)).HasChunk(loc->key));
+}
+
+TEST(CorruptionTest, PagesOnlyMissStillRefusesRottedReplica) {
+  // A cache miss that ships only its page still has the holder verify the
+  // whole replica: the rotted primary answers CORRUPT, is quarantined
+  // once, and the page comes from the other replica.
+  Rig rig(/*replication=*/2);
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  store::Manager& m = rig.store->manager();
+  sim::VirtualClock clock(0);
+  const auto data = Pattern(kChunk, 68);
+  const store::FileId id = WriteStoreFile(c, "/rotpage", 1, data, clock);
+  auto loc = m.GetReadLocation(clock, id, 0);
+  ASSERT_TRUE(loc.ok());
+  ASSERT_EQ(loc->benefactors.size(), 2u);
+  const int rotten = loc->benefactors[0];
+  store::Benefactor& bad = rig.store->benefactor(static_cast<size_t>(rotten));
+  // The flipped byte lies in page 0; the miss asks for page 9.
+  ASSERT_TRUE(bad.CorruptChunk(loc->key, /*byte_offset=*/17, 0x04).ok());
+
+  fuselite::FuseliteConfig fc;
+  fc.readahead = false;
+  fuselite::ChunkCache cache(c, fc);
+  const uint64_t page = c.config().page_bytes;
+  const uint64_t fetched = c.bytes_fetched();
+  std::vector<uint8_t> got(page);
+  ASSERT_TRUE(cache.Read(clock, id, 9 * page, got).ok());
+  EXPECT_EQ(0, std::memcmp(got.data(), data.data() + 9 * page, page));
+  EXPECT_EQ(bad.read_requests(), 1u);
+  EXPECT_EQ(c.corrupt_failovers(), 1u);
+  EXPECT_EQ(m.corrupt_detected(), 1u);
+  EXPECT_EQ(c.bytes_fetched() - fetched, page);
+  EXPECT_FALSE(bad.HasChunk(loc->key));
+  auto after = m.GetReadLocation(clock, id, 0);
+  ASSERT_TRUE(after.ok());
+  ASSERT_EQ(after->benefactors.size(), 1u);
+  EXPECT_NE(after->benefactors[0], rotten);
 }
 
 TEST(CorruptionTest, RepairRebuildsFromVerifiedSurvivor) {

@@ -3,6 +3,10 @@
 // overlap), and traffic accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+
 #include "common/rng.hpp"
 #include "fuselite/mount.hpp"
 #include "sim/clock.hpp"
@@ -36,6 +40,28 @@ class FuseliteTest : public ::testing::Test {
     Xoshiro256 rng(seed);
     for (auto& b : v) b = static_cast<uint8_t>(rng.Next());
     return v;
+  }
+
+  // Read-plane requests the benefactors served so far.
+  uint64_t ReadRequests() const {
+    uint64_t n = 0;
+    for (size_t b = 0; b < store_->num_benefactors(); ++b) {
+      n += store_->benefactor(b).read_requests();
+    }
+    return n;
+  }
+
+  // A file holding `data` that lives only in the store: the cache holds
+  // none of it, tracks no stream over it and has counted nothing yet.
+  FileHandle StoredFile(const std::string& name,
+                        const std::vector<uint8_t>& data) {
+    auto f = mount_->Create(name, data.size());
+    NVM_CHECK(f.ok());
+    NVM_CHECK(f->Write(0, data).ok());
+    NVM_CHECK(f->Sync().ok());
+    NVM_CHECK(mount_->cache().Drop(sim::CurrentClock(), f->id()).ok());
+    mount_->cache().ResetTraffic();
+    return *f;
   }
 
   std::unique_ptr<net::Cluster> cluster_;
@@ -110,17 +136,110 @@ TEST_F(FuseliteTest, DataSurvivesCacheDropAndRemoteReopen) {
 }
 
 TEST_F(FuseliteTest, RepeatedReadsHitCache) {
-  auto f = mount_->Create("/hot", kChunk);
-  ASSERT_TRUE(f.ok());
+  // The cold read of page 0 ships that page alone; the read of page 1
+  // continues its stream and fetches the whole replica, so the other 49
+  // reads of the chunk are hits.
+  const auto data = Pattern(kChunk, 9);
+  FileHandle f = StoredFile("/hot", data);
+  const uint64_t reads = ReadRequests();
+  const uint64_t fetched = mount_->client().bytes_fetched();
   std::vector<uint8_t> buf(kPage);
-  ASSERT_TRUE(f->Read(0, buf).ok());
-  const auto& t = mount_->cache().traffic();
-  const uint64_t fetched_before = t.fetched_chunks;
+  ASSERT_TRUE(f.Read(0, buf).ok());
+  EXPECT_EQ(ReadRequests() - reads, 1u);
+  EXPECT_EQ(mount_->client().bytes_fetched() - fetched, kPage);
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(f->Read((i % 16) * kPage, buf).ok());
+    const uint64_t off = (i % 16) * kPage;
+    ASSERT_TRUE(f.Read(off, buf).ok());
+    ASSERT_EQ(0, std::memcmp(buf.data(), data.data() + off, kPage)) << i;
   }
-  EXPECT_EQ(t.fetched_chunks, fetched_before);  // all within chunk 0
-  EXPECT_GE(t.hit_chunks, 50u);
+  const auto& t = mount_->cache().traffic();
+  EXPECT_EQ(t.fetched_chunks, 2u);  // page 0, then the whole chunk
+  EXPECT_EQ(t.hit_chunks, 49u);
+  EXPECT_EQ(ReadRequests() - reads, 2u);
+  EXPECT_EQ(mount_->client().bytes_fetched() - fetched, kPage + kChunk);
+}
+
+TEST_F(FuseliteTest, RandomPageMissShipsOnePage) {
+  // A miss that continues no stream: one request, the replica read and
+  // verified whole at the benefactor, one page on the wire, byte-exact.
+  FuseliteConfig cfg;
+  cfg.readahead = false;
+  Rebuild(cfg);
+  const auto data = Pattern(4 * kChunk, 14);
+  FileHandle f = StoredFile("/random", data);
+  const uint64_t reads = ReadRequests();
+  const uint64_t fetched = mount_->client().bytes_fetched();
+  const uint64_t wire = cluster_->network().bytes_transferred();
+  uint64_t device = 0;
+  for (size_t b = 0; b < store_->num_benefactors(); ++b) {
+    device += store_->benefactor(b).data_bytes_out();
+  }
+  const uint64_t off = 2 * kChunk + 9 * kPage;
+  std::vector<uint8_t> got(kPage);
+  ASSERT_TRUE(f.Read(off, got).ok());
+  EXPECT_EQ(0, std::memcmp(got.data(), data.data() + off, kPage));
+  EXPECT_EQ(ReadRequests() - reads, 1u);
+  EXPECT_EQ(mount_->client().bytes_fetched() - fetched, kPage);
+  const store::StoreConfig& sc = mount_->client().config();
+  EXPECT_EQ(cluster_->network().bytes_transferred() - wire,
+            sc.meta_request_bytes + kPage);
+  uint64_t device_after = 0;
+  for (size_t b = 0; b < store_->num_benefactors(); ++b) {
+    device_after += store_->benefactor(b).data_bytes_out();
+  }
+  EXPECT_EQ(device_after - device, kChunk);
+
+  // Only that page landed: its neighbour misses again.
+  ASSERT_TRUE(f.Read(off - kPage, got).ok());
+  EXPECT_EQ(0, std::memcmp(got.data(), data.data() + off - kPage, kPage));
+  EXPECT_EQ(ReadRequests() - reads, 2u);
+  EXPECT_EQ(mount_->client().bytes_fetched() - fetched, 2 * kPage);
+  EXPECT_EQ(mount_->cache().traffic().fetched_chunks.load(), 2u);
+}
+
+TEST_F(FuseliteTest, StreamMissFetchesWholeReplica) {
+  // A miss whose offset continues one of the file's streams fetches the
+  // whole replica, as the stream will read the rest of the chunk.
+  FuseliteConfig cfg;
+  cfg.readahead = false;
+  Rebuild(cfg);
+  const auto data = Pattern(2 * kChunk, 15);
+  FileHandle f = StoredFile("/stream", data);
+  std::vector<uint8_t> got(kPage);
+  ASSERT_TRUE(f.Read(kChunk - kPage, got).ok());  // chunk 0's last page
+  const uint64_t reads = ReadRequests();
+  const uint64_t fetched = mount_->client().bytes_fetched();
+  ASSERT_TRUE(f.Read(kChunk, got).ok());  // continues into chunk 1
+  EXPECT_EQ(0, std::memcmp(got.data(), data.data() + kChunk, kPage));
+  EXPECT_EQ(ReadRequests() - reads, 1u);
+  EXPECT_EQ(mount_->client().bytes_fetched() - fetched, kChunk);
+
+  // The whole chunk landed: reading all of it touches the store no more.
+  std::vector<uint8_t> all(kChunk);
+  ASSERT_TRUE(f.Read(kChunk, all).ok());
+  EXPECT_EQ(0, std::memcmp(all.data(), data.data() + kChunk, kChunk));
+  EXPECT_EQ(ReadRequests() - reads, 1u);
+  EXPECT_EQ(mount_->cache().traffic().fetched_chunks.load(), 2u);
+}
+
+TEST_F(FuseliteTest, MissAfterBlindWriteCountsOnceAsAFetch) {
+  // A full-page write creates the slot without a fetch; the later miss on
+  // another page of that chunk is one fetch, not also a hit.
+  const auto data = Pattern(kChunk, 16);
+  FileHandle f = StoredFile("/blind", data);
+  const auto mine = Pattern(kPage, 17);
+  ASSERT_TRUE(f.Write(3 * kPage, mine).ok());
+  std::vector<uint8_t> got(kPage);
+  ASSERT_TRUE(f.Read(7 * kPage, got).ok());
+  EXPECT_EQ(0, std::memcmp(got.data(), data.data() + 7 * kPage, kPage));
+  const auto& t = mount_->cache().traffic();
+  EXPECT_EQ(t.hit_chunks.load(), 0u);
+  EXPECT_EQ(t.fetched_chunks.load(), 1u);
+  // Reading the written page again is a hit.
+  ASSERT_TRUE(f.Read(3 * kPage, got).ok());
+  EXPECT_EQ(got, mine);
+  EXPECT_EQ(t.hit_chunks.load(), 1u);
+  EXPECT_EQ(t.fetched_chunks.load(), 1u);
 }
 
 TEST_F(FuseliteTest, LruEvictsUnderPressureAndFlushesDirtyPages) {
@@ -165,15 +284,37 @@ TEST_F(FuseliteTest, WholeChunkWritebackWhenOptimizationOff) {
 }
 
 TEST_F(FuseliteTest, FullChunkOverwriteSkipsFetch) {
-  auto f = mount_->Create("/overwrite", 2 * kChunk);
-  ASSERT_TRUE(f.ok());
+  const auto stored = Pattern(2 * kChunk, 10);
+  FileHandle f = StoredFile("/overwrite", stored);
+  const uint64_t reads = ReadRequests();
+  const uint64_t fetched = mount_->client().bytes_fetched();
   const auto chunk_img = Pattern(kChunk, 11);
-  ASSERT_TRUE(f->Write(0, chunk_img).ok());
+  ASSERT_TRUE(f.Write(0, chunk_img).ok());
   EXPECT_EQ(mount_->cache().traffic().fetched_chunks, 0u);
-  // A partial write to a cold chunk must fetch (read-modify-write).
+  EXPECT_EQ(ReadRequests(), reads);
+  // A partial write to a cold chunk must fetch (read-modify-write): its
+  // partial head and tail pages, 0 and 1, in one pages-only store call.
   const auto page = Pattern(kPage, 12);
-  ASSERT_TRUE(f->Write(kChunk + 512, page).ok());
+  ASSERT_TRUE(f.Write(kChunk + 512, page).ok());
   EXPECT_EQ(mount_->cache().traffic().fetched_chunks, 1u);
+  EXPECT_EQ(ReadRequests() - reads, 1u);
+  EXPECT_EQ(mount_->client().bytes_fetched() - fetched, 2 * kPage);
+
+  // Pages 0-1 now hold the old bytes around the write (a hit); page 3
+  // never landed, so reading it is a second one-page fetch.
+  std::vector<uint8_t> want(stored.begin() + kChunk, stored.end());
+  std::copy(page.begin(), page.end(), want.begin() + 512);
+  std::vector<uint8_t> got(2 * kPage);
+  ASSERT_TRUE(f.Read(kChunk, got).ok());
+  EXPECT_EQ(0, std::memcmp(got.data(), want.data(), 2 * kPage));
+  EXPECT_EQ(ReadRequests() - reads, 1u);
+  EXPECT_EQ(mount_->cache().traffic().hit_chunks, 1u);
+  std::vector<uint8_t> fourth(kPage);
+  ASSERT_TRUE(f.Read(kChunk + 3 * kPage, fourth).ok());
+  EXPECT_EQ(0, std::memcmp(fourth.data(), want.data() + 3 * kPage, kPage));
+  EXPECT_EQ(mount_->cache().traffic().fetched_chunks, 2u);
+  EXPECT_EQ(ReadRequests() - reads, 2u);
+  EXPECT_EQ(mount_->client().bytes_fetched() - fetched, 3 * kPage);
 }
 
 TEST_F(FuseliteTest, SequentialReadTriggersReadahead) {
