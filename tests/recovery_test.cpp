@@ -113,22 +113,17 @@ TEST(WalUnit, EveryRecordTypeRoundTrips) {
   link.file_id = 9;
   link.src_file = 7;
 
-  WalRecord redundancy;
-  redundancy.type = WalRecordType::kRedundancy;
-  redundancy.file_id = 7;
-  redundancy.mode = static_cast<uint8_t>(store::RedundancyMode::kErasure);
-
   for (const WalRecord* r : {&create, &extend, &cow, &complete, &replicas,
-                             &lost, &unlink, &link, &redundancy}) {
+                             &lost, &unlink, &link}) {
     wal.Append(clock, *r);
   }
-  EXPECT_EQ(wal.last_seq(), 9u);
+  EXPECT_EQ(wal.last_seq(), 8u);
   EXPECT_GT(clock.now(), 0);  // durability has a virtual-time cost
 
   auto replay = wal.ReadForRecovery(clock);
   EXPECT_FALSE(replay.used_checkpoint);
   EXPECT_FALSE(replay.torn_tail);
-  ASSERT_EQ(replay.records.size(), 9u);
+  ASSERT_EQ(replay.records.size(), 8u);
   for (size_t i = 0; i < replay.records.size(); ++i) {
     EXPECT_EQ(replay.records[i].seq, i + 1);
   }
@@ -174,10 +169,6 @@ TEST(WalUnit, EveryRecordTypeRoundTrips) {
   EXPECT_EQ(replay.records[7].type, WalRecordType::kLink);
   EXPECT_EQ(replay.records[7].file_id, 9u);
   EXPECT_EQ(replay.records[7].src_file, 7u);
-  EXPECT_EQ(replay.records[8].type, WalRecordType::kRedundancy);
-  EXPECT_EQ(replay.records[8].file_id, 7u);
-  EXPECT_EQ(replay.records[8].mode,
-            static_cast<uint8_t>(store::RedundancyMode::kErasure));
 }
 
 WalRecord UnlinkRecord(uint64_t file_id) {
@@ -758,7 +749,6 @@ TEST(CrashMatrix, EcStripeTornBetweenEncodeAndCommitRollsBack) {
 
   auto loc = rig.store.manager().PrepareWrite(clock, id, 0);
   ASSERT_TRUE(loc.ok());
-  ASSERT_TRUE(loc->ec);
   EXPECT_GT(loc->key.version, 0u);  // it really was a COW prepare
   ASSERT_EQ(loc->benefactors.size(), 6u);
 
@@ -1129,6 +1119,23 @@ TEST(Regression, CompletionLogsOnlyDurableChecksumTransitions) {
   uint32_t got = 0;
   EXPECT_FALSE(rig.store.manager().LookupChecksum(loc3->key, &got))
       << "the checksum erase must be durable";
+}
+
+TEST(Regression, ErasureFileFirstFallocateAppendsOnlyItsExtend) {
+  // The redundancy code belongs to the store, not the file: an
+  // erasure-coded file's first Fallocate journals its placements, nothing
+  // else.
+  EcRig rig;
+  sim::VirtualClock clock(0);
+  auto id = rig.client().Create(clock, "/ec-extend");
+  ASSERT_TRUE(id.ok());
+  WalStore* wal = rig.store.wal();
+  const uint64_t base = wal->appends();
+  ASSERT_TRUE(rig.client().Fallocate(clock, *id, kChunk).ok());
+  EXPECT_EQ(wal->appends(), base + 1);
+  auto replay = wal->ReadForRecovery(clock);
+  ASSERT_FALSE(replay.records.empty());
+  EXPECT_EQ(replay.records.back().type, WalRecordType::kExtend);
 }
 
 // ---------------------------------------------------------------------------

@@ -148,7 +148,6 @@ struct Harness {
         //    benefactors per chunk (erasure: exactly k+m, positional, no
         //    holes after quiesce — the sequences below only run hole-free
         //    combinations), and a live refcount.
-        ASSERT_EQ(loc.ec, ec);
         ASSERT_EQ(loc.benefactors.size(), want_members);
         std::set<int> distinct(loc.benefactors.begin(), loc.benefactors.end());
         ASSERT_EQ(distinct.size(), loc.benefactors.size());
