@@ -115,8 +115,8 @@ class StoreClient {
   // member arrived (plus the decode when a stripe read parity).  A run
   // that fails (benefactor death or rot mid-stream) is discarded whole and
   // every chunk it touched is re-read through the per-chunk path
-  // (ReadChunk's replica failover, or ReadStripe's parity failover); the
-  // later runs skip those chunks' other members.  A run of one is charged
+  // (ReadMembers: the next replica, or parity); the later runs skip those
+  // chunks' other members.  A run of one is charged
   // exactly like ReadChunk.  `clock` itself advances only past the
   // metadata lookup; callers consume the per-chunk `ready_at` completion
   // times.  Returns non-OK only if the batched lookup fails outright;
@@ -215,8 +215,9 @@ class StoreClient {
   // wrappers record per-tenant end-to-end latency; internal re-entries
   // (run fallbacks, the erasure read-modify-write) call these directly so
   // a single logical operation is recorded exactly once.  ReadChunkInner
-  // is also the per-chunk read path: single misses (a page range) and
-  // run-failure fallbacks (the whole chunk).
+  // is also the per-chunk read path — single misses (a page range) and
+  // run-failure fallbacks (the whole chunk): ReadMembers against the
+  // cached location, then once more against a fresh one.
   StatusOr<PageRange> ReadChunkInner(sim::VirtualClock& clock, FileId id,
                                      uint32_t chunk_index, size_t first_page,
                                      size_t last_page, std::span<uint8_t> out,
@@ -256,19 +257,24 @@ class StoreClient {
   Status WriteRun(sim::VirtualClock& clock, int benefactor,
                   std::span<const ChunkWriteItem> items);
   // One read attempt of pages [first_page, last_page] against a resolved
-  // erasure stripe: the data fragments that hold the pages are fetched in
-  // parallel (clocks forked at the issue time, caller joins at the max)
-  // and land in `out` in place, each shipping whole or only its share of
-  // the pages (`ship`).  A covering hole puts the rest of the k into that
-  // first round, all shipped whole; a covering failure pulls the other
-  // live fragments into later rounds (sim::ForkJoinRounds) until k are in
-  // hand, the covering holders that shipped only pages send the rest of
-  // their fragments, and the chunk is reconstructed — a degraded read.
-  // Fails only when fewer than k fragments of the stripe are readable.
-  StatusOr<PageRange> ReadStripe(sim::VirtualClock& clock, FileId id,
-                                 uint32_t chunk_index, const ReadLocation& loc,
-                                 size_t first_page, size_t last_page,
-                                 std::span<uint8_t> out, Ship ship);
+  // location, one body for both codes (Manager::code()).  Each member
+  // with a slice (Redundancy::Slice: a replica all of the chunk, data
+  // fragment p the p-th slice) lands in `out` in place.  The first
+  // sim::ForkJoinRounds round fetches one listed member per slice that
+  // covers the pages, on clocks forked at the issue time, each shipping
+  // whole or only its share of the pages (`ship`); a failure (a dead
+  // holder, reported once through MarkDead, or rot, quarantined once
+  // through ReportCorrupt) pulls the next listed member into a later
+  // round until `need` are in hand.  A replica is its slice's next
+  // holder, so a replicated read fails over sequentially, replica by
+  // replica.  Only a read that lost a covering slice — a covering hole
+  // puts any `need` members, whole, into the first round — has its
+  // pages-only members send the rest and decodes the chunk from parity:
+  // a degraded read.  Fails when fewer than `need` members are readable.
+  StatusOr<PageRange> ReadMembers(sim::VirtualClock& clock, FileId id,
+                                  uint32_t chunk_index, const ReadLocation& loc,
+                                  size_t first_page, size_t last_page,
+                                  std::span<uint8_t> out, Ship ship);
   // A degraded read's client-side decode: rebuild the stripe from the k
   // fragments present in `frags` (positional, empty = not read) into
   // `out`.  Returns the modelled decode time, charged as one chunk through
