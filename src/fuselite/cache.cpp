@@ -82,6 +82,38 @@ void ChunkCache::TouchLocked(Shard& sh, const SlotKey& key, Slot& slot) {
   sh.oldest_tick.store(sh.lru.back().second, std::memory_order_relaxed);
 }
 
+ChunkCache::Slot ChunkCache::NewSlot() const {
+  Slot slot;
+  slot.data.assign(chunk_bytes(), 0);
+  slot.dirty = Bitmap(chunk_bytes() / page_bytes());
+  slot.valid = Bitmap(chunk_bytes() / page_bytes());
+  return slot;
+}
+
+ChunkCache::Slot& ChunkCache::InsertLocked(Shard& sh, const SlotKey& key,
+                                           Slot slot) {
+  const uint64_t tick = lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
+  sh.lru.push_front({key, tick});
+  auto [ins, ok] = sh.slots.emplace(key, std::move(slot));
+  NVM_CHECK(ok);
+  ins->second.lru_it = sh.lru.begin();
+  sh.oldest_tick.store(sh.lru.back().second, std::memory_order_relaxed);
+  return ins->second;
+}
+
+ChunkCache::SlotMap::iterator ChunkCache::EraseLocked(Shard& sh,
+                                                      SlotMap::iterator it) {
+  if (it->second.ra_pending) {
+    ra_pending_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  sh.lru.erase(it->second.lru_it);
+  it = sh.slots.erase(it);
+  sh.oldest_tick.store(sh.lru.empty() ? ~0ULL : sh.lru.back().second,
+                       std::memory_order_relaxed);
+  resident_.fetch_sub(1, std::memory_order_relaxed);
+  return it;
+}
+
 int64_t ChunkCache::ScheduleOnDaemon(int64_t t0, int64_t duration_ns) {
   if (duration_ns <= 0) return t0;
   auto& lane = *daemons_[daemon_rr_.fetch_add(1, std::memory_order_relaxed) %
@@ -210,15 +242,7 @@ Status ChunkCache::ReserveResidency(sim::VirtualClock& clock, size_t count) {
       NVM_CHECK(it != victim->slots.end());
       if (it->second.dirty.None()) {
         // Clean victim: evict immediately.
-        if (it->second.ra_pending) {
-          ra_pending_.fetch_sub(1, std::memory_order_relaxed);
-        }
-        victim->lru.pop_back();
-        victim->slots.erase(it);
-        victim->oldest_tick.store(
-            victim->lru.empty() ? ~0ULL : victim->lru.back().second,
-            std::memory_order_relaxed);
-        resident_.fetch_sub(1, std::memory_order_relaxed);
+        EraseLocked(*victim, it);
         ++traffic_.evictions;
         continue;
       }
@@ -286,18 +310,9 @@ StatusOr<ChunkCache::Slot*> ChunkCache::GetOrCreateSlot(
     return &it->second;
   }
 
-  Slot slot;
-  slot.data.assign(chunk_bytes(), 0);
-  slot.dirty = Bitmap(chunk_bytes() / page_bytes());
-  slot.valid = Bitmap(chunk_bytes() / page_bytes());
+  Slot slot = NewSlot();
   slot.ready_at = clock.now();
-  const uint64_t tick = lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-  sh.lru.push_front({key, tick});
-  auto [ins, ok] = sh.slots.emplace(key, std::move(slot));
-  NVM_CHECK(ok);
-  ins->second.lru_it = sh.lru.begin();
-  sh.oldest_tick.store(sh.lru.back().second, std::memory_order_relaxed);
-  return &ins->second;
+  return &InsertLocked(sh, key, std::move(slot));
 }
 
 StatusOr<bool> ChunkCache::EnsureValidLocked(sim::VirtualClock& clock,
@@ -375,12 +390,11 @@ Status ChunkCache::FetchRun(sim::VirtualClock& clock, store::FileId file,
     return prefetch ? OkStatus() : reserved;
   }
 
-  std::vector<Slot> slots(absent.size());
+  std::vector<Slot> slots;
+  slots.reserve(absent.size());
   std::vector<store::StoreClient::ChunkFetch> fetches(absent.size());
   for (size_t i = 0; i < absent.size(); ++i) {
-    slots[i].data.assign(chunk_bytes(), 0);
-    slots[i].dirty = Bitmap(chunk_bytes() / page_bytes());
-    slots[i].valid = Bitmap(chunk_bytes() / page_bytes());
+    slots.push_back(NewSlot());
     fetches[i].index = absent[i];
     fetches[i].out = slots[i].data;
   }
@@ -431,13 +445,7 @@ Status ChunkCache::FetchRun(sim::VirtualClock& clock, store::FileId file,
       resident_.fetch_sub(1, std::memory_order_relaxed);
       continue;  // raced with another fetcher; keep the existing copy
     }
-    const uint64_t tick =
-        lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-    sh.lru.push_front({key, tick});
-    auto [ins, ok] = sh.slots.emplace(key, std::move(slot));
-    NVM_CHECK(ok);
-    ins->second.lru_it = sh.lru.begin();
-    sh.oldest_tick.store(sh.lru.back().second, std::memory_order_relaxed);
+    InsertLocked(sh, key, std::move(slot));
     if (prefetch) {
       ++traffic_.prefetched_chunks;
       ra_pending_.fetch_add(1, std::memory_order_relaxed);
@@ -602,15 +610,7 @@ Status ChunkCache::Read(sim::VirtualClock& clock, store::FileId file,
       std::lock_guard<std::mutex> plock(psh.mutex);
       auto pit = psh.slots.find(prev);
       if (pit != psh.slots.end() && pit->second.dirty.None()) {
-        if (pit->second.ra_pending) {
-          ra_pending_.fetch_sub(1, std::memory_order_relaxed);
-        }
-        psh.lru.erase(pit->second.lru_it);
-        psh.slots.erase(pit);
-        psh.oldest_tick.store(
-            psh.lru.empty() ? ~0ULL : psh.lru.back().second,
-            std::memory_order_relaxed);
-        resident_.fetch_sub(1, std::memory_order_relaxed);
+        EraseLocked(psh, pit);
         ++traffic_.evictions;
       }
     }
@@ -705,25 +705,10 @@ Status ChunkCache::Flush(sim::VirtualClock& clock, store::FileId file) {
 
 Status ChunkCache::Drop(sim::VirtualClock& clock, store::FileId file) {
   // Best-effort write-back of the file's dirty chunks, in batched windows.
-  std::vector<uint32_t> indices;
-  for (const auto& shp : shards_) {
-    std::lock_guard<std::mutex> lock(shp->mutex);
-    for (auto& [key, slot] : shp->slots) {
-      if (key.file != file || slot.dirty.None()) continue;
-      indices.push_back(key.index);
-    }
-  }
-  std::sort(indices.begin(), indices.end());
-  for (size_t i = 0; i < indices.size(); i += kMaxBatchChunks) {
-    const size_t n = std::min<size_t>(kMaxBatchChunks, indices.size() - i);
-    const Status flushed = FlushFileWindow(
-        clock, file, std::span<const uint32_t>(indices).subspan(i, n),
-        /*background=*/false);
-    if (!flushed.ok()) {
-      NVM_WLOG("write-back failed while dropping file %llu: %s",
-               static_cast<unsigned long long>(file),
-               flushed.message().c_str());
-    }
+  const Status flushed = Flush(clock, file);
+  if (!flushed.ok()) {
+    NVM_WLOG("write-back failed while dropping file %llu: %s",
+             static_cast<unsigned long long>(file), flushed.message().c_str());
   }
 
   for (const auto& shp : shards_) {
@@ -745,16 +730,8 @@ Status ChunkCache::Drop(sim::VirtualClock& clock, store::FileId file) {
                  it->first.index,
                  static_cast<unsigned long long>(it->first.file));
       }
-      if (it->second.ra_pending) {
-        ra_pending_.fetch_sub(1, std::memory_order_relaxed);
-      }
-      shp->lru.erase(it->second.lru_it);
-      it = shp->slots.erase(it);
-      resident_.fetch_sub(1, std::memory_order_relaxed);
+      it = EraseLocked(*shp, it);
     }
-    shp->oldest_tick.store(
-        shp->lru.empty() ? ~0ULL : shp->lru.back().second,
-        std::memory_order_relaxed);
   }
   std::lock_guard<std::mutex> lock(stream_mutex_);
   streams_.erase(file);

@@ -190,9 +190,10 @@ class ChunkCache {
     bool ra_pending = false;
     LruList::iterator lru_it;
   };
+  using SlotMap = std::unordered_map<SlotKey, Slot, SlotKeyHash>;
   struct Shard {
     mutable std::mutex mutex;
-    std::unordered_map<SlotKey, Slot, SlotKeyHash> slots;
+    SlotMap slots;
     LruList lru;  // front = most recent
     // Tick of lru.back(); ~0 when empty.  Read without the lock by the
     // global eviction policy to find the shard holding the oldest entry.
@@ -250,6 +251,14 @@ class ChunkCache {
   // reservation and must fetch_sub what it does not insert.
   Status ReserveResidency(sim::VirtualClock& clock, size_t count);
   void TouchLocked(Shard& sh, const SlotKey& key, Slot& slot);
+  // An empty slot: zeroed data, no dirty or valid page.
+  Slot NewSlot() const;
+  // Insert `slot` as the shard's most recently used entry (`sh.mutex`
+  // held; the caller owns the residency it takes).
+  Slot& InsertLocked(Shard& sh, const SlotKey& key, Slot slot);
+  // Remove a resident slot (`sh.mutex` held), releasing its residency and
+  // any read-ahead budget it held; returns the next slot.
+  SlotMap::iterator EraseLocked(Shard& sh, SlotMap::iterator it);
   // Batched fetch of up to `count` wholly-absent chunks starting at
   // `first`: one manager lookup round-trip, parallel transfers on
   // detached clocks, slots inserted ready_at their completion times.
