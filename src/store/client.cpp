@@ -688,9 +688,9 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
   }
 
   // One metadata round-trip COW-resolves the whole window.  A window of
-  // one takes the per-chunk manager calls, which charge exactly what the
-  // batch calls of one do; they survive because the repository
-  // benchmark's traced build wraps them (fold them in when it changes).
+  // one takes the per-chunk manager calls, which are the batch calls of
+  // one; they survive because the repository benchmark's traced build
+  // wraps them (fold them in when it changes).
   ChargeMetaRoundTrip(clock);
   std::vector<WriteLocation> locs;  // parallel to active
   Status prepared = OkStatus();

@@ -244,18 +244,7 @@ void MaintenanceService::RepairBatch(sim::VirtualClock& clock) {
   }
   const int64_t busy = clock.now() - busy_start;
   repair_busy_ns_.fetch_add(busy, std::memory_order_relaxed);
-  // Duty-cycle throttle: after `busy` ns of repair traffic the worker
-  // idles busy*(1-f)/f ns.  The idle shows up as gaps in the device and
-  // NIC timelines, which foreground requests backfill — so at f=0.1,
-  // repair consumes at most ~10% of any resource over time.  With QoS on
-  // the idle is skipped and only tenant admission paces repair — which
-  // lets a burst booked before any foreground traffic through (qos_on_).
-  if (bw_fraction_ < 1.0 && busy > 0 && !qos_on_) {
-    const auto idle = static_cast<int64_t>(
-        static_cast<double>(busy) * (1.0 - bw_fraction_) / bw_fraction_);
-    clock.Advance(idle);
-    throttle_idle_ns_.fetch_add(idle, std::memory_order_relaxed);
-  }
+  IdleAfter(clock, busy);
   if (queue_depth_.load(std::memory_order_relaxed) == 0) {
     converged_ns_.store(clock.now(), std::memory_order_relaxed);
   }
@@ -308,13 +297,7 @@ void MaintenanceService::ScrubPass(sim::VirtualClock& clock) {
       manager_.VerifyScrub(clock, manager_.config().scrub_verify_bytes);
   scrub_chunks_verified_.Add(verified.chunks_checked);
   scrub_bytes_verified_.Add(verified.bytes_checked);
-  const int64_t busy = clock.now() - busy_start;
-  if (bw_fraction_ < 1.0 && busy > 0 && !qos_on_) {
-    const auto idle = static_cast<int64_t>(
-        static_cast<double>(busy) * (1.0 - bw_fraction_) / bw_fraction_);
-    clock.Advance(idle);
-    throttle_idle_ns_.fetch_add(idle, std::memory_order_relaxed);
-  }
+  IdleAfter(clock, clock.now() - busy_start);
 
   for (const ChunkKey& key : result.under_replicated) {
     // Chunks the report path missed (e.g. a benefactor died between
@@ -324,6 +307,20 @@ void MaintenanceService::ScrubPass(sim::VirtualClock& clock) {
   for (const ChunkKey& key : verified.quarantined) {
     // Quarantined bit rot with a verified survivor: re-replicate.
     if (Enqueue(key, clock.now())) scrub_requeued_.Add(1);
+  }
+}
+
+void MaintenanceService::IdleAfter(sim::VirtualClock& clock, int64_t busy) {
+  // The idle shows up as gaps in the device and NIC timelines, which
+  // foreground requests backfill — so at f=0.1, maintenance consumes at
+  // most ~10% of any resource over time.  With QoS on the idle is skipped
+  // and only tenant admission paces maintenance — which lets a burst
+  // booked before any foreground traffic through (qos_on_).
+  if (bw_fraction_ < 1.0 && busy > 0 && !qos_on_) {
+    const auto idle = static_cast<int64_t>(
+        static_cast<double>(busy) * (1.0 - bw_fraction_) / bw_fraction_);
+    clock.Advance(idle);
+    throttle_idle_ns_.fetch_add(idle, std::memory_order_relaxed);
   }
 }
 

@@ -161,6 +161,9 @@ class MaintenanceService {
   void HeartbeatSweep(sim::VirtualClock& clock);
   void ScrubPass(sim::VirtualClock& clock);
   void CheckpointPass(sim::VirtualClock& clock);
+  // Duty-cycle throttle: after `busy` ns of maintenance traffic the worker
+  // idles busy*(1-f)/f ns (none at f=1 or with QoS on).
+  void IdleAfter(sim::VirtualClock& clock, int64_t busy);
 
   Manager& manager_;
   const int64_t heartbeat_period_ns_;

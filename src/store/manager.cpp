@@ -239,28 +239,12 @@ void Manager::CompleteWriteLocked(MetaShard& shard, const ChunkKey& key,
 void Manager::CompleteWrite(sim::VirtualClock& clock, const ChunkKey& key,
                             const uint32_t* crc,
                             std::span<const uint32_t> frag_crcs) {
-  MetaShard& shard = shards_[shard_of(key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (wal_ != nullptr) {
-    auto cit = shard.chunks.find(key);
-    if (cit != shard.chunks.end()) {
-      const ChunkHandle& h = *cit->second;
-      // Log-before-publish: the erase of a stale checksum is as durable a
-      // transition as a new one — without it, recovery would stamp the old
-      // checksum onto bytes a failed flush left in an unknown state.
-      if (crc != nullptr || h.has_crc) {
-        WalRecord rec;
-        rec.type = WalRecordType::kComplete;
-        WalCompletion done{key, crc != nullptr, crc != nullptr ? *crc : 0};
-        if (crc != nullptr) {
-          done.frag_crcs.assign(frag_crcs.begin(), frag_crcs.end());
-        }
-        rec.completions.push_back(std::move(done));
-        LogAppend(clock, std::move(rec));
-      }
-    }
-  }
-  CompleteWriteLocked(shard, key, crc, frag_crcs);
+  WriteLocation loc;
+  loc.key = key;
+  loc.frag_crcs.assign(frag_crcs.begin(), frag_crcs.end());
+  CompleteWrites(clock, {&loc, 1},
+                 crc != nullptr ? std::span<const uint32_t>(crc, 1)
+                                : std::span<const uint32_t>());
 }
 
 void Manager::CompleteWrites(sim::VirtualClock& clock,
@@ -484,6 +468,14 @@ Status Manager::Fallocate(sim::VirtualClock& clock, FileId id,
   // file mutex is still held (below): resolves of the new slots need that
   // mutex, so nothing observes the placements before their record exists.
   std::vector<WalPlacement> wal_placements;
+  const auto log_extend = [&](uint64_t logical_size) {
+    WalRecord rec;
+    rec.type = WalRecordType::kExtend;
+    rec.file_id = id;
+    rec.size = logical_size;
+    rec.placements = std::move(wal_placements);
+    LogAppend(clock, std::move(rec));
+  };
   while (meta.chunks.size() < want_chunks) {
     // First choice per the stripe policy; the engine then ranks the
     // remaining alive benefactors (rotation order, suspected-last and
@@ -528,14 +520,7 @@ Status Manager::Fallocate(sim::VirtualClock& clock, FileId id,
       // The chunks placed by EARLIER loop iterations stay (they are live
       // in the file already): log them with the unchanged logical size so
       // the durable image matches what the caller can now read.
-      if (wal_ != nullptr && !wal_placements.empty()) {
-        WalRecord rec;
-        rec.type = WalRecordType::kExtend;
-        rec.file_id = id;
-        rec.size = meta.size;
-        rec.placements = std::move(wal_placements);
-        LogAppend(clock, std::move(rec));
-      }
+      if (!wal_placements.empty()) log_extend(meta.size);
       // Nothing alive at all is unavailability, not exhaustion — the old
       // silent stripe-cursor fallback reported it as out-of-space.
       bool any_alive = false;
@@ -571,14 +556,8 @@ Status Manager::Fallocate(sim::VirtualClock& clock, FileId id,
     slock.unlock();
     meta.chunks.push_back(std::move(h));
   }
-  if (wal_ != nullptr &&
-      (!wal_placements.empty() || size > meta.size)) {
-    WalRecord rec;
-    rec.type = WalRecordType::kExtend;
-    rec.file_id = id;
-    rec.size = std::max(meta.size, size);
-    rec.placements = std::move(wal_placements);
-    LogAppend(clock, std::move(rec));
+  if (wal_ != nullptr && (!wal_placements.empty() || size > meta.size)) {
+    log_extend(std::max(meta.size, size));
   }
   meta.size = std::max(meta.size, size);
   return OkStatus();
@@ -587,18 +566,9 @@ Status Manager::Fallocate(sim::VirtualClock& clock, FileId id,
 StatusOr<ReadLocation> Manager::GetReadLocation(sim::VirtualClock& clock,
                                                 FileId id,
                                                 uint32_t chunk_index) {
-  ChargeOp(clock, FileLane(id));
-  std::shared_ptr<FileMeta> meta = FindFile(id);
-  if (meta == nullptr) return NotFound("file id " + std::to_string(id));
-  // The fast path: a shared file lock plus one atomic snapshot load — no
-  // shard mutex.
-  std::shared_lock<std::shared_mutex> lock(meta->mu);
-  if (chunk_index >= meta->chunks.size()) {
-    return OutOfRange("chunk " + std::to_string(chunk_index) +
-                      " beyond EOF of '" + meta->name + "'");
-  }
-  const ChunkHandle& h = *meta->chunks[chunk_index];
-  return ReadLocation{h.key, *h.replicas.load(std::memory_order_acquire)};
+  NVM_ASSIGN_OR_RETURN(std::vector<ReadLocation> locs,
+                       GetReadLocations(clock, id, chunk_index, 1));
+  return std::move(locs.front());
 }
 
 StatusOr<std::vector<ReadLocation>> Manager::GetReadLocations(
@@ -751,15 +721,9 @@ StatusOr<WriteLocation> Manager::PrepareWriteSlot(
 StatusOr<WriteLocation> Manager::PrepareWrite(sim::VirtualClock& clock,
                                               FileId id,
                                               uint32_t chunk_index) {
-  ChargeOp(clock, FileLane(id));
-  std::shared_ptr<FileMeta> meta = FindFile(id);
-  if (meta == nullptr) return NotFound("file id " + std::to_string(id));
-  // Suspicion snapshot before any file/shard lock (see Fallocate).
-  std::vector<char> suspected;
-  if (config_.placement_avoid_suspected) suspected = SuspectedBenefactors();
-  std::unique_lock<std::shared_mutex> lock(meta->mu);
-  return PrepareWriteSlot(clock, id, *meta, chunk_index,
-                          suspected.empty() ? nullptr : &suspected);
+  NVM_ASSIGN_OR_RETURN(std::vector<WriteLocation> locs,
+                       PrepareWriteBatch(clock, id, {&chunk_index, 1}));
+  return std::move(locs.front());
 }
 
 StatusOr<std::vector<WriteLocation>> Manager::PrepareWriteBatch(

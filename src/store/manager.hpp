@@ -19,8 +19,7 @@
 //     referencing file slots — and its replica list is an atomically-
 //     swapped immutable snapshot: stores happen only under the owning
 //     shard's mutex (publish-on-commit), loads are lock-free.  The read-
-//     resolve fast path (GetReadLocation/GetReadLocations) therefore takes
-//     NO shard lock.
+//     resolve fast path (GetReadLocations) therefore takes NO shard lock.
 //   * Cross-shard lock sets (CompleteWrites over a flush window, the COW
 //     old/new pair of a prepare, the scrubber's stop-the-world pass) are
 //     always acquired in ascending shard-index order — the same deadlock-
@@ -305,7 +304,7 @@ class Manager {
   };
 
   // Every distinct chunk key that is degraded but not lost under the rule
-  // above — the same test ScrubOnce's requeue pass applies.  Shards are
+  // above — ScrubOnce's requeue pass and RepairReplication.  Shards are
   // visited one at a time; the result is sorted by key so it does not
   // depend on the shard count or hash iteration order.
   std::vector<ChunkKey> CollectUnderReplicated() const;
@@ -358,14 +357,15 @@ class Manager {
                                        uint64_t* lost = nullptr);
 
   // One scrub pass (store/scrub.cpp) reconciling metadata against
-  // benefactor state, with EVERY shard mutex held (ascending — a
-  // stop-the-world metadata pass, no data transfers): deletes stored
-  // chunks no file references any more (orphans of failed repairs or
-  // unlinks against dead benefactors), fixes reservation-accounting
-  // drift, and reports under-replicated chunks for re-queueing.  Holding
-  // all shards makes the drift comparison race-free: reservations only
-  // move under some shard mutex.  In-flight repair targets (planned, not
-  // yet committed) are exempt from both the orphan sweep and the drift
+  // benefactor state: the inventory sweep, with EVERY shard mutex held
+  // (ascending — a stop-the-world metadata pass, no data transfers),
+  // deletes stored chunks no file references any more (orphans of failed
+  // repairs or unlinks against dead benefactors) and fixes
+  // reservation-accounting drift; then, with the locks dropped,
+  // CollectUnderReplicated reports degraded chunks for re-queueing.
+  // Holding all shards makes the drift comparison race-free: reservations
+  // only move under some shard mutex.  In-flight repair targets (planned,
+  // not yet committed) are exempt from both the orphan sweep and the drift
   // accounting — a concurrent repair's copy legitimately stores data the
   // replica lists do not name yet.
   struct ScrubResult {
@@ -471,56 +471,54 @@ class Manager {
                    int client_node = -1);
 
   // --- data-plane lookups ---
+  //
+  // Every request is a batch: a window of chunks costs one metadata
+  // service op.  GetReadLocation, PrepareWrite and CompleteWrite are the
+  // batch calls over a window of one and charge exactly what those do.
 
-  // The read-resolve fast path: file table shared locks plus one atomic
-  // replica-snapshot load per chunk — no shard mutex.
-  StatusOr<ReadLocation> GetReadLocation(sim::VirtualClock& clock, FileId id,
-                                         uint32_t chunk_index);
-  // Batched variant: locations of `count` consecutive chunks starting at
-  // `first`, clamped at EOF.  Charges ONE metadata service op for the
-  // whole batch — the control-plane saving behind the client's coalesced
-  // miss and read-ahead paths.
+  // Locations of `count` consecutive chunks starting at `first`, clamped
+  // at EOF.  The read-resolve fast path: file table shared locks plus one
+  // atomic replica-snapshot load per chunk — no shard mutex.  Charges ONE
+  // metadata service op for the whole batch — the control-plane saving
+  // behind the client's coalesced miss and read-ahead paths.
   StatusOr<std::vector<ReadLocation>> GetReadLocations(
       sim::VirtualClock& clock, FileId id, uint32_t first, uint32_t count);
-  // Resolve the target for writing a chunk, performing the copy-on-write
+  StatusOr<ReadLocation> GetReadLocation(sim::VirtualClock& clock, FileId id,
+                                         uint32_t chunk_index);
+  // Resolve a whole flush window (any set of chunk indices of one file) in
+  // ONE metadata service op, performing each chunk's copy-on-write
   // decision: a chunk shared with a checkpoint gets a fresh version.
-  // Every successful prepare MUST be paired with one CompleteWrite of the
-  // returned key once the replica transfers finish (success or failure) —
-  // the open prepare fences the repair engine off the chunk.
-  StatusOr<WriteLocation> PrepareWrite(sim::VirtualClock& clock, FileId id,
-                                       uint32_t chunk_index);
-  // Batched variant: resolve a whole flush window (any set of chunk
-  // indices of one file) in ONE metadata service op, including the
-  // copy-on-write version bumps — the control-plane saving behind the
-  // client's batched write-back path.  Result order matches `indices`.
-  // On error no write is left open; on success every returned location
-  // must be completed (CompleteWrite / CompleteWrites).
+  // Result order matches `indices`.  On error no write is left open; on
+  // success every returned location MUST be completed (CompleteWrites)
+  // once its member transfers finish (success or failure) — the open
+  // prepare fences the repair engine off the chunk.
   StatusOr<std::vector<WriteLocation>> PrepareWriteBatch(
       sim::VirtualClock& clock, FileId id, std::span<const uint32_t> indices);
-  // The write prepared for `key` has finished moving data (or given up):
-  // drops the in-flight-writer fence and moves the repair epoch, so a
-  // repair copy taken while the write was in flight can never commit.
-  // `crc` (when non-null) becomes the chunk's authoritative checksum —
-  // callers pass it only when at least one replica holds the data.  The
-  // checksum transition (set OR erase) is logged to the WAL, charged to
-  // `clock`, before it is published.  For an
-  // erasure-coded chunk `frag_crcs` (k+m entries, positional) carries the
-  // per-fragment checksums that become authoritative alongside `crc`.
-  void CompleteWrite(sim::VirtualClock& clock, const ChunkKey& key,
-                     const uint32_t* crc = nullptr,
-                     std::span<const uint32_t> frag_crcs = {});
-  // Batch variant: the involved shard set is locked once, in ascending
-  // index order, and the whole prepared window completes in that one lock
-  // pass.  `crcs` (parallel to locs; may be empty) carries the flush-time
-  // checksums, recorded per chunk only where `ok` (parallel; may be empty
-  // = all ok) says the write committed; an erasure stripe's fragment
-  // checksums ride on its location (`WriteLocation::frag_crcs`) and are
-  // recorded with it.  One batched WAL record covers the whole window,
-  // appended before any in-memory mutation.
+  StatusOr<WriteLocation> PrepareWrite(sim::VirtualClock& clock, FileId id,
+                                       uint32_t chunk_index);
+  // The writes prepared for `locs` have finished moving data (or given
+  // up): each drops its in-flight-writer fence and moves its repair
+  // epoch, so a repair copy taken while the write was in flight can never
+  // commit.  The involved shard set is locked once, in ascending index
+  // order, and the whole window completes in that one lock pass.  `crcs`
+  // (parallel to locs; may be empty) carries the flush-time checksums; one
+  // becomes the chunk's authoritative checksum only where `ok` (parallel;
+  // may be empty = all ok) says the write committed, and a chunk completed
+  // without one has any stale checksum erased.  An erasure stripe's
+  // fragment checksums ride on its location (`WriteLocation::frag_crcs`)
+  // and are recorded with it.  One batched WAL record carries the window's
+  // checksum transitions (set OR erase), charged to `clock` and appended
+  // before any in-memory mutation.  The crash point kMidBatch fires on
+  // entry.
   void CompleteWrites(sim::VirtualClock& clock,
                       std::span<const WriteLocation> locs,
                       std::span<const uint32_t> crcs = {},
                       std::span<const char> ok = {});
+  // One location's completion: `crc` may be null, and an erasure stripe
+  // passes its positional fragment checksums (k+m entries).
+  void CompleteWrite(sim::VirtualClock& clock, const ChunkKey& key,
+                     const uint32_t* crc = nullptr,
+                     std::span<const uint32_t> frag_crcs = {});
 
   // --- checkpoint support ---
 
@@ -552,8 +550,9 @@ class Manager {
   // benefactor inventories — per-replica write-time {has_crc, crc}
   // metadata decides conflicts, so a chunk either comes back with bytes
   // that verify or is surfaced as lost (empty location list), never with
-  // wrong bytes.  Charges the log reads and the per-benefactor inventory
-  // round-trips to `clock`.  No-op without a WAL.
+  // wrong bytes — and finish with the scrubber's inventory sweep (orphans
+  // and reservations).  Charges the log reads and the sweep's
+  // per-benefactor round-trips to `clock`.  No-op without a WAL.
   RecoveryReport Recover(sim::VirtualClock& clock);
 
  private:
@@ -711,7 +710,7 @@ class Manager {
   // published list.
   void UndoRepairTargetLocked(MetaShard& shard, const ChunkKey& key, int bid,
                               uint64_t bytes);
-  // Shard-mutex-held core of CompleteWrite.
+  // Shard-mutex-held core of CompleteWrites, for one location.
   void CompleteWriteLocked(MetaShard& shard, const ChunkKey& key,
                            const uint32_t* crc = nullptr,
                            std::span<const uint32_t> frag_crcs = {});
@@ -719,16 +718,34 @@ class Manager {
   // commit has not run yet (shard mu held).
   bool IsRepairTargetLocked(const MetaShard& shard, const ChunkKey& key,
                             int bid) const;
-  // Strip the corrupt replica (key, bid): drop its data and space, publish
-  // the shortened list, bump the repair epoch.  A strip that crosses below
-  // `need` reclaims the survivors too and publishes the empty list.
-  // Returns false when bid is no longer in the chunk's list (already
-  // quarantined or replaced) — nothing new to learn.  Shard mu held.  The
-  // shortened list is logged BEFORE the replica's data is dropped: the
-  // reverse order would leave a crashed recovery believing the deleted
-  // replica still held the bytes.
+  // Quarantine the corrupt replica (key, bid): count it, remember the
+  // device in the chunk's correlated-loss memory, strip it
+  // (StripMembersLocked) and bump the repair epoch.  Returns false when
+  // bid is no longer in the chunk's list (already quarantined or
+  // replaced) — nothing new to learn.  Shard mu held.
   bool QuarantineReplicaLocked(sim::VirtualClock& clock, MetaShard& shard,
                                const ChunkKey& key, int bid);
+  // The one member strip (store/repair.cpp), shared by quarantine and the
+  // repair planner's dead-member strip; shard mu held.  Redundancy::Drop
+  // drops every listed member of `h` that `gone(bid, index)` selects; a
+  // drop that crosses below `need` takes the lost shape and reclaims the
+  // survivors too.  Then the strip logs the stripped list BEFORE touching
+  // any data, releases and deletes the dropped members, counts the loss
+  // (lost_chunks(), and *lost when non-null) and publishes.  A strip that
+  // drops nothing logs and publishes nothing.  Returns the stripped list.
+  template <typename Gone>
+  std::vector<int> StripMembersLocked(sim::VirtualClock& clock,
+                                      ChunkHandle& h, Gone gone,
+                                      uint64_t* lost);
+  // The inventory sweep (store/scrub.cpp) behind ScrubOnce and Recover,
+  // with every shard mutex held (or on a fresh manager mid-Recover, which
+  // no other thread sees).  One metadata round-trip per benefactor fetches
+  // its stored-chunk set.  On an alive benefactor every stored chunk that
+  // no member list names and no in-flight repair target covers is deleted
+  // as an orphan, and the reservation is set to the bytes the lists and
+  // targets place there.  Returns the orphans deleted and the
+  // reservation fixes in chunk slots; `under_replicated` stays empty.
+  ScrubResult SweepInventoriesLocked(sim::VirtualClock& clock);
   // Append `rec` to the WAL (charging `clock`) — no-op without a WAL.
   // Call sites hold the mutex that orders the mutation being logged
   // (ns_mu_, a file mu, or the owning shard mu); the WAL's own mutex is

@@ -317,19 +317,6 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
                   [](const auto& kv) { return kv.second->refcount == 0; });
   }
 
-  // One metadata round-trip per benefactor fetches its inventory (the
-  // same unit of work as a scrub reconciliation sweep); liveness is
-  // whatever the ping observes right now.
-  std::vector<char> alive(bens.size(), 0);
-  for (size_t i = 0; i < bens.size(); ++i) {
-    ChargeOp(clock, i % meta_shards_);
-    cluster_.network().Transfer(clock, manager_node_, bens[i]->node_id(),
-                                config_.meta_request_bytes);
-    cluster_.network().Transfer(clock, bens[i]->node_id(), manager_node_,
-                                config_.meta_response_bytes);
-    alive[i] = bens[i]->alive() ? 1 : 0;
-  }
-
   // Per-chunk reconciliation, keys sorted so the decision sequence (and
   // its virtual-time trace) is deterministic.
   std::vector<ChunkKey> keys;
@@ -386,7 +373,7 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
     bool any_dead = false;
     for (int bid : list) {
       if (bid < 0 || static_cast<size_t>(bid) >= bens.size() ||
-          alive[static_cast<size_t>(bid)] == 0) {
+          !bens[static_cast<size_t>(bid)]->alive()) {
         any_dead = true;
       }
     }
@@ -524,12 +511,11 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
       }
       if (m.stored) {
         // Wrong-generation bytes: destroy them so nothing ever serves them
-        // (the reservation settles in the final accounting pass).  A
-        // member that diverged from the chunk's authority is a
-        // correlated-loss source: the placement engine must not pick it
-        // as a repair target for this very chunk
-        // (placement_avoid_suspected).  A stripe's repair re-encodes the
-        // hole from verified survivors.
+        // (the reservation settles in the inventory sweep).  A member that
+        // diverged from the chunk's authority is a correlated-loss source:
+        // the placement engine must not pick it as a repair target for
+        // this very chunk (placement_avoid_suspected).  A stripe's repair
+        // re-encodes the hole from verified survivors.
         (void)bens[static_cast<size_t>(m.bid)]->DeleteChunk(key);
         if (std::find(h.tainted.begin(), h.tainted.end(), m.bid) ==
             h.tainted.end()) {
@@ -546,54 +532,15 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
     }
   }
 
-  // Orphan sweep: stored chunks the reconciled metadata no longer names
-  // (unlink leftovers, abandoned COW clones, rolled-back fresh versions).
-  for (size_t i = 0; i < bens.size(); ++i) {
-    if (alive[i] == 0) continue;
-    std::vector<ChunkKey> stored = bens[i]->StoredChunkKeys();
-    std::sort(stored.begin(), stored.end());
-    for (const ChunkKey& key : stored) {
-      const MetaShard& shard = shards_[shard_of(key)];
-      auto it = shard.chunks.find(key);
-      bool referenced = false;
-      if (it != shard.chunks.end()) {
-        auto l = it->second->replicas.load(std::memory_order_acquire);
-        referenced = std::find(l->begin(), l->end(), static_cast<int>(i)) !=
-                     l->end();
-      }
-      if (!referenced) {
-        (void)bens[i]->DeleteChunk(key);
-        ++report->orphans_deleted;
-      }
-    }
-  }
-
-  // Reservations are not logged: set each alive benefactor to the exact
-  // byte footprint the reconciled metadata places on it — a full chunk per
-  // replica, a fragment per erasure-stripe member.  (Dead benefactors keep
-  // their accounting untouched, like the scrubber.)
-  std::vector<uint64_t> expected(bens.size(), 0);
-  for (const MetaShard& shard : shards_) {
-    for (const auto& [key, h] : shard.chunks) {
-      auto l = h->replicas.load(std::memory_order_acquire);
-      for (int bid : *l) {
-        if (bid >= 0 && static_cast<size_t>(bid) < bens.size()) {
-          expected[static_cast<size_t>(bid)] += code_.member_bytes;
-        }
-      }
-    }
-  }
-  for (size_t i = 0; i < bens.size(); ++i) {
-    if (alive[i] == 0) continue;
-    const uint64_t reserved = bens[i]->bytes_used();
-    if (reserved > expected[i]) {
-      bens[i]->ReleaseBytes(reserved - expected[i]);
-      ++report->reservation_fixes;
-    } else if (reserved < expected[i]) {
-      (void)bens[i]->ReserveBytes(expected[i] - reserved);
-      ++report->reservation_fixes;
-    }
-  }
+  // What the log does not carry settles through the scrubber's inventory
+  // sweep over the reconciled metadata: one round-trip per benefactor,
+  // stored chunks no list names any more (unlink leftovers, abandoned COW
+  // clones, rolled-back fresh versions) deleted, and each alive
+  // benefactor's reservation set to the exact footprint the lists place
+  // on it.  A fresh manager has no other thread and no repair in flight.
+  const ScrubResult swept = SweepInventoriesLocked(clock);
+  report->orphans_deleted = swept.orphans_deleted;
+  report->reservation_fixes = swept.reservation_fixes;
 
   report->files_recovered = files_.size();
   for (const MetaShard& shard : shards_) {

@@ -39,9 +39,10 @@ struct RecoveryReport {
   // Chunks with no recoverable replica anywhere: published as empty
   // location lists (reads fail; they never serve wrong bytes).
   uint64_t chunks_lost = 0;
-  // Benefactor-side cleanup: stored chunks nothing references any more.
+  // Benefactor-side cleanup by the scrubber's inventory sweep: stored
+  // chunks nothing references any more, and reservation drift corrected,
+  // in chunk slots (rounded up per benefactor), as ScrubResult counts it.
   uint64_t orphans_deleted = 0;
-  // Benefactors whose reservation count had to be corrected.
   uint64_t reservation_fixes = 0;
 };
 

@@ -42,6 +42,43 @@ void Manager::UndoRepairTargetLocked(MetaShard& shard, const ChunkKey& key,
   b->ReleaseBytes(bytes);
 }
 
+template <typename Gone>
+std::vector<int> Manager::StripMembersLocked(sim::VirtualClock& clock,
+                                             ChunkHandle& h, Gone gone,
+                                             uint64_t* lost) {
+  const std::vector<int> before = *h.replicas.load(std::memory_order_acquire);
+  std::vector<int> list = before;
+  std::vector<int> reclaimed = code_.Drop(list, gone);
+  if (reclaimed.empty()) return list;
+  // Below `need` no verified source or reconstruction exists: the strip
+  // that crosses the threshold reclaims the survivors too and counts the
+  // loss (repairs never run below `need`, so it crosses at most once).
+  const bool crossed = code_.LoseBelowNeed(before, list, reclaimed);
+  // Log the stripped list BEFORE touching any member's data.  The reverse
+  // order is unrecoverable: a crash in between would leave a durable list
+  // still naming reclaimed members, and recovery — finding no data there
+  // (or a quarantined, possibly wrong-byte image gone) — could pick a
+  // corrupt replica's stored checksum as truth or fail chunks that have a
+  // healthy survivor.
+  WalRecord rec;
+  rec.type = WalRecordType::kReplicas;
+  rec.key = h.key;
+  rec.replicas = list;
+  LogAppend(clock, std::move(rec));
+  for (int bid : reclaimed) {
+    Benefactor* b = BenefactorAt(bid);
+    b->ReleaseBytes(code_.member_bytes);
+    (void)b->DeleteChunk(h.key);
+  }
+  if (crossed) {
+    lost_chunks_.Add(1);
+    if (lost != nullptr) ++*lost;
+  }
+  // Readers stop trying the dropped ids from here on.
+  PublishReplicasLocked(h, list);
+  return list;
+}
+
 bool Manager::QuarantineReplicaLocked(sim::VirtualClock& clock,
                                       MetaShard& shard, const ChunkKey& key,
                                       int bid) {
@@ -61,36 +98,12 @@ bool Manager::QuarantineReplicaLocked(sim::VirtualClock& clock,
       h.tainted.end()) {
     h.tainted.push_back(bid);
   }
-  // A stripe's slot goes to -1 (positions are stable — a repair re-fills
-  // the hole in place); a replica list closes up.
-  std::vector<int> rest = *current;
-  std::vector<int> reclaimed =
-      code_.Drop(rest, [bid](int id, size_t) { return id == bid; });
-  // A quarantine that drops the chunk below `need` leaves no verified
-  // source or reconstruction: it is lost, not degraded.  Counted once, on
-  // the crossing (repairs never run below `need`).
-  const bool lost = code_.LoseBelowNeed(*current, rest, reclaimed);
-  // Log the shortened list BEFORE destroying the quarantined replica's
-  // data.  The reverse order is unrecoverable: a crash in between would
-  // leave a durable list still naming bid, and recovery — finding no data
-  // there and a quarantined (possibly wrong-byte) image gone — could pick
-  // the corrupt replica's stored checksum as truth or fail chunks that
-  // have a healthy survivor.
-  WalRecord rec;
-  rec.type = WalRecordType::kReplicas;
-  rec.key = key;
-  rec.replicas = rest;
-  LogAppend(clock, std::move(rec));
-  // The copy is untrustworthy: drop its data and space immediately so no
-  // reader or repair ever consults it again (with it, a lost chunk's
-  // survivors).
-  for (int id : reclaimed) {
-    Benefactor* b = BenefactorAt(id);
-    (void)b->DeleteChunk(key);
-    b->ReleaseBytes(code_.member_bytes);
-  }
-  if (lost) lost_chunks_.Add(1);
-  PublishReplicasLocked(h, std::move(rest));
+  // The copy is untrustworthy: strip it so no reader or repair ever
+  // consults it again.  A stripe's slot goes to -1 (positions are stable —
+  // a repair re-fills the hole in place); a replica list closes up.  A
+  // quarantine that drops the chunk below `need` loses it.
+  StripMembersLocked(
+      clock, h, [bid](int id, size_t) { return id == bid; }, nullptr);
   // Any repair copy in flight may have read the quarantined replica: move
   // the epoch so its commit fails and retries against the verified list.
   ++h.repair_epoch;
@@ -154,39 +167,14 @@ std::vector<Manager::RepairPlan> Manager::PlanRepairs(
     auto hit = shard.chunks.find(key);
     if (hit == shard.chunks.end()) continue;  // freed since reported
     ChunkHandle& h = *hit->second;
-    const std::vector<int> recorded =
-        *h.replicas.load(std::memory_order_acquire);
     // Strip the dead members: in a stripe they become holes in place
     // (their fragment died with the device), a replica list closes up.
-    std::vector<int> members = recorded;
-    std::vector<int> reclaimed = code_.Drop(members, [&](int bid, size_t) {
-      return !bens[static_cast<size_t>(bid)]->alive();
-    });
-    // Below `need` no verified source or reconstruction exists: the strip
-    // that crosses the threshold reclaims the survivors too and counts the
-    // loss (repairs never run below `need`, so it crosses at most once).
-    if (code_.LoseBelowNeed(recorded, members, reclaimed)) {
-      lost_chunks_.Add(1);
-      if (lost != nullptr) ++*lost;
-    }
-    if (!reclaimed.empty()) {
-      // Log the stripped list before touching any benefactor state, so a
-      // crash mid-strip recovers to the truth rather than a list still
-      // naming reclaimed members; then reclaim the members' space
-      // bookkeeping and publish — readers stop trying dead ids while the
-      // copy runs.
-      WalRecord rec;
-      rec.type = WalRecordType::kReplicas;
-      rec.key = key;
-      rec.replicas = members;
-      LogAppend(clock, std::move(rec));
-      for (int bid : reclaimed) {
-        Benefactor* b = bens[static_cast<size_t>(bid)];
-        b->ReleaseBytes(code_.member_bytes);
-        (void)b->DeleteChunk(key);
-      }
-      PublishReplicasLocked(h, members);
-    }
+    const std::vector<int> members = StripMembersLocked(
+        clock, h,
+        [&](int bid, size_t) {
+          return !bens[static_cast<size_t>(bid)]->alive();
+        },
+        lost);
     if (code_.Lost(members)) continue;
     const size_t live = Redundancy::Listed(members);
     if (live >= code_.width) continue;  // healthy after stripping (stale)

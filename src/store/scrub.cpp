@@ -1,6 +1,7 @@
-// The manager's scrubbers: the metadata reconciliation pass (ScrubOnce),
-// the incremental checksum sweep (VerifyScrub), and the reader-reported
-// quarantine (ReportCorrupt).
+// The manager's scrubbers: the metadata reconciliation pass (ScrubOnce)
+// and the inventory sweep it shares with recovery, the incremental
+// checksum sweep (VerifyScrub), and the reader-reported quarantine
+// (ReportCorrupt).
 #include <algorithm>
 #include <unordered_map>
 
@@ -9,7 +10,6 @@
 namespace nvm::store {
 
 Manager::ScrubResult Manager::ScrubOnce(sim::VirtualClock& clock) {
-  ScrubResult result;
   // Per-file metadata scan cost, charged before any shard lock is taken
   // (the lock graph stays acyclic: ns_mu_ is never held across shard
   // acquisitions, and the charges land on the files' own lanes).
@@ -22,27 +22,50 @@ Manager::ScrubResult Manager::ScrubOnce(sim::VirtualClock& clock) {
   std::sort(fids.begin(), fids.end());
   for (FileId fid : fids) ChargeOp(clock, FileLane(fid));
 
-  // Stop-the-world metadata pass: every shard mutex held, in ascending
-  // order.  Reservations only move under some shard mutex, so the drift
-  // comparison below is race-free.
-  std::vector<std::unique_lock<std::mutex>> held;
-  held.reserve(meta_shards_);
-  for (MetaShard& shard : shards_) held.emplace_back(shard.mu);
+  ScrubResult result;
+  {
+    // Stop-the-world metadata pass: every shard mutex held, in ascending
+    // order.  Reservations only move under some shard mutex, so the drift
+    // comparison is race-free.
+    std::vector<std::unique_lock<std::mutex>> held;
+    held.reserve(meta_shards_);
+    for (MetaShard& shard : shards_) held.emplace_back(shard.mu);
+    if (wal_ != nullptr) wal_->TriggerPoint(CrashPoint::kMidScrub);
+    result = SweepInventoriesLocked(clock);
+  }
+  // Re-find degraded chunks the report path missed.
+  result.under_replicated = CollectUnderReplicated();
+  return result;
+}
 
-  // Pass 1 — the authoritative replica map, straight from the shard chunk
-  // tables (every live chunk has exactly one handle there).
+Manager::ScrubResult Manager::SweepInventoriesLocked(sim::VirtualClock& clock) {
+  ScrubResult result;
+  const std::vector<Benefactor*> bens = SnapshotBenefactors();
+  // The authoritative member lists, straight from the shard chunk tables
+  // (every live chunk has exactly one handle there), and the bytes they
+  // place on each benefactor: one member's worth per list naming it (a
+  // full chunk per replica, a fragment per stripe member).  In-flight
+  // repair targets hold reservations (and possibly data) the lists do not
+  // name yet; their commit will settle them.
   std::unordered_map<ChunkKey, std::shared_ptr<const std::vector<int>>,
                      ChunkKeyHash>
       lists;
+  std::vector<uint64_t> expected(bens.size(), 0);
+  const auto place = [&](int bid, uint64_t bytes) {
+    if (bid >= 0 && static_cast<size_t>(bid) < bens.size()) {
+      expected[static_cast<size_t>(bid)] += bytes;
+    }
+  };
   for (const MetaShard& shard : shards_) {
     for (const auto& [key, h] : shard.chunks) {
-      lists.try_emplace(key, h->replicas.load(std::memory_order_acquire));
+      auto list = h->replicas.load(std::memory_order_acquire);
+      for (int bid : *list) place(bid, code_.member_bytes);
+      lists.try_emplace(key, std::move(list));
+    }
+    for (const auto& [key, targets] : shard.repair_targets) {
+      for (const MetaShard::RepairTarget& t : targets) place(t.bid, t.bytes);
     }
   }
-  // Pass 2 — reconcile each alive benefactor against the map.  Dead ones
-  // are the repair path's business, not the scrubber's.
-  if (wal_ != nullptr) wal_->TriggerPoint(CrashPoint::kMidScrub);
-  const std::vector<Benefactor*> bens = SnapshotBenefactors();
   for (size_t i = 0; i < bens.size(); ++i) {
     Benefactor* b = bens[i];
     // One metadata round-trip fetches the benefactor's stored-chunk set.
@@ -51,25 +74,8 @@ Manager::ScrubResult Manager::ScrubOnce(sim::VirtualClock& clock) {
                                 config_.meta_request_bytes);
     cluster_.network().Transfer(clock, b->node_id(), manager_node_,
                                 config_.meta_response_bytes);
+    // Dead benefactors are the repair path's business, not the sweep's.
     if (!b->alive()) continue;
-    // Expected reservation in BYTES: one member's worth per list naming
-    // this benefactor (a full chunk per replica, a fragment per stripe).
-    uint64_t expected = 0;
-    for (const auto& [key, list] : lists) {
-      if (std::find(list->begin(), list->end(), static_cast<int>(i)) !=
-          list->end()) {
-        expected += code_.member_bytes;
-      }
-    }
-    // In-flight repair targets hold reservations (and possibly data) the
-    // replica lists do not name yet; their commit will settle them.
-    for (const MetaShard& shard : shards_) {
-      for (const auto& [key, targets] : shard.repair_targets) {
-        for (const MetaShard::RepairTarget& t : targets) {
-          if (t.bid == static_cast<int>(i)) expected += t.bytes;
-        }
-      }
-    }
     for (const ChunkKey& key : b->StoredChunkKeys()) {
       auto it = lists.find(key);
       const bool reachable =
@@ -79,38 +85,28 @@ Manager::ScrubResult Manager::ScrubOnce(sim::VirtualClock& clock) {
       if (!reachable &&
           !IsRepairTargetLocked(shards_[shard_of(key)], key,
                                 static_cast<int>(i))) {
-        // Orphan: stored but absent from the replica list — the leavings
-        // of an unlink against a then-dead benefactor or an abandoned
-        // repair copy.  No reader ever consults it; reclaim the space.
+        // Orphan: stored but absent from the member list — the leavings of
+        // an unlink against a then-dead benefactor, an abandoned repair
+        // copy or COW clone, or a version recovery rolled back.  No reader
+        // ever consults it; reclaim the space.
         (void)b->DeleteChunk(key);
         ++result.orphans_deleted;
       }
     }
     // Reservation drift: reserved bytes must equal the bytes the metadata
-    // places here plus the in-flight repair targets.  Fixes are reported
-    // in chunk-slot units (rounded up) for continuity with the historic
-    // counter.
+    // places here.  Fixes are reported in chunk-slot units (rounded up)
+    // for continuity with the historic counter.
     const uint64_t reserved = b->bytes_used();
-    if (reserved > expected) {
-      b->ReleaseBytes(reserved - expected);
+    if (reserved > expected[i]) {
+      b->ReleaseBytes(reserved - expected[i]);
       result.reservation_fixes +=
-          CeilDiv(reserved - expected, config_.chunk_bytes);
-    } else if (reserved < expected) {
-      (void)b->ReserveBytes(expected - reserved);
+          CeilDiv(reserved - expected[i], config_.chunk_bytes);
+    } else if (reserved < expected[i]) {
+      (void)b->ReserveBytes(expected[i] - reserved);
       result.reservation_fixes +=
-          CeilDiv(expected - reserved, config_.chunk_bytes);
+          CeilDiv(expected[i] - reserved, config_.chunk_bytes);
     }
   }
-  // Pass 3 — re-find degraded chunks the report path missed, by the same
-  // rule as CollectUnderReplicated.
-  for (const auto& [key, list] : lists) {
-    if (!code_.Lost(*list) && code_.Degraded(*list, bens)) {
-      result.under_replicated.push_back(key);
-    }
-  }
-  // Sorted so the requeue order does not depend on shard count or hash
-  // iteration order.
-  std::sort(result.under_replicated.begin(), result.under_replicated.end());
   return result;
 }
 

@@ -41,12 +41,6 @@ struct ChunkKeyHash {
   }
 };
 
-// Where the replicas of one chunk live.
-struct ChunkRef {
-  ChunkKey key;
-  std::vector<int> benefactors;  // benefactor ids, primary first
-};
-
 // Reply header for one chunk inside a multi-chunk read run
 // (Benefactor::ReadChunkRun).  `ready_at` is the virtual time the chunk
 // left the device — the earliest instant its wire transfer can start.

@@ -192,10 +192,11 @@ struct WalRecord {
 // image there (see CrashAtPoint).
 enum class CrashPoint : uint8_t {
   kNone = 0,
-  kMidBatch,         // CompleteWrites entry, before the batch record lands
+  kMidBatch,         // CompleteWrites entry (every completion, one-chunk
+                     // windows too), before its record lands
   kMidCheckpoint,    // halfway through the checkpoint blob (torn slot)
   kMidRepairCommit,  // CommitRepair entry, before its publish record
-  kMidScrub,         // between ScrubOnce reconciliation passes
+  kMidScrub,         // ScrubOnce, before its inventory sweep
 };
 
 class WalStore {

@@ -229,7 +229,9 @@ TEST(QosSchedulerConcurrencyTest, ParallelAdmissionsAreSane) {
   for (const auto& t : stats.tenants) total += t.admitted;
   EXPECT_EQ(total, static_cast<uint64_t>(kThreads) * kIters);
   for (const auto& t : stats.tenants) {
-    if (t.reads > 0) EXPECT_GT(t.read_p99_ns, 0);
+    if (t.reads > 0) {
+      EXPECT_GT(t.read_p99_ns, 0);
+    }
   }
 }
 

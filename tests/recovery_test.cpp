@@ -507,7 +507,11 @@ store::FileId MakeFile(Rig& rig, sim::VirtualClock& clock,
 // Crash-point matrix
 // ---------------------------------------------------------------------------
 
-TEST(CrashMatrix, MidCompletionBatchAdoptsChecksumsFromReplicas) {
+// The window size of the completion the crash lands in: a batch of four,
+// and a one-chunk window, which completes through the same batch call.
+class CrashMatrixWindow : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(CrashMatrixWindow, MidCompletionBatchAdoptsChecksumsFromReplicas) {
   // The crash freezes the WAL at CompleteWrites entry: the v2 chunk data
   // already landed on every replica, but the batched completion record
   // (the authoritative checksums) died with the crash.  Recovery must
@@ -515,7 +519,7 @@ TEST(CrashMatrix, MidCompletionBatchAdoptsChecksumsFromReplicas) {
   // and adopt it — the new bytes win; they are never served unverified.
   Rig rig;
   sim::VirtualClock clock(0);
-  constexpr uint32_t kChunks = 4;
+  const uint32_t kChunks = GetParam();
   const store::FileId id = MakeFile(rig, clock, "/f0", kChunks);
 
   std::vector<std::vector<uint8_t>> v1, v2;
@@ -533,13 +537,19 @@ TEST(CrashMatrix, MidCompletionBatchAdoptsChecksumsFromReplicas) {
       writes[i].dirty = &dirty[i];
       writes[i].image = {v1[i].data(), kChunk};
     }
-    ASSERT_TRUE(c.WriteChunks(clock, id, writes).ok());
+    // One window per generation; a single chunk goes through the
+    // per-chunk write path.
+    const auto write_all = [&](const std::vector<std::vector<uint8_t>>& v) {
+      if (kChunks == 1) return WriteChunk(c, clock, id, 0, v[0]);
+      for (uint32_t i = 0; i < kChunks; ++i) {
+        writes[i].image = {v[i].data(), kChunk};
+      }
+      return c.WriteChunks(clock, id, writes);
+    };
+    ASSERT_TRUE(write_all(v1).ok());
 
     rig.store.wal()->CrashAtPoint(CrashPoint::kMidBatch);
-    for (uint32_t i = 0; i < kChunks; ++i) {
-      writes[i].image = {v2[i].data(), kChunk};
-    }
-    ASSERT_TRUE(c.WriteChunks(clock, id, writes).ok());  // RAM says success
+    ASSERT_TRUE(write_all(v2).ok());  // RAM says success
   }
   ASSERT_TRUE(rig.store.wal()->crashed());
   EXPECT_GT(rig.store.wal()->dropped_appends(), 0u);
@@ -556,6 +566,11 @@ TEST(CrashMatrix, MidCompletionBatchAdoptsChecksumsFromReplicas) {
   ASSERT_NO_FATAL_FAILURE(ExpectBytes(rig, clock, shadow));
   ASSERT_NO_FATAL_FAILURE(CheckInvariants(rig, shadow, /*expect_full=*/true));
 }
+
+INSTANTIATE_TEST_SUITE_P(Sizes, CrashMatrixWindow, ::testing::Values(4u, 1u),
+                         [](const ::testing::TestParamInfo<uint32_t>& info) {
+                           return std::to_string(info.param);
+                         });
 
 TEST(CrashMatrix, MidRepairCommitLeavesRepairRedoable) {
   // A benefactor dies; the repair driver strips it (durably, in
@@ -1119,6 +1134,44 @@ TEST(Regression, CompletionLogsOnlyDurableChecksumTransitions) {
   uint32_t got = 0;
   EXPECT_FALSE(rig.store.manager().LookupChecksum(loc3->key, &got))
       << "the checksum erase must be durable";
+}
+
+TEST(Regression, RestartReclaimsOrphansAndFixesReservationDriftLikeScrub) {
+  // The restart twin of the scrubber's drift test: the same stray stored
+  // chunk and the same three chunk slots of phantom reservation, healed by
+  // recovery's inventory sweep, which counts fixes in chunk slots as the
+  // scrubber does.
+  Rig rig;
+  sim::VirtualClock clock(0);
+  const store::FileId id = MakeFile(rig, clock, "/d0", 4);
+  for (uint32_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(WriteChunk(rig.client(), clock, id, i, Pattern(90 + i)).ok());
+  }
+
+  store::Benefactor& b = rig.store.benefactor(0);
+  const uint64_t used_before = b.bytes_used();
+  const store::ChunkKey bogus = Key(9999, 0, 0);
+  Bitmap all(kChunk / rig.client().config().page_bytes);
+  all.SetAll();
+  std::vector<uint8_t> junk(kChunk, 0xab);
+  sim::VirtualClock dc(0);
+  ASSERT_TRUE(b.WritePages(dc, bogus, all, junk).ok());
+  ASSERT_TRUE(b.ReserveBytes(3 * kChunk).ok());
+  ASSERT_TRUE(b.HasChunk(bogus));
+
+  rig.store.KillManager();
+  auto report = rig.store.RestartManager(clock);
+  EXPECT_EQ(report.chunks_lost, 0u);
+  EXPECT_EQ(report.orphans_deleted, 1u);
+  EXPECT_EQ(report.reservation_fixes, 3u);
+  EXPECT_FALSE(b.HasChunk(bogus));
+  EXPECT_EQ(b.bytes_used(), used_before);
+
+  // Nothing is left for the scrubber.
+  const store::Manager::ScrubResult scrub =
+      rig.store.manager().ScrubOnce(clock);
+  EXPECT_EQ(scrub.orphans_deleted, 0u);
+  EXPECT_EQ(scrub.reservation_fixes, 0u);
 }
 
 TEST(Regression, ErasureFileFirstFallocateAppendsOnlyItsExtend) {
