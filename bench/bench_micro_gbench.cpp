@@ -124,6 +124,25 @@ void BM_Crc32cCombine(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32cCombine)->Arg(16 << 10);
 
+// Crc32cPatch of the first 4 KiB page of a 64 KiB image: a partial
+// merge's checksum update for one dirty page, beside the whole-image hash
+// of BM_Crc32c/dispatched/65536 it replaces.  The first page has the
+// longest page-aligned tail, so the shift costs the most here.
+void BM_Crc32cPatch(benchmark::State& state) {
+  constexpr size_t kPage = 4 << 10;
+  constexpr uint64_t kTail = (64 << 10) - kPage;
+  const auto old_page = RandomBytes(kPage);
+  auto new_page = old_page;
+  for (size_t i = 0; i < kPage; i += 64) new_page[i] ^= 0x5A;
+  uint32_t crc = 0x12345678u;
+  for (auto _ : state) {
+    crc = Crc32cPatch(crc, old_page.data(), new_page.data(), kPage, kTail);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * kPage);
+}
+BENCHMARK(BM_Crc32cPatch);
+
 // RS(4,2) encode of one range(0)-byte chunk into six fragments.
 void BM_RsEncode(benchmark::State& state) {
   const store::ErasureCodec codec(4, 2);
@@ -263,6 +282,44 @@ void BM_CacheHitRead(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheHitRead);
+
+// Repeated Benefactor::ReadChunk of one stored 64 KiB replica.  The first
+// read hashes it; every later one is charged the device read and the
+// checksum in virtual time, copies the replica out and skips the host hash,
+// because the bytes have not changed since they were verified.
+void BM_VerifiedRead(benchmark::State& state) {
+  constexpr uint64_t kChunkBytes = 64_KiB;
+  net::ClusterConfig cc;
+  cc.num_nodes = 2;
+  net::Cluster cluster(cc);
+  store::AggregateStoreConfig sc;
+  sc.benefactor_nodes = {1};
+  sc.contribution_bytes = 64_MiB;
+  sc.manager_node = 1;
+  sc.store.chunk_bytes = kChunkBytes;
+  store::AggregateStore st(cluster, sc);
+  store::StoreClient& client = st.ClientForNode(0);
+  sim::VirtualClock clock(0);
+  auto id = client.Create(clock, "/verified");
+  NVM_CHECK(id.ok());
+  NVM_CHECK(client.Fallocate(clock, *id, kChunkBytes).ok());
+  Bitmap all(kChunkBytes / client.config().page_bytes);
+  all.SetAll();
+  NVM_CHECK(
+      client.WriteChunkPages(clock, *id, 0, all, RandomBytes(kChunkBytes))
+          .ok());
+  auto loc = st.manager().GetReadLocation(clock, *id, 0);
+  NVM_CHECK(loc.ok());
+  store::Benefactor& holder = st.benefactor(0);
+  std::vector<uint8_t> out(kChunkBytes);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(holder.ReadChunk(clock, loc->key, out));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * kChunkBytes);
+}
+BENCHMARK(BM_VerifiedRead);
 
 // A random one-page miss through ChunkCache::Read on a replicated store
 // (r=2, 64 KiB chunks).  A one-chunk cache and a different chunk on every

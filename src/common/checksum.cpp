@@ -155,11 +155,24 @@ CrcKernel ChooseKernel() {
   return SliceBy8;
 }
 
+CrcKernel Kernel() {
+  static const CrcKernel kernel = ChooseKernel();
+  return kernel;
+}
+
 }  // namespace
 
 uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
-  static const CrcKernel kernel = ChooseKernel();
-  return ~kernel(~seed, static_cast<const uint8_t*>(data), n);
+  return ~Kernel()(~seed, static_cast<const uint8_t*>(data), n);
+}
+
+uint32_t Crc32cPatch(uint32_t crc, const void* old_bytes,
+                     const void* new_bytes, size_t n, uint64_t tail) {
+  const CrcKernel kernel = Kernel();
+  const uint32_t delta =
+      kernel(0, static_cast<const uint8_t*>(old_bytes), n) ^
+      kernel(0, static_cast<const uint8_t*>(new_bytes), n);
+  return crc ^ detail::MultModP(detail::XPowModP(tail, 3), delta);
 }
 
 namespace detail {

@@ -86,4 +86,16 @@ inline uint32_t Crc32cCombine(uint32_t crc_a, uint32_t crc_b,
   return detail::MultModP(detail::XPowModP(len_b, 3), crc_a) ^ crc_b;
 }
 
+// CRC32C of a buffer after the `n` bytes of one span in it changed from
+// `old_bytes` to `new_bytes`, from the buffer's checksum `crc` before the
+// change and `tail`, the number of bytes after the span:
+//   Crc32cPatch(Crc32c(buf), old, new, n, tail) == Crc32c(patched buf)
+// CRC32C is linear in the bytes, so the change depends only on the XOR of
+// the two spans, carried through the tail by Crc32cCombine's shift:
+//   new = crc ^ (x^(8 * tail) * (raw(old) ^ raw(new)) mod P),
+// where raw() is the CRC register over a span alone (zero start, no
+// inversion).  Reads 2n bytes; the rest of the buffer is never touched.
+uint32_t Crc32cPatch(uint32_t crc, const void* old_bytes,
+                     const void* new_bytes, size_t n, uint64_t tail);
+
 }  // namespace nvm

@@ -131,6 +131,7 @@ void Benefactor::MaybeCorruptAfterWrite() {
   StoredChunk& victim = chunks_[keys[next() % keys.size()]];
   const uint64_t byte = next() % victim.data.size();
   victim.data[byte] ^= static_cast<uint8_t>(1u << (next() % 8));
+  victim.verified = false;
   bitrot_flips_.Add(1);
 }
 
@@ -148,32 +149,40 @@ Status Benefactor::CorruptChunk(const ChunkKey& key, uint64_t byte_offset,
     return InvalidArgument("CorruptChunk: offset past stored blob");
   }
   it->second.data[byte_offset] ^= xor_mask;
+  it->second.verified = false;
   bitrot_flips_.Add(1);
   return OkStatus();
+}
+
+uint32_t Benefactor::StoredChunk::ContentCrc() {
+  if (verified) return crc;
+  const uint32_t actual = Crc32c(data.data(), data.size());
+  verified = has_crc && actual == crc;
+  return actual;
 }
 
 Status Benefactor::ReadChunk(sim::VirtualClock& clock, const ChunkKey& key,
                              std::span<uint8_t> out, bool* sparse,
                              TenantId tenant) {
   NVM_CHECK(out.size() == config_.chunk_bytes);
-  return ReadOne(clock, key, out, sparse, tenant);
+  return ReadRange(clock, key, /*offset=*/0, out, sparse, tenant);
 }
 
 Status Benefactor::ReadFragment(sim::VirtualClock& clock, const ChunkKey& key,
                                 std::span<uint8_t> out, bool* sparse,
                                 TenantId tenant) {
-  return ReadOne(clock, key, out, sparse, tenant);
+  return ReadRange(clock, key, /*offset=*/0, out, sparse, tenant);
 }
 
 Status Benefactor::ReadChunkRun(sim::VirtualClock& clock,
                                 std::span<const ChunkKey> keys,
                                 const ChunkRunSink& sink, TenantId tenant) {
-  return ReadRun(clock, keys, sink, tenant, /*into=*/{});
+  return ReadRun(clock, keys, sink, tenant, /*into=*/{}, /*offset=*/0);
 }
 
-Status Benefactor::ReadOne(sim::VirtualClock& clock, const ChunkKey& key,
-                           std::span<uint8_t> out, bool* sparse,
-                           TenantId tenant) {
+Status Benefactor::ReadRange(sim::VirtualClock& clock, const ChunkKey& key,
+                             uint64_t offset, std::span<uint8_t> out,
+                             bool* sparse, TenantId tenant) {
   if (sparse != nullptr) *sparse = false;
   return ReadRun(
       clock, {&key, 1},
@@ -184,13 +193,13 @@ Status Benefactor::ReadOne(sim::VirtualClock& clock, const ChunkKey& key,
         }
         return OkStatus();
       },
-      tenant, out);
+      tenant, out, offset);
 }
 
 Status Benefactor::ReadRun(sim::VirtualClock& clock,
                            std::span<const ChunkKey> keys,
                            const ChunkRunSink& sink, TenantId tenant,
-                           std::span<uint8_t> into) {
+                           std::span<uint8_t> into, uint64_t offset) {
   NVM_RETURN_IF_ERROR(EnsureAlive());
   read_requests_.Add(1);
   std::vector<uint8_t> scratch;
@@ -208,28 +217,34 @@ Status Benefactor::ReadRun(sim::VirtualClock& clock,
     ChunkRunItem item;
     item.key = key;
     std::span<uint8_t> blob;
-    uint64_t offset = 0;
+    uint64_t bytes = 0;  // the stored blob's size, which every charge uses
+    uint64_t ssd_offset = 0;
     bool stored = false;
     bool has_crc = false;
-    uint32_t crc = 0;
+    bool corrupt = false;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       auto it = chunks_.find(key);
       if (it != chunks_.end()) {
-        const std::vector<uint8_t>& data = it->second.data;
-        if (into.empty()) {
-          scratch.resize(data.size());
+        StoredChunk& chunk = it->second;
+        stored = true;
+        bytes = chunk.data.size();
+        ssd_offset = chunk.ssd_offset;
+        has_crc = chunk.has_crc;
+        // The verdict is taken on the stored bytes, so that only the bytes
+        // that leave are copied, and nothing leaves a blob that failed its
+        // check; the host hashes them only if they changed since their
+        // last check.
+        corrupt = has_crc && chunk.ContentCrc() != chunk.crc;
+        if (!corrupt && into.empty()) {
+          scratch.assign(chunk.data.begin(), chunk.data.end());
           blob = scratch;
-        } else {
-          NVM_CHECK(into.size() == data.size(), "blob size mismatch on %s",
+        } else if (!corrupt) {
+          NVM_CHECK(offset + into.size() <= bytes, "range past blob %s",
                     key.ToString().c_str());
+          std::memcpy(into.data(), chunk.data.data() + offset, into.size());
           blob = into;
         }
-        std::memcpy(blob.data(), data.data(), data.size());
-        stored = true;
-        offset = it->second.ssd_offset;
-        has_crc = it->second.has_crc;
-        crc = it->second.crc;
       }
     }
     if (!stored) {
@@ -244,20 +259,20 @@ Status Benefactor::ReadRun(sim::VirtualClock& clock,
     // pays the per-request read latency, the rest stream at bandwidth.
     // QoS admits blob by blob, so a throttled tenant's long run leaves
     // gaps other tenants backfill instead of one multi-millisecond hog.
-    const uint64_t bytes = blob.size();
     AdmitTransfer(clock, tenant, bytes, /*is_write=*/false, bytes);
-    node_.ssd().ChargeRunRead(clock, offset, bytes, first_in_run);
+    node_.ssd().ChargeRunRead(clock, ssd_offset, bytes, first_in_run);
     first_in_run = false;
     data_bytes_out_.Add(bytes);
     // Verify before the blob enters the reply stream: bit rot must never
     // reach a reader nor poison a reconstruction.  A mismatch aborts the
     // whole run (like a mid-run death, but with CORRUPT) once the
     // verification that caught it is paid for: the caller fails over to
-    // another replica or to parity on that clock.
+    // another replica or to parity on that clock.  The whole blob's
+    // checksum is charged on every read, whether or not the host hashed.
     if (has_crc) {
       verify_done_ns = std::max(verify_done_ns, clock.now()) +
                        config_.checksum_ns(bytes);
-      if (Crc32c(blob.data(), bytes) != crc) {
+      if (corrupt) {
         clock.AdvanceTo(verify_done_ns);
         return Corrupt("benefactor " + std::to_string(id_) +
                        ": checksum mismatch on " + key.ToString());
@@ -280,8 +295,9 @@ Status Benefactor::VerifyChunk(sim::VirtualClock& clock, const ChunkKey& key,
   NVM_RETURN_IF_ERROR(EnsureAlive());
   verify_requests_.Add(1);
   if (sparse != nullptr) *sparse = false;
-  std::vector<uint8_t> buf;
+  uint64_t bytes = 0;
   uint64_t offset = 0;
+  bool match = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = chunks_.find(key);
@@ -290,18 +306,18 @@ Status Benefactor::VerifyChunk(sim::VirtualClock& clock, const ChunkKey& key,
       if (sparse != nullptr) *sparse = true;
       return OkStatus();
     }
-    buf = it->second.data;
+    bytes = it->second.data.size();
     offset = it->second.ssd_offset;
+    match = it->second.ContentCrc() == expected_crc;
   }
   // The verification read hits the device like any other read, but the
   // bytes never leave the node: only the verdict crosses the network.
   // Charged for the stored blob's actual size — a full chunk for
   // replicated data, one fragment for erasure-coded data.
-  AdmitTransfer(clock, tenant, buf.size(), /*is_write=*/false,
-                /*wire_bytes=*/0);
-  node_.ssd().ChargeRead(clock, offset, buf.size());
-  clock.Advance(config_.checksum_ns(buf.size()));
-  if (Crc32c(buf.data(), buf.size()) != expected_crc) {
+  AdmitTransfer(clock, tenant, bytes, /*is_write=*/false, /*wire_bytes=*/0);
+  node_.ssd().ChargeRead(clock, offset, bytes);
+  clock.Advance(config_.checksum_ns(bytes));
+  if (!match) {
     return Corrupt("benefactor " + std::to_string(id_) +
                    ": scrub checksum mismatch on " + key.ToString());
   }
@@ -398,12 +414,13 @@ Status Benefactor::Program(sim::VirtualClock& clock, const ChunkKey& key,
                            const uint32_t* crc, uint32_t* stored_crc,
                            bool& first_in_run) {
   const uint64_t blob_bytes = data.size();
+  const uint64_t page = config_.page_bytes;
   const uint64_t bytes =
-      dirty == nullptr ? blob_bytes : dirty->PopCount() * config_.page_bytes;
+      dirty == nullptr ? blob_bytes : dirty->PopCount() * page;
   const bool whole = bytes == blob_bytes;
   uint64_t offset = 0;
   bool charge_crc = false;
-  bool pre_verified = false;
+  bool merge = false;
   bool pre_corrupt = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -413,38 +430,47 @@ Status Benefactor::Program(sim::VirtualClock& clock, const ChunkKey& key,
       fresh.data.assign(blob_bytes, 0);
       fresh.ssd_offset = AllocateOffset();
       it = chunks_.emplace(key, std::move(fresh)).first;
-    } else if (it->second.has_crc && bytes > 0 && !whole) {
-      // Partial merge onto an existing image: verify the base first.
-      // Recomputing the merged checksum over unverified clean pages would
-      // launder bit rot into a fresh, matching checksum — the one state no
-      // scrub could ever catch.
-      pre_verified = true;
-      pre_corrupt = Crc32c(it->second.data.data(), it->second.data.size()) !=
-                    it->second.crc;
     }
     StoredChunk& blob = it->second;
     NVM_CHECK(blob.data.size() == blob_bytes, "blob size changed under %s",
               key.ToString().c_str());
+    // Partial merge onto a checksummed image: verify the base first.
+    // Deriving the merged checksum from unverified clean pages would
+    // launder bit rot into a fresh, matching checksum — the one state no
+    // scrub could ever catch.
+    merge = blob.has_crc && bytes > 0 && !whole;
+    pre_corrupt = merge && blob.ContentCrc() != blob.crc;
     if (!pre_corrupt) {
       offset = blob.ssd_offset;
       if (dirty == nullptr) {
         std::memcpy(blob.data.data(), data.data(), blob_bytes);
       } else {
-        dirty->ForEachSet([&](size_t page) {
-          const uint64_t off = page * config_.page_bytes;
-          std::memcpy(blob.data.data() + off, data.data() + off,
-                      config_.page_bytes);
+        dirty->ForEachSet([&](size_t p) {
+          uint8_t* at = blob.data.data() + p * page;
+          const uint8_t* from = data.data() + p * page;
+          // The base hashed to its checksum, so the merged image's follows
+          // from each dirty page's old and new bytes; the blob stays
+          // verified.
+          if (merge) {
+            blob.crc = Crc32cPatch(blob.crc, at, from, page,
+                                   blob_bytes - (p + 1) * page);
+          }
+          std::memcpy(at, from, page);
         });
       }
-      if (bytes > 0) {
+      charge_crc = merge;
+      if (bytes > 0 && !merge) {
         if (whole && crc != nullptr) {
           // Full-image write: the caller already computed (and paid for)
-          // the checksum of exactly these bytes — store it verbatim.
+          // the checksum of exactly these bytes — store it verbatim, for
+          // the first read to check.
           blob.crc = *crc;
+          blob.verified = false;
         } else {
-          // Partial-dirty merge (or no caller crc): the checksum must
-          // cover the merged image, at the benefactor's CPU cost.
+          // A fresh or unchecksummed base, or no caller crc: the checksum
+          // must cover the whole image, at the benefactor's CPU cost.
           blob.crc = Crc32c(blob.data.data(), blob.data.size());
+          blob.verified = true;
           charge_crc = true;
         }
         blob.has_crc = true;
@@ -452,7 +478,9 @@ Status Benefactor::Program(sim::VirtualClock& clock, const ChunkKey& key,
       if (stored_crc != nullptr && blob.has_crc) *stored_crc = blob.crc;
     }
   }
-  if (pre_verified) clock.Advance(config_.checksum_ns(blob_bytes));
+  // A merge is charged its base check here and its merged checksum below,
+  // each a whole-image hash, whatever the host hashed.
+  if (merge) clock.Advance(config_.checksum_ns(blob_bytes));
   if (pre_corrupt) {
     return Corrupt("benefactor " + std::to_string(id_) +
                    ": pre-image checksum mismatch merging into " +
@@ -487,7 +515,8 @@ Status Benefactor::CloneChunk(sim::VirtualClock& clock, const ChunkKey& from,
       clone.ssd_offset = AllocateOffset();
       // The clone inherits the source's checksum: a local copy of bytes
       // whose crc is already known needs no recompute (any rot in the
-      // source propagates and is caught by the clone's verification).
+      // source propagates and is caught by the clone's verification,
+      // which is why it starts unverified).
       clone.has_crc = it->second.has_crc;
       clone.crc = it->second.crc;
       src_offset = it->second.ssd_offset;

@@ -56,14 +56,21 @@ class Benefactor {
   // A stored blob is a replicated chunk (chunk_bytes) or one erasure
   // fragment (ec_frag_bytes).  Two bodies serve every data request, both
   // generic over the blob's size: ReadChunkRun reads, and WriteChunkRun's
-  // per-item program step writes.  ReadChunk, ReadFragment, WritePages and
-  // WriteFragment are requests of one blob over those bodies, charged
-  // exactly like a lone request because SsdDevice::ChargeRun*(first_in_run
-  // = true) is Charge*.  ReadFragment and WriteFragment take a whole blob
-  // of either size, so the manager's member mover (repair and drain) moves
-  // replicas and fragments alike through them.  The four names survive
-  // only because the repository benchmark's traced build wraps them; fold
-  // them into the run calls when the benchmark next changes.
+  // per-item program step writes.  ReadRange, ReadChunk, ReadFragment,
+  // WritePages and WriteFragment are requests of one blob over those
+  // bodies, charged exactly like a lone request because
+  // SsdDevice::ChargeRun*(first_in_run = true) is Charge*.  ReadFragment
+  // and WriteFragment take a whole blob of either size, so the manager's
+  // member mover (repair and drain) moves replicas and fragments alike
+  // through them.  ReadChunk and ReadFragment are ReadRange at offset 0;
+  // the four per-blob names survive only because the repository
+  // benchmark's traced build wraps them; fold them into the run calls when
+  // the benchmark next changes.
+  //
+  // Every read verifies the whole blob against its checksum and is charged
+  // for it in virtual time, but the host hashes a blob at most once per
+  // change of its bytes: a blob that passed a check and has not changed
+  // since answers from that verdict.
 
   // Multi-chunk streamed read — the run RPC.  One call is ONE request at
   // this benefactor (one header, one device queueing slot): each stored
@@ -100,6 +107,15 @@ class Benefactor {
                       std::span<uint8_t> out, bool* sparse = nullptr,
                       TenantId tenant = kTenantForeground);
 
+  // Read the stored blob like ReadFragment — admitted, charged to the
+  // device and verified whole — but copy only its `out.size()` bytes from
+  // `offset` into `out`: what a pages-only miss ships.  The range must lie
+  // inside the blob; a sparse blob zero-fills `out`.
+  Status ReadRange(sim::VirtualClock& clock, const ChunkKey& key,
+                   uint64_t offset, std::span<uint8_t> out,
+                   bool* sparse = nullptr,
+                   TenantId tenant = kTenantForeground);
+
   // Multi-chunk streamed write — the write-side run RPC.  One call is ONE
   // request at this benefactor (one header, one device queueing slot).
   // The client streams each item's messages via `send` (clone instructions
@@ -116,13 +132,15 @@ class Benefactor {
   // every item as unwritten on this benefactor.
   //
   // Checksums: an item's caller-computed CRC32C of the full image is
-  // stored verbatim when the dirty set covers the whole chunk; a partial
-  // write first verifies the stored base image (a mismatch fails the run
-  // with CORRUPT) and then recomputes the CRC over the merged image,
-  // charging the checksum CPU cost, as does a whole write without a
-  // caller CRC.  `stored_crc` returns the CRC actually stored — the
-  // merged-image value on a partial write — which is what the caller must
-  // hand the manager as the authoritative checksum.
+  // stored verbatim when the dirty set covers the whole chunk (and
+  // ignored otherwise); a partial write first verifies the stored base
+  // image (a mismatch fails the run with CORRUPT) and then derives the CRC
+  // of the merged image from the base's and the changed pages
+  // (Crc32cPatch), charging the checksum CPU cost of hashing the merged
+  // image, as does a whole write without a caller CRC.  `stored_crc`
+  // returns the CRC actually stored — the merged-image value on a partial
+  // write — which is what the caller must hand the manager as the
+  // authoritative checksum.
   Status WriteChunkRun(sim::VirtualClock& clock,
                        std::span<const ChunkWriteItem> items,
                        const ChunkRunSend& send,
@@ -140,8 +158,9 @@ class Benefactor {
   // Store a whole blob — a fragment of ec_frag_bytes or a replica of
   // chunk_bytes, every byte dirty (the client's EC write path is
   // full-stripe, so there is no merge).  `crc` is the caller-computed
-  // CRC32C of the blob, stored verbatim; without one the benefactor
-  // computes it, at its CPU cost.
+  // CRC32C of the blob, stored verbatim and checked by the first read
+  // (a wrong one reads back CORRUPT); without one the benefactor computes
+  // it, at its CPU cost.
   Status WriteFragment(sim::VirtualClock& clock, const ChunkKey& key,
                        std::span<const uint8_t> data,
                        const uint32_t* crc = nullptr,
@@ -152,7 +171,9 @@ class Benefactor {
   // authoritative `expected_crc`.  A never-written chunk reports
   // `*sparse` and verifies trivially; a mismatch returns CORRUPT.  The
   // chunk bytes never cross the network — verification is benefactor-
-  // local against the shipped expected value.
+  // local against the shipped expected value.  A blob whose bytes hashed
+  // to its stored crc since they last changed is not re-hashed: it passes
+  // exactly when that crc is the expected one.
   Status VerifyChunk(sim::VirtualClock& clock, const ChunkKey& key,
                      uint32_t expected_crc, bool* sparse = nullptr,
                      TenantId tenant = kTenantMaintenance);
@@ -252,18 +273,26 @@ class Benefactor {
     // the point: verification compares stored bytes against it).
     bool has_crc = false;
     uint32_t crc = 0;
+    // The bytes hashed to `crc` since they last changed.  A passing check
+    // sets it, and a program keeps it when it derives `crc` from the bytes
+    // it stores (a hash, or a merge's patch); a caller's crc stored
+    // verbatim, a clone and injected rot clear it.
+    bool verified = false;
+
+    // CRC32C of the bytes as they are now, hashed in place unless
+    // `verified` already vouches for `crc`; a hash that matches `crc` sets
+    // `verified`.  Call under mutex_.
+    uint32_t ContentCrc();
   };
 
   // The one data read body: one request over `keys`, each stored blob
   // admitted, charged at its own size, verified and handed to `sink`.
-  // With `into` non-empty (a single key) the blob is copied straight into
-  // it instead of a scratch buffer.
+  // With `into` non-empty (a single key) the blob's bytes from `offset`
+  // are copied straight into it instead of the whole blob into a scratch
+  // buffer.
   Status ReadRun(sim::VirtualClock& clock, std::span<const ChunkKey> keys,
                  const ChunkRunSink& sink, TenantId tenant,
-                 std::span<uint8_t> into);
-  // ReadChunk/ReadFragment: a read run of `key` alone into `out`.
-  Status ReadOne(sim::VirtualClock& clock, const ChunkKey& key,
-                 std::span<uint8_t> out, bool* sparse, TenantId tenant);
+                 std::span<uint8_t> into, uint64_t offset);
   // The one data program body: materialise `key` as a blob of data.size()
   // bytes, merge the `dirty` pages of `data` into it (nullptr: the whole
   // blob, as for a fragment) after verifying a partial merge's base

@@ -219,9 +219,20 @@ StatusOr<StoreClient::PageRange> StoreClient::ReadMembers(
         slice >= 0 ? out.subspan(static_cast<size_t>(slice) * mb, mb)
                    : std::span<uint8_t>(frags[pick.member]);
     bool sparse = false;
-    Status s = mb == cfg.chunk_bytes
-                   ? b->ReadChunk(at, loc.key, dst, &sparse, tenant_)
-                   : b->ReadFragment(at, loc.key, dst, &sparse, tenant_);
+    Status s;
+    if (pages_only && code.need == 1) {
+      // A replica's holder copies out only the pages it ships; a stripe's
+      // covering fragment lands whole, for a decode top-up to use.
+      const uint64_t from = first_page * cfg.page_bytes;
+      s = b->ReadRange(
+          at, loc.key, from,
+          dst.subspan(from, (last_page - first_page + 1) * cfg.page_bytes),
+          &sparse, tenant_);
+    } else {
+      s = mb == cfg.chunk_bytes
+              ? b->ReadChunk(at, loc.key, dst, &sparse, tenant_)
+              : b->ReadFragment(at, loc.key, dst, &sparse, tenant_);
+    }
     if (s.ok()) {
       // A hole costs only the "no such chunk" reply (it reads as zeros —
       // a never-written chunk or region of a stripe).  Pages-only, a
@@ -680,9 +691,14 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
     frags = EncodeStripes(clock, id, writes, active, crcs, frag_crcs);
     if (active.empty()) return OkStatus();
   } else {
+    // Every image is charged, but only a whole one is hashed: a partial
+    // item's checksum is the one its holder merges (its `crc` is ignored).
     crcs.resize(active.size());
     for (size_t j = 0; j < active.size(); ++j) {
-      crcs[j] = Crc32c(writes[active[j]].image.data(), cfg.chunk_bytes);
+      const ChunkWrite& w = writes[active[j]];
+      if (w.dirty->PopCount() == cfg.pages_per_chunk()) {
+        crcs[j] = Crc32c(w.image.data(), cfg.chunk_bytes);
+      }
     }
     clock.Advance(cfg.checksum_ns(active.size() * cfg.chunk_bytes));
   }
@@ -725,7 +741,7 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
   // client's full-image values, overwritten per replicated item by the CRC
   // the first successful replica actually stored (a partial-dirty merge
   // can legitimately differ from the client image when clean pages were
-  // never faulted in).
+  // never faulted in, which is why the client never hashes that image).
   std::vector<uint32_t> authority(crcs.begin(), crcs.end());
 
   // The write-run item of one member: a replica gets the chunk's dirty

@@ -69,8 +69,9 @@ struct ChunkWriteItem {
   bool needs_clone = false;
   ChunkKey clone_from;
   // Client-computed CRC32C of the full image; the benefactor stores it
-  // with the blob — or recomputes over the merged image when the dirty set
-  // covers only part of the chunk.
+  // with the blob.  When the dirty set covers only part of the chunk the
+  // benefactor derives the merged image's checksum itself and this field
+  // is not read (the client leaves it unhashed).
   uint32_t crc = 0;
   // Out (rides the run's ack): the CRC the benefactor actually stored.
   // For a partial-dirty merge this covers the MERGED image, which can

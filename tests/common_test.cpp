@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -363,6 +364,61 @@ TEST(Crc32cTest, ShiftPowersComposePastFourGiB) {
   const uint64_t more = (uint64_t{1} << 31) + 3;
   EXPECT_EQ(Crc32cCombine(Crc32cCombine(crc, 0, four_gib), 0, more),
             Crc32cCombine(crc, 0, four_gib + more));
+}
+
+TEST(Crc32cTest, PatchMatchesWholeBufferRecompute) {
+  // Crc32cPatch derives a buffer's checksum after one span changed from
+  // the old checksum and the span's old and new bytes alone.  On random
+  // 64 KiB images it must agree with hashing the patched buffer: for
+  // page-aligned and unaligned spans, empty spans, the whole buffer and
+  // spans at either end, each patch chained onto the last, then a long
+  // chain of random spans.
+  constexpr size_t kImage = 64 * 1024;
+  constexpr size_t kPage = 4096;
+  Xoshiro256 rng(77);
+  std::vector<uint8_t> buf(kImage);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  uint32_t crc = Crc32c(buf.data(), buf.size());
+  std::vector<uint8_t> fresh(kImage);
+  const auto patch = [&](size_t off, size_t n) {
+    for (size_t i = 0; i < n; ++i) fresh[i] = static_cast<uint8_t>(rng.Next());
+    crc = Crc32cPatch(crc, buf.data() + off, fresh.data(), n,
+                      kImage - off - n);
+    std::memcpy(buf.data() + off, fresh.data(), n);
+    return crc == Crc32c(buf.data(), buf.size());
+  };
+  struct Span {
+    size_t off;
+    size_t n;
+  };
+  const Span spans[] = {
+      {0, kPage},              // first page
+      {15 * kPage, kPage},     // last page
+      {6 * kPage, kPage},      // a middle page
+      {2 * kPage, 4 * kPage},  // a run of pages
+      {0, 1},                  // first byte
+      {kImage - 1, 1},         // last byte
+      {kPage - 3, 7},          // across a page boundary
+      {12345, 6789},           // unaligned both ends
+      {kImage - 77, 77},       // unaligned, at the end
+      {0, 0},                  // empty, at either end and inside
+      {kImage, 0},
+      {777, 0},
+      {0, kImage},  // the whole buffer
+  };
+  for (const Span& s : spans) {
+    EXPECT_TRUE(patch(s.off, s.n)) << "span " << s.off << "+" << s.n;
+  }
+  for (int i = 0; i < 100; ++i) {
+    const size_t off = rng.NextBelow(kImage + 1);
+    const size_t n = rng.NextBelow(kImage - off + 1);
+    ASSERT_TRUE(patch(off, n)) << "chain step " << i << ": span " << off
+                               << "+" << n;
+  }
+  // Rewriting a span with its own bytes changes nothing.
+  EXPECT_EQ(Crc32cPatch(crc, buf.data() + 100, buf.data() + 100, 500,
+                        kImage - 600),
+            crc);
 }
 
 TEST(Crc32cTest, SingleBitFlipChangesChecksum) {

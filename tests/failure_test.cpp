@@ -4,6 +4,7 @@
 // decommission/drain path for hardware upgrades.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <set>
@@ -989,6 +990,52 @@ TEST(CorruptionTest, PagesOnlyMissStillRefusesRottedReplica) {
   ASSERT_TRUE(after.ok());
   ASSERT_EQ(after->benefactors.size(), 1u);
   EXPECT_NE(after->benefactors[0], rotten);
+}
+
+TEST(CorruptionTest, RotAfterAVerifiedReadFailsTheNextReadOver) {
+  // The primary hashes its replica once, on the first read, and trusts
+  // that verdict until the bytes change.  A flip after that read must
+  // still fail the next read over to the other replica, counted and
+  // quarantined once — whether the reads ship the replica or one page.
+  for (const auto ship : {store::StoreClient::Ship::kWholeUnits,
+                          store::StoreClient::Ship::kPages}) {
+    const bool pages = ship == store::StoreClient::Ship::kPages;
+    SCOPED_TRACE(pages ? "pages" : "whole");
+    Rig rig(/*replication=*/2);
+    store::StoreClient& c = rig.store->ClientForNode(0);
+    store::Manager& m = rig.store->manager();
+    sim::VirtualClock clock(0);
+    const auto data = Pattern(kChunk, 69);
+    const store::FileId id = WriteStoreFile(c, "/reread", 1, data, clock);
+    auto loc = m.GetReadLocation(clock, id, 0);
+    ASSERT_TRUE(loc.ok());
+    ASSERT_EQ(loc->benefactors.size(), 2u);
+    const int primary = loc->benefactors[0];
+    store::Benefactor& b = rig.store->benefactor(static_cast<size_t>(primary));
+    const uint64_t page = c.config().page_bytes;
+    const size_t first = pages ? 9 : 0;
+    const size_t last = pages ? 9 : c.config().pages_per_chunk() - 1;
+    const uint64_t from = first * page;
+    const uint64_t len = (last - first + 1) * page;
+
+    std::vector<uint8_t> got(kChunk);
+    ASSERT_TRUE(c.ReadChunkPages(clock, id, 0, first, last, got, ship).ok());
+    EXPECT_EQ(0, std::memcmp(got.data() + from, data.data() + from, len));
+    EXPECT_EQ(b.read_requests(), 1u);  // the primary served it
+
+    ASSERT_TRUE(b.CorruptChunk(loc->key, 9 * page + 5, 0x40).ok());
+    std::fill(got.begin(), got.end(), 0);
+    ASSERT_TRUE(c.ReadChunkPages(clock, id, 0, first, last, got, ship).ok());
+    EXPECT_EQ(0, std::memcmp(got.data() + from, data.data() + from, len));
+    EXPECT_EQ(b.read_requests(), 2u);
+    EXPECT_EQ(c.corrupt_failovers(), 1u);
+    EXPECT_EQ(m.corrupt_detected(), 1u);
+    EXPECT_FALSE(b.HasChunk(loc->key));
+    auto after = m.GetReadLocation(clock, id, 0);
+    ASSERT_TRUE(after.ok());
+    ASSERT_EQ(after->benefactors.size(), 1u);
+    EXPECT_NE(after->benefactors[0], primary);
+  }
 }
 
 TEST(CorruptionTest, RepairRebuildsFromVerifiedSurvivor) {

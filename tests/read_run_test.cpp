@@ -7,7 +7,9 @@
 // corrupt read, device-latency amortisation, a multi-process read storm
 // over the streamed path, and the per-chunk read's replica failover past
 // dead and rotted holders, pinned in virtual time against its component
-// calls.
+// calls, and the holder's once-per-mutation verification: re-reads charge
+// what the first read charged, and every path that changes a blob's bytes
+// behind its checksum is caught by the next check.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +18,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "sim/clock.hpp"
 #include "store/store.hpp"
@@ -563,6 +566,247 @@ TEST(ReadFailoverTest, RottedPrimaryIsPaidForAndQuarantinedOnce) {
 TEST(ReadFailoverTest, ThirdReplicaServesPastDeadAndRottedHolders) {
   PinFailover({Holder::kDead, Holder::kRotted, Holder::kServes},
               StoreClient::Ship::kWholeUnits);
+}
+
+// ---- verify once per mutation ----
+
+// The key of chunk `index` of `id` and the benefactor-0 rig's only holder.
+ChunkKey KeyOf(Rig& rig, FileId id, uint32_t index) {
+  sim::VirtualClock lookup(0);
+  auto loc = rig.store->manager().GetReadLocation(lookup, id, index);
+  EXPECT_TRUE(loc.ok());
+  return loc.ok() ? loc->key : ChunkKey{};
+}
+
+TEST(VerifyOnceTest, RereadOfAVerifiedBlobTakesTheSameVirtualTime) {
+  // The first read hashes the replica and leaves it verified; later reads
+  // skip the host hash, but every one is still charged the device read and
+  // the whole replica's checksum: a re-read issued after the last went
+  // idle takes exactly as long, through each single-blob read and a run.
+  Rig rig(/*benefactors=*/1);
+  const auto data = Pattern(kChunk, 54);
+  const ChunkKey key = KeyOf(rig, rig.WriteFile("/again", 1, data), 0);
+  Benefactor& b = rig.store->benefactor(0);
+  const StoreConfig& cfg = rig.client().config();
+  const sim::DeviceProfile& p = b.ssd().profile();
+  const int64_t expected =
+      sim::TransferNs(kChunk, p.read_bw_mbps, p.read_latency_ns) +
+      cfg.checksum_ns(kChunk);
+  const uint64_t page = cfg.page_bytes;
+
+  constexpr int64_t kGap = 1'000'000'000;
+  std::vector<uint8_t> whole(kChunk);
+  std::vector<uint8_t> one(page);
+  for (int i = 0; i < 5; ++i) {
+    const int64_t start = (i + 1) * kGap;
+    sim::VirtualClock clock(start);
+    Status s;
+    if (i < 2) {
+      s = b.ReadChunk(clock, key, whole);
+    } else if (i == 2) {
+      s = b.ReadFragment(clock, key, whole);
+    } else if (i == 3) {
+      s = b.ReadRange(clock, key, 9 * page, one);
+    } else {
+      s = b.ReadChunkRun(
+          clock, {&key, 1},
+          [&](const ChunkRunItem&, std::span<const uint8_t> blob) -> Status {
+            EXPECT_EQ(0, std::memcmp(blob.data(), data.data(), kChunk));
+            return OkStatus();
+          });
+    }
+    ASSERT_TRUE(s.ok()) << "read " << i << ": " << s.ToString();
+    EXPECT_EQ(clock.now() - start, expected) << "read " << i;
+  }
+  EXPECT_EQ(whole, data);
+  EXPECT_EQ(0, std::memcmp(one.data(), data.data() + 9 * page, page));
+  EXPECT_EQ(b.read_requests(), 5u);
+}
+
+TEST(VerifyOnceTest, ReadRangeCopiesItsRangeAndChargesTheWholeBlob) {
+  // ReadRange reads, charges and verifies the whole blob like ReadChunk,
+  // but only its range leaves the holder; a hole zero-fills the range and
+  // touches no device.
+  Rig rig(/*benefactors=*/1);
+  Rig reference(/*benefactors=*/1);
+  const auto data = Pattern(kChunk, 58);
+  const ChunkKey key = KeyOf(rig, rig.WriteFile("/range", 1, data), 0);
+  const ChunkKey ref_key =
+      KeyOf(reference, reference.WriteFile("/range", 1, data), 0);
+  Benefactor& b = rig.store->benefactor(0);
+  Benefactor& ref = reference.store->benefactor(0);
+  const uint64_t page = rig.client().config().page_bytes;
+
+  constexpr int64_t kStart = 1'000'000'000;
+  std::vector<uint8_t> out(kChunk, 0xEE);
+  const auto range = std::span<uint8_t>(out).subspan(5 * page, 3 * page);
+  sim::VirtualClock clock(kStart);
+  bool sparse = true;
+  ASSERT_TRUE(b.ReadRange(clock, key, 5 * page, range, &sparse).ok());
+  EXPECT_FALSE(sparse);
+  std::vector<uint8_t> ref_out(kChunk);
+  sim::VirtualClock ref_clock(kStart);
+  ASSERT_TRUE(ref.ReadChunk(ref_clock, ref_key, ref_out).ok());
+  EXPECT_EQ(clock.now(), ref_clock.now());
+  EXPECT_EQ(b.data_bytes_out(), ref.data_bytes_out());
+  EXPECT_EQ(b.ssd().channel().busy_ns(), ref.ssd().channel().busy_ns());
+  for (uint64_t i = 0; i < kChunk; ++i) {
+    const bool inside = i >= 5 * page && i < 8 * page;
+    ASSERT_EQ(out[i], inside ? data[i] : 0xEE) << "byte " << i;
+  }
+
+  ChunkKey hole = key;
+  hole.index = 99;  // never written on this benefactor
+  const int64_t busy = b.ssd().channel().busy_ns();
+  sim::VirtualClock at_hole(2 * kStart);
+  ASSERT_TRUE(b.ReadRange(at_hole, hole, 5 * page, range, &sparse).ok());
+  EXPECT_TRUE(sparse);
+  EXPECT_EQ(at_hole.now(), 2 * kStart);
+  EXPECT_EQ(b.ssd().channel().busy_ns(), busy);
+  EXPECT_TRUE(std::all_of(range.begin(), range.end(),
+                          [](uint8_t v) { return v == 0; }));
+}
+
+TEST(VerifyOnceTest, FlipAfterAPartialMergeRefusesTheNextMerge) {
+  // A partial merge onto a verified base patches the checksum from the
+  // changed page and leaves the blob verified.  A flip after it must clear
+  // that, so the next merge's base check answers CORRUPT instead of
+  // laundering the rot into a fresh checksum.
+  Rig rig(/*benefactors=*/1);
+  auto image = Pattern(kChunk, 55);
+  const ChunkKey key = KeyOf(rig, rig.WriteFile("/merge", 1, image), 0);
+  Benefactor& b = rig.store->benefactor(0);
+  const StoreConfig& cfg = rig.client().config();
+  const uint64_t page = cfg.page_bytes;
+  sim::VirtualClock clock(0);
+  std::vector<uint8_t> out(kChunk);
+  ASSERT_TRUE(b.ReadChunk(clock, key, out).ok());  // verified
+
+  const auto patch = Pattern(page, 56);
+  std::memcpy(image.data() + 3 * page, patch.data(), page);
+  Bitmap dirty(cfg.pages_per_chunk());
+  dirty.Set(3);
+  uint32_t stored = 0;
+  ASSERT_TRUE(b.WritePages(clock, key, dirty, image, nullptr, &stored).ok());
+  EXPECT_EQ(stored, Crc32c(image.data(), image.size()));
+  uint32_t content = 0;
+  ASSERT_TRUE(b.StoredContentCrc(key, &content));
+  EXPECT_EQ(content, stored);
+
+  ASSERT_TRUE(b.CorruptChunk(key, 7 * page + 1, 0x02).ok());
+  Bitmap next(cfg.pages_per_chunk());
+  next.Set(5);
+  const Status s = b.WritePages(clock, key, next, image, nullptr, &stored);
+  EXPECT_EQ(s.code(), ErrorCode::kCorrupt);
+  EXPECT_NE(s.message().find("pre-image"), std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(b.ReadChunk(clock, key, out).code(), ErrorCode::kCorrupt);
+}
+
+TEST(VerifyOnceTest, BitRotInjectorFlipOfAVerifiedBlobIsCaughtByTheNextRead) {
+  // Two replicas, both verified by a read; a patched merge into the first
+  // leaves it verified too.  The merge's program fires the bit-rot model,
+  // which flips a bit of one of them: that one must read back CORRUPT.
+  Rig rig(/*benefactors=*/1);
+  auto image = Pattern(2 * kChunk, 57);
+  const FileId id = rig.WriteFile("/bitrot", 2, image);
+  const ChunkKey keys[] = {KeyOf(rig, id, 0), KeyOf(rig, id, 1)};
+  Benefactor& b = rig.store->benefactor(0);
+  const StoreConfig& cfg = rig.client().config();
+  sim::VirtualClock clock(0);
+  std::vector<uint8_t> out(kChunk);
+  for (const ChunkKey& key : keys) {
+    ASSERT_TRUE(b.ReadChunk(clock, key, out).ok());
+  }
+
+  b.CorruptAfterWrites(1, /*seed=*/9);
+  const auto first = std::span<uint8_t>(image).first(kChunk);
+  first[0] ^= 0xFF;
+  Bitmap dirty(cfg.pages_per_chunk());
+  dirty.Set(0);
+  ASSERT_TRUE(b.WritePages(clock, keys[0], dirty, first).ok());
+  ASSERT_EQ(b.bitrot_flips(), 1u);
+  b.CorruptAfterWrites(0, 0);
+
+  int corrupt = 0;
+  for (const ChunkKey& key : keys) {
+    const Status s = b.ReadChunk(clock, key, out);
+    if (s.code() == ErrorCode::kCorrupt) {
+      ++corrupt;
+    } else {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
+  }
+  EXPECT_EQ(corrupt, 1);
+}
+
+TEST(VerifyOnceTest, RawWriteWithAWrongChecksumReadsBackCorrupt) {
+  // A whole-blob write stores the caller's checksum verbatim, unhashed, so
+  // it leaves the blob unverified: a checksum that does not match the
+  // bytes is caught by the first read — of a fragment, or of a replica
+  // written with every page dirty.
+  Rig rig(/*benefactors=*/1);
+  Benefactor& b = rig.store->benefactor(0);
+  const StoreConfig& cfg = rig.client().config();
+  const auto data = Pattern(kChunk, 59);
+  const uint32_t wrong = Crc32c(data.data(), data.size()) ^ 1u;
+  const ChunkKey fragment{/*origin_file=*/7, /*index=*/0, /*version=*/0};
+  const ChunkKey replica{/*origin_file=*/7, /*index=*/1, /*version=*/0};
+  sim::VirtualClock clock(0);
+  std::vector<uint8_t> out(kChunk);
+
+  const auto frag = std::span<const uint8_t>(data).first(kChunk / 4);
+  ASSERT_TRUE(b.WriteFragment(clock, fragment, frag, &wrong).ok());
+  EXPECT_EQ(b.ReadFragment(clock, fragment, std::span(out).first(kChunk / 4))
+                .code(),
+            ErrorCode::kCorrupt);
+
+  Bitmap all(cfg.pages_per_chunk());
+  all.SetAll();
+  uint32_t stored = 0;
+  ASSERT_TRUE(b.WritePages(clock, replica, all, data, &wrong, &stored).ok());
+  EXPECT_EQ(stored, wrong);
+  EXPECT_EQ(b.ReadChunk(clock, replica, out).code(), ErrorCode::kCorrupt);
+}
+
+TEST(VerifyOnceTest, CloneOfARottedBlobReadsBackCorrupt) {
+  // A copy-on-write clone copies the source's bytes and checksum but
+  // starts unverified: rot in the source (here after a verified read)
+  // propagates to the clone and is caught by the clone's first read.
+  Rig rig(/*benefactors=*/1);
+  const ChunkKey key =
+      KeyOf(rig, rig.WriteFile("/cow", 1, Pattern(kChunk, 61)), 0);
+  Benefactor& b = rig.store->benefactor(0);
+  sim::VirtualClock clock(0);
+  std::vector<uint8_t> out(kChunk);
+  ASSERT_TRUE(b.ReadChunk(clock, key, out).ok());  // verified
+  ASSERT_TRUE(b.CorruptChunk(key, 100, 0x08).ok());
+  ChunkKey clone = key;
+  ++clone.version;
+  ASSERT_TRUE(b.CloneChunk(clock, key, clone).ok());
+  EXPECT_EQ(b.ReadChunk(clock, clone, out).code(), ErrorCode::kCorrupt);
+  EXPECT_EQ(b.ReadChunk(clock, key, out).code(), ErrorCode::kCorrupt);
+}
+
+TEST(VerifyOnceTest, ScrubAfterAVerifiedReadStillCatchesALaterFlip) {
+  // A verified blob passes scrub exactly when its stored checksum is the
+  // expected one, without a re-hash; a flip after the read clears that,
+  // and the next scrub hashes the bytes and catches it.
+  Rig rig(/*benefactors=*/1);
+  const auto data = Pattern(kChunk, 60);
+  const ChunkKey key = KeyOf(rig, rig.WriteFile("/scrub", 1, data), 0);
+  Benefactor& b = rig.store->benefactor(0);
+  const uint32_t crc = Crc32c(data.data(), data.size());
+  sim::VirtualClock clock(0);
+  std::vector<uint8_t> out(kChunk);
+  ASSERT_TRUE(b.ReadChunk(clock, key, out).ok());  // verified
+
+  EXPECT_TRUE(b.VerifyChunk(clock, key, crc).ok());
+  EXPECT_EQ(b.VerifyChunk(clock, key, crc ^ 1u).code(), ErrorCode::kCorrupt);
+  ASSERT_TRUE(b.CorruptChunk(key, 4096, 0x80).ok());
+  EXPECT_EQ(b.VerifyChunk(clock, key, crc).code(), ErrorCode::kCorrupt);
+  EXPECT_EQ(b.ReadChunk(clock, key, out).code(), ErrorCode::kCorrupt);
+  EXPECT_EQ(b.verify_requests(), 3u);
 }
 
 }  // namespace
