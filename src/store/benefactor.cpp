@@ -165,24 +165,33 @@ Status Benefactor::ReadChunk(sim::VirtualClock& clock, const ChunkKey& key,
                              std::span<uint8_t> out, bool* sparse,
                              TenantId tenant) {
   NVM_CHECK(out.size() == config_.chunk_bytes);
-  return ReadRange(clock, key, /*offset=*/0, out, sparse, tenant);
+  return ReadOne(clock, key, /*offset=*/0, out, /*whole=*/true, sparse,
+                 tenant);
 }
 
 Status Benefactor::ReadFragment(sim::VirtualClock& clock, const ChunkKey& key,
                                 std::span<uint8_t> out, bool* sparse,
                                 TenantId tenant) {
-  return ReadRange(clock, key, /*offset=*/0, out, sparse, tenant);
-}
-
-Status Benefactor::ReadChunkRun(sim::VirtualClock& clock,
-                                std::span<const ChunkKey> keys,
-                                const ChunkRunSink& sink, TenantId tenant) {
-  return ReadRun(clock, keys, sink, tenant, /*into=*/{}, /*offset=*/0);
+  return ReadOne(clock, key, /*offset=*/0, out, /*whole=*/true, sparse,
+                 tenant);
 }
 
 Status Benefactor::ReadRange(sim::VirtualClock& clock, const ChunkKey& key,
                              uint64_t offset, std::span<uint8_t> out,
                              bool* sparse, TenantId tenant) {
+  return ReadOne(clock, key, offset, out, /*whole=*/false, sparse, tenant);
+}
+
+Status Benefactor::ReadChunkRun(sim::VirtualClock& clock,
+                                std::span<const ChunkKey> keys,
+                                const ChunkRunSink& sink, TenantId tenant) {
+  return ReadRun(clock, keys, sink, tenant, /*into=*/{}, /*offset=*/0,
+                 /*whole=*/false);
+}
+
+Status Benefactor::ReadOne(sim::VirtualClock& clock, const ChunkKey& key,
+                           uint64_t offset, std::span<uint8_t> out, bool whole,
+                           bool* sparse, TenantId tenant) {
   if (sparse != nullptr) *sparse = false;
   return ReadRun(
       clock, {&key, 1},
@@ -193,13 +202,14 @@ Status Benefactor::ReadRange(sim::VirtualClock& clock, const ChunkKey& key,
         }
         return OkStatus();
       },
-      tenant, out, offset);
+      tenant, out, offset, whole);
 }
 
 Status Benefactor::ReadRun(sim::VirtualClock& clock,
                            std::span<const ChunkKey> keys,
                            const ChunkRunSink& sink, TenantId tenant,
-                           std::span<uint8_t> into, uint64_t offset) {
+                           std::span<uint8_t> into, uint64_t offset,
+                           bool whole) {
   NVM_RETURN_IF_ERROR(EnsureAlive());
   read_requests_.Add(1);
   std::vector<uint8_t> scratch;
@@ -240,7 +250,9 @@ Status Benefactor::ReadRun(sim::VirtualClock& clock,
           scratch.assign(chunk.data.begin(), chunk.data.end());
           blob = scratch;
         } else if (!corrupt) {
-          NVM_CHECK(offset + into.size() <= bytes, "range past blob %s",
+          NVM_CHECK(whole ? into.size() == bytes
+                          : offset + into.size() <= bytes,
+                    "%s of blob %s", whole ? "size mismatch" : "range past end",
                     key.ToString().c_str());
           std::memcpy(into.data(), chunk.data.data() + offset, into.size());
           blob = into;
@@ -414,13 +426,12 @@ Status Benefactor::Program(sim::VirtualClock& clock, const ChunkKey& key,
                            const uint32_t* crc, uint32_t* stored_crc,
                            bool& first_in_run) {
   const uint64_t blob_bytes = data.size();
-  const uint64_t page = config_.page_bytes;
   const uint64_t bytes =
-      dirty == nullptr ? blob_bytes : dirty->PopCount() * page;
+      dirty == nullptr ? blob_bytes : dirty->PopCount() * config_.page_bytes;
   const bool whole = bytes == blob_bytes;
   uint64_t offset = 0;
   bool charge_crc = false;
-  bool merge = false;
+  bool pre_verified = false;
   bool pre_corrupt = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -430,45 +441,56 @@ Status Benefactor::Program(sim::VirtualClock& clock, const ChunkKey& key,
       fresh.data.assign(blob_bytes, 0);
       fresh.ssd_offset = AllocateOffset();
       it = chunks_.emplace(key, std::move(fresh)).first;
+    } else if (it->second.has_crc && bytes > 0 && !whole) {
+      // Partial merge onto an existing image: verify the base first.
+      // Recomputing the merged checksum over unverified clean pages would
+      // launder bit rot into a fresh, matching checksum — the one state no
+      // scrub could ever catch.
+      pre_verified = true;
+      pre_corrupt = it->second.ContentCrc() != it->second.crc;
     }
     StoredChunk& blob = it->second;
     NVM_CHECK(blob.data.size() == blob_bytes, "blob size changed under %s",
               key.ToString().c_str());
-    // Partial merge onto a checksummed image: verify the base first.
-    // Deriving the merged checksum from unverified clean pages would
-    // launder bit rot into a fresh, matching checksum — the one state no
-    // scrub could ever catch.
-    merge = blob.has_crc && bytes > 0 && !whole;
-    pre_corrupt = merge && blob.ContentCrc() != blob.crc;
     if (!pre_corrupt) {
       offset = blob.ssd_offset;
+      // The base hashed to its checksum, so a merge of few pages derives
+      // the merged image's from each dirty page's old and new bytes.  A
+      // patch reads its page twice and shifts the change through the tail,
+      // which costs about as much as hashing four pages (BM_Crc32cPatch
+      // against BM_Crc32c), so past a quarter of the blob dirty one whole
+      // hash is cheaper.
+      const bool patch = pre_verified && 4 * bytes <= blob_bytes;
       if (dirty == nullptr) {
         std::memcpy(blob.data.data(), data.data(), blob_bytes);
       } else {
-        dirty->ForEachSet([&](size_t p) {
-          uint8_t* at = blob.data.data() + p * page;
-          const uint8_t* from = data.data() + p * page;
-          // The base hashed to its checksum, so the merged image's follows
-          // from each dirty page's old and new bytes; the blob stays
-          // verified.
-          if (merge) {
-            blob.crc = Crc32cPatch(blob.crc, at, from, page,
-                                   blob_bytes - (p + 1) * page);
+        dirty->ForEachSet([&](size_t page) {
+          const uint64_t off = page * config_.page_bytes;
+          if (patch) {
+            blob.crc = Crc32cPatch(blob.crc, blob.data.data() + off,
+                                   data.data() + off, config_.page_bytes,
+                                   blob_bytes - off - config_.page_bytes);
           }
-          std::memcpy(at, from, page);
+          std::memcpy(blob.data.data() + off, data.data() + off,
+                      config_.page_bytes);
         });
       }
-      charge_crc = merge;
-      if (bytes > 0 && !merge) {
-        if (whole && crc != nullptr) {
+      if (bytes > 0) {
+        if (patch) {
+          // The patched checksum covers the merged image, which stays
+          // verified; it is charged as the whole-image hash it replaces.
+          charge_crc = true;
+        } else if (whole && crc != nullptr) {
           // Full-image write: the caller already computed (and paid for)
           // the checksum of exactly these bytes — store it verbatim, for
           // the first read to check.
           blob.crc = *crc;
           blob.verified = false;
         } else {
-          // A fresh or unchecksummed base, or no caller crc: the checksum
-          // must cover the whole image, at the benefactor's CPU cost.
+          // A merge of many pages, a fresh or unchecksummed base, or no
+          // caller crc: the checksum must cover the whole image, at the
+          // benefactor's CPU cost.  It is hashed from the stored bytes, so
+          // they stay verified.
           blob.crc = Crc32c(blob.data.data(), blob.data.size());
           blob.verified = true;
           charge_crc = true;
@@ -478,9 +500,7 @@ Status Benefactor::Program(sim::VirtualClock& clock, const ChunkKey& key,
       if (stored_crc != nullptr && blob.has_crc) *stored_crc = blob.crc;
     }
   }
-  // A merge is charged its base check here and its merged checksum below,
-  // each a whole-image hash, whatever the host hashed.
-  if (merge) clock.Advance(config_.checksum_ns(blob_bytes));
+  if (pre_verified) clock.Advance(config_.checksum_ns(blob_bytes));
   if (pre_corrupt) {
     return Corrupt("benefactor " + std::to_string(id_) +
                    ": pre-image checksum mismatch merging into " +

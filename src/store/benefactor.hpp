@@ -62,8 +62,8 @@ class Benefactor {
   // SsdDevice::ChargeRun*(first_in_run = true) is Charge*.  ReadFragment
   // and WriteFragment take a whole blob of either size, so the manager's
   // member mover (repair and drain) moves replicas and fragments alike
-  // through them.  ReadChunk and ReadFragment are ReadRange at offset 0;
-  // the four per-blob names survive only because the repository
+  // through them.  ReadRange is ReadFragment copying out only a range;
+  // the other four per-blob names survive only because the repository
   // benchmark's traced build wraps them; fold them into the run calls when
   // the benchmark next changes.
   //
@@ -134,13 +134,14 @@ class Benefactor {
   // Checksums: an item's caller-computed CRC32C of the full image is
   // stored verbatim when the dirty set covers the whole chunk (and
   // ignored otherwise); a partial write first verifies the stored base
-  // image (a mismatch fails the run with CORRUPT) and then derives the CRC
-  // of the merged image from the base's and the changed pages
-  // (Crc32cPatch), charging the checksum CPU cost of hashing the merged
-  // image, as does a whole write without a caller CRC.  `stored_crc`
-  // returns the CRC actually stored — the merged-image value on a partial
-  // write — which is what the caller must hand the manager as the
-  // authoritative checksum.
+  // image (a mismatch fails the run with CORRUPT) and then computes the
+  // CRC of the merged image — patched from the changed pages (Crc32cPatch)
+  // while at most a quarter of the chunk is dirty, hashed whole beyond —
+  // charging the checksum CPU cost of a whole-image hash either way, as
+  // does a whole write without a caller CRC.  `stored_crc` returns the
+  // CRC actually stored — the merged-image value on a partial write —
+  // which is what the caller must hand the manager as the authoritative
+  // checksum.
   Status WriteChunkRun(sim::VirtualClock& clock,
                        std::span<const ChunkWriteItem> items,
                        const ChunkRunSend& send,
@@ -289,10 +290,15 @@ class Benefactor {
   // admitted, charged at its own size, verified and handed to `sink`.
   // With `into` non-empty (a single key) the blob's bytes from `offset`
   // are copied straight into it instead of the whole blob into a scratch
-  // buffer.
+  // buffer; `whole` asserts that `into` is exactly the blob's size.
   Status ReadRun(sim::VirtualClock& clock, std::span<const ChunkKey> keys,
                  const ChunkRunSink& sink, TenantId tenant,
-                 std::span<uint8_t> into, uint64_t offset);
+                 std::span<uint8_t> into, uint64_t offset, bool whole);
+  // ReadChunk/ReadFragment (`whole`, offset 0) and ReadRange: a read run
+  // of `key` alone into `out`.
+  Status ReadOne(sim::VirtualClock& clock, const ChunkKey& key,
+                 uint64_t offset, std::span<uint8_t> out, bool whole,
+                 bool* sparse, TenantId tenant);
   // The one data program body: materialise `key` as a blob of data.size()
   // bytes, merge the `dirty` pages of `data` into it (nullptr: the whole
   // blob, as for a fragment) after verifying a partial merge's base

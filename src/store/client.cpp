@@ -220,9 +220,10 @@ StatusOr<StoreClient::PageRange> StoreClient::ReadMembers(
                    : std::span<uint8_t>(frags[pick.member]);
     bool sparse = false;
     Status s;
-    if (pages_only && code.need == 1) {
-      // A replica's holder copies out only the pages it ships; a stripe's
-      // covering fragment lands whole, for a decode top-up to use.
+    if (pages_only && code.need == 1 && slice >= 0) {
+      // A replica's holder copies out only the pages it ships.  A stripe's
+      // covering fragment lands whole, for a decode top-up to use, and so
+      // does a parity member, which only a decode reads.
       const uint64_t from = first_page * cfg.page_bytes;
       s = b->ReadRange(
           at, loc.key, from,

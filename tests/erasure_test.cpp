@@ -936,6 +936,47 @@ TEST(ErasureStoreTest, RottedCoveringFragmentIsQuarantinedAndDecoded) {
   EXPECT_EQ(m.lost_chunks(), 0u);
 }
 
+TEST(ErasureStoreTest, SingleDataFragmentDecodesFromWholeParity) {
+  // RS(1,1) has a read quorum of one, like a replica.  A pages-only read
+  // lands just its pages from the data fragment; with that holder dead it
+  // decodes the chunk from the parity member, and every page of the range
+  // it reports must be the chunk's own, not only the pages asked for.
+  Rig rig(2, [](store::StoreConfig& cfg) {
+    Quiet(cfg);
+    cfg.ec_k = 1;
+    cfg.ec_m = 1;
+  });
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  sim::VirtualClock clock(0);
+  const auto data = Pattern(kChunk, 56);
+  const store::FileId id = WriteStoreFile(c, "/rs11", 1, data, clock);
+  const uint64_t page = c.config().page_bytes;
+  const auto pages_only = store::StoreClient::Ship::kPages;
+
+  std::vector<uint8_t> buf(kChunk);
+  auto range = c.ReadChunkPages(clock, id, 0, 5, 6, buf, pages_only);
+  ASSERT_TRUE(range.ok()) << range.status().ToString();
+  EXPECT_EQ(range->first, 5u);
+  EXPECT_EQ(range->last, 6u);
+  EXPECT_EQ(0, std::memcmp(buf.data() + 5 * page, data.data() + 5 * page,
+                           2 * page));
+
+  auto loc = rig.store->manager().GetReadLocation(clock, id, 0);
+  ASSERT_TRUE(loc.ok());
+  rig.store->benefactor(static_cast<size_t>(loc->benefactors[0])).Kill();
+  std::vector<uint8_t> decoded(kChunk);
+  range = c.ReadChunkPages(clock, id, 0, 5, 6, decoded, pages_only);
+  ASSERT_TRUE(range.ok()) << range.status().ToString();
+  EXPECT_EQ(c.ec_degraded_reads(), 1u);
+  ASSERT_LE(range->first, 5u);
+  ASSERT_GE(range->last, 6u);
+  const uint64_t from = range->first * page;
+  const uint64_t to = (range->last + 1) * page;
+  for (uint64_t i = from; i < to; ++i) {
+    ASSERT_EQ(decoded[i], data[i]) << "byte " << i;
+  }
+}
+
 TEST(ErasureStoreTest, PartialFillNeverOverwritesDirtyPages) {
   // Page 4 is dirty in the cache.  A miss on pages 4-5 asks the store only
   // for page 5, and only page 5 lands.  The miss that continues it

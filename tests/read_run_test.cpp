@@ -667,11 +667,30 @@ TEST(VerifyOnceTest, ReadRangeCopiesItsRangeAndChargesTheWholeBlob) {
                           [](uint8_t v) { return v == 0; }));
 }
 
+TEST(VerifyOnceTest, WholeBlobReadsRefuseABufferOfAnotherSize) {
+  // ReadFragment hands over a whole blob, so a buffer of another size is a
+  // caller's error, never a prefix of the blob; ReadRange copies a range,
+  // which must lie inside the blob.
+  Rig rig(/*benefactors=*/1);
+  const auto data = Pattern(kChunk, 62);
+  const ChunkKey key = KeyOf(rig, rig.WriteFile("/size", 1, data), 0);
+  Benefactor& b = rig.store->benefactor(0);
+  sim::VirtualClock clock(0);
+  std::vector<uint8_t> half(kChunk / 2);
+  EXPECT_DEATH((void)b.ReadFragment(clock, key, half), "size mismatch");
+  ASSERT_TRUE(b.ReadRange(clock, key, kChunk / 2, half).ok());
+  EXPECT_EQ(0, std::memcmp(half.data(), data.data() + kChunk / 2,
+                           half.size()));
+  EXPECT_DEATH((void)b.ReadRange(clock, key, kChunk / 2 + 1, half),
+               "range past end");
+}
+
 TEST(VerifyOnceTest, FlipAfterAPartialMergeRefusesTheNextMerge) {
   // A partial merge onto a verified base patches the checksum from the
-  // changed page and leaves the blob verified.  A flip after it must clear
-  // that, so the next merge's base check answers CORRUPT instead of
-  // laundering the rot into a fresh checksum.
+  // changed pages while at most a quarter of the chunk is dirty, hashes
+  // the merged image beyond that, and leaves the blob verified either
+  // way.  A flip after it must clear that, so the next merge's base check
+  // answers CORRUPT instead of laundering the rot into a fresh checksum.
   Rig rig(/*benefactors=*/1);
   auto image = Pattern(kChunk, 55);
   const ChunkKey key = KeyOf(rig, rig.WriteFile("/merge", 1, image), 0);
@@ -682,20 +701,30 @@ TEST(VerifyOnceTest, FlipAfterAPartialMergeRefusesTheNextMerge) {
   std::vector<uint8_t> out(kChunk);
   ASSERT_TRUE(b.ReadChunk(clock, key, out).ok());  // verified
 
-  const auto patch = Pattern(page, 56);
-  std::memcpy(image.data() + 3 * page, patch.data(), page);
-  Bitmap dirty(cfg.pages_per_chunk());
-  dirty.Set(3);
-  uint32_t stored = 0;
-  ASSERT_TRUE(b.WritePages(clock, key, dirty, image, nullptr, &stored).ok());
-  EXPECT_EQ(stored, Crc32c(image.data(), image.size()));
-  uint32_t content = 0;
-  ASSERT_TRUE(b.StoredContentCrc(key, &content));
-  EXPECT_EQ(content, stored);
+  // One page (patched), then half the chunk (hashed whole).
+  for (const size_t pages : {size_t{1}, cfg.pages_per_chunk() / 2}) {
+    SCOPED_TRACE(pages);
+    Bitmap dirty(cfg.pages_per_chunk());
+    for (size_t p = 0; p < pages; ++p) {
+      const size_t at = (3 + 5 * p) % cfg.pages_per_chunk();
+      const auto fresh = Pattern(page, 56 + p);
+      std::memcpy(image.data() + at * page, fresh.data(), page);
+      dirty.Set(at);
+    }
+    ASSERT_EQ(dirty.PopCount(), pages);
+    uint32_t stored = 0;
+    ASSERT_TRUE(
+        b.WritePages(clock, key, dirty, image, nullptr, &stored).ok());
+    EXPECT_EQ(stored, Crc32c(image.data(), image.size()));
+    uint32_t content = 0;
+    ASSERT_TRUE(b.StoredContentCrc(key, &content));
+    EXPECT_EQ(content, stored);
+  }
 
   ASSERT_TRUE(b.CorruptChunk(key, 7 * page + 1, 0x02).ok());
   Bitmap next(cfg.pages_per_chunk());
   next.Set(5);
+  uint32_t stored = 0;
   const Status s = b.WritePages(clock, key, next, image, nullptr, &stored);
   EXPECT_EQ(s.code(), ErrorCode::kCorrupt);
   EXPECT_NE(s.message().find("pre-image"), std::string::npos)
@@ -704,8 +733,8 @@ TEST(VerifyOnceTest, FlipAfterAPartialMergeRefusesTheNextMerge) {
 }
 
 TEST(VerifyOnceTest, BitRotInjectorFlipOfAVerifiedBlobIsCaughtByTheNextRead) {
-  // Two replicas, both verified by a read; a patched merge into the first
-  // leaves it verified too.  The merge's program fires the bit-rot model,
+  // Two replicas, both verified by a read; a merge into the first leaves
+  // it verified too.  The merge's program fires the bit-rot model,
   // which flips a bit of one of them: that one must read back CORRUPT.
   Rig rig(/*benefactors=*/1);
   auto image = Pattern(2 * kChunk, 57);
