@@ -74,17 +74,15 @@ uint32_t ChunkCache::readahead_window(store::FileId file) const {
   return best->window;
 }
 
-void ChunkCache::TouchLocked(Shard& sh, const SlotKey& key, Slot& slot) {
-  const uint64_t tick = lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-  sh.lru.erase(slot.lru_it);
-  sh.lru.push_front({key, tick});
-  slot.lru_it = sh.lru.begin();
+void ChunkCache::TouchLocked(Shard& sh, Slot& slot) {
+  slot.lru_it->second = lru_tick_.fetch_add(1, std::memory_order_relaxed) + 1;
+  sh.lru.splice(sh.lru.begin(), sh.lru, slot.lru_it);
   sh.oldest_tick.store(sh.lru.back().second, std::memory_order_relaxed);
 }
 
 ChunkCache::Slot ChunkCache::NewSlot() const {
   Slot slot;
-  slot.data.assign(chunk_bytes(), 0);
+  slot.data = std::make_unique_for_overwrite<uint8_t[]>(chunk_bytes());
   slot.dirty = Bitmap(chunk_bytes() / page_bytes());
   slot.valid = Bitmap(chunk_bytes() / page_bytes());
   return slot;
@@ -177,7 +175,7 @@ Status ChunkCache::FlushFileWindow(sim::VirtualClock& clock,
       whole.back().SetAll();
       w.dirty = &whole.back();
     }
-    w.image = it->second.data;
+    w.image = Bytes(it->second);
     writes.push_back(w);
     entries.push_back({&it->second, w.dirty->PopCount()});
   }
@@ -288,7 +286,7 @@ StatusOr<ChunkCache::Slot*> ChunkCache::GetOrCreateSlot(
       it->second.ra_pending = false;
       ra_pending_.fetch_sub(1, std::memory_order_relaxed);
     }
-    TouchLocked(sh, key, it->second);
+    TouchLocked(sh, it->second);
     return &it->second;
   }
 
@@ -306,7 +304,7 @@ StatusOr<ChunkCache::Slot*> ChunkCache::GetOrCreateSlot(
     // Another thread materialised the slot while the lock was dropped.
     resident_.fetch_sub(1, std::memory_order_relaxed);
     clock.AdvanceTo(it->second.ready_at);
-    TouchLocked(sh, key, it->second);
+    TouchLocked(sh, it->second);
     return &it->second;
   }
 
@@ -327,22 +325,30 @@ StatusOr<bool> ChunkCache::EnsureValidLocked(sim::VirtualClock& clock,
   // The store returns at least those pages — only those, or the whole
   // replica or erasure fragments that hold them — and only the invalid
   // pages of what landed are filled (dirty local pages are never
-  // clobbered).
-  // Only the landed pages are read back, so the buffer needs no zeroing.
-  const auto fetched = std::make_unique_for_overwrite<uint8_t[]>(chunk_bytes());
+  // clobbered).  A slot with no valid page has nothing to clobber, so the
+  // pages land in place; otherwise they land in a staging buffer, which
+  // needs no zeroing because only the landed pages are read back.
+  const bool in_place = slot.valid.None();
+  std::unique_ptr<uint8_t[]> staged;
+  if (!in_place) {
+    staged = std::make_unique_for_overwrite<uint8_t[]>(chunk_bytes());
+  }
+  const std::span<uint8_t> into =
+      in_place ? Bytes(slot) : std::span<uint8_t>(staged.get(), chunk_bytes());
   const int64_t t0 = clock.now();
   NVM_ASSIGN_OR_RETURN(
       const store::StoreClient::PageRange got,
       client_.ReadChunkPages(clock, key.file, key.index, first_page, last_page,
-                             {fetched.get(), chunk_bytes()}, ship));
+                             into, ship));
   SerializeOnDaemon(clock, t0);
   ++traffic_.fetched_chunks;
   for (size_t p = got.first; p <= got.last; ++p) {
-    if (!slot.valid.Test(p)) {
-      std::memcpy(slot.data.data() + p * page_bytes(),
-                  fetched.get() + p * page_bytes(), page_bytes());
-      slot.valid.Set(p);
+    if (slot.valid.Test(p)) continue;
+    if (!in_place) {
+      std::memcpy(slot.data.get() + p * page_bytes(),
+                  staged.get() + p * page_bytes(), page_bytes());
     }
+    slot.valid.Set(p);
   }
   slot.ready_at = std::max(slot.ready_at, clock.now());
   return true;
@@ -396,7 +402,7 @@ Status ChunkCache::FetchRun(sim::VirtualClock& clock, store::FileId file,
   for (size_t i = 0; i < absent.size(); ++i) {
     slots.push_back(NewSlot());
     fetches[i].index = absent[i];
-    fetches[i].out = slots[i].data;
+    fetches[i].out = Bytes(slots[i]);
   }
 
   Status looked_up = client_.ReadChunks(bclock, file, fetches);
@@ -596,7 +602,7 @@ Status ChunkCache::Read(sim::VirtualClock& clock, store::FileId file,
         EnsureValidLocked(clock, key, *slot, within / page_bytes(),
                           (within + n - 1) / page_bytes(), ship));
     if (cached && !fetched) ++traffic_.hit_chunks;
-    std::memcpy(out.data() + done, slot->data.data() + within, n);
+    std::memcpy(out.data() + done, slot->data.get() + within, n);
     lk.unlock();
 
     const PrefetchPlan plan = UpdateStreams(file, pos, n, index);
@@ -665,7 +671,7 @@ Status ChunkCache::Write(sim::VirtualClock& clock, store::FileId file,
       }
     }
     if (cached && !fetched) ++traffic_.hit_chunks;
-    std::memcpy(slot->data.data() + within, in.data() + done, n);
+    std::memcpy(slot->data.get() + within, in.data() + done, n);
     for (size_t p = first_page; p <= last_page; ++p) {
       slot->dirty.Set(p);
       slot->valid.Set(p);

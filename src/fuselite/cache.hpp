@@ -7,7 +7,10 @@
 //    mutex (each shard has its own map, LRU list and lock; capacity is
 //    enforced globally by evicting from the shard holding the oldest
 //    entry, so single-threaded behaviour is still exact LRU),
-//  * 4 KB page-granularity dirty tracking inside each chunk,
+//  * 4 KB page-granularity dirty tracking inside each chunk; a slot's
+//    bytes count only where its `valid` bitmap says so (slots are not
+//    zero-filled: a page is valid once it was fetched or written, and a
+//    miss on a slot with no valid page lands the store's bytes in place),
 //  * eviction flushes only the dirty pages (Table VII's write optimisation),
 //  * contiguous runs of missing chunks are fetched with one batched
 //    manager lookup and one streamed run per benefactor,
@@ -177,7 +180,8 @@ class ChunkCache {
   // tail) is known without a map lookup.
   using LruList = std::list<std::pair<SlotKey, uint64_t>>;
   struct Slot {
-    std::vector<uint8_t> data;
+    // chunk_bytes, never zero-filled: only the `valid` pages mean anything.
+    std::unique_ptr<uint8_t[]> data;
     Bitmap dirty;  // pages modified locally, pending write-back
     Bitmap valid;  // pages whose contents are known (fetched or written)
     int64_t ready_at = 0;  // virtual time the chunk finished arriving
@@ -220,11 +224,12 @@ class ChunkCache {
   // StoreClient::ReadChunkPages over the still-invalid pages of the range,
   // shipping only those pages or the whole units that hold them (`ship`),
   // and filling only the invalid pages of what landed (dirty local pages
-  // are never clobbered; a later miss in the chunk fetches again).  Pages
-  // about to be fully overwritten need no fetch — that is how a page
-  // cache avoids read-modify-write on full-page writes.  Returns whether
-  // the store was read.  Runs with the slot's shard lock held; other
-  // shards stay available.
+  // are never clobbered; a later miss in the chunk fetches again).  A
+  // slot with no valid page takes the store's bytes in place; any other
+  // goes through a staging buffer.  Pages about to be fully overwritten
+  // need no fetch — that is how a page cache avoids read-modify-write on
+  // full-page writes.  Returns whether the store was read.  Runs with the
+  // slot's shard lock held; other shards stay available.
   StatusOr<bool> EnsureValidLocked(sim::VirtualClock& clock,
                                    const SlotKey& key, Slot& slot,
                                    size_t first_page, size_t last_page,
@@ -250,9 +255,14 @@ class ChunkCache {
   // Must be called with NO shard lock held; the caller owns the
   // reservation and must fetch_sub what it does not insert.
   Status ReserveResidency(sim::VirtualClock& clock, size_t count);
-  void TouchLocked(Shard& sh, const SlotKey& key, Slot& slot);
-  // An empty slot: zeroed data, no dirty or valid page.
+  // Move the slot to the front of its shard's LRU (no allocation).
+  void TouchLocked(Shard& sh, Slot& slot);
+  // An empty slot: unfilled data, no dirty or valid page.
   Slot NewSlot() const;
+  // The slot's chunk_bytes, as the store's reads and writes take them.
+  std::span<uint8_t> Bytes(Slot& slot) const {
+    return {slot.data.get(), chunk_bytes()};
+  }
   // Insert `slot` as the shard's most recently used entry (`sh.mutex`
   // held; the caller owns the residency it takes).
   Slot& InsertLocked(Shard& sh, const SlotKey& key, Slot slot);

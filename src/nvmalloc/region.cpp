@@ -41,7 +41,8 @@ NvmRegion::NvmRegion(fuselite::MountPoint& mount, PagePool& pool,
       shared_(shared),
       page_fault_ns_(page_fault_ns),
       num_pages_(CeilDiv(size, kPageBytes)),
-      buffer_(RoundUp(size, kPageBytes), 0),
+      buffer_(std::make_unique_for_overwrite<uint8_t[]>(
+          RoundUp(size, kPageBytes))),
       resident_(num_pages_),
       dirty_(num_pages_),
       pin_counts_(num_pages_, 0) {}
@@ -65,7 +66,7 @@ Status NvmRegion::WriteBackPageLocked(sim::VirtualClock& clock,
   const uint64_t offset = static_cast<uint64_t>(page) * kPageBytes;
   const uint64_t len = std::min(kPageBytes, size_ - offset);
   NVM_RETURN_IF_ERROR(mount_.cache().Write(
-      clock, file_.id(), offset, {buffer_.data() + offset, len}));
+      clock, file_.id(), offset, {buffer_.get() + offset, len}));
   dirty_.Clear(page);
   stats_.bytes_written_back += len;
   return OkStatus();
@@ -108,7 +109,7 @@ Status NvmRegion::FaultPageLocked(sim::VirtualClock& clock, uint32_t page) {
   const uint64_t len = std::min(kPageBytes, size_ - offset);
   clock.Advance(page_fault_ns_);
   NVM_RETURN_IF_ERROR(mount_.cache().Read(clock, file_.id(), offset,
-                                          {buffer_.data() + offset, len}));
+                                          {buffer_.get() + offset, len}));
   resident_.Set(page);
   pool_.fifo_.push_back({this, page});
   ++pool_.resident_;
@@ -147,7 +148,7 @@ StatusOr<PinnedSpan> NvmRegion::Pin(uint64_t offset, uint64_t len,
     if (len > 0 && for_write) dirty_.Set(p);
     ++pin_counts_[p];
   }
-  return PinnedSpan(this, buffer_.data() + offset, len, first, last);
+  return PinnedSpan(this, buffer_.get() + offset, len, first, last);
 }
 
 namespace {

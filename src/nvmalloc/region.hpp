@@ -196,7 +196,9 @@ class NvmRegion {
   const int64_t page_fault_ns_;
   const uint64_t num_pages_;
 
-  std::vector<uint8_t> buffer_;  // full-region backing window
+  // Full-region backing window, never zero-filled: a page is exposed only
+  // after FaultPageLocked filled it from the cache.
+  std::unique_ptr<uint8_t[]> buffer_;
   Bitmap resident_;
   Bitmap dirty_;
   std::vector<uint16_t> pin_counts_;

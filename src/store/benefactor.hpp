@@ -2,13 +2,18 @@
 // aggregate store and serves chunk-granularity data-plane requests.
 //
 // Chunks are stored as individual buffers keyed by ChunkKey (the paper
-// stores them as individual files on the benefactor's SSD).  Every data
-// access charges the node's modelled SSD; space accounting enforces the
-// contributed capacity; Kill()/Revive() support failure-injection tests.
+// stores them as individual files on the benefactor's SSD).  A blob's
+// buffer is refcounted and shared: a copy-on-write clone shares its
+// source's, and a read run hands its sink the stored bytes themselves.
+// Whatever changes a blob's bytes first copies them if anyone else holds
+// the buffer.  Every data access charges the node's modelled SSD; space
+// accounting enforces the contributed capacity; Kill()/Revive() support
+// failure-injection tests.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <unordered_map>
@@ -78,7 +83,11 @@ class Benefactor {
   // the SSD channel), but only the first pays the per-request read
   // latency.  Blobs are handed to `sink` in request order, stamped with
   // their device completion time; sparse (reserved-but-never-written)
-  // blobs skip the device and carry no data.  A blob stored with a
+  // blobs skip the device and carry no data.  The span a sink gets is the
+  // stored buffer itself, exactly the bytes that were verified, and stays
+  // valid until the sink returns even if the blob is rewritten, cloned or
+  // deleted meanwhile (the sink may call back into this benefactor; the
+  // run holds no lock while the sink runs).  A blob stored with a
   // checksum is re-checksummed before it is handed over (CPU charged at
   // checksum_bw_gbps, pipelined with the device stream); a mismatch fails
   // the run with CORRUPT once that verification is charged.
@@ -181,7 +190,7 @@ class Benefactor {
 
   // Copy-on-write support: duplicate `from` under key `to` locally
   // (device read + write of the stored blob — a chunk or a fragment — no
-  // network).
+  // network).  The clone shares the source's buffer until either changes.
   Status CloneChunk(sim::VirtualClock& clock, const ChunkKey& from,
                     const ChunkKey& to,
                     TenantId tenant = kTenantForeground);
@@ -268,7 +277,11 @@ class Benefactor {
 
  private:
   struct StoredChunk {
-    std::vector<uint8_t> data;
+    // The blob's `size` bytes, shared with copy-on-write clones and with
+    // the read runs handing them to a sink.  Every reference is taken and
+    // dropped under mutex_, so `data.use_count()` read under it is exact.
+    std::shared_ptr<uint8_t[]> data;
+    uint64_t size = 0;
     uint64_t ssd_offset = 0;  // position in the device address space
     // Checksum recorded at write time (never recomputed on rot — that is
     // the point: verification compares stored bytes against it).
@@ -284,13 +297,18 @@ class Benefactor {
     // `verified` already vouches for `crc`; a hash that matches `crc` sets
     // `verified`.  Call under mutex_.
     uint32_t ContentCrc();
+    // Make `data` this blob's alone before its bytes change (under
+    // mutex_): a shared buffer is left to its other holders, and the blob
+    // takes a copy of it, or, when the caller overwrites every byte
+    // (`keep` false), an unfilled one.
+    void Own(bool keep);
   };
 
   // The one data read body: one request over `keys`, each stored blob
-  // admitted, charged at its own size, verified and handed to `sink`.
-  // With `into` non-empty (a single key) the blob's bytes from `offset`
-  // are copied straight into it instead of the whole blob into a scratch
-  // buffer; `whole` asserts that `into` is exactly the blob's size.
+  // admitted, charged at its own size, verified and handed to `sink` as a
+  // span of its shared buffer.  With `into` non-empty (a single key) the
+  // blob's bytes from `offset` are copied into it under mutex_ instead;
+  // `whole` asserts that `into` is exactly the blob's size.
   Status ReadRun(sim::VirtualClock& clock, std::span<const ChunkKey> keys,
                  const ChunkRunSink& sink, TenantId tenant,
                  std::span<uint8_t> into, uint64_t offset, bool whole);

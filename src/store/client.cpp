@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/checksum.hpp"
@@ -603,12 +604,13 @@ std::vector<std::vector<std::vector<uint8_t>>> StoreClient::EncodeStripes(
       partial.push_back(j);
     }
   }
-  std::vector<std::vector<uint8_t>> merged(partial.size());
+  // The batch fills each base whole or fails it, so none is zero-filled.
+  std::vector<std::unique_ptr<uint8_t[]>> merged(partial.size());
   std::vector<ChunkFetch> bases(partial.size());
   for (size_t b = 0; b < partial.size(); ++b) {
-    merged[b].resize(cfg.chunk_bytes);
+    merged[b] = std::make_unique_for_overwrite<uint8_t[]>(cfg.chunk_bytes);
     bases[b].index = writes[active[partial[b]]].index;
-    bases[b].out = merged[b];
+    bases[b].out = {merged[b].get(), cfg.chunk_bytes};
   }
   std::vector<std::span<const uint8_t>> full(active.size());
   for (size_t j = 0; j < active.size(); ++j) full[j] = writes[active[j]].image;
@@ -626,10 +628,10 @@ std::vector<std::vector<std::vector<uint8_t>>> StoreClient::EncodeStripes(
         continue;
       }
       w.dirty->ForEachSet([&](size_t p) {
-        std::memcpy(merged[b].data() + p * cfg.page_bytes,
+        std::memcpy(merged[b].get() + p * cfg.page_bytes,
                     w.image.data() + p * cfg.page_bytes, cfg.page_bytes);
       });
-      full[partial[b]] = merged[b];
+      full[partial[b]] = bases[b].out;
     }
     // A chunk whose base could not be read is not written.
     size_t kept = 0;
@@ -645,16 +647,21 @@ std::vector<std::vector<std::vector<uint8_t>>> StoreClient::EncodeStripes(
   // Encode k data + m parity fragments per stripe (the matrix math is real;
   // the CPU cost is one chunk per stripe through the encode engine) and
   // checksum each full image plus each fragment — the positional checksums
-  // are what degraded reads and repair verify survivors against.
+  // are what degraded reads and repair verify survivors against.  The code
+  // is systematic, so the image is its k data fragments end to end and its
+  // checksum combines theirs; both hashes are still charged below.
   const ErasureCodec codec(cfg.ec_k, cfg.ec_m);
   std::vector<std::vector<std::vector<uint8_t>>> frags(active.size());
   crcs.assign(active.size(), 0);
   frag_crcs.assign(active.size(), {});
   for (size_t j = 0; j < active.size(); ++j) {
     frags[j] = codec.Encode(full[j]);
-    crcs[j] = Crc32c(full[j].data(), full[j].size());
     for (const std::vector<uint8_t>& f : frags[j]) {
       frag_crcs[j].push_back(Crc32c(f.data(), f.size()));
+    }
+    crcs[j] = frag_crcs[j][0];
+    for (uint32_t p = 1; p < cfg.ec_k; ++p) {
+      crcs[j] = Crc32cCombine(crcs[j], frag_crcs[j][p], frags[j][p].size());
     }
   }
   const uint64_t bytes = active.size() * cfg.chunk_bytes;

@@ -242,6 +242,42 @@ TEST_F(FuseliteTest, MissAfterBlindWriteCountsOnceAsAFetch) {
   EXPECT_EQ(t.fetched_chunks.load(), 1u);
 }
 
+TEST_F(FuseliteTest, WholeReplicaMissKeepsADirtyPage) {
+  // The replicated twin of ErasureStoreTest.PartialFillNeverOverwrites-
+  // DirtyPages.  Page 3 of chunk 1 is dirty in the cache; a miss that
+  // continues a stream into chunk 1 fetches the whole replica, which lands
+  // around the dirty page without touching it, and the flush writes the
+  // page over the old chunk.
+  FuseliteConfig cfg;
+  cfg.readahead = false;
+  Rebuild(cfg);
+  const auto data = Pattern(2 * kChunk, 18);
+  FileHandle f = StoredFile("/dirtywhole", data);
+  std::vector<uint8_t> got(kPage);
+  ASSERT_TRUE(f.Read(kChunk - kPage, got).ok());  // a stream up to chunk 1
+  const auto mine = Pattern(kPage, 19);
+  const uint64_t reads = ReadRequests();
+  ASSERT_TRUE(f.Write(kChunk + 3 * kPage, mine).ok());
+  EXPECT_EQ(ReadRequests(), reads) << "a full-page write fetches nothing";
+  const uint64_t fetched = mount_->client().bytes_fetched();
+  ASSERT_TRUE(f.Read(kChunk, got).ok());
+  EXPECT_EQ(ReadRequests() - reads, 1u);
+  EXPECT_EQ(mount_->client().bytes_fetched() - fetched, kChunk);
+
+  auto want = data;
+  std::copy(mine.begin(), mine.end(), want.begin() + kChunk + 3 * kPage);
+  std::vector<uint8_t> chunk(kChunk);
+  ASSERT_TRUE(f.Read(kChunk, chunk).ok());
+  EXPECT_EQ(ReadRequests() - reads, 1u);
+  EXPECT_EQ(0, std::memcmp(chunk.data(), want.data() + kChunk, kChunk));
+
+  ASSERT_TRUE(f.Sync().ok());
+  ASSERT_TRUE(mount_->cache().Drop(sim::CurrentClock(), f.id()).ok());
+  std::vector<uint8_t> back(2 * kChunk);
+  ASSERT_TRUE(f.Read(0, back).ok());
+  EXPECT_EQ(back, want);
+}
+
 TEST_F(FuseliteTest, LruEvictsUnderPressureAndFlushesDirtyPages) {
   FuseliteConfig cfg;
   cfg.cache_bytes = 4 * kChunk;  // tiny cache

@@ -388,10 +388,19 @@ TEST(MaintenanceTest, LostChunksAreSurfacedNotSilentlyKept) {
 
 // ---- manual engine parity ----
 
+// Both sweeps pushed out of the horizon: the background loops stay idle.
+constexpr auto kQuiet = [](store::StoreConfig& cfg) {
+  cfg.heartbeat_period_ms = 1'000'000;
+  cfg.scrub_period_ms = 1'000'000;
+};
+
 TEST(MaintenanceTest, ManualRepairStillWorksAlongsideService) {
   // RepairReplication is a synchronous wrapper over the same engine; with
-  // the service idle it must behave exactly as before.
-  Rig rig(/*replication=*/2);
+  // the service idle it must behave exactly as before.  The quiet rig
+  // keeps it idle: with 1 ms heartbeats its worker could declare the dead
+  // benefactor and re-replicate its chunks first, leaving nothing to
+  // recreate.
+  Rig rig(/*replication=*/2, kQuiet);
   store::StoreClient& c = rig.store->ClientForNode(0);
   sim::VirtualClock clock(0);
   const store::FileId id =
@@ -411,11 +420,6 @@ TEST(MaintenanceTest, ManualRepairStillWorksAlongsideService) {
 // interleavings the background loops can produce but thread timing alone
 // cannot reproduce deterministically.  The rigs push both sweeps out of
 // the horizon so nothing interferes with the staged sequence.
-
-constexpr auto kQuiet = [](store::StoreConfig& cfg) {
-  cfg.heartbeat_period_ms = 1'000'000;
-  cfg.scrub_period_ms = 1'000'000;
-};
 
 TEST(MaintenanceTest, WriteLandingDuringRepairCopyCannotCommitStaleBytes) {
   Rig rig(/*replication=*/2, kQuiet);

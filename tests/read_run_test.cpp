@@ -7,15 +7,18 @@
 // corrupt read, device-latency amortisation, a multi-process read storm
 // over the streamed path, and the per-chunk read's replica failover past
 // dead and rotted holders, pinned in virtual time against its component
-// calls, and the holder's once-per-mutation verification: re-reads charge
+// calls, the holder's once-per-mutation verification: re-reads charge
 // what the first read charged, and every path that changes a blob's bytes
-// behind its checksum is caught by the next check.
+// behind its checksum is caught by the next check, and its shared blob
+// buffers: a sink keeps the bytes it was handed, a clone and its source
+// change apart, and a first partial write reads zeros around its pages.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/checksum.hpp"
@@ -836,6 +839,187 @@ TEST(VerifyOnceTest, ScrubAfterAVerifiedReadStillCatchesALaterFlip) {
   EXPECT_EQ(b.VerifyChunk(clock, key, crc).code(), ErrorCode::kCorrupt);
   EXPECT_EQ(b.ReadChunk(clock, key, out).code(), ErrorCode::kCorrupt);
   EXPECT_EQ(b.verify_requests(), 3u);
+}
+
+
+TEST(SharedBlobTest, SinkThatRewritesItsKeyKeepsTheVerifiedBytes) {
+  // A run hands its sink the stored buffer itself.  A sink that rewrites
+  // the same key meanwhile, with one page or with every page, still holds
+  // exactly the bytes that were verified; the write lands on a copy, which
+  // the next read returns.
+  Rig rig(/*benefactors=*/1);
+  Benefactor& b = rig.store->benefactor(0);
+  const StoreConfig& cfg = rig.client().config();
+  auto image = Pattern(kChunk, 63);
+  const ChunkKey key = KeyOf(rig, rig.WriteFile("/rewrite", 1, image), 0);
+  sim::VirtualClock clock(0);
+  for (const size_t pages : {size_t{1}, cfg.pages_per_chunk()}) {
+    SCOPED_TRACE(pages);
+    const auto old = image;
+    const uint32_t old_crc = Crc32c(old.data(), old.size());
+    const auto fresh = Pattern(kChunk, 64 + pages);
+    Bitmap dirty(cfg.pages_per_chunk());
+    for (size_t p = 0; p < pages; ++p) {
+      const size_t at = (6 + p) % cfg.pages_per_chunk();
+      std::memcpy(image.data() + at * cfg.page_bytes,
+                  fresh.data() + at * cfg.page_bytes, cfg.page_bytes);
+      dirty.Set(at);
+    }
+    const uint32_t crc = Crc32c(image.data(), image.size());
+    int handed = 0;
+    ASSERT_TRUE(
+        b.ReadChunkRun(
+             clock, {&key, 1},
+             [&](const ChunkRunItem& item,
+                 std::span<const uint8_t> blob) -> Status {
+               ++handed;
+               EXPECT_FALSE(item.sparse);
+               sim::VirtualClock writer(0);
+               uint32_t stored = 0;
+               NVM_RETURN_IF_ERROR(
+                   b.WritePages(writer, key, dirty, image, &crc, &stored));
+               EXPECT_EQ(stored, crc);
+               EXPECT_EQ(blob.size(), kChunk);
+               EXPECT_EQ(Crc32c(blob.data(), blob.size()), old_crc);
+               EXPECT_EQ(0, std::memcmp(blob.data(), old.data(), kChunk));
+               return OkStatus();
+             })
+            .ok());
+    EXPECT_EQ(handed, 1);
+    std::vector<uint8_t> out(kChunk);
+    ASSERT_TRUE(b.ReadChunk(clock, key, out).ok());
+    EXPECT_EQ(out, image);
+  }
+}
+
+TEST(SharedBlobTest, RewritesDuringRunsNeverChangeAHandedBlob) {
+  // Two reader threads run over a blob while the writer rewrites it whole,
+  // alternating two images (TSan coverage via the concurrency label).
+  // Every blob a sink is handed must hash to one of them: a rewrite lands
+  // on a copy while any run still holds the buffer.
+  Rig rig(/*benefactors=*/1);
+  Benefactor& b = rig.store->benefactor(0);
+  const StoreConfig& cfg = rig.client().config();
+  const std::vector<uint8_t> images[] = {Pattern(kChunk, 90),
+                                         Pattern(kChunk, 91)};
+  const uint32_t crcs[] = {Crc32c(images[0].data(), kChunk),
+                           Crc32c(images[1].data(), kChunk)};
+  const ChunkKey key = KeyOf(rig, rig.WriteFile("/storm", 1, images[0]), 0);
+  std::atomic<bool> done{false};
+  std::atomic<int> handed{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      sim::VirtualClock clock(0);
+      while (!done.load()) {
+        const Status s = b.ReadChunkRun(
+            clock, {&key, 1},
+            [&](const ChunkRunItem&, std::span<const uint8_t> blob) -> Status {
+              const uint32_t crc = Crc32c(blob.data(), blob.size());
+              if (crc != crcs[0] && crc != crcs[1]) wrong.fetch_add(1);
+              handed.fetch_add(1);
+              return OkStatus();
+            });
+        if (!s.ok()) wrong.fetch_add(1);
+      }
+    });
+  }
+  while (handed.load() == 0) std::this_thread::yield();
+  Bitmap all(cfg.pages_per_chunk());
+  all.SetAll();
+  sim::VirtualClock clock(0);
+  for (int i = 1; i <= 200; ++i) {
+    EXPECT_TRUE(b.WritePages(clock, key, all, images[i % 2], &crcs[i % 2])
+                    .ok());
+  }
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  std::vector<uint8_t> out(kChunk);
+  ASSERT_TRUE(b.ReadChunk(clock, key, out).ok());
+  EXPECT_EQ(out, images[0]);
+}
+
+TEST(SharedBlobTest, CloneAndSourceChangeApart) {
+  // A clone shares its source's buffer until either side changes: rot
+  // injected into the source leaves the clone exact, and a write to a
+  // clone leaves its source exact.
+  Rig rig(/*benefactors=*/1);
+  Benefactor& b = rig.store->benefactor(0);
+  const StoreConfig& cfg = rig.client().config();
+  const auto data = Pattern(2 * kChunk, 66);
+  const FileId id = rig.WriteFile("/apart", 2, data);
+  const std::vector<uint8_t> first(data.begin(), data.begin() + kChunk);
+  const std::vector<uint8_t> second(data.begin() + kChunk, data.end());
+  sim::VirtualClock clock(0);
+  std::vector<uint8_t> out(kChunk);
+
+  const ChunkKey rotted = KeyOf(rig, id, 0);
+  ChunkKey rotted_clone = rotted;
+  ++rotted_clone.version;
+  ASSERT_TRUE(b.CloneChunk(clock, rotted, rotted_clone).ok());
+  ASSERT_TRUE(b.CorruptChunk(rotted, 100, 0x08).ok());
+  ASSERT_TRUE(b.ReadChunk(clock, rotted_clone, out).ok());
+  EXPECT_EQ(out, first);
+  EXPECT_EQ(b.ReadChunk(clock, rotted, out).code(), ErrorCode::kCorrupt);
+
+  const ChunkKey source = KeyOf(rig, id, 1);
+  ChunkKey clone = source;
+  ++clone.version;
+  ASSERT_TRUE(b.CloneChunk(clock, source, clone).ok());
+  auto image = second;
+  Bitmap dirty(cfg.pages_per_chunk());
+  dirty.Set(4);
+  std::fill_n(image.begin() + 4 * cfg.page_bytes, cfg.page_bytes, 0x3C);
+  ASSERT_TRUE(b.WritePages(clock, clone, dirty, image).ok());
+  ASSERT_TRUE(b.ReadChunk(clock, source, out).ok());
+  EXPECT_EQ(out, second);
+  uint32_t content = 0;
+  ASSERT_TRUE(b.StoredContentCrc(source, &content));
+  EXPECT_EQ(content, Crc32c(second.data(), second.size()));
+  ASSERT_TRUE(b.ReadChunk(clock, clone, out).ok());
+  EXPECT_EQ(out, image);
+}
+
+TEST(SharedBlobTest, PartialFirstWriteReadsZerosOutsideItsPages) {
+  // A blob's first program fills only the pages it writes; the rest must
+  // read back as the sparse zeros they were, and the stored checksum is
+  // that image's.  Blobs stored and deleted first (between live ones, so
+  // their memory is handed out again rather than returned) leave the
+  // allocator non-zero bytes to hand back.
+  Rig rig(/*benefactors=*/1);
+  Benefactor& b = rig.store->benefactor(0);
+  const StoreConfig& cfg = rig.client().config();
+  sim::VirtualClock clock(0);
+  Bitmap all(cfg.pages_per_chunk());
+  all.SetAll();
+  for (uint32_t i = 0; i < 8; ++i) {
+    const ChunkKey key{/*origin_file=*/9, /*index=*/i, /*version=*/0};
+    ASSERT_TRUE(b.WritePages(clock, key, all, Pattern(kChunk, 70 + i)).ok());
+  }
+  for (uint32_t i = 0; i < 8; i += 2) {
+    ASSERT_TRUE(b.DeleteChunk({9, i, 0}).ok());
+  }
+
+  const auto image = Pattern(kChunk, 80);
+  Bitmap dirty(cfg.pages_per_chunk());
+  dirty.Set(2);
+  dirty.Set(9);
+  std::vector<uint8_t> want(kChunk, 0);
+  dirty.ForEachSet([&](size_t p) {
+    std::memcpy(want.data() + p * cfg.page_bytes,
+                image.data() + p * cfg.page_bytes, cfg.page_bytes);
+  });
+  for (uint32_t i = 0; i < 4; ++i) {
+    const ChunkKey key{/*origin_file=*/10, /*index=*/i, /*version=*/0};
+    uint32_t stored = 0;
+    ASSERT_TRUE(b.WritePages(clock, key, dirty, image, nullptr, &stored).ok());
+    EXPECT_EQ(stored, Crc32c(want.data(), want.size())) << "blob " << i;
+    std::vector<uint8_t> out(kChunk, 0xEE);
+    ASSERT_TRUE(b.ReadChunk(clock, key, out).ok());
+    EXPECT_EQ(out, want) << "blob " << i;
+  }
 }
 
 }  // namespace
