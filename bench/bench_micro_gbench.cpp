@@ -191,7 +191,8 @@ void BM_RankPlacement(benchmark::State& state) {
   std::vector<store::Benefactor*> bens;
   for (size_t b = 0; b < kBenefactors; ++b) {
     store::Benefactor& ben = st.benefactor(b);
-    NVM_CHECK(ben.ReserveBytes((b * 37 % kBenefactors) * 64_KiB).ok());
+    const store::ChunkKey phantom{/*origin_file=*/9998, 0, 0};
+    NVM_CHECK(ben.Reserve(phantom, (b * 37 % kBenefactors) * 64_KiB).ok());
     bens.push_back(&ben);
   }
   std::vector<char> suspected(kBenefactors, 0);
@@ -209,6 +210,33 @@ void BM_RankPlacement(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RankPlacement)->Arg(0)->Arg(1);
+
+// One member's reservation and reclaim on one benefactor, the bookkeeping
+// every Fallocate, copy-on-write prepare and repair plan does per member:
+// Reserve(key, 64 KiB), then DeleteChunk(key), over a rotating set of
+// 1,024 keys beside 1,024 members held throughout.
+void BM_ReserveMember(benchmark::State& state) {
+  constexpr uint32_t kKeys = 1024;
+  net::ClusterConfig cc;
+  cc.num_nodes = 2;
+  net::Cluster cluster(cc);
+  store::AggregateStoreConfig sc;
+  sc.benefactor_nodes.push_back(1);
+  sc.contribution_bytes = 1_GiB;
+  sc.manager_node = 1;
+  store::AggregateStore st(cluster, sc);
+  store::Benefactor& ben = st.benefactor(0);
+  for (uint32_t i = 0; i < kKeys; ++i) {
+    NVM_CHECK(ben.Reserve({/*origin_file=*/1, i, 0}, 64_KiB).ok());
+  }
+  uint32_t next = 0;
+  for (auto _ : state) {
+    const store::ChunkKey key{/*origin_file=*/2, next++ % kKeys, 0};
+    NVM_CHECK(ben.Reserve(key, 64_KiB).ok());
+    benchmark::DoNotOptimize(ben.DeleteChunk(key));
+  }
+}
+BENCHMARK(BM_ReserveMember);
 
 // QosScheduler::AdmitChunk with four tenants backlogged on one SSD lane and
 // one NIC lane: each tenant issues its next 64 KiB chunk at the start it

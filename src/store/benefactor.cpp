@@ -62,14 +62,21 @@ void Benefactor::AdmitTransfer(sim::VirtualClock& clock, TenantId tenant,
   if (start > clock.now()) clock.AdvanceTo(start);
 }
 
-Status Benefactor::ReserveBytes(uint64_t bytes) {
+Status Benefactor::Reserve(const ChunkKey& key, uint64_t bytes) {
   NVM_RETURN_IF_ERROR(EnsureAlive());
-  // CAS loop bounded by the contribution: concurrent reservers (write
-  // preparers, repair planners on different metadata shards) race here
-  // instead of on a mutex, and a loser of the capacity check fails cleanly.
+  std::lock_guard<std::mutex> lock(reserve_mutex_);
+  auto [it, fresh] = reserved_.try_emplace(key, bytes);
+  if (!fresh) {
+    return AlreadyExists("benefactor " + std::to_string(id_) + " holds " +
+                         key.ToString());
+  }
+  // CAS loop bounded by the contribution: the byte count stays a lone
+  // atomic that placement reads without a lock, and a loser of the
+  // capacity check fails cleanly.
   uint64_t cur = reserved_bytes_.load(std::memory_order_relaxed);
   for (;;) {
     if (cur + bytes > contributed_bytes_) {
+      reserved_.erase(it);
       return OutOfSpace("benefactor " + std::to_string(id_) +
                         ": reservation exceeds contribution of " +
                         FormatBytes(contributed_bytes_));
@@ -79,12 +86,6 @@ Status Benefactor::ReserveBytes(uint64_t bytes) {
       return OkStatus();
     }
   }
-}
-
-void Benefactor::ReleaseBytes(uint64_t bytes) {
-  const uint64_t prev =
-      reserved_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-  NVM_CHECK(prev >= bytes);
 }
 
 uint64_t Benefactor::AllocateOffset() {
@@ -294,6 +295,11 @@ Status Benefactor::ReadRun(sim::VirtualClock& clock,
       }
     }
     if (!stored) {
+      // Reclaimed, or never placed here: the caller's location is stale.
+      if (!Reserved(key)) {
+        return NotFound("benefactor " + std::to_string(id_) + " holds no " +
+                        key.ToString());
+      }
       // Reserved-but-never-written: the stream carries only the "no such
       // chunk" marker, no device access (the backing file has a hole).
       item.sparse = true;
@@ -348,6 +354,10 @@ Status Benefactor::VerifyChunk(sim::VirtualClock& clock, const ChunkKey& key,
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = chunks_.find(key);
     if (it == chunks_.end()) {
+      if (!Reserved(key)) {
+        return NotFound("benefactor " + std::to_string(id_) + " holds no " +
+                        key.ToString());
+      }
       // Reserved-but-never-written: nothing stored, nothing to rot.
       if (sparse != nullptr) *sparse = true;
       return OkStatus();
@@ -618,6 +628,25 @@ std::vector<ChunkKey> Benefactor::StoredChunkKeys() const {
   return keys;
 }
 
+bool Benefactor::Reserved(const ChunkKey& key) const {
+  std::lock_guard<std::mutex> lock(reserve_mutex_);
+  return reserved_.contains(key);
+}
+
+std::vector<Benefactor::Member> Benefactor::Members() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> reserve_lock(reserve_mutex_);
+  std::vector<Member> members;
+  members.reserve(reserved_.size() + chunks_.size());
+  for (const auto& [key, bytes] : reserved_) {
+    members.push_back({key, chunks_.contains(key), true});
+  }
+  for (const auto& [key, chunk] : chunks_) {
+    if (!reserved_.contains(key)) members.push_back({key, true, false});
+  }
+  return members;
+}
+
 bool Benefactor::StoredContentCrc(const ChunkKey& key, uint32_t* crc) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = chunks_.find(key);
@@ -644,6 +673,12 @@ Status Benefactor::DeleteChunk(const ChunkKey& key) {
   if (it != chunks_.end()) {
     free_offsets_.push_back(it->second.ssd_offset);
     chunks_.erase(it);
+  }
+  std::lock_guard<std::mutex> reserve_lock(reserve_mutex_);
+  auto rit = reserved_.find(key);
+  if (rit != reserved_.end()) {
+    reserved_bytes_.fetch_sub(rit->second, std::memory_order_relaxed);
+    reserved_.erase(rit);
   }
   return OkStatus();
 }

@@ -9,6 +9,13 @@
 // the buffer.  Every data access charges the node's modelled SSD; space
 // accounting enforces the contributed capacity; Kill()/Revive() support
 // failure-injection tests.
+//
+// A benefactor knows each member it holds by key: *reserved* (its bytes
+// are taken and nothing is stored, so it reads as sparse zeros, like a
+// fallocated file's hole), *written* (a program or clone stored its blob)
+// or *absent* (never reserved here, or reclaimed).  A read of an absent
+// key fails with NOT_FOUND: the caller's location is stale, and zeros
+// would be wrong bytes.
 #pragma once
 
 #include <atomic>
@@ -42,12 +49,13 @@ class Benefactor {
 
   // --- control plane (invoked via the manager) ---
 
-  // Reserve space for one location-list member (posix_fallocate path): a
-  // replica reserves chunk_bytes, an erasure fragment chunk_bytes/ec_k
-  // (the member bytes of the manager's redundancy code).  No device
-  // traffic: reservation only.
-  Status ReserveBytes(uint64_t bytes);
-  void ReleaseBytes(uint64_t bytes);
+  // Reserve member `key` (posix_fallocate path): a replica reserves
+  // chunk_bytes, an erasure fragment chunk_bytes/ec_k (the member bytes of
+  // the manager's redundancy code).  No device traffic.  A benefactor holds
+  // at most one member of a chunk version, so a key already reserved here
+  // is refused (ALREADY_EXISTS), as is a reservation past the contribution
+  // (OUT_OF_SPACE).  DeleteChunk gives the bytes back.
+  Status Reserve(const ChunkKey& key, uint64_t bytes);
 
   // Attach the store-wide QoS scheduler.  Every data-plane request below
   // carries a TenantId; before booking device or wire time the benefactor
@@ -83,9 +91,10 @@ class Benefactor {
   // the SSD channel), but only the first pays the per-request read
   // latency.  Blobs are handed to `sink` in request order, stamped with
   // their device completion time; sparse (reserved-but-never-written)
-  // blobs skip the device and carry no data.  The span a sink gets is the
-  // stored buffer itself, exactly the bytes that were verified, and stays
-  // valid until the sink returns even if the blob is rewritten, cloned or
+  // members skip the device and carry no data, and an absent key fails the
+  // run with NOT_FOUND off the device.  The span a sink gets is the stored
+  // buffer itself, exactly the bytes that were verified, and stays valid
+  // until the sink returns even if the blob is rewritten, cloned or
   // deleted meanwhile (the sink may call back into this benefactor; the
   // run holds no lock while the sink runs).  A blob stored with a
   // checksum is re-checksummed before it is handed over (CPU charged at
@@ -98,12 +107,13 @@ class Benefactor {
                       const ChunkRunSink& sink,
                       TenantId tenant = kTenantForeground);
 
-  // Read the full chunk into `out` (out.size() == chunk_bytes).  A chunk
+  // Read the full chunk into `out` (out.size() == chunk_bytes).  A member
   // that was reserved but never written reads as zeros without touching
   // the device (the backing file is sparse); `*sparse` reports this so the
   // client can skip the wire transfer (an ENOENT-for-the-chunk-file, as in
-  // the paper's store).  A checksum mismatch fails with CORRUPT and the
-  // bytes in `out` must not be used.
+  // the paper's store).  A key this benefactor does not hold fails with
+  // NOT_FOUND (a stale location), and a checksum mismatch with CORRUPT;
+  // either way the bytes in `out` must not be used.
   Status ReadChunk(sim::VirtualClock& clock, const ChunkKey& key,
                    std::span<uint8_t> out, bool* sparse = nullptr,
                    TenantId tenant = kTenantForeground);
@@ -178,24 +188,29 @@ class Benefactor {
 
   // Scrub support: re-read the stored chunk off the device, recompute its
   // CRC32C (both charged to `clock`) and compare against the manager's
-  // authoritative `expected_crc`.  A never-written chunk reports
-  // `*sparse` and verifies trivially; a mismatch returns CORRUPT.  The
-  // chunk bytes never cross the network — verification is benefactor-
-  // local against the shipped expected value.  A blob whose bytes hashed
-  // to its stored crc since they last changed is not re-hashed: it passes
-  // exactly when that crc is the expected one.
+  // authoritative `expected_crc`.  A reserved, never-written member
+  // reports `*sparse` and verifies trivially; an absent one fails with
+  // NOT_FOUND and a mismatch with CORRUPT.  The chunk bytes never cross
+  // the network — verification is benefactor-local against the shipped
+  // expected value.  A blob whose bytes hashed to its stored crc since
+  // they last changed is not re-hashed: it passes exactly when that crc is
+  // the expected one.
   Status VerifyChunk(sim::VirtualClock& clock, const ChunkKey& key,
                      uint32_t expected_crc, bool* sparse = nullptr,
                      TenantId tenant = kTenantMaintenance);
 
   // Copy-on-write support: duplicate `from` under key `to` locally
   // (device read + write of the stored blob — a chunk or a fragment — no
-  // network).  The clone shares the source's buffer until either changes.
+  // network), writing the member the manager reserved as `to`.  The clone
+  // shares the source's buffer until either changes; a sparse source
+  // leaves `to` reserved.
   Status CloneChunk(sim::VirtualClock& clock, const ChunkKey& from,
                     const ChunkKey& to,
                     TenantId tenant = kTenantForeground);
 
-  // Drop the chunk (refcount reached zero at the manager).
+  // Reclaim member `key`: its blob, its device offset and its reservation,
+  // in one step (the manager dropped it from every list).  The key then
+  // reads NOT_FOUND.
   Status DeleteChunk(const ChunkKey& key);
 
   // --- liveness / failure injection ---
@@ -248,6 +263,16 @@ class Benefactor {
   // Introspection for invariant tests: the exact chunk set stored here.
   bool HasChunk(const ChunkKey& key) const;
   std::vector<ChunkKey> StoredChunkKeys() const;
+  // Whether member `key` is reserved here (written or not).
+  bool Reserved(const ChunkKey& key) const;
+  // The inventory the manager's sweep fetches: every member held here,
+  // once, with whether it has a blob and a reservation.
+  struct Member {
+    ChunkKey key;
+    bool written = false;
+    bool reserved = false;
+  };
+  std::vector<Member> Members() const;
   // Invariant-test hook: CRC32C recomputed over the stored bytes of `key`
   // right now (no device or CPU charge).  False when the chunk is absent.
   bool StoredContentCrc(const ChunkKey& key, uint32_t* crc) const;
@@ -256,7 +281,7 @@ class Benefactor {
   // manager's authoritative one belongs to a different write generation,
   // which is exactly what cold-start reconciliation must detect; content
   // rot against a matching recorded crc stays the scrubber's business).
-  // Returns false when the chunk is absent (reserved-but-sparse).
+  // Returns false when no blob is stored (a reserved or absent member).
   bool StoredChunkCrc(const ChunkKey& key, bool* has_crc, uint32_t* crc) const;
 
  // QoS admission for one chunk-sized transfer: estimate the device
@@ -351,12 +376,16 @@ class Benefactor {
 
   mutable std::mutex mutex_;
   std::unordered_map<ChunkKey, StoredChunk, ChunkKeyHash> chunks_;
-  // Space accounting is a lone atomic (CAS-bounded by the contribution):
-  // reservations are taken on the manager's metadata hot paths (write
-  // prepare COW, repair planning, fallocate) and read by every capacity-
-  // aware placement decision and status report — none of which should
-  // contend with the data-plane mutex_ below.  Byte-granular because
-  // erasure fragments reserve chunk_bytes/ec_k each.
+  // The reserved members and their bytes, off mutex_: reservations are
+  // taken on the manager's metadata hot paths (write prepare COW, repair
+  // planning, fallocate), which must not contend with the data plane.
+  // Lock order: mutex_, then reserve_mutex_ (DeleteChunk drops a blob and
+  // its reservation in one step, so no reader sees one without the other).
+  mutable std::mutex reserve_mutex_;
+  std::unordered_map<ChunkKey, uint64_t, ChunkKeyHash> reserved_;
+  // Their sum, a lone atomic (CAS-bounded by the contribution) that every
+  // placement decision and status report reads without a lock.
+  // Byte-granular because erasure fragments reserve chunk_bytes/ec_k each.
   std::atomic<uint64_t> reserved_bytes_{0};
   uint64_t next_offset_ = 0;
   std::vector<uint64_t> free_offsets_;

@@ -136,7 +136,7 @@ StatusOr<StoreClient::PageRange> StoreClient::ReadChunkInner(
   NVM_CHECK(first_page <= last_page && last_page < cfg.pages_per_chunk());
   for (int attempt = 0;; ++attempt) {
     // Second attempt forces a fresh manager lookup (the cached location
-    // may be stale after a COW or a benefactor failure).
+    // may name members reclaimed since, or a dead benefactor).
     NVM_ASSIGN_OR_RETURN(
         ReadLocation loc,
         LookupRead(clock, id, chunk_index, /*refresh=*/attempt > 0));
@@ -202,7 +202,7 @@ StatusOr<StoreClient::PageRange> StoreClient::ReadMembers(
   // buffers for the decode.
   std::vector<std::vector<uint8_t>> frags;
   size_t landed_slices = 0;  // covering slices in hand
-  bool saw_corrupt = false;
+  bool stale = false;  // a member was corrupt or gone: drop the location
   Status last = Unavailable("chunk lost");  // until a member is tried
   const auto fetch = [&](sim::VirtualClock& at, size_t c) {
     Pick& pick = picks[c];
@@ -261,12 +261,16 @@ StatusOr<StoreClient::PageRange> StoreClient::ReadMembers(
       NVM_WLOG("benefactor %d unavailable reading member %zu of %s; "
                "trying the next member",
                bid, pick.member, loc.key.ToString().c_str());
+    } else if (s.code() == ErrorCode::kNotFound) {
+      // Reclaimed since this location was resolved: a quarantine, or a
+      // version a checkpoint release freed.
+      stale = true;
     } else if (s.code() == ErrorCode::kCorrupt) {
       // The member failed its checksum: rot surfaces as CORRUPT, never as
       // wrong bytes.  ReportCorrupt quarantines it at the manager (strips
       // it, queues a repair from verified survivors); the cached location
       // still names it, so it is dropped below.
-      saw_corrupt = true;
+      stale = true;
       corrupt_failovers_.Add(1);
       manager_.ReportCorrupt(at, loc.key, bid);
       NVM_WLOG("benefactor %d served corrupt member %zu of %s; "
@@ -285,7 +289,7 @@ StatusOr<StoreClient::PageRange> StoreClient::ReadMembers(
         clock, code.need - good, picks.size() - tried,
         [&](sim::VirtualClock& at, size_t c) { return fetch(at, tried + c); });
   }
-  if (saw_corrupt) InvalidateLocation(id, chunk_index);
+  if (stale) InvalidateLocation(id, chunk_index);
 
   // Served when every covering slice landed: from its first holder, or
   // (a replica) from the next one that answered.
@@ -741,7 +745,6 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
 
   // Per-item member outcomes across all runs.
   std::vector<size_t> ok_members(active.size(), 0);
-  std::vector<char> corrupt_member(active.size(), 0);
   std::vector<Status> last_err(active.size(), OkStatus());
   std::vector<int64_t> done(active.size(), t0);
   std::vector<uint64_t> parity_bytes(active.size(), 0);
@@ -828,8 +831,8 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
         manager_.MarkDead(run.benefactor);
       } else if (ms.code() == ErrorCode::kCorrupt) {
         // Rotted base image refused the merge: quarantine this replica
-        // (repair rebuilds it from one that took the write).
-        corrupt_member[j] = 1;
+        // (repair rebuilds it from one that took the write); a read off
+        // the location cached below finds it gone and fails over.
         manager_.ReportCorrupt(fallback, locs[j].key, run.benefactor);
       }
       last_err[j] = ms;
@@ -881,14 +884,8 @@ Status StoreClient::WriteChunksInner(sim::VirtualClock& clock, FileId id,
       // Degraded at the time this chunk's surviving writes completed.
       manager_.ReportDegraded(loc.key, done[j]);
     }
-    if (corrupt_member[j] != 0) {
-      // A quarantined (deleted) replica is still in this list: force the
-      // next read through a fresh lookup instead of sparse zeros.
-      InvalidateLocation(id, w.index);
-    } else {
-      std::lock_guard<std::mutex> lock(loc_mutex_);
-      loc_cache_[LocKey{id, w.index}] = ReadLocation{loc.key, loc.benefactors};
-    }
+    std::lock_guard<std::mutex> lock(loc_mutex_);
+    loc_cache_[LocKey{id, w.index}] = ReadLocation{loc.key, loc.benefactors};
   }
   if (parity_total > 0) manager_.NoteEcParityBytes(parity_total);
   clock.AdvanceTo(joined);

@@ -263,14 +263,16 @@ class StoreClient {
   // sim::ForkJoinRounds round fetches one listed member per slice that
   // covers the pages, on clocks forked at the issue time, each shipping
   // whole or only its share of the pages (`ship`); a failure (a dead
-  // holder, reported once through MarkDead, or rot, quarantined once
-  // through ReportCorrupt) pulls the next listed member into a later
-  // round until `need` are in hand.  A replica is its slice's next
-  // holder, so a replicated read fails over sequentially, replica by
-  // replica.  Only a read that lost a covering slice — a covering hole
-  // puts any `need` members, whole, into the first round — has its
-  // pages-only members send the rest and decodes the chunk from parity:
-  // a degraded read.  Fails when fewer than `need` members are readable.
+  // holder, reported once through MarkDead; rot, quarantined once
+  // through ReportCorrupt; or a member reclaimed since the location was
+  // resolved, which also drops the cached location) pulls the next
+  // listed member into a later round until `need` are in hand.  A replica
+  // is its slice's next holder, so a replicated read fails over
+  // sequentially, replica by replica.  Only a read that lost a covering
+  // slice — a covering hole puts any `need` members, whole, into the
+  // first round — has its pages-only members send the rest and decodes
+  // the chunk from parity: a degraded read.  Fails when fewer than `need`
+  // members are readable.
   StatusOr<PageRange> ReadMembers(sim::VirtualClock& clock, FileId id,
                                   uint32_t chunk_index, const ReadLocation& loc,
                                   size_t first_page, size_t last_page,

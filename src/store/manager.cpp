@@ -103,8 +103,9 @@ Manager::Redundancy Manager::MakeCode(const StoreConfig& config) {
 }
 
 std::vector<int> Manager::Redundancy::Reserve(
-    const std::vector<Benefactor*>& bens, const std::vector<int>& ranked,
-    size_t n, std::vector<int>& used_nodes) const {
+    const std::vector<Benefactor*>& bens, const ChunkKey& key,
+    const std::vector<int>& ranked, size_t n,
+    std::vector<int>& used_nodes) const {
   std::vector<int> picked;
   for (int bid : ranked) {
     if (picked.size() == n) break;
@@ -114,7 +115,7 @@ std::vector<int> Manager::Redundancy::Reserve(
                                  node) != used_nodes.end()) {
       continue;
     }
-    if (!bens[static_cast<size_t>(bid)]->ReserveBytes(member_bytes).ok()) {
+    if (!bens[static_cast<size_t>(bid)]->Reserve(key, member_bytes).ok()) {
       continue;
     }
     picked.push_back(bid);
@@ -376,9 +377,7 @@ void Manager::UnrefChunkLocked(MetaShard& shard, ChunkHandle& h) {
     auto list = h.replicas.load(std::memory_order_acquire);
     for (int bid : *list) {
       if (bid < 0) continue;  // EC hole: nothing stored, nothing reserved
-      Benefactor* b = BenefactorAt(bid);
-      (void)b->DeleteChunk(h.key);
-      b->ReleaseBytes(code_.member_bytes);
+      (void)BenefactorAt(bid)->DeleteChunk(h.key);
     }
     // The handle (and with it epoch/checksum/corruption state) dies here;
     // an open write fence or reserved repair target survives in the shard
@@ -487,7 +486,7 @@ Status Manager::Fallocate(sim::VirtualClock& clock, FileId id,
     key.version = 0;
     // The candidate snapshot, reservations (and any rollback) and the
     // chunk insert all happen under the chunk's shard mutex: the
-    // scrubber's drift reconciliation and Decommission hold every shard
+    // scrubber's inventory sweep and Decommission hold every shard
     // mutex, so neither can observe a reservation without its chunk, nor
     // retire a benefactor between the alive() check and publication.
     MetaShard& shard = shards_[shard_of(key)];
@@ -511,11 +510,11 @@ Status Manager::Fallocate(sim::VirtualClock& clock, FileId id,
     // never silently co-locates.
     std::vector<int> used_nodes;
     std::vector<int> replicas = code_.Reserve(
-        bens, RankPlacement(cands, req), code_.width, used_nodes);
+        bens, key, RankPlacement(cands, req), code_.width, used_nodes);
     if (replicas.size() < code_.width) {
       // Roll back partial placement.
       for (int bid : replicas) {
-        bens[static_cast<size_t>(bid)]->ReleaseBytes(code_.member_bytes);
+        (void)bens[static_cast<size_t>(bid)]->DeleteChunk(key);
       }
       // The chunks placed by EARLIER loop iterations stay (they are live
       // in the file already): log them with the unchanged logical size so
@@ -670,15 +669,15 @@ StatusOr<WriteLocation> Manager::PrepareWriteSlot(
       fresh_list = std::make_shared<const std::vector<int>>(std::move(keep));
     }
   }
-  const uint64_t member_bytes = code_.member_bytes;
   size_t reserved = 0;
   for (int bid : *fresh_list) {
     Status s = bid < 0 ? OkStatus()  // EC hole: nothing to reserve
-                       : BenefactorAt(bid)->ReserveBytes(member_bytes);
+                       : BenefactorAt(bid)->Reserve(fresh_key,
+                                                    code_.member_bytes);
     if (!s.ok()) {
       for (size_t r = 0; r < reserved; ++r) {
         const int rb = (*fresh_list)[r];
-        if (rb >= 0) BenefactorAt(rb)->ReleaseBytes(member_bytes);
+        if (rb >= 0) (void)BenefactorAt(rb)->DeleteChunk(fresh_key);
       }
       return s;
     }

@@ -187,9 +187,11 @@ class Manager {
     }
     // The one reserve walk: take `ranked` in order, skip a benefactor
     // whose node already hosts a member when the code spreads
-    // (`used_nodes`, which every pick extends), reserve one member's bytes
-    // and stop at `n` picks.
+    // (`used_nodes`, which every pick extends), reserve member `key` there
+    // (refused where a member of `key` is already held) and stop at `n`
+    // picks.
     std::vector<int> Reserve(const std::vector<Benefactor*>& bens,
+                             const ChunkKey& key,
                              const std::vector<int>& ranked, size_t n,
                              std::vector<int>& used_nodes) const;
     // The slice of the chunk member `member` holds, as one member_bytes
@@ -312,13 +314,14 @@ class Manager {
   std::vector<ChunkKey> ChunksWithReplicasOn(int id) const;
   // Build repair plans for `keys`, each under its shard's mutex: strip
   // dead members from the metadata immediately (readers stop trying
-  // them), reclaim their space, and reserve width - live targets on the
-  // least-loaded alive benefactors (capacity-aware placement).  A chunk
-  // the strip leaves below `need` is counted in *lost (once, when the
-  // strip crosses the threshold), its surviving members are reclaimed
-  // too, and it takes the lost shape — the empty list — with no plan;
-  // stale keys (freed or already healthy) are skipped.  `clock` pays the
-  // WAL appends (dead-strip publishes are logged).
+  // them), reclaim them, and reserve width - live targets on the
+  // least-loaded alive benefactors that hold no member of the key
+  // (capacity-aware placement).  A chunk the strip leaves below `need` is
+  // counted in *lost (once, when the strip crosses the threshold), its
+  // surviving members are reclaimed too, and it takes the lost shape —
+  // the empty list — with no plan; stale keys (freed or already healthy)
+  // are skipped.  `clock` pays the WAL appends (dead-strip publishes are
+  // logged).
   std::vector<RepairPlan> PlanRepairs(sim::VirtualClock& clock,
                                       std::span<const ChunkKey> keys,
                                       uint64_t* lost = nullptr);
@@ -359,15 +362,14 @@ class Manager {
   // One scrub pass (store/scrub.cpp) reconciling metadata against
   // benefactor state: the inventory sweep, with EVERY shard mutex held
   // (ascending — a stop-the-world metadata pass, no data transfers),
-  // deletes stored chunks no file references any more (orphans of failed
-  // repairs or unlinks against dead benefactors) and fixes
-  // reservation-accounting drift; then, with the locks dropped,
-  // CollectUnderReplicated reports degraded chunks for re-queueing.
-  // Holding all shards makes the drift comparison race-free: reservations
-  // only move under some shard mutex.  In-flight repair targets (planned,
-  // not yet committed) are exempt from both the orphan sweep and the drift
-  // accounting — a concurrent repair's copy legitimately stores data the
-  // replica lists do not name yet.
+  // reclaims members no list names any more (orphans of failed repairs or
+  // unlinks against dead benefactors, leaked reservations) and re-reserves
+  // listed members whose reservation is gone; then, with the locks
+  // dropped, CollectUnderReplicated reports degraded chunks for
+  // re-queueing.  Holding all shards makes the comparison race-free:
+  // reservations only move under some shard mutex.  In-flight repair
+  // targets (planned, not yet committed) are exempt — a concurrent
+  // repair's copy legitimately stores data the lists do not name yet.
   struct ScrubResult {
     uint64_t orphans_deleted = 0;
     uint64_t reservation_fixes = 0;  // chunk-slots corrected
@@ -613,17 +615,14 @@ class Manager {
     // unlink so the paired CompleteWrite still finds it.
     std::unordered_map<ChunkKey, uint32_t, ChunkKeyHash> inflight_writers;
     // Reserved targets of repair plans between PlanRepairs and
-    // CommitRepair (duplicates possible when racing drivers plan the same
-    // key).  The scrubber must not reap these as orphans: their chunk data
-    // exists on the benefactor before the replica list names it.  Each
-    // entry carries the bytes it reserved (a full chunk for a replica, one
-    // fragment for an EC target) — the entry can outlive the chunk handle
-    // (unlink racing a commit), so the undo cannot re-derive the amount.
-    struct RepairTarget {
-      int bid = -1;
-      uint64_t bytes = 0;
-    };
-    std::unordered_map<ChunkKey, std::vector<RepairTarget>, ChunkKeyHash>
+    // CommitRepair.  The scrubber must not reap these as orphans: their
+    // chunk data exists on the benefactor before the replica list names
+    // it.  Racing drivers may plan one key twice, but never onto one
+    // target: the benefactor refuses a second reservation of the key, so
+    // each target belongs to exactly one plan and its undo is that plan's
+    // DeleteChunk.  The entry can outlive the chunk handle (unlink racing a
+    // commit).
+    std::unordered_map<ChunkKey, std::vector<int>, ChunkKeyHash>
         repair_targets;
     // Resume point of the incremental verification sweep within this
     // shard (nullopt: restart from the shard's lowest key).
@@ -702,22 +701,10 @@ class Manager {
   std::vector<int> ExcludeMembers(std::span<const int> list,
                                   std::vector<PlacementCandidate>& cands,
                                   int leaving = -1) const;
-  // Drop a reserved (and possibly partially written) repair target of an
-  // abandoned plan (shard mu held).  `bytes` is the amount the plan
-  // reserved on `bid` (chunk or fragment).  If a racing repair already
-  // committed `bid` into the chunk's replica list, only this plan's
-  // duplicate reservation is released — the data now belongs to the
-  // published list.
-  void UndoRepairTargetLocked(MetaShard& shard, const ChunkKey& key, int bid,
-                              uint64_t bytes);
   // Shard-mutex-held core of CompleteWrites, for one location.
   void CompleteWriteLocked(MetaShard& shard, const ChunkKey& key,
                            const uint32_t* crc = nullptr,
                            std::span<const uint32_t> frag_crcs = {});
-  // True when (key, bid) is a reserved target of a repair plan whose
-  // commit has not run yet (shard mu held).
-  bool IsRepairTargetLocked(const MetaShard& shard, const ChunkKey& key,
-                            int bid) const;
   // Quarantine the corrupt replica (key, bid): count it, remember the
   // device in the chunk's correlated-loss memory, strip it
   // (StripMembersLocked) and bump the repair epoch.  Returns false when
@@ -740,11 +727,14 @@ class Manager {
   // The inventory sweep (store/scrub.cpp) behind ScrubOnce and Recover,
   // with every shard mutex held (or on a fresh manager mid-Recover, which
   // no other thread sees).  One metadata round-trip per benefactor fetches
-  // its stored-chunk set.  On an alive benefactor every stored chunk that
-  // no member list names and no in-flight repair target covers is deleted
-  // as an orphan, and the reservation is set to the bytes the lists and
-  // targets place there.  Returns the orphans deleted and the
-  // reservation fixes in chunk slots; `under_replicated` stays empty.
+  // its member inventory, and two per-key rules settle an alive one: a
+  // member (blob or reservation) that no list names and no in-flight
+  // repair target covers is an orphan, reclaimed by one DeleteChunk; a
+  // listed member with no reservation is re-reserved.  The lists are
+  // walked once, and again per benefactor only when one of its listed
+  // members lacks its reservation.  Returns the orphan blobs deleted and
+  // the reservation fixes in chunk slots (rounded up per benefactor);
+  // `under_replicated` stays empty.
   ScrubResult SweepInventoriesLocked(sim::VirtualClock& clock);
   // Append `rec` to the WAL (charging `clock`) — no-op without a WAL.
   // Call sites hold the mutex that orders the mutation being logged

@@ -10,7 +10,7 @@
 // The engine is pure: the caller snapshots per-benefactor state into
 // PlacementCandidate records under whatever lock covers its decision
 // (Fallocate and PlanRepairs hold the chunk's shard mutex), and the
-// engine only filters and orders.  Reservation (Benefactor::ReserveBytes)
+// engine only filters and orders.  Reservation (Benefactor::Reserve)
 // stays with the caller and remains the authoritative capacity check —
 // the ranking never pre-empts a try-reserve, so racing placements behave
 // exactly as before the engine existed.
@@ -84,7 +84,7 @@ struct PlacementRequest {
 // Ranked benefactor ids: every candidate that is alive, not
 // chunk-excluded and (under hard exclusion) not suspected, ordered by
 // (suspect penalty, wear band, base order).  The caller walks the list
-// attempting ReserveBytes until it has placed enough replicas.
+// attempting Benefactor::Reserve until it has placed enough replicas.
 std::vector<int> RankPlacement(const std::vector<PlacementCandidate>& cands,
                                const PlacementRequest& req);
 

@@ -379,24 +379,22 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
     }
     if (any_dead) continue;
 
-    // Every listed holder is alive: its write-time {has_crc, crc} record
-    // is visible, so conflicts are decidable now.
+    // Every listed holder is alive: its member state and write-time
+    // {has_crc, crc} record are visible, so conflicts are decidable now.
     struct Member {
-      int bid = -1;
-      bool stored = false;
+      bool written = false;   // a blob is stored
+      bool reserved = false;  // reserved, never written: reads as zeros
       bool has_crc = false;
       uint32_t crc = 0;
     };
-    std::vector<Member> members;
-    members.reserve(list.size());
+    std::vector<Member> members(list.size());
     bool any_data = false;
-    for (int bid : list) {
-      Member m;
-      m.bid = bid;
-      m.stored = bens[static_cast<size_t>(bid)]->StoredChunkCrc(
-          key, &m.has_crc, &m.crc);
-      any_data |= m.stored;
-      members.push_back(m);
+    for (size_t pos = 0; pos < list.size(); ++pos) {
+      const Benefactor& b = *bens[static_cast<size_t>(list[pos])];
+      Member& m = members[pos];
+      m.written = b.StoredChunkCrc(key, &m.has_crc, &m.crc);
+      m.reserved = !m.written && b.Reserved(key);
+      any_data |= m.written;
     }
 
     if (!h.has_crc && !any_data) {
@@ -410,94 +408,73 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
       continue;
     }
 
-    if (config_.ec()) {
-      if (!h.has_crc) {
-        // An erasure stripe commits at its completion record: unlike a
-        // replica, one fragment cannot certify the full image, and the
-        // fragments of a torn stripe can straddle write generations —
-        // assembling them would splice bytes.  Roll the slot back to the
-        // previous version; a torn v0 stripe deletes what landed and
-        // reads as the zeros the uncompleted write left behind.
-        if (key.version > 0) {
-          rollback_cow(key, h, shard);
+    if (code_.positional && !h.has_crc) {
+      // An erasure stripe commits at its completion record: unlike a
+      // replica, one fragment cannot certify the full image, and the
+      // fragments of a torn stripe can straddle write generations —
+      // assembling them would splice bytes.  Roll the slot back to the
+      // previous version; a torn v0 stripe reclaims what landed and reads
+      // as the zeros the uncompleted write left behind (the inventory
+      // sweep below re-reserves the listed members).
+      if (key.version > 0) {
+        rollback_cow(key, h, shard);
+      } else {
+        for (size_t pos = 0; pos < list.size(); ++pos) {
+          if (members[pos].written) {
+            (void)bens[static_cast<size_t>(list[pos])]->DeleteChunk(key);
+          }
+        }
+      }
+      continue;
+    }
+
+    // The authority rule, one for both codes.  The durable checksum stands
+    // while any member still stores its position's checksum.  Otherwise a
+    // write completed on the benefactors but its completion record died
+    // with the crash, and the members' agreed new generation is adopted:
+    // for replicas, every holder stores one checksum; for a stripe, every
+    // position stores a fragment that matches none of the durable
+    // checksums (one fragment cannot certify the image), and the image's
+    // checksum combines from the k data fragments'.  With no agreement the
+    // durable checksum stands and the sift below decides.
+    bool stands = false;
+    for (size_t pos = 0; pos < list.size(); ++pos) {
+      const Member& m = members[pos];
+      const uint32_t* want = MemberCrc(h, pos, list.size());
+      stands |= m.written && m.has_crc && want != nullptr && m.crc == *want;
+    }
+    if (!stands) {
+      std::vector<uint32_t> fresh;  // per position, or the replicas' one
+      bool agreed = !code_.positional || h.frag_crcs.size() == list.size();
+      for (const Member& m : members) {
+        if (!m.written || !m.has_crc) {
+          agreed &= !code_.positional;  // a stripe needs every position
+        } else if (code_.positional || fresh.empty()) {
+          fresh.push_back(m.crc);
         } else {
-          for (const Member& m : members) {
-            if (m.stored) {
-              (void)bens[static_cast<size_t>(m.bid)]->DeleteChunk(key);
-            }
+          agreed &= m.crc == fresh.front();
+        }
+      }
+      if (agreed && !fresh.empty()) {
+        if (code_.positional) {
+          h.crc = 0;
+          for (size_t c = 0; c < code_.need; ++c) {
+            h.crc = Crc32cCombine(h.crc, fresh[c], code_.member_bytes);
           }
-        }
-        continue;
-      }
-      // In-place rewrite completed on the benefactors, completion record
-      // died with the crash: every position stores a fragment and NONE of
-      // the write-time checksums matches the durable stripe (a full-stripe
-      // rewrite replaces all k+m fragments).  The new generation is
-      // complete — adopt it, exactly as the replicated ladder below adopts
-      // the agreed data-holder checksum; the full-image authority combines
-      // from the k data fragments' checksums.  Any position still on the
-      // old generation (or sparse) is left to the sift: the durable
-      // checksums stay authoritative and the partial rewrite is
-      // destroyed, never spliced.
-      bool all_stored_new = h.frag_crcs.size() == members.size();
-      for (size_t pos = 0; all_stored_new && pos < members.size(); ++pos) {
-        const Member& m = members[pos];
-        all_stored_new = m.stored && m.has_crc && m.crc != h.frag_crcs[pos];
-      }
-      if (all_stored_new) {
-        std::vector<uint32_t> fresh;
-        fresh.reserve(members.size());
-        for (const Member& m : members) fresh.push_back(m.crc);
-        uint32_t image = 0;
-        for (uint32_t c = 0; c < config_.ec_k; ++c) {
-          image = Crc32cCombine(image, fresh[c], config_.ec_frag_bytes());
-        }
-        h.frag_crcs = std::move(fresh);
-        h.crc = image;
-        ++report->crc_adopted;
-      }
-    } else {
-      // The replica authority ladder.  The durable checksum stands when at
-      // least one member still carries it (the common case), or when no
-      // member holds data and it is the zero image.  Else the checksum
-      // ALL data-holders agree on — a write that completed on the
-      // benefactors but whose completion record died with the crash
-      // ("new" wins, adopted as authoritative).  Else the durable checksum
-      // alone stands (divergent members drop; sparse members survive only
-      // a zero-image authority); with no durable checksum and no
-      // agreement the sift finds nothing decidable.
-      bool confirmed = false;
-      if (h.has_crc) {
-        for (const Member& m : members) {
-          confirmed |= m.stored && m.has_crc && m.crc == h.crc;
-        }
-        confirmed |= !any_data && h.crc == code_.zero_crc;
-      }
-      if (!confirmed) {
-        bool agreed = false;
-        uint32_t agreed_crc = 0;
-        for (const Member& m : members) {
-          if (!m.stored || !m.has_crc) continue;
-          if (!agreed) {
-            agreed = true;
-            agreed_crc = m.crc;
-          } else if (m.crc != agreed_crc) {
-            agreed = false;  // data-holders disagree: no adoptable truth
-            break;
-          }
-        }
-        if (agreed && (!h.has_crc || h.crc != agreed_crc)) {
+          h.frag_crcs = std::move(fresh);
+        } else {
           h.has_crc = true;
-          h.crc = agreed_crc;
-          ++report->crc_adopted;
+          h.crc = fresh.front();
         }
+        ++report->crc_adopted;
       }
     }
 
-    // The member sift, shared by both codes: keep a member whose stored
-    // checksum matches the one wanted for its position (a sparse member
-    // reads as zeros), drop the rest — a hole in a stripe, erased from a
-    // replica list — and mark the chunk lost below `need`.
+    // The member sift, shared by both codes: keep a member that stores the
+    // checksum wanted for its position, or is reserved where the wanted
+    // bytes are zeros; drop the rest — a member with no record is gone —
+    // leaving a hole in a stripe or closing up a replica list, and mark
+    // the chunk lost below `need`.
     if (MemberCrc(h, 0, list.size()) == nullptr) continue;  // undecidable
     std::vector<int> keep = list;
     const std::vector<int> dropped = code_.Drop(keep, [&](int, size_t pos) {
@@ -506,20 +483,20 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
       // Benefactors record a crc with every programmed byte, so only a
       // blob materialised by a program of no pages lacks one; the sift
       // leaves it be.
-      if (m.stored ? !m.has_crc || m.crc == want : want == code_.zero_crc) {
+      if (m.written ? !m.has_crc || m.crc == want
+                    : m.reserved && want == code_.zero_crc) {
         return false;
       }
-      if (m.stored) {
-        // Wrong-generation bytes: destroy them so nothing ever serves them
-        // (the reservation settles in the inventory sweep).  A member that
-        // diverged from the chunk's authority is a correlated-loss source:
-        // the placement engine must not pick it as a repair target for
-        // this very chunk (placement_avoid_suspected).  A stripe's repair
-        // re-encodes the hole from verified survivors.
-        (void)bens[static_cast<size_t>(m.bid)]->DeleteChunk(key);
-        if (std::find(h.tainted.begin(), h.tainted.end(), m.bid) ==
+      if (m.written) {
+        // Wrong-generation bytes: reclaim them so nothing ever serves them.
+        // A member that diverged from the chunk's authority is a
+        // correlated-loss source: the placement engine must not pick it as
+        // a repair target for this very chunk (placement_avoid_suspected).
+        // A stripe's repair re-encodes the hole from verified survivors.
+        (void)bens[static_cast<size_t>(list[pos])]->DeleteChunk(key);
+        if (std::find(h.tainted.begin(), h.tainted.end(), list[pos]) ==
             h.tainted.end()) {
-          h.tainted.push_back(m.bid);
+          h.tainted.push_back(list[pos]);
         }
       }
       ++report->replicas_dropped;
@@ -534,10 +511,10 @@ void Manager::ReconcileWithBenefactors(sim::VirtualClock& clock,
 
   // What the log does not carry settles through the scrubber's inventory
   // sweep over the reconciled metadata: one round-trip per benefactor,
-  // stored chunks no list names any more (unlink leftovers, abandoned COW
-  // clones, rolled-back fresh versions) deleted, and each alive
-  // benefactor's reservation set to the exact footprint the lists place
-  // on it.  A fresh manager has no other thread and no repair in flight.
+  // members no list names any more (unlink leftovers, abandoned COW
+  // clones, rolled-back fresh versions) reclaimed, and listed members
+  // without a reservation re-reserved.  A fresh manager has no other
+  // thread and no repair in flight.
   const ScrubResult swept = SweepInventoriesLocked(clock);
   report->orphans_deleted = swept.orphans_deleted;
   report->reservation_fixes = swept.reservation_fixes;

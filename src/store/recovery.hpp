@@ -40,8 +40,9 @@ struct RecoveryReport {
   // location lists (reads fail; they never serve wrong bytes).
   uint64_t chunks_lost = 0;
   // Benefactor-side cleanup by the scrubber's inventory sweep: stored
-  // chunks nothing references any more, and reservation drift corrected,
-  // in chunk slots (rounded up per benefactor), as ScrubResult counts it.
+  // chunks nothing references any more, and reservations reclaimed or
+  // restored, in chunk slots (rounded up per benefactor), as ScrubResult
+  // counts them.
   uint64_t orphans_deleted = 0;
   uint64_t reservation_fixes = 0;
 };

@@ -23,25 +23,6 @@ std::vector<int> Manager::ExcludeMembers(std::span<const int> list,
   return nodes;
 }
 
-void Manager::UndoRepairTargetLocked(MetaShard& shard, const ChunkKey& key,
-                                     int bid, uint64_t bytes) {
-  Benefactor* b = BenefactorAt(bid);
-  if (b == nullptr) return;
-  auto it = shard.chunks.find(key);
-  if (it != shard.chunks.end()) {
-    auto current = it->second->replicas.load(std::memory_order_acquire);
-    if (std::find(current->begin(), current->end(), bid) != current->end()) {
-      // A racing repair picked the same target and already committed it:
-      // the data and one reservation belong to the published replica list.
-      // Only this plan's duplicate reservation comes back.
-      b->ReleaseBytes(bytes);
-      return;
-    }
-  }
-  (void)b->DeleteChunk(key);  // drop any partially copied data
-  b->ReleaseBytes(bytes);
-}
-
 template <typename Gone>
 std::vector<int> Manager::StripMembersLocked(sim::VirtualClock& clock,
                                              ChunkHandle& h, Gone gone,
@@ -65,11 +46,7 @@ std::vector<int> Manager::StripMembersLocked(sim::VirtualClock& clock,
   rec.key = h.key;
   rec.replicas = list;
   LogAppend(clock, std::move(rec));
-  for (int bid : reclaimed) {
-    Benefactor* b = BenefactorAt(bid);
-    b->ReleaseBytes(code_.member_bytes);
-    (void)b->DeleteChunk(h.key);
-  }
+  for (int bid : reclaimed) (void)BenefactorAt(bid)->DeleteChunk(h.key);
   if (crossed) {
     lost_chunks_.Add(1);
     if (lost != nullptr) ++*lost;
@@ -108,15 +85,6 @@ bool Manager::QuarantineReplicaLocked(sim::VirtualClock& clock,
   // the epoch so its commit fails and retries against the verified list.
   ++h.repair_epoch;
   return true;
-}
-
-bool Manager::IsRepairTargetLocked(const MetaShard& shard, const ChunkKey& key,
-                                   int bid) const {
-  auto it = shard.repair_targets.find(key);
-  if (it == shard.repair_targets.end()) return false;
-  return std::any_of(
-      it->second.begin(), it->second.end(),
-      [bid](const MetaShard::RepairTarget& t) { return t.bid == bid; });
 }
 
 std::vector<ChunkKey> Manager::CollectUnderReplicated() const {
@@ -180,15 +148,17 @@ std::vector<Manager::RepairPlan> Manager::PlanRepairs(
     if (live >= code_.width) continue;  // healthy after stripping (stale)
 
     // Target placement through the shared engine: least-loaded alive
-    // benefactors that hold no member (ties broken by id for determinism),
-    // off every survivor's node when the code spreads — a single node
-    // failure must never take out two fragments of one stripe.  With
-    // placement_avoid_suspected on, benefactors missing heartbeats are
-    // HARD-excluded (re-protection must not bet on a flapping node) and so
-    // are the chunk's correlated-loss sources (h.tainted — the devices
-    // that corrupted or diverged on these very bytes).  The reservations
-    // race planners on other shards only through the benefactors'
-    // CAS-bounded counters — a loser simply plans incomplete and requeues.
+    // benefactors that hold no member (ties broken by id for determinism;
+    // a benefactor already holding a member of the key, such as another
+    // plan's open target, refuses the reservation), off every survivor's
+    // node when the code spreads — a single node failure must never take
+    // out two fragments of one stripe.  With placement_avoid_suspected on,
+    // benefactors missing heartbeats are HARD-excluded (re-protection must
+    // not bet on a flapping node) and so are the chunk's correlated-loss
+    // sources (h.tainted — the devices that corrupted or diverged on these
+    // very bytes).  The reservations race planners on other shards only
+    // through the benefactors' CAS-bounded counters — a loser simply plans
+    // incomplete and requeues.
     std::vector<PlacementCandidate> cands = BuildPlacementCandidates(
         bens, suspected.empty() ? nullptr : &suspected);
     std::vector<int> used_nodes = ExcludeMembers(members, cands);
@@ -211,8 +181,8 @@ std::vector<Manager::RepairPlan> Manager::PlanRepairs(
     plan.survivors = members;
     plan.epoch = h.repair_epoch;
     const size_t want = code_.width - live;
-    plan.targets =
-        code_.Reserve(bens, RankPlacement(cands, req), want, used_nodes);
+    plan.targets = code_.Reserve(bens, key, RankPlacement(cands, req), want,
+                                 used_nodes);
     // Each target fills the next free position — a stripe's hole, in
     // position order, or past the end of a replica list — and stores the
     // checksum recorded for that position, snapshot now.
@@ -227,8 +197,8 @@ std::vector<Manager::RepairPlan> Manager::PlanRepairs(
     // Register the targets so the scrubber leaves the in-flight copies
     // alone; CommitRepair deregisters them.
     if (!plan.targets.empty()) {
-      std::vector<MetaShard::RepairTarget>& open = shard.repair_targets[key];
-      for (int bid : plan.targets) open.push_back({bid, code_.member_bytes});
+      std::vector<int>& open = shard.repair_targets[key];
+      open.insert(open.end(), plan.targets.begin(), plan.targets.end());
     }
     plan.incomplete = plan.targets.size() < want;
     plans.push_back(std::move(plan));
@@ -361,27 +331,25 @@ uint64_t Manager::CommitRepair(sim::VirtualClock& clock,
   if (requeue != nullptr) *requeue = false;
   if (wal_ != nullptr) wal_->TriggerPoint(CrashPoint::kMidRepairCommit);
   const RepairPlan& plan = outcome.plan;
-  const uint64_t res_bytes = code_.member_bytes;
   MetaShard& shard = shards_[shard_of(plan.key)];
   std::lock_guard<std::mutex> lock(shard.mu);
   // The targets' fate is decided here: they stop being scrub-exempt.
   auto rt = shard.repair_targets.find(plan.key);
   if (rt != shard.repair_targets.end()) {
     for (int bid : plan.targets) {
-      auto pos = std::find_if(
-          rt->second.begin(), rt->second.end(),
-          [bid](const MetaShard::RepairTarget& t) { return t.bid == bid; });
+      auto pos = std::find(rt->second.begin(), rt->second.end(), bid);
       if (pos != rt->second.end()) rt->second.erase(pos);
     }
     if (rt->second.empty()) shard.repair_targets.erase(rt);
   }
-  auto undo_all = [&] {
-    for (int bid : outcome.written) {
-      UndoRepairTargetLocked(shard, plan.key, bid, res_bytes);
-    }
-    for (int bid : outcome.failed) {
-      UndoRepairTargetLocked(shard, plan.key, bid, res_bytes);
-    }
+  // An abandoned target is this plan's alone (no other plan could reserve
+  // it): reclaim its reservation and any partial copy.
+  const auto undo = [&](int bid) {
+    (void)BenefactorAt(bid)->DeleteChunk(plan.key);
+  };
+  const auto undo_all = [&] {
+    for (int bid : outcome.written) undo(bid);
+    for (int bid : outcome.failed) undo(bid);
   };
   // Freed while the copy ran?  Nothing references the chunk any more.
   auto hit = shard.chunks.find(plan.key);
@@ -425,13 +393,10 @@ uint64_t Manager::CommitRepair(sim::VirtualClock& clock,
       }
       ++recreated;
     } else {
-      // Died after the copy landed.
-      UndoRepairTargetLocked(shard, plan.key, bid, res_bytes);
+      undo(bid);  // died after the copy landed
     }
   }
-  for (int bid : outcome.failed) {
-    UndoRepairTargetLocked(shard, plan.key, bid, res_bytes);
-  }
+  for (int bid : outcome.failed) undo(bid);
   if (fresh != plan.survivors) {
     // Log the committed list before publishing it (log-before-publish).
     // An unchanged list (every target died/failed) appends nothing.
@@ -544,7 +509,7 @@ StatusOr<uint64_t> Manager::Decommission(sim::VirtualClock& clock, int id) {
     req.wear_weight = config_.placement_wear_weight;
     req.exclude_nodes = &used_nodes;
     const std::vector<int> picked =
-        code_.Reserve(bens, RankPlacement(cands, req), 1, used_nodes);
+        code_.Reserve(bens, h->key, RankPlacement(cands, req), 1, used_nodes);
     if (picked.empty()) {
       return OutOfSpace("no destination for chunk " + h->key.ToString());
     }
@@ -575,7 +540,6 @@ StatusOr<uint64_t> Manager::Decommission(sim::VirtualClock& clock, int id) {
       rec.replicas = rewritten;
       LogAppend(clock, std::move(rec));
       (void)leaving->DeleteChunk(h->key);
-      leaving->ReleaseBytes(code_.member_bytes);
       PublishReplicasLocked(*h, std::move(rewritten));
       ++migrated;
     }
@@ -594,7 +558,6 @@ StatusOr<uint64_t> Manager::Decommission(sim::VirtualClock& clock, int id) {
       // No verified source is left (or the destination died): the drain
       // stops with the benefactor still in service.
       (void)to->DeleteChunk(h->key);
-      to->ReleaseBytes(code_.member_bytes);
       const std::string what = "cannot move chunk " + h->key.ToString() +
                                " off benefactor " + std::to_string(id);
       return out.corrupt_sources.empty() ? Unavailable(what) : Corrupt(what);

@@ -25,8 +25,8 @@ Manager::ScrubResult Manager::ScrubOnce(sim::VirtualClock& clock) {
   ScrubResult result;
   {
     // Stop-the-world metadata pass: every shard mutex held, in ascending
-    // order.  Reservations only move under some shard mutex, so the drift
-    // comparison is race-free.
+    // order.  Reservations only move under some shard mutex, so the
+    // inventory comparison is race-free.
     std::vector<std::unique_lock<std::mutex>> held;
     held.reserve(meta_shards_);
     for (MetaShard& shard : shards_) held.emplace_back(shard.mu);
@@ -42,33 +42,38 @@ Manager::ScrubResult Manager::SweepInventoriesLocked(sim::VirtualClock& clock) {
   ScrubResult result;
   const std::vector<Benefactor*> bens = SnapshotBenefactors();
   // The authoritative member lists, straight from the shard chunk tables
-  // (every live chunk has exactly one handle there), and the bytes they
-  // place on each benefactor: one member's worth per list naming it (a
-  // full chunk per replica, a fragment per stripe member).  In-flight
-  // repair targets hold reservations (and possibly data) the lists do not
-  // name yet; their commit will settle them.
+  // (every live chunk has exactly one handle there), and how many members
+  // each benefactor must hold.  In-flight repair targets hold members the
+  // lists do not name yet; their commit settles them.
   std::unordered_map<ChunkKey, std::shared_ptr<const std::vector<int>>,
                      ChunkKeyHash>
       lists;
-  std::vector<uint64_t> expected(bens.size(), 0);
-  const auto place = [&](int bid, uint64_t bytes) {
-    if (bid >= 0 && static_cast<size_t>(bid) < bens.size()) {
-      expected[static_cast<size_t>(bid)] += bytes;
-    }
-  };
+  std::vector<uint64_t> listed(bens.size(), 0);
   for (const MetaShard& shard : shards_) {
     for (const auto& [key, h] : shard.chunks) {
       auto list = h->replicas.load(std::memory_order_acquire);
-      for (int bid : *list) place(bid, code_.member_bytes);
+      for (int bid : *list) {
+        if (bid >= 0) ++listed[static_cast<size_t>(bid)];
+      }
       lists.try_emplace(key, std::move(list));
     }
-    for (const auto& [key, targets] : shard.repair_targets) {
-      for (const MetaShard::RepairTarget& t : targets) place(t.bid, t.bytes);
-    }
   }
+  const auto lists_on = [&](const ChunkKey& key, int bid) {
+    auto it = lists.find(key);
+    return it != lists.end() && std::find(it->second->begin(),
+                                          it->second->end(),
+                                          bid) != it->second->end();
+  };
+  const auto targeted = [&](const ChunkKey& key, int bid) {
+    const auto& open = shards_[shard_of(key)].repair_targets;
+    auto it = open.find(key);
+    return it != open.end() && std::find(it->second.begin(), it->second.end(),
+                                         bid) != it->second.end();
+  };
   for (size_t i = 0; i < bens.size(); ++i) {
     Benefactor* b = bens[i];
-    // One metadata round-trip fetches the benefactor's stored-chunk set.
+    const int bid = static_cast<int>(i);
+    // One metadata round-trip fetches the benefactor's member inventory.
     ChargeOp(clock, i % meta_shards_);
     cluster_.network().Transfer(clock, manager_node_, b->node_id(),
                                 config_.meta_request_bytes);
@@ -76,36 +81,34 @@ Manager::ScrubResult Manager::SweepInventoriesLocked(sim::VirtualClock& clock) {
                                 config_.meta_response_bytes);
     // Dead benefactors are the repair path's business, not the sweep's.
     if (!b->alive()) continue;
-    for (const ChunkKey& key : b->StoredChunkKeys()) {
-      auto it = lists.find(key);
-      const bool reachable =
-          it != lists.end() &&
-          std::find(it->second->begin(), it->second->end(),
-                    static_cast<int>(i)) != it->second->end();
-      if (!reachable &&
-          !IsRepairTargetLocked(shards_[shard_of(key)], key,
-                                static_cast<int>(i))) {
-        // Orphan: stored but absent from the member list — the leavings of
-        // an unlink against a then-dead benefactor, an abandoned repair
-        // copy or COW clone, or a version recovery rolled back.  No reader
-        // ever consults it; reclaim the space.
-        (void)b->DeleteChunk(key);
-        ++result.orphans_deleted;
+    const uint64_t used = b->bytes_used();
+    uint64_t held = 0;  // listed members here that hold their reservation
+    for (const Benefactor::Member& m : b->Members()) {
+      if (lists_on(m.key, bid)) {
+        held += m.reserved;
+      } else if (!targeted(m.key, bid)) {
+        // Orphan: a member no list names — the leavings of an unlink
+        // against a then-dead benefactor, an abandoned repair copy or COW
+        // clone, a version recovery rolled back, or a leaked reservation.
+        // No reader ever consults it; reclaim it.
+        (void)b->DeleteChunk(m.key);
+        result.orphans_deleted += m.written;
       }
     }
-    // Reservation drift: reserved bytes must equal the bytes the metadata
-    // places here.  Fixes are reported in chunk-slot units (rounded up)
-    // for continuity with the historic counter.
-    const uint64_t reserved = b->bytes_used();
-    if (reserved > expected[i]) {
-      b->ReleaseBytes(reserved - expected[i]);
-      result.reservation_fixes +=
-          CeilDiv(reserved - expected[i], config_.chunk_bytes);
-    } else if (reserved < expected[i]) {
-      (void)b->ReserveBytes(expected[i] - reserved);
-      result.reservation_fixes +=
-          CeilDiv(expected[i] - reserved, config_.chunk_bytes);
+    // Fixes count in chunk slots, rounded up per benefactor.
+    result.reservation_fixes +=
+        CeilDiv(used - b->bytes_used(), config_.chunk_bytes);
+    // A listed member with no reservation here is re-reserved: a list
+    // names it, so it reads as its blob or as sparse zeros.
+    uint64_t restored = 0;
+    for (auto it = lists.begin(); held < listed[i] && it != lists.end(); ++it) {
+      if (lists_on(it->first, bid) &&
+          b->Reserve(it->first, code_.member_bytes).ok()) {
+        restored += code_.member_bytes;
+        ++held;
+      }
     }
+    result.reservation_fixes += CeilDiv(restored, config_.chunk_bytes);
   }
   return result;
 }
@@ -208,20 +211,16 @@ Manager::VerifyResult Manager::VerifyScrub(sim::VirtualClock& clock,
       Status s = b->VerifyChunk(clock, c.key, want, &sparse);
       cluster_.network().Transfer(clock, b->node_id(), manager_node_,
                                   config_.meta_response_bytes);
-      if (s.code() == ErrorCode::kCorrupt) {
-        result.bytes_checked += stored_bytes;
-        mismatches.push_back({i, bid});
-      } else if (s.ok()) {
-        if (sparse) {
-          // A replica with no stored bytes reads as zeros: that is silent
-          // corruption too unless the chunk really is all zeros.
-          if (want != code_.zero_crc) mismatches.push_back({i, bid});
-        } else {
-          result.bytes_checked += stored_bytes;
-        }
-      }
+      const bool corrupt = s.code() == ErrorCode::kCorrupt;
+      if (corrupt || (s.ok() && !sparse)) result.bytes_checked += stored_bytes;
+      // Quarantined: rot; a member the holder no longer has; or a sparse
+      // one, which reads as zeros, unless the chunk really is all zeros.
       // Unavailable: died between phases — the heartbeat/repair path owns
       // dead replicas.
+      if (corrupt || s.code() == ErrorCode::kNotFound ||
+          (s.ok() && sparse && want != code_.zero_crc)) {
+        mismatches.push_back({i, bid});
+      }
     }
   }
 

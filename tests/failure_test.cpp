@@ -1191,5 +1191,200 @@ TEST(CorruptionTest, BlindPartialWriteSurvivesChecksumScrub) {
   EXPECT_EQ(c.corrupt_failovers(), 0u);
 }
 
+// ---- stale locations: a reclaimed member never reads as zeros ----
+//
+// A client caches a chunk's location after its first lookup.  When the
+// manager later reclaims a member that location names (a quarantine, or a
+// version a checkpoint release freed), the holder answers NOT_FOUND, and
+// the reader fails over or re-resolves instead of reading zeros.
+
+TEST(StaleLocationTest, ReaderQuarantineLeavesAnotherClientExactBytes) {
+  // Client B caches the location; client A's read quarantines the rotted
+  // primary, which reclaims it.  B's next read still names the primary.
+  Rig rig(/*replication=*/2);
+  store::StoreClient& a = rig.store->ClientForNode(0);
+  store::StoreClient& b = rig.store->ClientForNode(2);
+  store::Manager& m = rig.store->manager();
+  sim::VirtualClock clock(0);
+  const auto data = Pattern(kChunk, 71);
+  const store::FileId id = WriteStoreFile(a, "/stale_q", 1, data, clock);
+  std::vector<uint8_t> got(kChunk);
+  ASSERT_TRUE(b.ReadChunk(clock, id, 0, got).ok());
+  ASSERT_EQ(got, data);
+
+  auto loc = m.GetReadLocation(clock, id, 0);
+  ASSERT_TRUE(loc.ok());
+  store::Benefactor& primary =
+      rig.store->benefactor(static_cast<size_t>(loc->benefactors[0]));
+  ASSERT_TRUE(primary.CorruptChunk(loc->key, 5, 0x10).ok());
+  ASSERT_TRUE(a.ReadChunk(clock, id, 0, got).ok());
+  ASSERT_EQ(got, data);
+  ASSERT_EQ(m.corrupt_detected(), 1u);
+  ASSERT_FALSE(primary.HasChunk(loc->key));
+
+  std::fill(got.begin(), got.end(), 0xEE);
+  ASSERT_TRUE(b.ReadChunk(clock, id, 0, got).ok());
+  EXPECT_EQ(got, data);
+}
+
+TEST(StaleLocationTest, ScrubQuarantineLeavesTheOnlyClientExactBytes) {
+  // The scrubber finds the rot, so no client saw anything: the only
+  // client's cached location still names the reclaimed primary.
+  Rig rig(/*replication=*/2);
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  store::Manager& m = rig.store->manager();
+  sim::VirtualClock clock(0);
+  const auto data = Pattern(kChunk, 72);
+  const store::FileId id = WriteStoreFile(c, "/stale_s", 1, data, clock);
+  std::vector<uint8_t> got(kChunk);
+  ASSERT_TRUE(c.ReadChunk(clock, id, 0, got).ok());
+
+  auto loc = m.GetReadLocation(clock, id, 0);
+  ASSERT_TRUE(loc.ok());
+  ASSERT_TRUE(rig.store->benefactor(static_cast<size_t>(loc->benefactors[0]))
+                  .CorruptChunk(loc->key, 9, 0x01)
+                  .ok());
+  const store::Manager::VerifyResult v = m.VerifyScrub(clock, 64_MiB);
+  ASSERT_EQ(v.corrupt_found, 1u);
+
+  std::fill(got.begin(), got.end(), 0xEE);
+  ASSERT_TRUE(c.ReadChunk(clock, id, 0, got).ok());
+  EXPECT_EQ(got, data);
+  EXPECT_EQ(c.corrupt_failovers(), 0u);
+}
+
+// Client B reads `chunks` chunks of a file (caching version 0's
+// locations); client A links a checkpoint, rewrites every chunk (each a
+// copy-on-write to version 1) and unlinks the checkpoint, which frees
+// version 0.  Returns the bytes A wrote.
+std::vector<uint8_t> RewriteUnderACheckpoint(Rig& rig, store::FileId id,
+                                             uint32_t chunks,
+                                             sim::VirtualClock& clock) {
+  store::StoreClient& a = rig.store->ClientForNode(0);
+  store::Manager& m = rig.store->manager();
+  auto ckpt = a.Create(clock, "/stale_ckpt");
+  EXPECT_TRUE(ckpt.ok());
+  EXPECT_TRUE(a.LinkFileChunks(clock, *ckpt, id).ok());
+  const auto next = Pattern(chunks * kChunk, 74);
+  Bitmap all(kChunk / a.config().page_bytes);
+  all.SetAll();
+  for (uint32_t i = 0; i < chunks; ++i) {
+    EXPECT_TRUE(
+        a.WriteChunkPages(clock, id, i, all, {next.data() + i * kChunk, kChunk})
+            .ok());
+    auto loc = m.GetReadLocation(clock, id, i);
+    EXPECT_TRUE(loc.ok());
+    EXPECT_EQ(loc->key.version, 1u) << "chunk " << i << " did not COW";
+  }
+  EXPECT_TRUE(a.Unlink(clock, *ckpt).ok());
+  return next;
+}
+
+TEST(StaleLocationTest, CheckpointReleaseLeavesACachedVersionExactBytes) {
+  Rig rig(/*replication=*/1);
+  store::StoreClient& b = rig.store->ClientForNode(2);
+  sim::VirtualClock clock(0);
+  const store::FileId id = WriteStoreFile(
+      rig.store->ClientForNode(0), "/stale_c", 1, Pattern(kChunk, 73), clock);
+  std::vector<uint8_t> got(kChunk);
+  ASSERT_TRUE(b.ReadChunk(clock, id, 0, got).ok());
+
+  const auto next = RewriteUnderACheckpoint(rig, id, 1, clock);
+  std::fill(got.begin(), got.end(), 0xEE);
+  ASSERT_TRUE(b.ReadChunk(clock, id, 0, got).ok());
+  EXPECT_EQ(got, next);
+}
+
+TEST(StaleLocationTest, CheckpointReleaseLeavesABatchedReadExactBytes) {
+  // The same over four chunks through ReadChunks, the run path read-ahead
+  // and batched misses use: each run meets a reclaimed key and fails, and
+  // every chunk falls back to a read that re-resolves its location.
+  constexpr uint32_t kChunks = 4;
+  Rig rig(/*replication=*/1);
+  store::StoreClient& b = rig.store->ClientForNode(2);
+  sim::VirtualClock clock(0);
+  const store::FileId id =
+      WriteStoreFile(rig.store->ClientForNode(0), "/stale_b", kChunks,
+                     Pattern(kChunks * kChunk, 75), clock);
+  std::vector<uint8_t> got(kChunks * kChunk);
+  std::vector<store::StoreClient::ChunkFetch> fetches(kChunks);
+  const auto read_all = [&] {
+    for (uint32_t i = 0; i < kChunks; ++i) {
+      fetches[i].index = i;
+      fetches[i].out = {got.data() + i * kChunk, kChunk};
+    }
+    ASSERT_TRUE(b.ReadChunks(clock, id, fetches).ok());
+    for (const auto& f : fetches) ASSERT_TRUE(f.status.ok()) << f.index;
+  };
+  ASSERT_NO_FATAL_FAILURE(read_all());
+
+  const auto next = RewriteUnderACheckpoint(rig, id, kChunks, clock);
+  std::fill(got.begin(), got.end(), 0xEE);
+  ASSERT_NO_FATAL_FAILURE(read_all());
+  EXPECT_EQ(got, next);
+}
+
+TEST(StaleLocationTest, ReservedChunkStillReadsSparseInOneLookup) {
+  // A fallocated, never-written chunk is a reserved member: it reads as
+  // zeros off no device, after the one lookup that resolves it.
+  Rig rig(/*replication=*/2);
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  sim::VirtualClock clock(0);
+  auto id = c.Create(clock, "/sparse");
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(c.Fallocate(clock, *id, kChunk).ok());
+  const uint64_t rtts = c.meta_round_trips();
+  std::vector<uint8_t> got(kChunk, 0xEE);
+  ASSERT_TRUE(c.ReadChunk(clock, *id, 0, got).ok());
+  EXPECT_TRUE(std::all_of(got.begin(), got.end(),
+                          [](uint8_t v) { return v == 0; }));
+  EXPECT_EQ(c.meta_round_trips() - rtts, 1u);
+  for (size_t b = 0; b < rig.store->num_benefactors(); ++b) {
+    EXPECT_EQ(rig.store->benefactor(b).ssd().channel().busy_ns(), 0) << b;
+  }
+}
+
+TEST(CorruptionTest, ScrubQuarantinesAMemberThatLostItsBlob) {
+  // A listed replica's holder loses the member outright (blob and
+  // reservation).  The checksum scrub must count the missing member as a
+  // mismatch — quarantine it and requeue the chunk — and the repair must
+  // restore it, with reads exact throughout.
+  Rig rig(/*replication=*/2);
+  store::StoreClient& c = rig.store->ClientForNode(0);
+  store::Manager& m = rig.store->manager();
+  sim::VirtualClock clock(0);
+  const auto data = Pattern(kChunk, 76);
+  const store::FileId id = WriteStoreFile(c, "/lostblob", 1, data, clock);
+  auto loc = m.GetReadLocation(clock, id, 0);
+  ASSERT_TRUE(loc.ok());
+  const int gone = loc->benefactors[1];
+  store::Benefactor& holder = rig.store->benefactor(static_cast<size_t>(gone));
+  ASSERT_TRUE(holder.DeleteChunk(loc->key).ok());
+  ASSERT_FALSE(holder.Reserved(loc->key));
+
+  const store::Manager::VerifyResult v = m.VerifyScrub(clock, 64_MiB);
+  EXPECT_EQ(v.corrupt_found, 1u);
+  ASSERT_EQ(v.quarantined.size(), 1u);
+  EXPECT_EQ(v.quarantined[0], loc->key);
+  auto after = m.GetReadLocation(clock, id, 0);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->benefactors, std::vector<int>{loc->benefactors[0]});
+  std::vector<uint8_t> got(kChunk);
+  ASSERT_TRUE(c.ReadChunk(clock, id, 0, got).ok());
+  EXPECT_EQ(got, data);
+
+  auto recreated = m.RepairReplication(clock);
+  ASSERT_TRUE(recreated.ok());
+  EXPECT_EQ(*recreated, 1u);
+  after = m.GetReadLocation(clock, id, 0);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->benefactors.size(), 2u);
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectStoreBytes(rig, /*client_node=*/2, id, 1, data));
+  const store::Manager::ScrubResult scrub = m.ScrubOnce(clock);
+  EXPECT_EQ(scrub.orphans_deleted, 0u);
+  EXPECT_EQ(scrub.reservation_fixes, 0u);
+}
+
 }  // namespace
 }  // namespace nvm

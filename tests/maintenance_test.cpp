@@ -6,6 +6,7 @@
 // lost-chunk surfacing, and convergence under concurrent writers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <set>
@@ -232,9 +233,10 @@ TEST(MaintenanceTest, RepairPlacementPrefersLeastLoadedBenefactor) {
   const store::FileId id =
       WriteStoreFile(c, "/place", 8, Pattern(8 * kChunk, 5), clock);
 
-  // Load benefactor 3 with extra reservations so it is clearly the
-  // fullest; benefactors 1 and 2 stay lighter.
-  ASSERT_TRUE(rig.store->benefactor(3).ReserveBytes(200 * kChunk).ok());
+  // Load benefactor 3 with an extra (phantom) reservation so it is
+  // clearly the fullest; benefactors 1 and 2 stay lighter.
+  const store::ChunkKey phantom{/*origin_file=*/9998, 0, 0};
+  ASSERT_TRUE(rig.store->benefactor(3).Reserve(phantom, 200 * kChunk).ok());
   const uint64_t free3 = rig.store->benefactor(3).bytes_free();
 
   // Deadlines are relative to the worker's settled clock: drain the
@@ -248,7 +250,7 @@ TEST(MaintenanceTest, RepairPlacementPrefersLeastLoadedBenefactor) {
   ExpectFullyReplicated(rig, id, 8, 2);
   // The fullest benefactor gained nothing beyond what it already held.
   EXPECT_EQ(rig.store->benefactor(3).bytes_free(), free3);
-  rig.store->benefactor(3).ReleaseBytes(200 * kChunk);
+  ASSERT_TRUE(rig.store->benefactor(3).DeleteChunk(phantom).ok());
 }
 
 TEST(MaintenanceTest, ThrottleDutyCycleBoundsRepairTime) {
@@ -304,7 +306,8 @@ TEST(MaintenanceTest, ScrubReclaimsOrphansAndFixesReservationDrift) {
   std::vector<uint8_t> junk(kChunk, 0xab);
   sim::VirtualClock dc(0);
   ASSERT_TRUE(b.WritePages(dc, bogus, all, junk).ok());
-  ASSERT_TRUE(b.ReserveBytes(3 * kChunk).ok());
+  const store::ChunkKey phantom{/*origin_file=*/9998, 0, 0};
+  ASSERT_TRUE(b.Reserve(phantom, 3 * kChunk).ok());
   ASSERT_TRUE(b.HasChunk(bogus));
 
   // One scrub period later both are reconciled.
@@ -555,7 +558,7 @@ TEST(MaintenanceTest, ScrubSparesInFlightRepairTargets) {
   EXPECT_EQ(got, v1);
 }
 
-TEST(MaintenanceTest, RacingRepairsSameTargetKeepThePublishedReplica) {
+TEST(MaintenanceTest, RacingRepairsNeverShareATarget) {
   Rig rig(/*replication=*/2, kQuiet);
   store::StoreClient& c = rig.store->ClientForNode(0);
   store::Manager& m = rig.store->manager();
@@ -567,42 +570,50 @@ TEST(MaintenanceTest, RacingRepairsSameTargetKeepThePublishedReplica) {
   const store::ChunkKey key = loc0->key;
   rig.store->benefactor(static_cast<size_t>(loc0->benefactors[1])).Kill();
 
-  // Overload one of the two non-holders so both racing plans pick the
-  // other as their (least-loaded) target.
+  // Load one of the two non-holders with a phantom reservation so the
+  // least-loaded rank puts the other first for both plans.
   int forced = -1, spare = -1;
   for (int b = 0; b < kBenefactors; ++b) {
     if (b == loc0->benefactors[0] || b == loc0->benefactors[1]) continue;
     (forced < 0 ? forced : spare) = b;
   }
-  ASSERT_TRUE(rig.store->benefactor(static_cast<size_t>(spare))
-                  .ReserveBytes(16 * kChunk)
-                  .ok());
+  store::Benefactor& forced_b =
+      rig.store->benefactor(static_cast<size_t>(forced));
+  store::Benefactor& spare_b =
+      rig.store->benefactor(static_cast<size_t>(spare));
+  const store::ChunkKey phantom{/*origin_file=*/9998, 0, 0};
+  ASSERT_TRUE(spare_b.Reserve(phantom, 16 * kChunk).ok());
+  const uint64_t spare_loaded = spare_b.bytes_used();
 
   // Two drivers (maintenance worker + manual repair) plan the same key.
+  // A holds its target's member of the key, so that benefactor refuses B:
+  // B takes the loaded spare (it has room) and never A's target.
   auto plansA = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
   auto plansB = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
   ASSERT_EQ(plansA.size(), 1u);
   ASSERT_EQ(plansB.size(), 1u);
-  ASSERT_EQ(plansA[0].targets, plansB[0].targets);
-  const int target = plansA[0].targets[0];
-  ASSERT_EQ(target, forced);
+  ASSERT_EQ(plansA[0].targets, std::vector<int>{forced});
+  EXPECT_EQ(std::find(plansB[0].targets.begin(), plansB[0].targets.end(),
+                      forced),
+            plansB[0].targets.end());
+  EXPECT_EQ(plansB[0].targets, std::vector<int>{spare});
+  EXPECT_FALSE(plansB[0].incomplete);
 
   auto outA = m.ExecuteRepairPlan(clock, plansA[0]);
   EXPECT_EQ(m.CommitRepair(clock, outA), 1u);  // A publishes {survivor, target}
 
-  // B copied onto the same target; its commit loses the race (the list
-  // changed under it) but must NOT tear down the replica A published —
-  // only B's duplicate reservation comes back.
-  const uint64_t used_mid =
-      rig.store->benefactor(static_cast<size_t>(target)).bytes_used();
+  // B's commit loses the race (the list changed under it): it requeues and
+  // undoes only its own target, leaving the replica A published alone.
+  const uint64_t used_mid = forced_b.bytes_used();
   auto outB = m.ExecuteRepairPlan(clock, plansB[0]);
   bool requeue = false;
   EXPECT_EQ(m.CommitRepair(clock, outB, &requeue), 0u);
   EXPECT_TRUE(requeue);
-  EXPECT_TRUE(
-      rig.store->benefactor(static_cast<size_t>(target)).HasChunk(key));
-  EXPECT_EQ(rig.store->benefactor(static_cast<size_t>(target)).bytes_used(),
-            used_mid - kChunk);
+  EXPECT_TRUE(forced_b.HasChunk(key));
+  EXPECT_EQ(forced_b.bytes_used(), used_mid);
+  EXPECT_FALSE(spare_b.HasChunk(key));
+  EXPECT_FALSE(spare_b.Reserved(key));
+  EXPECT_EQ(spare_b.bytes_used(), spare_loaded);
   ExpectFullyReplicated(rig, id, 1, 2);
 
   // The requeued retry finds the chunk healthy (no-op) and the data
@@ -612,11 +623,9 @@ TEST(MaintenanceTest, RacingRepairsSameTargetKeepThePublishedReplica) {
   EXPECT_EQ(*recreated, 0u);
   std::vector<uint8_t> got(kChunk);
   sim::VirtualClock rc(clock.now());
-  ASSERT_TRUE(rig.store->benefactor(static_cast<size_t>(target))
-                  .ReadChunk(rc, key, got)
-                  .ok());
+  ASSERT_TRUE(forced_b.ReadChunk(rc, key, got).ok());
   EXPECT_EQ(got, v1);
-  rig.store->benefactor(static_cast<size_t>(spare)).ReleaseBytes(16 * kChunk);
+  ASSERT_TRUE(spare_b.DeleteChunk(phantom).ok());
   auto scrub = m.ScrubOnce(clock);
   EXPECT_EQ(scrub.orphans_deleted, 0u);
   EXPECT_EQ(scrub.reservation_fixes, 0u);

@@ -8,6 +8,7 @@
 // multi-shard locking discipline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <functional>
@@ -332,7 +333,7 @@ TEST(MetaShardTest, ScrubSparesInFlightRepairTargets) {
   EXPECT_EQ(got, v1);
 }
 
-TEST(MetaShardTest, RacingRepairsSameTargetKeepThePublishedReplica) {
+TEST(MetaShardTest, RacingRepairsNeverShareATarget) {
   Rig rig(/*replication=*/2);
   store::StoreClient& c = rig.store->ClientForNode(0);
   store::Manager& m = rig.store->manager();
@@ -344,48 +345,62 @@ TEST(MetaShardTest, RacingRepairsSameTargetKeepThePublishedReplica) {
   const store::ChunkKey key = loc0->key;
   rig.store->benefactor(static_cast<size_t>(loc0->benefactors[1])).Kill();
 
+  // Load one of the two non-holders with a phantom reservation so the
+  // least-loaded rank puts the other first for both plans.
   int forced = -1, spare = -1;
   for (int b = 0; b < kBenefactors; ++b) {
     if (b == loc0->benefactors[0] || b == loc0->benefactors[1]) continue;
     (forced < 0 ? forced : spare) = b;
   }
-  ASSERT_TRUE(rig.store->benefactor(static_cast<size_t>(spare))
-                  .ReserveBytes(16 * kChunk)
-                  .ok());
+  store::Benefactor& forced_b =
+      rig.store->benefactor(static_cast<size_t>(forced));
+  store::Benefactor& spare_b =
+      rig.store->benefactor(static_cast<size_t>(spare));
+  const store::ChunkKey phantom{/*origin_file=*/9998, 0, 0};
+  ASSERT_TRUE(spare_b.Reserve(phantom, 16 * kChunk).ok());
+  const uint64_t spare_loaded = spare_b.bytes_used();
 
+  // Two drivers (maintenance worker + manual repair) plan the same key.
+  // A holds its target's member of the key, so that benefactor refuses B:
+  // B takes the loaded spare (it has room) and never A's target.
   auto plansA = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
   auto plansB = m.PlanRepairs(clock, std::vector<store::ChunkKey>{key});
   ASSERT_EQ(plansA.size(), 1u);
   ASSERT_EQ(plansB.size(), 1u);
-  ASSERT_EQ(plansA[0].targets, plansB[0].targets);
-  const int target = plansA[0].targets[0];
-  ASSERT_EQ(target, forced);
+  ASSERT_EQ(plansA[0].targets, std::vector<int>{forced});
+  EXPECT_EQ(std::find(plansB[0].targets.begin(), plansB[0].targets.end(),
+                      forced),
+            plansB[0].targets.end());
+  EXPECT_EQ(plansB[0].targets, std::vector<int>{spare});
+  EXPECT_FALSE(plansB[0].incomplete);
 
   auto outA = m.ExecuteRepairPlan(clock, plansA[0]);
-  EXPECT_EQ(m.CommitRepair(clock, outA), 1u);
+  EXPECT_EQ(m.CommitRepair(clock, outA), 1u);  // A publishes {survivor, target}
 
-  const uint64_t used_mid =
-      rig.store->benefactor(static_cast<size_t>(target)).bytes_used();
+  // B's commit loses the race (the list changed under it): it requeues and
+  // undoes only its own target, leaving the replica A published alone.
+  const uint64_t used_mid = forced_b.bytes_used();
   auto outB = m.ExecuteRepairPlan(clock, plansB[0]);
   bool requeue = false;
   EXPECT_EQ(m.CommitRepair(clock, outB, &requeue), 0u);
   EXPECT_TRUE(requeue);
-  EXPECT_TRUE(
-      rig.store->benefactor(static_cast<size_t>(target)).HasChunk(key));
-  EXPECT_EQ(rig.store->benefactor(static_cast<size_t>(target)).bytes_used(),
-            used_mid - kChunk);
+  EXPECT_TRUE(forced_b.HasChunk(key));
+  EXPECT_EQ(forced_b.bytes_used(), used_mid);
+  EXPECT_FALSE(spare_b.HasChunk(key));
+  EXPECT_FALSE(spare_b.Reserved(key));
+  EXPECT_EQ(spare_b.bytes_used(), spare_loaded);
   ExpectFullyReplicated(rig, id, 1, 2);
 
+  // The requeued retry finds the chunk healthy (no-op) and the data
+  // reads back intact off the repaired replica; accounting is clean.
   auto recreated = m.RepairReplication(clock);
   ASSERT_TRUE(recreated.ok());
   EXPECT_EQ(*recreated, 0u);
   std::vector<uint8_t> got(kChunk);
   sim::VirtualClock rc(clock.now());
-  ASSERT_TRUE(rig.store->benefactor(static_cast<size_t>(target))
-                  .ReadChunk(rc, key, got)
-                  .ok());
+  ASSERT_TRUE(forced_b.ReadChunk(rc, key, got).ok());
   EXPECT_EQ(got, v1);
-  rig.store->benefactor(static_cast<size_t>(spare)).ReleaseBytes(16 * kChunk);
+  ASSERT_TRUE(spare_b.DeleteChunk(phantom).ok());
   auto scrub = m.ScrubOnce(clock);
   EXPECT_EQ(scrub.orphans_deleted, 0u);
   EXPECT_EQ(scrub.reservation_fixes, 0u);
@@ -561,9 +576,8 @@ TEST(MetaShardConcurrencyTest, FallocateRacingScrubKeepsReservationsExact) {
   // was published with its chunk under the same shard-mutex hold.
   EXPECT_EQ(racing_fixes.load(), 0u);
 
-  // Unlink everything: each release must be backed by a still-standing
-  // reservation (an underflow trips NVM_CHECK inside ReleaseBytes)
-  // and the store must come back empty.
+  // Unlink everything: each member's reclaim gives back exactly the
+  // reservation it took, and the store must come back empty.
   sim::VirtualClock clock(0);
   for (int t = 0; t < kThreads; ++t) {
     for (int f = 0; f < kFilesPerThread; ++f) {

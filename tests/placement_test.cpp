@@ -898,7 +898,8 @@ TEST(PlacementEcTest, StripeNeverCoLocatesUnderCapacityPressure) {
   sim::VirtualClock clock(0);
   const uint64_t frag = rig.store->manager().config().ec_frag_bytes();
   const uint64_t contribution = 64_MiB;
-  ASSERT_TRUE(rig.store->benefactor(0).ReserveBytes(contribution).ok());
+  const ChunkKey phantom{/*origin_file=*/9998, 0, 0};
+  ASSERT_TRUE(rig.store->benefactor(0).Reserve(phantom, contribution).ok());
 
   auto id = c.Create(clock, "/spread");
   ASSERT_TRUE(id.ok());
@@ -909,7 +910,7 @@ TEST(PlacementEcTest, StripeNeverCoLocatesUnderCapacityPressure) {
     EXPECT_EQ(rig.store->benefactor(b).bytes_used(), 0u) << "benefactor " << b;
   }
 
-  rig.store->benefactor(0).ReleaseBytes(contribution);
+  ASSERT_TRUE(rig.store->benefactor(0).DeleteChunk(phantom).ok());
   ASSERT_TRUE(c.Fallocate(clock, *id, kChunk).ok());
   auto loc = rig.store->manager().GetReadLocation(clock, *id, 0);
   ASSERT_TRUE(loc.ok());

@@ -659,7 +659,8 @@ TEST(VerifyOnceTest, ReadRangeCopiesItsRangeAndChargesTheWholeBlob) {
   }
 
   ChunkKey hole = key;
-  hole.index = 99;  // never written on this benefactor
+  hole.index = 99;  // reserved, never written on this benefactor
+  ASSERT_TRUE(b.Reserve(hole, kChunk).ok());
   const int64_t busy = b.ssd().channel().busy_ns();
   sim::VirtualClock at_hole(2 * kStart);
   ASSERT_TRUE(b.ReadRange(at_hole, hole, 5 * page, range, &sparse).ok());

@@ -806,6 +806,46 @@ TEST(CrashMatrix, EcStripeTornBetweenEncodeAndCommitRollsBack) {
   }
 }
 
+TEST(CrashMatrix, EcFirstWriteTornBeforeCommitReadsZeros) {
+  // A fallocated stripe's first write lands every fragment, but the
+  // manager dies before its completion record.  Recovery reclaims what
+  // landed (an uncommitted stripe is never assembled) and its inventory
+  // sweep reserves the listed members again, so the stripe reads as the
+  // zeros the uncompleted write left behind — sparse, not stale — with one
+  // fragment reserved per benefactor.
+  EcRig rig;
+  sim::VirtualClock clock(0);
+  auto id = rig.client().Create(clock, "/ec_first");
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(rig.client().Fallocate(clock, *id, kChunk).ok());
+  auto loc = rig.store.manager().PrepareWrite(clock, *id, 0);
+  ASSERT_TRUE(loc.ok());
+  ASSERT_EQ(loc->key.version, 0u);
+  const auto frags = store::ErasureCodec(4, 2).Encode(Pattern(92));
+  for (size_t pos = 0; pos < frags.size(); ++pos) {
+    const uint32_t crc = Crc32c(frags[pos].data(), frags[pos].size());
+    ASSERT_TRUE(rig.store.benefactor(static_cast<size_t>(loc->benefactors[pos]))
+                    .WriteFragment(clock, loc->key, frags[pos], &crc)
+                    .ok());
+  }
+
+  rig.store.KillManager();
+  auto report = rig.store.RestartManager(clock);
+  EXPECT_EQ(report.chunks_lost, 0u);
+  std::vector<uint8_t> buf(kChunk, 0xEE);
+  ASSERT_TRUE(rig.client().ReadChunk(clock, *id, 0, buf).ok());
+  EXPECT_TRUE(std::all_of(buf.begin(), buf.end(),
+                          [](uint8_t v) { return v == 0; }));
+  const uint64_t frag = rig.store.manager().config().ec_frag_bytes();
+  for (size_t b = 0; b < 6; ++b) {
+    EXPECT_FALSE(rig.store.benefactor(b).HasChunk(loc->key)) << b;
+    EXPECT_EQ(rig.store.benefactor(b).bytes_used(), frag) << b;
+  }
+  auto scrub = rig.store.manager().ScrubOnce(clock);
+  EXPECT_EQ(scrub.orphans_deleted, 0u);
+  EXPECT_EQ(scrub.reservation_fixes, 0u);
+}
+
 TEST(CrashMatrix, EcRewriteCompletedOnBenefactorsAdoptsFragmentChecksums) {
   // The in-place analog of MidCompletionBatchAdoptsChecksumsFromReplicas:
   // a full-stripe rewrite replaced all six fragments on the benefactors,
@@ -1156,7 +1196,7 @@ TEST(Regression, RestartReclaimsOrphansAndFixesReservationDriftLikeScrub) {
   std::vector<uint8_t> junk(kChunk, 0xab);
   sim::VirtualClock dc(0);
   ASSERT_TRUE(b.WritePages(dc, bogus, all, junk).ok());
-  ASSERT_TRUE(b.ReserveBytes(3 * kChunk).ok());
+  ASSERT_TRUE(b.Reserve(Key(9998, 0, 0), 3 * kChunk).ok());
   ASSERT_TRUE(b.HasChunk(bogus));
 
   rig.store.KillManager();

@@ -2,11 +2,13 @@
 //
 // A seeded op sequence (create / write / read / sync / drop / unlink over
 // several striped files, through a small fuselite mount that forces
-// eviction and write-back) runs against a byte-exact shadow model.  After
-// every operation the harness asserts that the layers never disagree:
-// manager location maps vs benefactor stored-chunk sets, reservation
-// accounting vs placement, chunk refcounts, and cache residency vs shard
-// occupancy.  Reads must always return exactly the shadow bytes.
+// eviction and write-back, and optionally checkpoints) runs against a
+// byte-exact shadow model.  After every operation the harness asserts that
+// the layers never disagree: manager location maps vs benefactor
+// stored-chunk sets, reservation accounting vs placement, chunk refcounts,
+// and cache residency vs shard occupancy.  Reads must always return
+// exactly the shadow bytes, through the mount and through a second client
+// whose cached locations outlive the versions they name.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,6 +51,18 @@ struct Harness {
   // One benefactor per node; erasure sequences pass a wider store so an
   // RS(4,2) stripe has six distinct failure domains plus repair spares.
   int nbens = kBenefactors;
+
+  // Live checkpoints: a synced file's chunks linked into a checkpoint file
+  // (LinkFileChunks), with the bytes they held then.  The file's next
+  // writes copy-on-write away from them; unlinking the checkpoint frees
+  // the versions left behind.
+  struct Checkpoint {
+    std::string source;
+    store::FileId id = store::kInvalidFileId;
+    std::vector<uint8_t> bytes;
+    int release_at = 0;  // the op that unlinks it
+  };
+  std::vector<Checkpoint> ckpts;
 
   explicit Harness(int replication, bool maintenance = false,
                    std::function<void(store::StoreConfig&)> tweak = {},
@@ -130,6 +144,8 @@ struct Harness {
     const uint64_t member_bytes = ec ? cfg.ec_frag_bytes() : kChunk;
     std::map<std::string, std::set<int>> placed;  // key string -> benefactors
     std::vector<uint64_t> expected_reserved(static_cast<size_t>(nbens), 0);
+    // Every live file and checkpoint, with its chunk count.
+    std::vector<std::pair<store::FileId, uint32_t>> files;
     for (const auto& [name, bytes] : shadow) {
       auto f = mount->Open(name);
       ASSERT_TRUE(f.ok());
@@ -138,12 +154,20 @@ struct Harness {
       const auto want_chunks =
           static_cast<uint32_t>((bytes.size() + kChunk - 1) / kChunk);
       ASSERT_EQ(info->num_chunks, want_chunks) << name;
-
-      auto locs = store->manager().GetReadLocations(clock, info->id, 0,
-                                                    want_chunks);
+      files.emplace_back(info->id, want_chunks);
+    }
+    for (const Checkpoint& ck : ckpts) {
+      files.emplace_back(ck.id,
+                         static_cast<uint32_t>(ck.bytes.size() / kChunk));
+    }
+    for (const auto& [id, want_chunks] : files) {
+      auto locs =
+          store->manager().GetReadLocations(clock, id, 0, want_chunks);
       ASSERT_TRUE(locs.ok());
-      ASSERT_EQ(locs->size(), want_chunks) << name;
+      ASSERT_EQ(locs->size(), want_chunks) << "file " << id;
       for (const store::ReadLocation& loc : *locs) {
+        // A chunk a checkpoint shares is placed (and reserved) once.
+        const bool first = !placed.contains(loc.key.ToString());
         // 2. Placement sanity: exactly `replication` distinct, valid
         //    benefactors per chunk (erasure: exactly k+m, positional, no
         //    holes after quiesce — the sequences below only run hole-free
@@ -154,7 +178,7 @@ struct Harness {
         for (int b : loc.benefactors) {
           ASSERT_GE(b, 0) << "hole in " << loc.key.ToString();
           ASSERT_LT(b, nbens);
-          ++expected_reserved[static_cast<size_t>(b)];
+          if (first) ++expected_reserved[static_cast<size_t>(b)];
         }
         ASSERT_GE(store->manager().ChunkRefcount(loc.key), 1u);
         // 5. Checksum agreement: whenever the manager holds an
@@ -208,6 +232,58 @@ struct Harness {
   }
 
   std::string NameFor(uint64_t i) { return "/f" + std::to_string(i % 100); }
+
+  const Checkpoint* CheckpointOf(const std::string& name) const {
+    for (const Checkpoint& ck : ckpts) {
+      if (ck.source == name) return &ck;
+    }
+    return nullptr;
+  }
+
+  // A second client, on node 2, reads every chunk of `name` (in one
+  // ReadChunks batch, or one ReadChunk each) through the locations it
+  // cached on earlier reads.  Each chunk must be exactly the file's
+  // current bytes or, while a checkpoint of the file is live, the bytes
+  // that checkpoint holds: a location cached before the file's
+  // copy-on-write names the version the checkpoint keeps, which reads
+  // back as that older version until the checkpoint frees it.  Never
+  // anything else, and never zeros for a freed version.
+  void ReadBackElsewhere(const std::string& name, store::FileId id,
+                         bool batched) {
+    auto& clock = sim::CurrentClock();
+    store::StoreClient& reader = store->ClientForNode(2);
+    const std::vector<uint8_t>& want = shadow.at(name);
+    const Checkpoint* ck = CheckpointOf(name);
+    const auto chunks = static_cast<uint32_t>(want.size() / kChunk);
+    std::vector<uint8_t> got(want.size(), 0xEE);
+    std::vector<Status> status(chunks);
+    if (batched) {
+      std::vector<store::StoreClient::ChunkFetch> fetches(chunks);
+      for (uint32_t i = 0; i < chunks; ++i) {
+        fetches[i].index = i;
+        fetches[i].out = {got.data() + i * kChunk, kChunk};
+      }
+      ASSERT_TRUE(reader.ReadChunks(clock, id, fetches).ok()) << name;
+      for (uint32_t i = 0; i < chunks; ++i) status[i] = fetches[i].status;
+    } else {
+      for (uint32_t i = 0; i < chunks; ++i) {
+        status[i] = reader.ReadChunk(clock, id, i,
+                                     {got.data() + i * kChunk, kChunk});
+      }
+    }
+    for (uint32_t i = 0; i < chunks; ++i) {
+      ASSERT_TRUE(status[i].ok()) << name << " chunk " << i << ": "
+                                  << status[i].ToString();
+      const uint64_t at = i * kChunk;
+      const bool current =
+          std::memcmp(got.data() + at, want.data() + at, kChunk) == 0;
+      const bool held =
+          ck != nullptr &&
+          std::memcmp(got.data() + at, ck->bytes.data() + at, kChunk) == 0;
+      ASSERT_TRUE(current || held)
+          << name << " chunk " << i << " read back other bytes";
+    }
+  }
 };
 
 // Options beyond the op dice: inject a benefactor death partway through
@@ -231,6 +307,11 @@ struct SequenceOptions {
   // its whole metadata plane from the durable log + benefactor
   // inventories, and the sequence keeps running against it.
   uint64_t kill_manager_after_ops = 0;
+  // Take checkpoints: before an op, one time in eight, a live file is
+  // synced and linked into a checkpoint file, which is unlinked two to
+  // seven ops later.  After every Sync a second client reads the file back
+  // through its cached locations (Harness::ReadBackElsewhere).
+  bool checkpoints = false;
   // Extra config knobs for the run (e.g. a scrub verify budget large
   // enough that one pass covers the whole working set).
   std::function<void(store::StoreConfig&)> tweak;
@@ -263,6 +344,18 @@ void RunSequence(uint64_t seed, int replication, int ops,
     std::advance(it, static_cast<long>(rng.NextBelow(h.shadow.size())));
     return it->first;
   };
+  // Flush one file's dirty pages; with checkpoints on, the second client
+  // then reads it back.
+  auto sync = [&](const std::string& name, int op) {
+    auto f = h.mount->Open(name);
+    ASSERT_TRUE(f.ok());
+    ASSERT_TRUE(f->Sync().ok());
+    if (so.checkpoints) {
+      ASSERT_NO_FATAL_FAILURE(
+          h.ReadBackElsewhere(name, f->id(), /*batched=*/op % 2 == 0))
+          << "op " << op;
+    }
+  };
 
   for (int op = 0; op < ops; ++op) {
     if (so.kill_manager_after_ops > 0 &&
@@ -276,6 +369,27 @@ void RunSequence(uint64_t seed, int replication, int ops,
       }
       ASSERT_NO_FATAL_FAILURE(h.RestartManager()) << "op " << op;
       ASSERT_NO_FATAL_FAILURE(h.CheckInvariants(replication)) << "op " << op;
+    }
+    if (so.checkpoints) {
+      auto& clock = sim::CurrentClock();
+      store::StoreClient& owner = h.store->ClientForNode(0);
+      std::erase_if(h.ckpts, [&](const Harness::Checkpoint& ck) {
+        if (ck.release_at > op) return false;
+        EXPECT_TRUE(owner.Unlink(clock, ck.id).ok()) << "op " << op;
+        return true;
+      });
+      const std::string name = rng.NextBelow(8) == 0 ? pick_file() : "";
+      if (!name.empty() && h.CheckpointOf(name) == nullptr) {
+        // A checkpoint links stored bytes, so the file is synced first.
+        ASSERT_NO_FATAL_FAILURE(sync(name, op));
+        auto f = h.mount->Open(name);
+        ASSERT_TRUE(f.ok());
+        auto ck = owner.Create(clock, name + ".ckpt" + std::to_string(op));
+        ASSERT_TRUE(ck.ok());
+        ASSERT_TRUE(owner.LinkFileChunks(clock, *ck, f->id()).ok());
+        h.ckpts.push_back({name, *ck, h.shadow[name],
+                           op + 2 + static_cast<int>(rng.NextBelow(6))});
+      }
     }
     const uint64_t dice = rng.NextBelow(100);
     if (dice < 15 || h.shadow.empty()) {
@@ -318,10 +432,7 @@ void RunSequence(uint64_t seed, int replication, int ops,
                                bytes.data() + static_cast<int64_t>(off), len))
           << name << " off=" << off << " len=" << len << " op=" << op;
     } else if (dice < 85) {
-      const std::string name = pick_file();
-      auto f = h.mount->Open(name);
-      ASSERT_TRUE(f.ok());
-      ASSERT_TRUE(f->Sync().ok());
+      ASSERT_NO_FATAL_FAILURE(sync(pick_file(), op));
     } else if (dice < 93) {
       // Flush + discard all cached state of one file; the store copy must
       // carry the bytes from here on.
@@ -361,6 +472,11 @@ void RunSequence(uint64_t seed, int replication, int ops,
 
   // Teardown: freeing everything must return the store to empty — no
   // leaked reservations, no orphaned chunks, no stale cache slots.
+  for (const Harness::Checkpoint& ck : h.ckpts) {
+    ASSERT_TRUE(h.store->ClientForNode(0).Unlink(sim::CurrentClock(), ck.id)
+                    .ok());
+  }
+  h.ckpts.clear();
   while (!h.shadow.empty()) {
     ASSERT_TRUE(h.mount->Unlink(h.shadow.begin()->first).ok());
     h.shadow.erase(h.shadow.begin());
@@ -684,6 +800,27 @@ TEST(StoreInvariantTest, ColdManagerRestartMidSequenceErasure) {
     s.wal = true;
   };
   RunSequence(/*seed=*/19, /*replication=*/1, /*ops=*/100, so);
+}
+
+TEST(StoreInvariantTest, SecondClientReadsExactAcrossCheckpoints) {
+  // Checkpoints link a file's chunks and later free the versions the
+  // file's copy-on-writes left behind, while a second client keeps the
+  // locations it cached: every read-back after a Sync must be exact.
+  SequenceOptions so;
+  so.checkpoints = true;
+  RunSequence(/*seed=*/37, /*replication=*/1, /*ops=*/160, so);
+}
+
+TEST(StoreInvariantTest, SecondClientReadsExactAcrossCheckpointsReplicated) {
+  SequenceOptions so;
+  so.checkpoints = true;
+  RunSequence(/*seed=*/9, /*replication=*/2, /*ops=*/160, so);
+}
+
+TEST(StoreInvariantTest, SecondClientReadsExactAcrossCheckpointsErasure) {
+  SequenceOptions so = ErasureOptions();
+  so.checkpoints = true;
+  RunSequence(/*seed=*/43, /*replication=*/1, /*ops=*/120, so);
 }
 
 TEST(StoreInvariantTest, MaintenanceConvergesKilledSequenceToHealedState) {
