@@ -398,7 +398,8 @@ BENCHMARK(BM_ReadRunChunks);
 // A random one-page miss through ChunkCache::Read on a replicated store
 // (r=2, 64 KiB chunks).  A one-chunk cache and a different chunk on every
 // iteration make each read a fresh miss; it ships only its page unless it
-// lands where a tracked stream ended, and the holder still reads and
+// continues a stream (lands where the previous read ended, or where a
+// read that continued another ended), and the holder still reads and
 // verifies the whole replica.  `bytes_per_read` is what crossed the wire
 // per miss.
 void BM_CacheMissPage(benchmark::State& state) {
@@ -448,6 +449,75 @@ void BM_CacheMissPage(benchmark::State& state) {
                 static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_CacheMissPage);
+
+// `stream` in miniature through one 32-chunk cache: each iteration reads
+// chunk k of B and of A page by page (two sequential streams, as a TRIAD
+// op's read and write faults do) and blind-writes the pages of A's chunk
+// k - 32 (a page pool's write-backs, which take cache slots).  The sweep
+// wraps, so each pass starts fresh streams.  Counters, per chunk read:
+// chunks the cache fetched or read ahead, and read-ahead chunks evicted
+// unread (`prefetch_wasted`).
+void BM_CacheStreamsUnderPressure(benchmark::State& state) {
+  constexpr uint32_t kChunks = 128;
+  constexpr uint32_t kLag = 32;
+  constexpr uint64_t kChunkBytes = 64_KiB;
+  net::ClusterConfig cc;
+  cc.num_nodes = 3;
+  net::Cluster cluster(cc);
+  store::AggregateStoreConfig sc;
+  sc.benefactor_nodes = {1, 2};
+  sc.contribution_bytes = 64_MiB;
+  sc.manager_node = 1;
+  sc.store.chunk_bytes = kChunkBytes;
+  store::AggregateStore st(cluster, sc);
+  store::StoreClient& client = st.ClientForNode(0);
+  sim::VirtualClock clock(0);
+  const uint64_t page = client.config().page_bytes;
+  const std::vector<uint8_t> image(kChunkBytes, 0x5A);
+  Bitmap all(kChunkBytes / page);
+  all.SetAll();
+  const auto stored = [&](const char* name) {
+    auto id = client.Create(clock, name);
+    NVM_CHECK(id.ok());
+    NVM_CHECK(client.Fallocate(clock, *id, kChunks * kChunkBytes).ok());
+    for (uint32_t i = 0; i < kChunks; ++i) {
+      NVM_CHECK(client.WriteChunkPages(clock, *id, i, all, image).ok());
+    }
+    return *id;
+  };
+  const store::FileId b = stored("/b");
+  const store::FileId a = stored("/a");
+  fuselite::FuseliteConfig fc;
+  fc.cache_bytes = 32 * kChunkBytes;
+  fuselite::ChunkCache cache(client, fc);
+  std::vector<uint8_t> buf(page);
+  uint64_t op = 0;
+  for (auto _ : state) {
+    const uint64_t k = op % kChunks;
+    for (uint64_t off = 0; off < kChunkBytes; off += page) {
+      NVM_CHECK(cache.Read(clock, b, k * kChunkBytes + off, buf).ok());
+    }
+    for (uint64_t off = 0; off < kChunkBytes; off += page) {
+      NVM_CHECK(cache.Read(clock, a, k * kChunkBytes + off, buf).ok());
+    }
+    if (op >= kLag) {
+      const uint64_t w = (op - kLag) % kChunks;
+      for (uint64_t off = 0; off < kChunkBytes; off += page) {
+        NVM_CHECK(cache.Write(clock, a, w * kChunkBytes + off, buf).ok());
+      }
+    }
+    ++op;
+  }
+  const fuselite::CacheTraffic& t = cache.traffic();
+  const double reads = 2.0 * static_cast<double>(op);
+  state.counters["chunks_fetched_per_chunk_read"] =
+      op == 0 ? 0.0
+              : static_cast<double>(t.fetched_chunks + t.prefetched_chunks) /
+                    reads;
+  state.counters["prefetch_wasted"] =
+      op == 0 ? 0.0 : static_cast<double>(t.prefetch_wasted) / reads;
+}
+BENCHMARK(BM_CacheStreamsUnderPressure);
 
 void BM_RegionResidentPin(benchmark::State& state) {
   CacheFixtureState fx;

@@ -156,6 +156,7 @@ std::vector<store::MountCacheStats> CollectMountStats(Testbed& tb,
     m.hit_chunks = t.hit_chunks.load();
     m.fetched_chunks = t.fetched_chunks.load();
     m.prefetched_chunks = t.prefetched_chunks.load();
+    m.prefetch_wasted = t.prefetch_wasted.load();
     m.evictions = t.evictions.load();
     m.dropped_dirty = t.dropped_dirty.load();
     m.flush_batches = t.flush_batches.load();

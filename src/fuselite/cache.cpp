@@ -232,29 +232,42 @@ Status ChunkCache::ReserveResidency(sim::VirtualClock& clock, size_t count) {
     if (victim == nullptr) break;  // nothing resident to evict
     store::FileId flush_file = store::kInvalidFileId;
     std::vector<uint32_t> flush_indices;
+    bool wasted = false;
+    SlotKey key{};
     {
       std::lock_guard<std::mutex> lock(victim->mutex);
       if (victim->lru.empty()) continue;  // raced with another evictor
-      const SlotKey key = victim->lru.back().first;
+      key = victim->lru.back().first;
       auto it = victim->slots.find(key);
       NVM_CHECK(it != victim->slots.end());
       if (it->second.dirty.None()) {
         // Clean victim: evict immediately.
+        wasted = it->second.ra_pending;
         EraseLocked(*victim, it);
         ++traffic_.evictions;
-        continue;
+      } else {
+        // Dirty victim: coalesce it with the other dirty chunks of the
+        // same file living in this shard into one write-back window, so
+        // eviction pressure drains in batched runs instead of chunk-sized
+        // writes.
+        flush_file = key.file;
+        flush_indices.push_back(key.index);
+        for (const auto& [skey, slot] : victim->slots) {
+          if (flush_indices.size() >= kMaxBatchChunks) break;
+          if (skey.file != flush_file || skey.index == key.index) continue;
+          if (slot.dirty.None()) continue;
+          flush_indices.push_back(skey.index);
+        }
       }
-      // Dirty victim: coalesce it with the other dirty chunks of the same
-      // file living in this shard into one write-back window, so eviction
-      // pressure drains in batched runs instead of chunk-sized writes.
-      flush_file = key.file;
-      flush_indices.push_back(key.index);
-      for (const auto& [skey, slot] : victim->slots) {
-        if (flush_indices.size() >= kMaxBatchChunks) break;
-        if (skey.file != flush_file || skey.index == key.index) continue;
-        if (slot.dirty.None()) continue;
-        flush_indices.push_back(skey.index);
+    }
+    if (flush_indices.empty()) {
+      // A read-ahead chunk evicted before any access was fetched for
+      // nothing: its stream reads further ahead than this cache keeps.
+      if (wasted) {
+        ++traffic_.prefetch_wasted;
+        ShrinkWindow(key.file, key.index);
       }
+      continue;
     }
     // Write back outside the victim's lock (the window locks its shards
     // itself); the victim is clean on the next sweep and evicts then.  A
@@ -266,6 +279,13 @@ Status ChunkCache::ReserveResidency(sim::VirtualClock& clock, size_t count) {
                                         /*background=*/true));
   }
   return OkStatus();
+}
+
+void ChunkCache::TakePrefetchLocked(Slot& slot) {
+  if (slot.ra_pending) {
+    slot.ra_pending = false;
+    ra_pending_.fetch_sub(1, std::memory_order_relaxed);
+  }
 }
 
 StatusOr<ChunkCache::Slot*> ChunkCache::GetOrCreateSlot(
@@ -282,10 +302,7 @@ StatusOr<ChunkCache::Slot*> ChunkCache::GetOrCreateSlot(
     } else {
       *cached = true;
     }
-    if (it->second.ra_pending) {
-      it->second.ra_pending = false;
-      ra_pending_.fetch_sub(1, std::memory_order_relaxed);
-    }
+    TakePrefetchLocked(it->second);
     TouchLocked(sh, it->second);
     return &it->second;
   }
@@ -304,6 +321,7 @@ StatusOr<ChunkCache::Slot*> ChunkCache::GetOrCreateSlot(
     // Another thread materialised the slot while the lock was dropped.
     resident_.fetch_sub(1, std::memory_order_relaxed);
     clock.AdvanceTo(it->second.ready_at);
+    TakePrefetchLocked(it->second);
     TouchLocked(sh, it->second);
     return &it->second;
   }
@@ -467,14 +485,46 @@ Status ChunkCache::FetchRun(sim::VirtualClock& clock, store::FileId file,
   return OkStatus();
 }
 
+int ChunkCache::FindContinued(const std::vector<StreamState>& streams,
+                              uint64_t pos, bool* stream) {
+  uint64_t previous = 0;  // the file's previous read used this entry
+  for (const StreamState& s : streams) {
+    previous = std::max(previous, s.last_use);
+  }
+  // Several entries can end at `pos`; a stream among them wins.
+  int found = -1;
+  *stream = false;
+  for (size_t i = 0; i < streams.size() && !*stream; ++i) {
+    if (streams[i].next_offset != pos) continue;
+    found = static_cast<int>(i);
+    *stream = streams[i].continued || streams[i].last_use == previous;
+  }
+  return found;
+}
+
 bool ChunkCache::ContinuesStream(store::FileId file, uint64_t pos) const {
   std::lock_guard<std::mutex> lock(stream_mutex_);
   auto it = streams_.find(file);
   if (it == streams_.end()) return false;
-  for (const StreamState& s : it->second) {
-    if (s.next_offset == pos) return true;
+  bool stream = false;
+  FindContinued(it->second, pos, &stream);
+  return stream;
+}
+
+void ChunkCache::ShrinkWindow(store::FileId file, uint32_t index) {
+  std::lock_guard<std::mutex> lock(stream_mutex_);
+  auto it = streams_.find(file);
+  if (it == streams_.end()) return;
+  for (StreamState& s : it->second) {
+    const uint64_t consumer = s.next_offset / chunk_bytes();
+    if (consumer <= index && index < s.ra_head) {
+      if (index < s.shrunk_below) return;
+      s.window = std::max(1u, s.window / 2);
+      s.max_window = s.window;
+      s.shrunk_below = s.ra_head;
+      return;
+    }
   }
-  return false;
 }
 
 ChunkCache::PrefetchPlan ChunkCache::UpdateStreams(store::FileId file,
@@ -486,19 +536,21 @@ ChunkCache::PrefetchPlan ChunkCache::UpdateStreams(store::FileId file,
   if (auto ait = advice_.find(file); ait != advice_.end()) adv = ait->second;
   auto& streams = streams_[file];
   ++stream_tick_;
-  // A read continuing where one of the file's tracked streams ended
-  // advances that stream and may trigger the next read-ahead batch.
-  for (auto& s : streams) {
-    if (s.next_offset != pos) continue;
+  // A read continuing where one of the file's entries ended advances it
+  // and, if the entry is a stream, may trigger the next read-ahead batch.
+  bool stream = false;
+  if (const int at = FindContinued(streams, pos, &stream); at >= 0) {
+    StreamState& s = streams[at];
     s.next_offset = pos + n;
     s.last_use = stream_tick_;
+    s.continued = true;
     if (adv == AccessAdvice::kStreamOnce && index > 0 &&
         (pos + n) % chunk_bytes() == 0) {
       // The previous chunk has been fully consumed and will not be
       // touched again: drop it immediately (evict-behind).
       plan.evict_behind = true;
     }
-    if (!config_.readahead) return plan;
+    if (!stream || !config_.readahead) return plan;
     // Kernel-style ramp: each batch doubles the window up to the advice
     // cap, and reaching the start of the previously issued batch (the
     // marker) triggers the next one.  The ahead-limit keeps the pipeline
@@ -523,21 +575,21 @@ ChunkCache::PrefetchPlan ChunkCache::UpdateStreams(store::FileId file,
         plan.count = end - start;
         s.ra_marker = start;
         s.ra_head = end;
-        s.window = std::min(s.window * 2, cap);
+        s.window = std::min({s.window * 2, cap, s.max_window});
       }
     }
     return plan;
   }
-  // New stream: remember it (replacing the least recently used slot when
+  // A new entry: remember it (replacing the least recently used slot when
   // the table is full) with a fresh 1-chunk read-ahead window.
   if (streams.size() < kMaxStreams) {
-    streams.push_back({pos + n, stream_tick_, 1, 0, 0});
+    streams.push_back({.next_offset = pos + n, .last_use = stream_tick_});
   } else {
     auto* lru = &streams[0];
     for (auto& s : streams) {
       if (s.last_use < lru->last_use) lru = &s;
     }
-    *lru = {pos + n, stream_tick_, 1, 0, 0};
+    *lru = {.next_offset = pos + n, .last_use = stream_tick_};
   }
   return plan;
 }

@@ -14,6 +14,10 @@
 //  * eviction flushes only the dirty pages (Table VII's write optimisation),
 //  * contiguous runs of missing chunks are fetched with one batched
 //    manager lookup and one streamed run per benefactor,
+//  * a read that continues none of the file's entries starts a new one;
+//    an entry is a stream once a read has continued it, or while it is
+//    the file's previous read (so a random read that lands where an
+//    older one-page read ended is not a stream),
 //  * a single-chunk miss that continues a sequential stream fetches the
 //    whole units holding its pages (a replica, or erasure fragments); any
 //    other miss ships only its pages (the holder still reads and
@@ -23,7 +27,17 @@
 //    kWriteOnceReadMany) and each window is issued as one batched fetch
 //    on a detached virtual clock so its cost overlaps the application
 //    (that overlap is why the paper's Table III shows NVMalloc *faster*
-//    than raw SSD access for streams).
+//    than raw SSD access for streams),
+//  * read-ahead follows feedback: a prefetched chunk that capacity
+//    pressure evicts before any access halves the window of the stream
+//    that issued it (once for all the read-ahead issued before that
+//    shrink), and that stream's ramp stops there, so a stream reads only
+//    as far ahead as the cache keeps its chunks (Drop and stream-once
+//    evict-behind are not pressure and leave windows alone),
+//  * lock order: a path holds at most one shard lock, except a flush
+//    window, which takes its shards in index order; stream_mutex_ is
+//    never taken with a shard lock held (eviction hands the wasted
+//    prefetch to the stream table after releasing the victim's shard).
 #pragma once
 
 #include <cstdint>
@@ -85,6 +99,8 @@ struct CacheTraffic {
   std::atomic<uint64_t> app_bytes_written{0};
   std::atomic<uint64_t> fetched_chunks{0};     // misses served from the store
   std::atomic<uint64_t> prefetched_chunks{0};  // read-ahead fetches
+  // Read-ahead chunks that capacity pressure evicted before any access.
+  std::atomic<uint64_t> prefetch_wasted{0};
   std::atomic<uint64_t> hit_chunks{0};         // accesses served from cache
   std::atomic<uint64_t> flushed_pages{0};      // dirty pages written back
   std::atomic<uint64_t> flushed_chunks{0};     // chunk flush operations
@@ -109,6 +125,7 @@ struct CacheTraffic {
       app_bytes_written = o.app_bytes_written.load();
       fetched_chunks = o.fetched_chunks.load();
       prefetched_chunks = o.prefetched_chunks.load();
+      prefetch_wasted = o.prefetch_wasted.load();
       hit_chunks = o.hit_chunks.load();
       flushed_pages = o.flushed_pages.load();
       flushed_chunks = o.flushed_chunks.load();
@@ -189,8 +206,8 @@ class ChunkCache {
     // miss that paid for it, not a cache hit.
     bool fresh_fetch = false;
     // Prefetched but not yet touched: counts against the global read-ahead
-    // budget so concurrent streams cannot thrash the cache with
-    // speculative chunks they evict before consuming.
+    // budget, and evicted like this under capacity pressure, the fetch
+    // was wasted and the issuing stream's window shrinks.
     bool ra_pending = false;
     LruList::iterator lru_it;
   };
@@ -269,6 +286,9 @@ class ChunkCache {
   // Remove a resident slot (`sh.mutex` held), releasing its residency and
   // any read-ahead budget it held; returns the next slot.
   SlotMap::iterator EraseLocked(Shard& sh, SlotMap::iterator it);
+  // An access reached `slot` (`sh.mutex` held): a prefetch it held is
+  // used, not pending.
+  void TakePrefetchLocked(Slot& slot);
   // Batched fetch of up to `count` wholly-absent chunks starting at
   // `first`: one manager lookup round-trip, parallel transfers on
   // detached clocks, slots inserted ready_at their completion times.
@@ -286,13 +306,19 @@ class ChunkCache {
     uint32_t count = 0;  // 0 = nothing to prefetch
     bool evict_behind = false;
   };
-  // Whether a read at `pos` continues one of the file's tracked streams
-  // (a read-only peek; UpdateStreams does the bookkeeping).
+  // Whether a read at `pos` continues one of the file's streams (a
+  // read-only peek; UpdateStreams does the bookkeeping).
   bool ContinuesStream(store::FileId file, uint64_t pos) const;
   // Update the file's stream detector with a read of [pos, pos+n) in
   // chunk `index`; returns the read-ahead plan (under stream_mutex_).
   PrefetchPlan UpdateStreams(store::FileId file, uint64_t pos, uint64_t n,
                              uint32_t index);
+  // Capacity pressure evicted read-ahead chunk `index` of `file` before
+  // any access: the stream whose issued read-ahead covered it halves its
+  // window and caps its ramp there, once for all the read-ahead it issued
+  // before that shrink.  Takes stream_mutex_; called with no shard lock
+  // held.
+  void ShrinkWindow(store::FileId file, uint32_t index);
   uint32_t ReadaheadCap(AccessAdvice advice) const;
 
   store::StoreClient& client_;
@@ -320,9 +346,24 @@ class ChunkCache {
     uint64_t next_offset = 0;
     uint64_t last_use = 0;
     uint32_t window = 1;     // next read-ahead batch size (chunks)
+    // Where the ramp stops: a wasted prefetch halves the window and pins
+    // this to it for the rest of the stream's life.
+    uint32_t max_window = UINT32_MAX;
     uint32_t ra_head = 0;    // first chunk not yet prefetched
     uint32_t ra_marker = 0;  // reaching this chunk triggers the next batch
+    // Read-ahead below this chunk was issued before the last shrink, which
+    // already answered its waste.
+    uint32_t shrunk_below = 0;
+    // A read has continued this entry.
+    bool continued = false;
   };
+  // The entry of a file's table that a read at `pos` continues (-1 if
+  // none), and in `*stream` whether that entry is a stream: a read has
+  // continued it already, or it is the file's previous read.  An entry
+  // that an older read left and nothing continued is one read, not a
+  // stream.
+  static int FindContinued(const std::vector<StreamState>& streams,
+                           uint64_t pos, bool* stream);
   mutable std::mutex stream_mutex_;
   std::unordered_map<store::FileId, std::vector<StreamState>> streams_;
   uint64_t stream_tick_ = 0;

@@ -159,18 +159,21 @@ std::string StatusReport(AggregateStore& store,
 
   if (!mounts.empty()) {
     std::snprintf(line, sizeof(line),
-                  "%-6s %-10s %-10s %-10s %-10s %-10s %-10s %-10s %-10s\n",
+                  "%-6s %-10s %-10s %-10s %-10s %-10s %-10s %-10s %-10s "
+                  "%-10s\n",
                   "node", "resident", "hits", "fetched", "prefetch",
-                  "evicted", "drop-dirty", "flush-bat", "degraded");
+                  "pf-wasted", "evicted", "drop-dirty", "flush-bat",
+                  "degraded");
     out += line;
     for (const MountCacheStats& m : mounts) {
       std::snprintf(line, sizeof(line),
                     "%-6d %-10llu %-10llu %-10llu %-10llu %-10llu %-10llu "
-                    "%-10llu %-10llu\n",
+                    "%-10llu %-10llu %-10llu\n",
                     m.node, static_cast<unsigned long long>(m.resident_chunks),
                     static_cast<unsigned long long>(m.hit_chunks),
                     static_cast<unsigned long long>(m.fetched_chunks),
                     static_cast<unsigned long long>(m.prefetched_chunks),
+                    static_cast<unsigned long long>(m.prefetch_wasted),
                     static_cast<unsigned long long>(m.evictions),
                     static_cast<unsigned long long>(m.dropped_dirty),
                     static_cast<unsigned long long>(m.flush_batches),

@@ -19,6 +19,8 @@ struct MountCacheStats {
   uint64_t hit_chunks = 0;
   uint64_t fetched_chunks = 0;
   uint64_t prefetched_chunks = 0;
+  // Read-ahead chunks that capacity pressure evicted before any access.
+  uint64_t prefetch_wasted = 0;
   uint64_t evictions = 0;
   // Dirty chunks discarded on Drop() after a failed best-effort
   // write-back — data lost to unreplicated benefactor failure.

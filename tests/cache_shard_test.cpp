@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "fuselite/mount.hpp"
@@ -39,6 +40,45 @@ class CacheShardTest : public ::testing::Test {
     Xoshiro256 rng(seed);
     for (auto& b : v) b = static_cast<uint8_t>(rng.Next());
     return v;
+  }
+
+  // A file of `data` that lives only in the store: the cache holds none
+  // of it and tracks no stream over it.
+  FileHandle StoredFile(const std::string& name,
+                        const std::vector<uint8_t>& data) {
+    auto f = mount_->Create(name, data.size());
+    NVM_CHECK(f.ok());
+    NVM_CHECK(f->Write(0, data).ok());
+    NVM_CHECK(f->Sync().ok());
+    NVM_CHECK(mount_->cache().Drop(sim::CurrentClock(), f->id()).ok());
+    return *f;
+  }
+
+  // A TRIAD sweep in miniature over chunks [from, to): read chunk k of
+  // `b` and of `a`, each one sequential stream, while a blind page writer
+  // rewrites `a` `lag` chunks behind the reader, as a page pool's
+  // write-backs do; those writes take cache slots that the read-ahead
+  // must share.  Returns whether every call succeeded and every byte read
+  // was right.
+  bool SweepUnderPressure(FileHandle& b, const std::vector<uint8_t>& b_data,
+                          FileHandle& a, const std::vector<uint8_t>& a_data,
+                          uint64_t from, uint64_t to, uint64_t lag) {
+    const auto page = Pattern(4_KiB, 77);
+    std::vector<uint8_t> got(kChunk);
+    for (uint64_t k = from; k < to; ++k) {
+      const uint64_t off = k * kChunk;
+      if (!b.Read(off, got).ok() ||
+          std::memcmp(got.data(), b_data.data() + off, kChunk) != 0 ||
+          !a.Read(off, got).ok() ||
+          std::memcmp(got.data(), a_data.data() + off, kChunk) != 0) {
+        return false;
+      }
+      if (k < lag) continue;
+      for (uint64_t p = 0; p < kChunk; p += page.size()) {
+        if (!a.Write((k - lag) * kChunk + p, page).ok()) return false;
+      }
+    }
+    return true;
   }
 
   std::unique_ptr<net::Cluster> cluster_;
@@ -126,14 +166,81 @@ TEST_F(CacheShardTest, ReadaheadWindowRampsThenResetsOnNewStream) {
   for (uint64_t i = 1; i < kChunks; ++i) {
     ASSERT_TRUE(f->Read(i * kChunk, buf).ok());
   }
-  // A long sequential scan ramps the window up to the configured cap.
+  // A long sequential scan ramps the window up to the configured cap,
+  // and an ample cache keeps every chunk it read ahead.
   EXPECT_EQ(mount_->cache().readahead_window(f->id()),
             FuseliteConfig{}.readahead_max_chunks);
   EXPECT_GT(mount_->cache().traffic().prefetched_chunks.load(), 0u);
+  EXPECT_EQ(mount_->cache().traffic().prefetch_wasted.load(), 0u);
 
   // Rewinding starts a fresh stream: the ramp begins again at 1.
   ASSERT_TRUE(f->Read(0, buf).ok());
   EXPECT_EQ(mount_->cache().readahead_window(f->id()), 1u);
+}
+
+TEST_F(CacheShardTest, StreamsUnderPressureReadAheadOnlyWhatTheCacheKeeps) {
+  // Two streams whose windows at the cap (8 chunks each) do not fit a
+  // 16-chunk cache beside the writer's slots.  The ramp overshoots once;
+  // the prefetches that pressure evicts unread shrink their streams'
+  // windows, and from then on read-ahead still does the work, at most
+  // one more prefetch per stream is lost, and nothing else is fetched
+  // twice.
+  FuseliteConfig config;
+  config.cache_bytes = 16 * kChunk;
+  Rebuild(config);
+  constexpr uint64_t kChunks = 96;
+  constexpr uint64_t kWarm = 32;
+  constexpr uint64_t kLag = 16;
+  const auto b_data = Pattern(kChunks * kChunk, 41);
+  const auto a_data = Pattern(kChunks * kChunk, 42);
+  FileHandle b = StoredFile("/b", b_data);
+  FileHandle a = StoredFile("/a", a_data);
+  mount_->cache().ResetTraffic();
+
+  ASSERT_TRUE(SweepUnderPressure(b, b_data, a, a_data, 0, kWarm, kLag));
+  const CacheTraffic warm = mount_->cache().traffic();
+  EXPECT_GT(warm.prefetch_wasted.load(), 0u) << "the ramp overshoots";
+  ASSERT_TRUE(
+      SweepUnderPressure(b, b_data, a, a_data, kWarm, kChunks, kLag));
+  const CacheTraffic& t = mount_->cache().traffic();
+  const uint64_t consumed = 2 * (kChunks - kWarm);
+  const uint64_t streams = 2;
+  const uint64_t fetched = t.fetched_chunks.load() - warm.fetched_chunks +
+                           t.prefetched_chunks.load() -
+                           warm.prefetched_chunks;
+  EXPECT_LE(t.prefetch_wasted.load() - warm.prefetch_wasted, streams);
+  EXPECT_LE(fetched, consumed + streams);
+  EXPECT_GT(t.prefetched_chunks.load() - warm.prefetched_chunks,
+            consumed / 2);
+}
+
+TEST_F(CacheShardTest, StreamsUnderPressureFromTwoThreadsReadExact) {
+  // The same sweep from two threads through one cache: evictions that
+  // shrink one stream's window race the other thread's stream updates.
+  FuseliteConfig config;
+  config.cache_bytes = 32 * kChunk;
+  Rebuild(config);
+  constexpr int kRanks = 2;
+  constexpr uint64_t kChunks = 64;
+  std::vector<std::vector<uint8_t>> data;
+  std::vector<FileHandle> files;
+  for (int i = 0; i < 2 * kRanks; ++i) {
+    data.push_back(Pattern(kChunks * kChunk, 50 + static_cast<uint64_t>(i)));
+    files.push_back(StoredFile("/s" + std::to_string(i), data.back()));
+  }
+  mount_->cache().ResetTraffic();
+
+  std::atomic<int> failures{0};
+  auto placement = cluster_->BlockPlacement(kRanks, 1);
+  cluster_->RunProcesses(placement, [&](net::ProcessEnv& env) {
+    const size_t i = 2 * static_cast<size_t>(env.rank);
+    if (!SweepUnderPressure(files[i], data[i], files[i + 1], data[i + 1], 0,
+                            kChunks, 16)) {
+      failures.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(mount_->cache().traffic().prefetched_chunks.load(), 0u);
 }
 
 TEST_F(CacheShardTest, ConcurrentDisjointWritersMatchSingleThreadedResult) {

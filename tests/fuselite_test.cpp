@@ -197,6 +197,27 @@ TEST_F(FuseliteTest, RandomPageMissShipsOnePage) {
   EXPECT_EQ(mount_->cache().traffic().fetched_chunks.load(), 2u);
 }
 
+TEST_F(FuseliteTest, MissWhereARandomReadEndedShipsOnePage) {
+  // A random one-page read leaves an entry in the stream table.  A later
+  // random miss that lands where it ended, after a read elsewhere, finds
+  // an entry that nothing continued and that is not the file's previous
+  // read: it is not a stream, so it ships its page alone and reads
+  // nothing ahead.
+  const auto data = Pattern(4 * kChunk, 20);
+  FileHandle f = StoredFile("/oneshot", data);
+  std::vector<uint8_t> got(kPage);
+  const uint64_t off = 2 * kChunk + 9 * kPage;
+  ASSERT_TRUE(f.Read(off, got).ok());
+  ASSERT_TRUE(f.Read(kChunk + 3 * kPage, got).ok());  // elsewhere
+  const uint64_t reads = ReadRequests();
+  const uint64_t fetched = mount_->client().bytes_fetched();
+  ASSERT_TRUE(f.Read(off + kPage, got).ok());
+  EXPECT_EQ(0, std::memcmp(got.data(), data.data() + off + kPage, kPage));
+  EXPECT_EQ(ReadRequests() - reads, 1u);
+  EXPECT_EQ(mount_->client().bytes_fetched() - fetched, kPage);
+  EXPECT_EQ(mount_->cache().traffic().prefetched_chunks.load(), 0u);
+}
+
 TEST_F(FuseliteTest, StreamMissFetchesWholeReplica) {
   // A miss whose offset continues one of the file's streams fetches the
   // whole replica, as the stream will read the rest of the chunk.
